@@ -215,6 +215,11 @@ def bound_pricing(lipschitz: float, functional_norm: float, e_abs: float) -> flo
     return lipschitz * functional_norm * e_abs
 
 
+# a Monte Carlo comparison passes when its margin is at least this many
+# combined standard errors
+PASS_MARGIN = -3.0
+
+
 def combined_margin(lhs: float, lhs_se: float, rhs: float, rhs_se: float = 0.0) -> float:
     """Signed slack (rhs - lhs) in combined-stderr units.
 

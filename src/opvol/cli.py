@@ -14,7 +14,8 @@ bound failed, 1 configuration or usage error.
 
 CSV output is stable by construction: fixed column order, floats at 17
 significant digits, UNIX newlines.  The --threads flag is a performance knob
-only and never changes results.
+only and never changes results; it must be at least 1, and no more workers
+are started than there are replications or cores.
 """
 
 from __future__ import annotations
@@ -231,13 +232,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="master seed override (highest priority)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker processes (default: available parallelism); results never depend on it")
+                       help="worker processes, at least 1 (default: available parallelism); "
+                            "capped at replications and cores; results never depend on it")
         p.add_argument("--out-dir", default=".", help="directory for CSV output")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.threads is not None and args.threads < 1:
+        print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
+        return EXIT_ERROR
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
     try:
         scenario = resolve_scenario(args.config, args.seed)

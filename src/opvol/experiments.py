@@ -28,6 +28,7 @@ results are bit-identical for any worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -35,6 +36,7 @@ from functools import partial
 import numpy as np
 
 from opvol.bounds import (
+    PASS_MARGIN,
     BoundInputs,
     bound_forward,
     bound_pathwise,
@@ -77,8 +79,6 @@ from opvol.variance import (
     truncate_generator,
 )
 
-PASS_MARGIN = -3.0
-
 TRUNCATION_MODES = ("jumps", "generator")
 
 
@@ -111,6 +111,10 @@ class CoupledScenario:
     truncate_v0: bool = False
 
     def __post_init__(self):
+        for name in ("horizon", "rate", "payoff_strike", "exercise_time"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.d < 1:
             raise ValueError("d must be positive")
         object.__setattr__(self, "levels", tuple(int(n) for n in self.levels))
@@ -131,6 +135,8 @@ class CoupledScenario:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (self.d,):
                 raise ValueError(f"{name} must have shape ({self.d},)")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
             if name not in ("generator_spectrum", "forward_spectrum") and np.any(arr < 0):
                 raise ValueError(f"{name} must be nonnegative")
             object.__setattr__(self, name, arr)
@@ -374,7 +380,7 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
         }
         fpath = simulate_forward_coupled(
             exact_path, approx, scenario.forward_spec(), scenario.q_spec(),
-            stream(seed, PURPOSE_WIENER, rep),
+            stream(seed, PURPOSE_WIENER, rep), sqrts,
         )
         payoff = scenario.payoff()
         functional = scenario.functional()
@@ -390,9 +396,15 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     return out
 
 
+def _worker_count(threads: int, replications: int, cpus: int) -> int:
+    """Worker processes worth starting: no more than replications or cores."""
+    return max(1, min(threads, replications, cpus))
+
+
 def _map_reps(scenario: CoupledScenario, workers: int) -> list[dict]:
     reps = range(scenario.replications)
-    if workers <= 1:
+    workers = _worker_count(workers, scenario.replications, os.cpu_count() or 1)
+    if workers == 1:
         return [_rep_stats(scenario, r) for r in reps]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, scenario.replications // (workers * 4))
@@ -702,8 +714,9 @@ def convergence_study(scenario: CoupledScenario, workers: int = 1) -> Convergenc
     monotone: dict[str, bool] = {}
     for bound_id in {r.bound_id for r in rows}:
         series = [r for r in rows if r.bound_id == bound_id]
+        # b passes when (a - b) / se >= PASS_MARGIN, written without the division
         ok = all(
-            b.estimate <= a.estimate + 3.0 * math.hypot(a.stderr, b.stderr)
+            b.estimate <= a.estimate - PASS_MARGIN * math.hypot(a.stderr, b.stderr)
             for a, b in zip(series, series[1:])
         )
         monotone[bound_id] = ok

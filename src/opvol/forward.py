@@ -13,6 +13,12 @@ left-endpoint Euler recursion
 which keeps the volatility integrand predictable.  Exact and truncated
 variance paths are driven by one shared Wiener path so that the difference
 X - X^n isolates the truncation error.
+
+The square roots sqrt(V(t_m)) are taken from the caller when it already holds
+them (the experiment engine decomposes every grid slot once and reuses the
+stack); otherwise they are computed here, one batched decomposition for all
+paths.  The noise terms sqrt(V(t_m)) dB_m of every path and step are formed in
+one batched contraction, and only the transport by S(dt_m) runs step by step.
 """
 
 from __future__ import annotations
@@ -145,11 +151,15 @@ def simulate_forward_coupled(
     fwd: ForwardSemigroupSpec,
     q: QWienerSpec,
     rng: np.random.Generator,
+    sqrts: np.ndarray | None = None,
 ) -> ForwardPath:
     """Run the left-endpoint Euler recursion for X and every X^n.
 
-    All trajectories consume the identical Wiener increments, and each level
-    computes one operator square root per distinct grid time (batched).
+    All trajectories consume the identical Wiener increments.  ``sqrts`` is
+    the (1 + len(approx), grid.size, d, d) stack of square roots of the exact
+    path followed by each level in ``approx`` order, at every grid slot; when
+    omitted it is computed with one batched decomposition.  Only the left
+    endpoints of the positive-length steps are read.
     """
     grid = exact.grid
     d = exact.values.shape[1]
@@ -158,6 +168,14 @@ def simulate_forward_coupled(
     for n, path in approx.items():
         if not _same_grid(grid, path.grid):
             raise ValueError(f"level {n} variance path uses a different grid")
+    n_paths = 1 + len(approx)
+    if sqrts is None:
+        sqrts = psd_sqrt_batch(np.stack([exact.values] + [approx[n].values for n in approx]))
+    elif sqrts.shape != (n_paths, grid.size, d, d):
+        raise ValueError(
+            f"square root stack has shape {sqrts.shape}, "
+            f"expected {(n_paths, grid.size, d, d)}"
+        )
 
     # One shared Wiener path, sampled on the distinct times and scattered to
     # grid steps (duplicated jump-time slots get a zero increment).
@@ -169,33 +187,27 @@ def simulate_forward_coupled(
     pos = np.searchsorted(distinct, grid.times[1:])
     increments[steps] = inc_distinct[pos[steps] - 1]
 
-    # Square roots at the left endpoints of the positive-length steps.
-    endpoints = np.flatnonzero(steps)
-    stacks = [exact.values] + [approx[n].values for n in approx]
-    sqrts = psd_sqrt_batch(np.stack([v[endpoints] for v in stacks], axis=0))
+    # sqrt(V(t_m)) dB_m for every path and positive-length step at once
+    noise = np.einsum("pkij,kj->pki", sqrts[:, np.flatnonzero(steps)], increments[steps])
 
-    n_paths = len(stacks)
-    xs = np.zeros((n_paths, grid.size, d))
-    state = np.zeros((n_paths, d))
+    # transport over the positive-length steps: state = S(dt)(state + noise)
+    states = np.zeros((n_paths, noise.shape[1] + 1, d))
+    state = states[:, 0]
     diag_exponents = np.diagonal(fwd.A) if fwd.kind == "diagonal" else None
     prop_cache: dict[float, np.ndarray] = {}
-    step_no = 0
-    for g in range(1, grid.size):
-        dt = dts[g - 1]
-        if dt > 0.0:
-            state = state + np.einsum(
-                "pij,j->pi", sqrts[:, step_no], increments[g - 1]
-            )
-            mult = prop_cache.get(dt)
-            if mult is None:
-                if diag_exponents is not None:
-                    mult = np.exp(diag_exponents * dt)
-                else:
-                    mult = matrix_exp(fwd.A, dt)
-                prop_cache[dt] = mult
-            state = state * mult if diag_exponents is not None else state @ mult.T
-            step_no += 1
-        xs[:, g] = state
+    for k, dt in enumerate(dts[steps]):
+        mult = prop_cache.get(dt)
+        if mult is None:
+            if diag_exponents is not None:
+                mult = np.exp(diag_exponents * dt)
+            else:
+                mult = matrix_exp(fwd.A, dt)
+            prop_cache[dt] = mult
+        state = state + noise[:, k]
+        state = state * mult if diag_exponents is not None else state @ mult.T
+        states[:, k + 1] = state
+    # a zero-length jump slot repeats the state before it
+    xs = states[:, np.concatenate(([0], np.cumsum(steps)))]
 
     return ForwardPath(
         grid=grid,

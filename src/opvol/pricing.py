@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import bound_pricing, combined_margin
+from .bounds import PASS_MARGIN, bound_pricing, combined_margin
 from .forward import ForwardPath
 from .operators import psd_sqrt
 from .variance import VariancePath
@@ -195,7 +195,7 @@ class PricingReport:
 
     @property
     def passed(self) -> bool:
-        return self.chain_margin >= -3.0 and self.cap_margin >= -3.0
+        return self.chain_margin >= PASS_MARGIN and self.cap_margin >= PASS_MARGIN
 
 
 def price_robustness_report(

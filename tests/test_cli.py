@@ -151,6 +151,24 @@ class TestVerifyCommand:
         assert "rate" in capsys.readouterr().err
         assert not (tmp_path / "bounds.csv").exists()
 
+    def test_non_finite_rate_exits_one(self, tmp_path, capsys):
+        for value in (float("nan"), float("inf")):
+            path = write_config(tmp_path, rate=value)
+            code = main(["verify", path, "--out-dir", str(tmp_path)])
+            assert code == EXIT_ERROR
+            err = capsys.readouterr().err
+            assert err.startswith("error: rate must be finite")
+            assert err.count("\n") == 1
+        assert not (tmp_path / "bounds.csv").exists()
+
+    def test_threads_below_one_exits_one(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        for value in ("0", "-5"):
+            code = main(["verify", path, "--threads", value, "--out-dir", str(tmp_path)])
+            assert code == EXIT_ERROR
+            assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "bounds.csv").exists()
+
     def test_bound_failure_exits_two(self, tmp_path, monkeypatch):
         import opvol.cli as cli_mod
         from opvol.experiments import ExperimentResult, make_report

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import opvol
+from opvol import bounds, experiments, forward
 from opvol.experiments import (
     PASS_MARGIN,
     BoundReport,
@@ -89,6 +91,71 @@ class TestScenarioValidation:
             small_scenario(rate=-1.0)
         with pytest.raises(ValueError, match="time step"):
             small_scenario(m_points=0)
+
+    def test_non_finite_numbers_name_the_field(self):
+        for name in ("horizon", "rate", "payoff_strike", "exercise_time"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                    small_scenario(**{name: value})
+        for name in ("jump_gammas", "q_spectrum", "generator_spectrum", "forward_spectrum", "v0_diag"):
+            for value in (math.nan, math.inf, -math.inf):
+                arr = np.full(8, 0.5)
+                arr[3] = value
+                with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                    small_scenario(**{name: arr})
+
+
+class TestPassMargin:
+    def test_one_constant(self):
+        assert bounds.PASS_MARGIN == -3.0
+        assert experiments.PASS_MARGIN is bounds.PASS_MARGIN
+        assert opvol.PASS_MARGIN is bounds.PASS_MARGIN
+
+
+class TestWorkerCount:
+    def test_capped_by_threads_replications_and_cores(self):
+        assert experiments._worker_count(1, 2000, 8) == 1
+        assert experiments._worker_count(4, 2000, 8) == 4
+        assert experiments._worker_count(10**6, 2000, 8) == 8
+        assert experiments._worker_count(10**6, 3, 64) == 3
+        assert experiments._worker_count(0, 2000, 8) == 1
+
+
+class TestSquareRootsPerReplication:
+    def count_decompositions(self, monkeypatch, scenario):
+        calls, sizes = [], []
+        build_grid = experiments.build_grid
+
+        def counting(owner):
+            inner = owner.psd_sqrt_batch
+
+            def psd_sqrt_batch(Ts):
+                calls.append(Ts.shape[:-2])
+                return inner(Ts)
+
+            monkeypatch.setattr(owner, "psd_sqrt_batch", psd_sqrt_batch)
+
+        def recording_grid(*args):
+            grid = build_grid(*args)
+            sizes.append(grid.size)
+            return grid
+
+        counting(experiments)
+        counting(forward)
+        monkeypatch.setattr(experiments, "build_grid", recording_grid)
+        experiments._rep_stats(scenario, 0)
+        return calls, sizes
+
+    def test_jumps_mode_decomposes_every_slot_once(self, monkeypatch):
+        sc = small_scenario(rate=5.0)
+        calls, (size,) = self.count_decompositions(monkeypatch, sc)
+        assert size > sc.m_points + 1  # the replication has jump slots
+        assert calls == [(len(sc.levels) + 1, size)]
+
+    def test_generator_mode_decomposes_nothing(self, monkeypatch):
+        sc = default_generator_scenario(replications=10, master_seed=5).with_(m_points=25)
+        calls, _ = self.count_decompositions(monkeypatch, sc)
+        assert calls == []
 
 
 class TestReports:

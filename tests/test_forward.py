@@ -4,8 +4,23 @@ import numpy as np
 import pytest
 
 from opvol.forward import ForwardPath, ForwardSemigroupSpec, forward_sup_error, simulate_forward_coupled
-from opvol.operators import NotPositiveSemidefinite, ProjectionSpec, norm, project_operator, psd_sqrt
-from opvol.processes import JumpLaw, QWienerSpec, sample_clock, sample_jump_stream, stream
+from opvol.operators import (
+    NotPositiveSemidefinite,
+    ProjectionSpec,
+    matrix_exp,
+    norm,
+    project_operator,
+    psd_sqrt,
+    psd_sqrt_batch,
+)
+from opvol.processes import (
+    JumpLaw,
+    QWienerSpec,
+    sample_clock,
+    sample_jump_stream,
+    sample_wiener_increments,
+    stream,
+)
 from opvol.variance import GeneratorSpec, VariancePath, build_grid, evolve_variance, karhunen_loeve_spectrum
 
 
@@ -198,6 +213,100 @@ class TestSimulation:
         np.testing.assert_array_equal(path.at_time(0.5), path.values[2])
         with pytest.raises(ValueError):
             path.at_time(0.33)
+
+
+def jump_paths(d, levels, seed):
+    """Coupled variance paths on a grid with jump slots (zero-length steps)."""
+    spec = GeneratorSpec.diagonal("sylvester", -karhunen_loeve_spectrum(d))
+    clock = sample_clock(6.0, 1.0, stream(seed, 1, 0))
+    assert clock.count > 0
+    js = sample_jump_stream(clock, JumpLaw.geometric(d), levels, stream(seed, 2, 0))
+    grid = build_grid(1.0, 20, clock.times)
+    v0 = np.diag(0.5 ** np.arange(1, d + 1))
+    exact = evolve_variance(v0, spec, js, grid)
+    approx = {
+        n: evolve_variance(
+            project_operator(v0, ProjectionSpec.corner(n, d)), spec, js, grid, level=n
+        )
+        for n in levels
+    }
+    return exact, approx
+
+
+def semigroups(d):
+    return [
+        ForwardSemigroupSpec.diagonal(np.linspace(-0.5, 0.2, d)),
+        ForwardSemigroupSpec(kind="skew", A=random_skew(np.random.default_rng(8), d)),
+    ]
+
+
+def per_step_recursion(exact, approx, fwd, q, rng):
+    """The step-by-step Euler loop, one noise contraction per grid step."""
+    grid = exact.grid
+    d = exact.values.shape[1]
+    distinct = grid.distinct_times
+    inc_distinct = sample_wiener_increments(q, distinct, rng)
+    dts = np.diff(grid.times)
+    steps = dts > 0.0
+    increments = np.zeros((grid.size - 1, d))
+    pos = np.searchsorted(distinct, grid.times[1:])
+    increments[steps] = inc_distinct[pos[steps] - 1]
+    endpoints = np.flatnonzero(steps)
+    stacks = [exact.values] + [approx[n].values for n in approx]
+    sqrts = psd_sqrt_batch(np.stack([v[endpoints] for v in stacks], axis=0))
+    xs = np.zeros((len(stacks), grid.size, d))
+    state = np.zeros((len(stacks), d))
+    diag_exponents = np.diagonal(fwd.A) if fwd.kind == "diagonal" else None
+    step_no = 0
+    for g in range(1, grid.size):
+        dt = dts[g - 1]
+        if dt > 0.0:
+            state = state + np.einsum("pij,j->pi", sqrts[:, step_no], increments[g - 1])
+            if diag_exponents is not None:
+                state = state * np.exp(diag_exponents * dt)
+            else:
+                state = state @ matrix_exp(fwd.A, dt).T
+            step_no += 1
+        xs[:, g] = state
+    return xs, increments
+
+
+class TestPrecomputedSquareRoots:
+    def test_given_stack_matches_computed(self):
+        d, levels = 6, (2, 4)
+        exact, approx = jump_paths(d, levels, seed=61)
+        assert np.any(np.diff(exact.grid.times) == 0.0)
+        sqrts = psd_sqrt_batch(np.stack([exact.values] + [approx[n].values for n in levels]))
+        q = QWienerSpec.geometric(d)
+        for fwd in semigroups(d):
+            own = simulate_forward_coupled(exact, approx, fwd, q, stream(61, 3, 0))
+            given = simulate_forward_coupled(exact, approx, fwd, q, stream(61, 3, 0), sqrts)
+            np.testing.assert_array_equal(given.values, own.values)
+            np.testing.assert_array_equal(given.increments, own.increments)
+            for n in levels:
+                np.testing.assert_array_equal(given.approx[n], own.approx[n])
+
+    def test_batched_noise_matches_per_step_loop(self):
+        d, levels = 6, (2, 4)
+        exact, approx = jump_paths(d, levels, seed=62)
+        q = QWienerSpec.geometric(d)
+        for fwd in semigroups(d):
+            path = simulate_forward_coupled(exact, approx, fwd, q, stream(62, 3, 0))
+            xs, increments = per_step_recursion(exact, approx, fwd, q, stream(62, 3, 0))
+            np.testing.assert_array_equal(path.increments, increments)
+            np.testing.assert_array_equal(path.values, xs[0])
+            for i, n in enumerate(levels, start=1):
+                np.testing.assert_array_equal(path.approx[n], xs[i])
+
+    def test_wrong_stack_shape_rejected(self):
+        d = 4
+        exact, approx = jump_paths(d, (2,), seed=63)
+        full = psd_sqrt_batch(np.stack([exact.values, approx[2].values]))
+        fwd = ForwardSemigroupSpec.zero(d)
+        q = QWienerSpec.geometric(d)
+        for bad in (full[:1], full[:, 1:], full[..., :2, :2]):
+            with pytest.raises(ValueError, match="square root stack"):
+                simulate_forward_coupled(exact, approx, fwd, q, stream(63, 3, 0), bad)
 
 
 class TestIsometry:
