@@ -31,10 +31,9 @@ class BoundInputs:
 
     Semigroup constants (c, k) certify the forward propagator; gen_norm and
     gen_norm_trunc are the operator norms of the mean-reversion generator and
-    its compression, gen_gap their difference norm.  The remaining fields are
-    moments of the initial variance V0 and of a single jump X1, together with
-    the coupled-difference moments against the level-n approximants, and the
-    squared sup of the generator spectrum outside the kept index set.
+    its compression.  The remaining fields are moments of the initial
+    variance V0 and of a single jump X1, and the squared sup of the generator
+    spectrum outside the kept index set.
     """
 
     c: float = 1.0
@@ -44,15 +43,11 @@ class BoundInputs:
     rate: float = 0.0
     gen_norm: float = 0.0
     gen_norm_trunc: float = 0.0
-    gen_gap: float = 0.0
     v0_sq: float = 0.0
     jump_sq: float = 0.0
     jump_mean_sq: float = 0.0
     v0_tr: float = 0.0
     jump_tr: float = 0.0
-    jump_diff_sq: float = 0.0
-    jump_diff_tr: float = 0.0
-    v0_diff_sq: float = 0.0
     tail_sup_sq: float = 0.0
 
     def __post_init__(self) -> None:
@@ -65,15 +60,11 @@ class BoundInputs:
             "rate",
             "gen_norm",
             "gen_norm_trunc",
-            "gen_gap",
             "v0_sq",
             "jump_sq",
             "jump_mean_sq",
             "v0_tr",
             "jump_tr",
-            "jump_diff_sq",
-            "jump_diff_tr",
-            "v0_diff_sq",
             "tail_sup_sq",
         ):
             if getattr(self, name) < 0.0:
@@ -133,7 +124,7 @@ def _generator_moment_load(inputs: BoundInputs) -> float:
 
 def bound_variance_generator(inputs: BoundInputs) -> float:
     """Constant C(T) = 2 T^2 e^{2T (||c|| v ||c^n||)} (E||V0||^2 + rate T E||X1||^2
-    + rate^2 T^2 (E||X1||)^2); the caller multiplies by gen_gap^2."""
+    + rate^2 T^2 (E||X1||)^2); the caller multiplies by ||c - c^n||_op^2."""
     t = inputs.horizon
     growth = math.exp(2.0 * t * max(inputs.gen_norm, inputs.gen_norm_trunc))
     return 2.0 * t * t * growth * _generator_moment_load(inputs)
@@ -160,7 +151,7 @@ def bound_sqrt(
     * ``hs-jumps``: constant k e^{T||c||} rate T; caller multiplies by the
       trace moment E||X1 - X1^n||_1.
     * ``hs-generator``: constant k T e^{T(||c|| v ||c^n||)} (E||V0||_1 +
-      rate T E||X1||_1); caller multiplies by gen_gap.
+      rate T E||X1||_1); caller multiplies by ||c - c^n||_op.
 
     The proportionality constant k of the two hs cases is not pinned down
     by the underlying square-root perturbation theory; ``k_factor``

@@ -40,7 +40,6 @@ from opvol.bounds import (
     BoundInputs,
     bound_forward,
     bound_pathwise,
-    bound_pricing,
     bound_sqrt,
     bound_tensor_jump,
     bound_tensor_jump_trace,
@@ -52,7 +51,7 @@ from opvol.bounds import (
 )
 from opvol.forward import ForwardSemigroupSpec, forward_sup_error, simulate_forward_coupled
 from opvol.operators import ProjectionSpec, norm, psd_sqrt_batch
-from opvol.pricing import FunctionalSpec, PayoffSpec, PricingReport
+from opvol.pricing import FunctionalSpec, PayoffSpec, PricingReport, mean_se, pricing_report
 from opvol.processes import (
     PURPOSE_CLOCK,
     PURPOSE_JUMPS,
@@ -80,6 +79,10 @@ from opvol.variance import (
 )
 
 TRUNCATION_MODES = ("jumps", "generator")
+
+# rate * horizon, the expected number of jumps per replication, above which a
+# scenario is rejected: every jump adds two grid slots to every coupled path
+MAX_EXPECTED_JUMPS = 1e4
 
 
 # --- scenario ----------------------------------------------------------------
@@ -131,6 +134,11 @@ class CoupledScenario:
             raise ValueError("need at least one time step")
         if self.rate < 0:
             raise ValueError("jump rate must be nonnegative")
+        if self.rate * self.horizon > MAX_EXPECTED_JUMPS:
+            raise ValueError(
+                f"rate * horizon = {self.rate * self.horizon:.6g} expected jumps per "
+                f"replication exceeds {MAX_EXPECTED_JUMPS:.0f}; lower rate or horizon"
+            )
         for name in ("jump_gammas", "q_spectrum", "generator_spectrum", "forward_spectrum", "v0_diag"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (self.d,):
@@ -308,7 +316,7 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     if scenario.rate > 0:
         clock = sample_clock(scenario.rate, T, stream(seed, PURPOSE_CLOCK, rep))
     else:
-        clock = PoissonClock(rate=0.0, horizon=T, times=np.empty(0))
+        clock = PoissonClock.empty(0.0, T)
     stream_levels = levels if mode == "jumps" else ()
     js = sample_jump_stream(clock, scenario.jump_law(), stream_levels, stream(seed, PURPOSE_JUMPS, rep))
     grid = build_grid(T, scenario.m_points, clock.times)
@@ -418,14 +426,6 @@ def _column(reps: list[dict], key: str) -> np.ndarray:
     return np.array([r[key] for r in reps])
 
 
-def _mean_se(x: np.ndarray) -> tuple[float, float]:
-    x = np.asarray(x, dtype=float)
-    m = float(np.mean(x))
-    if x.size < 2:
-        return m, 0.0
-    return m, float(np.std(x, ddof=1) / math.sqrt(x.size))
-
-
 def _pooled_moment(sums: np.ndarray, sq_sums: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
     """Mean and stderr of a per-jump moment pooled across replications.
 
@@ -478,7 +478,7 @@ def _moment_rows(scenario: CoupledScenario, reps: list[dict], counts: np.ndarray
     against the identity rate*t*m2 + (rate*t)^2*m1sq and from below against
     the coarse bound rate*t*(1 + rate*t)*m2."""
     lam, T = scenario.rate, scenario.horizon
-    lhs, lhs_se = _mean_se(_column(reps, "l2_total"))
+    lhs, lhs_se = mean_se(_column(reps, "l2_total"))
     tensors = np.stack([r["x_sum_tensor"] for r in reps])
     m1sq, m1sq_se = _jackknife_mean_norm_sq(tensors, counts)
     ident = cp_second_moment(lam, T, m4[0], m1sq)
@@ -522,8 +522,8 @@ def _reduce_jumps(scenario: CoupledScenario, reps: list[dict]) -> ExperimentResu
         dv0_hs = norm(dv0, "hs")
         dv0_sq = dv0_hs**2
 
-        sup_sq, sup_sq_se = _mean_se(_column(reps, f"sup_sq_hs@{n}"))
-        sup_hs, sup_hs_se = _mean_se(_column(reps, f"sup_hs@{n}"))
+        sup_sq, sup_sq_se = mean_se(_column(reps, f"sup_sq_hs@{n}"))
+        sup_hs, sup_hs_se = mean_se(_column(reps, f"sup_hs@{n}"))
         dx_sq = _pooled_moment(
             _column(reps, f"sum_dx_sq@{n}"), _column(reps, f"sum_dx_sq_sq@{n}"), counts
         )
@@ -545,7 +545,7 @@ def _reduce_jumps(scenario: CoupledScenario, reps: list[dict]) -> ExperimentResu
             "variance_jumps_sharp", n, sup_sq, sup_sq_se,
             c0 * dv0_sq + c1_sharp * dx_sq[0], c1_sharp * dx_sq[1],
         ))
-        cpp_sup, cpp_sup_se = _mean_se(_column(reps, f"cpp_sup_sq@{n}"))
+        cpp_sup, cpp_sup_se = mean_se(_column(reps, f"cpp_sup_sq@{n}"))
         reports.append(make_report(
             "cpp_diff", n, cpp_sup, cpp_sup_se,
             cpp_const * dx_sq[0], cpp_const * dx_sq[1],
@@ -569,8 +569,8 @@ def _reduce_jumps(scenario: CoupledScenario, reps: list[dict]) -> ExperimentResu
             trace_rhs, _product_root_se(m2[0], m2[1], dy2[0], dy2[1], 2.0),
         ))
 
-        sqrt_op, sqrt_op_se = _mean_se(_column(reps, f"sqrt_sup_sq_op@{n}"))
-        sup_op, sup_op_se = _mean_se(_column(reps, f"sup_op@{n}"))
+        sqrt_op, sqrt_op_se = mean_se(_column(reps, f"sqrt_sup_sq_op@{n}"))
+        sup_op, sup_op_se = mean_se(_column(reps, f"sup_op@{n}"))
         reports.append(make_report(
             "sqrt_op", n, sqrt_op, sqrt_op_se,
             bound_sqrt(base, "op-norm", sup_op_error=sup_op), sup_op_se,
@@ -578,38 +578,27 @@ def _reduce_jumps(scenario: CoupledScenario, reps: list[dict]) -> ExperimentResu
         if dv0_sq == 0.0:
             # the trace-route square root certificate assumes the approximant
             # starts from the exact initial state
-            sqrt_hs, sqrt_hs_se = _mean_se(_column(reps, f"sqrt_sup_sq_hs@{n}"))
+            sqrt_hs, sqrt_hs_se = mean_se(_column(reps, f"sqrt_sup_sq_hs@{n}"))
             reports.append(make_report(
                 "sqrt_jumps_k1", n, sqrt_hs, sqrt_hs_se,
                 sqrt_hs_factor * dx_tr[0], sqrt_hs_factor * dx_tr[1],
             ))
 
-        fwd_sup, fwd_sup_se = _mean_se(_column(reps, f"fwd_sup_sq@{n}"))
+        fwd_sup, fwd_sup_se = mean_se(_column(reps, f"fwd_sup_sq@{n}"))
         reports.append(make_report(
             "forward_noise", n, fwd_sup, fwd_sup_se,
             fwd_const * sup_hs, fwd_const * sup_hs_se,
         ))
 
-        pay_trunc = _column(reps, f"pay_trunc@{n}")
-        gap, gap_se = _mean_se(pay_exact - pay_trunc)
-        price, price_se = _mean_se(pay_exact)
-        price_n, price_n_se = _mean_se(pay_trunc)
-        e_abs, e_abs_se = _mean_se(_column(reps, f"dx_tau@{n}"))
-        lip = bound_pricing(payoff.lipschitz, functional.op_norm, e_abs)
-        lip_se = payoff.lipschitz * functional.op_norm * e_abs_se
         cap_sq = fwd_const * sup_hs
         cap = payoff.lipschitz * functional.op_norm * math.sqrt(max(cap_sq, 0.0))
         if cap > 0.0:
             cap_se = payoff.lipschitz * functional.op_norm * fwd_const * sup_hs_se / (2.0 * math.sqrt(cap_sq))
         else:
             cap_se = 0.0
-        pricing.append(PricingReport(
-            level=n,
-            price=price, price_se=price_se,
-            price_trunc=price_n, price_trunc_se=price_n_se,
-            price_diff=abs(gap), price_diff_se=gap_se,
-            lipschitz_rhs=lip, lipschitz_rhs_se=lip_se,
-            theorem_cap=cap, theorem_cap_se=cap_se,
+        pricing.append(pricing_report(
+            n, pay_exact, _column(reps, f"pay_trunc@{n}"), _column(reps, f"dx_tau@{n}"),
+            payoff, functional, cap, cap_se,
         ))
 
     return ExperimentResult(scenario=scenario, reports=tuple(reports), pricing=tuple(pricing))
@@ -645,7 +634,7 @@ def _reduce_generator(scenario: CoupledScenario, reps: list[dict]) -> Experiment
             d_m4 = (fn(inputs.with_(jump_sq=m4[0] + m4[1])) - fn(inputs)) * factor
             m2sq_se = 2.0 * m2[0] * m2[1]
             d_m2 = (fn(inputs.with_(jump_mean_sq=m2[0] ** 2 + m2sq_se)) - fn(inputs)) * factor
-            sup_sq, sup_sq_se = _mean_se(_column(reps, f"sup_sq_hs@{n}"))
+            sup_sq, sup_sq_se = mean_se(_column(reps, f"sup_sq_hs@{n}"))
             reports.append(make_report(
                 bound_id, n, sup_sq, sup_sq_se, rhs, math.hypot(d_m4, d_m2),
             ))
@@ -687,12 +676,12 @@ def convergence_study(scenario: CoupledScenario, workers: int = 1) -> Convergenc
 
     rows: list[ConvergenceRow] = []
     for n in scenario.levels:
-        est, se = _mean_se(_column(reps, f"sup_sq_hs@{n}"))
+        est, se = mean_se(_column(reps, f"sup_sq_hs@{n}"))
         rows.append(ConvergenceRow(n, "variance_sup_sq", est, se))
         if scenario.truncation == "jumps":
-            est, se = _mean_se(_column(reps, f"fwd_sup_sq@{n}"))
+            est, se = mean_se(_column(reps, f"fwd_sup_sq@{n}"))
             rows.append(ConvergenceRow(n, "forward_sup_sq", est, se))
-            est, se = _mean_se(_column(reps, f"sqrt_sup_sq_hs@{n}"))
+            est, se = mean_se(_column(reps, f"sqrt_sup_sq_hs@{n}"))
             rows.append(ConvergenceRow(n, "sqrt_sup_sq_hs", est, se))
             est, se = _pooled_moment(
                 _column(reps, f"sum_dy2@{n}"), _column(reps, f"sum_dy4@{n}"), counts

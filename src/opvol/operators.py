@@ -139,16 +139,6 @@ def psd_sqrt_batch(Ts: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j,...kj->...ik", U, np.sqrt(w), U)
 
 
-def operator_modulus(T: HSOperator) -> HSOperator:
-    """Modulus |T| = (T*T)^{1/2}, computed from the eigensystem of T*T."""
-    T = as_hs_operator(T)
-    w, V = np.linalg.eigh(T.T @ T)
-    if w.size:
-        w[w < w.max() * T.shape[0] * np.finfo(float).eps] = 0.0
-    s = np.sqrt(np.clip(w, 0.0, None))
-    return (V * s) @ V.T
-
-
 def matrix_exp(T: HSOperator, t: float = 1.0) -> HSOperator:
     """exp(tT) via scaling-and-squaring (scipy's Pade implementation)."""
     T = as_hs_operator(T)
@@ -207,13 +197,3 @@ def project_operator(T: HSOperator, P: ProjectionSpec) -> HSOperator:
     """Pi_n T: zero every entry outside the index set."""
     T = as_hs_operator(T, d=P.dim)
     return np.where(P.mask, T, 0.0)
-
-
-def project_vector(f: HilbertVector, n: int) -> HilbertVector:
-    """Keep the first n coefficients, zero the rest."""
-    f = as_hilbert_vector(f)
-    if not 1 <= n <= f.shape[0]:
-        raise ValueError(f"level {n} outside 1..{f.shape[0]}")
-    out = f.copy()
-    out[n:] = 0.0
-    return out

@@ -1,25 +1,21 @@
-"""Monte Carlo option pricing on forwards and on volatility, with
-robustness certificates against the truncated model.
+"""Option prices on forwards, with robustness certificates against the
+truncated model.
 
 Prices are undiscounted expectations P = E[p(D X(tau))] of a Lipschitz
 payoff applied to a continuous linear functional of the state at a fixed
-exercise time.  The volatility variant applies the functional to the
-operator square root of V(tau).  Robustness reports compare the coupled
-price gap |P - P^n| against its Lipschitz certificate and an optional
-model-level cap.
+exercise time.  Robustness reports compare the coupled price gap |P - P^n|
+against its Lipschitz certificate and an optional model-level cap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .bounds import PASS_MARGIN, bound_pricing, combined_margin
-from .forward import ForwardPath
-from .operators import psd_sqrt
-from .variance import VariancePath
 
 PAYOFF_KINDS = ("call", "put", "identity", "custom")
 
@@ -103,11 +99,6 @@ class FunctionalSpec:
         riesz[j] = 1.0
         return cls(riesz=riesz)
 
-    @classmethod
-    def trace(cls, dim: int) -> "FunctionalSpec":
-        """<I, V> in the Hilbert-Schmidt pairing is the trace of V."""
-        return cls(riesz=np.eye(dim))
-
     def apply(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
         if x.shape != self.riesz.shape:
@@ -115,47 +106,13 @@ class FunctionalSpec:
         return float(np.sum(self.riesz * x))
 
 
-def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("ensemble is empty")
-    mean = float(values.mean())
-    if values.size == 1:
-        return mean, 0.0
-    return mean, float(values.std(ddof=1) / np.sqrt(values.size))
-
-
-def variance_at(path: VariancePath, tau: float) -> np.ndarray:
-    """V(tau) read off the grid, right-continuous at jump times."""
-    tol = 1e-12 * (1.0 + abs(tau))
-    hit = (np.abs(path.grid.times - tau) <= tol) & ~path.grid.is_left
-    idx = np.flatnonzero(hit)
-    if idx.size == 0:
-        raise ValueError(f"exercise time {tau} is not on the grid")
-    return path.values[idx[-1]]
-
-
-def price_option(
-    paths: Sequence[ForwardPath],
-    functional: FunctionalSpec,
-    payoff: PayoffSpec,
-    tau: float,
-    level: int | None = None,
-) -> tuple[float, float]:
-    """Sample mean and stderr of p(<riesz, X(tau)>) across replications."""
-    dx = np.array([functional.apply(p.at_time(tau, level)) for p in paths])
-    return _mean_stderr(payoff.evaluate(dx))
-
-
-def price_vol_option(
-    paths: Sequence[VariancePath],
-    functional: FunctionalSpec,
-    payoff: PayoffSpec,
-    tau: float,
-) -> tuple[float, float]:
-    """Sample mean and stderr of p(<riesz, sqrt(V(tau))>)."""
-    dv = np.array([functional.apply(psd_sqrt(variance_at(p, tau))) for p in paths])
-    return _mean_stderr(payoff.evaluate(dv))
+def mean_se(x: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error (zero for fewer than two values)."""
+    x = np.asarray(x, dtype=float)
+    m = float(np.mean(x))
+    if x.size < 2:
+        return m, 0.0
+    return m, float(np.std(x, ddof=1) / math.sqrt(x.size))
 
 
 @dataclass(frozen=True)
@@ -198,37 +155,30 @@ class PricingReport:
         return self.chain_margin >= PASS_MARGIN and self.cap_margin >= PASS_MARGIN
 
 
-def price_robustness_report(
-    paths: Sequence[ForwardPath],
-    functional: FunctionalSpec,
-    payoff: PayoffSpec,
-    tau: float,
+def pricing_report(
     level: int,
+    pay_exact: np.ndarray,
+    pay_trunc: np.ndarray,
+    dist: np.ndarray,
+    payoff: PayoffSpec,
+    functional: FunctionalSpec,
     theorem_cap: float = np.inf,
     theorem_cap_se: float = 0.0,
 ) -> PricingReport:
     """Assemble the pricing robustness chain for one truncation level.
 
-    All three statistics come from the same coupled replications: the price
-    gap uses per-replication payoff differences, the certificate uses the
-    per-replication state-space distance |X(tau) - X^n(tau)|.
+    The three arrays hold one entry per coupled replication: the exact and
+    truncated payoffs and the state-space distance |X(tau) - X^n(tau)|.  The
+    price gap uses per-replication payoff differences, so the common noise
+    cancels in its standard error.
     """
-    for p in paths:
-        if level not in p.approx:
-            raise ValueError(f"ensemble is not coupled at level {level}")
-    dx_exact = np.array([functional.apply(p.at_time(tau)) for p in paths])
-    dx_trunc = np.array([functional.apply(p.at_time(tau, level)) for p in paths])
-    pay_exact = payoff.evaluate(dx_exact)
-    pay_trunc = payoff.evaluate(dx_trunc)
-    price, price_se = _mean_stderr(pay_exact)
-    price_trunc, price_trunc_se = _mean_stderr(pay_trunc)
-    gap, gap_se = _mean_stderr(pay_exact - pay_trunc)
-
-    dist = np.array(
-        [np.linalg.norm(p.at_time(tau) - p.at_time(tau, level)) for p in paths]
-    )
-    e_abs, e_abs_se = _mean_stderr(dist)
-    scale = payoff.lipschitz * functional.op_norm
+    pay_exact, pay_trunc, dist = (np.asarray(a, dtype=float) for a in (pay_exact, pay_trunc, dist))
+    if not pay_exact.shape == pay_trunc.shape == dist.shape:
+        raise ValueError(f"ensemble is not coupled replication by replication at level {level}")
+    gap, gap_se = mean_se(pay_exact - pay_trunc)
+    price, price_se = mean_se(pay_exact)
+    price_trunc, price_trunc_se = mean_se(pay_trunc)
+    e_abs, e_abs_se = mean_se(dist)
     return PricingReport(
         level=level,
         price=price,
@@ -238,7 +188,7 @@ def price_robustness_report(
         price_diff=abs(gap),
         price_diff_se=gap_se,
         lipschitz_rhs=bound_pricing(payoff.lipschitz, functional.op_norm, e_abs),
-        lipschitz_rhs_se=scale * e_abs_se,
+        lipschitz_rhs_se=payoff.lipschitz * functional.op_norm * e_abs_se,
         theorem_cap=theorem_cap,
         theorem_cap_se=theorem_cap_se,
     )

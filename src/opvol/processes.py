@@ -13,8 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from opvol.operators import project_vector
-
 PURPOSE_CLOCK = 1
 PURPOSE_JUMPS = 2
 PURPOSE_WIENER = 3
@@ -145,19 +143,6 @@ class CoupledJumpStream:
         """(N, d, d) stack of X_i^n = Y_i^n (x) Y_i^n."""
         yn = self.ys_at_level(n)
         return np.einsum("ij,ik->ijk", yn, yn)
-
-
-def sample_tensor_jump(
-    law: JumpLaw, levels: tuple[int, ...], rng: np.random.Generator
-) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """One jump draw: the full tensor square X and its truncations per level."""
-    y = law.draw(rng, 1)[0]
-    X = np.outer(y, y)
-    approx = {}
-    for n in levels:
-        yn = project_vector(y, n)
-        approx[n] = np.outer(yn, yn)
-    return X, approx
 
 
 def sample_jump_stream(

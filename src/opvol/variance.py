@@ -28,7 +28,6 @@ from opvol.operators import (
     as_hs_operator,
     is_self_adjoint,
     norm,
-    tol_psd,
 )
 from opvol.processes import CoupledJumpStream
 
@@ -210,79 +209,48 @@ def generator_gap_op_norm(spec: GeneratorSpec, P: ProjectionSpec) -> float:
 
 # --- semigroup steppers -----------------------------------------------------
 
-class DiagonalStepper:
-    """Entrywise multipliers exp(Lambda dt) for tensor-diagonal generators;
-    compressed generators multiply on the index set and leave the rest fixed."""
+@dataclass(frozen=True, eq=False)
+class Stepper:
+    """The semigroup exp(c dt) of one generator in one of three forms.
 
-    def __init__(self, Lam: np.ndarray, mask: np.ndarray | None):
-        self.Lam = Lam
-        self.mask = mask
-        self._cache: dict[float, np.ndarray] = {}
+    kind "diagonal": entrywise multipliers exp(Lambda dt) for tensor-diagonal
+    generators; a compressed generator (mask set) multiplies on the index set
+    and leaves the rest fixed.  kind "congruence": the closed form
+    exp(c t) T = e^{Ct} T e^{C*t} of the uncompressed sylvester kind, with
+    base = C.  kind "vec": the dense exp(K dt) on row-major vec(T).
 
-    def multiplier(self, dt: float) -> np.ndarray:
-        M = self._cache.get(dt)
-        if M is None:
-            M = np.exp(self.Lam * dt)
-            if self.mask is not None:
-                M = np.where(self.mask, M, 1.0)
-            self._cache[dt] = M
+    factor(dt) builds the propagator for one step length and apply(V, F)
+    advances V by it; caching factors per dt is the caller's business.
+    """
+
+    kind: str
+    base: np.ndarray
+    mask: np.ndarray | None = None
+
+    def factor(self, dt: float) -> np.ndarray:
+        if self.kind != "diagonal":
+            return expm(self.base * dt)
+        M = np.exp(self.base * dt)
+        if self.mask is not None:
+            M = np.where(self.mask, M, 1.0)
         return M
 
-    def propagate(self, V: np.ndarray, dt: float) -> np.ndarray:
-        return V * self.multiplier(dt)
-
-
-class SylvesterStepper:
-    """Closed form exp(c t) T = e^{Ct} T e^{C*t} for uncompressed sylvester kind."""
-
-    def __init__(self, C: np.ndarray):
-        self.C = C
-        self._cache: dict[float, np.ndarray] = {}
-
-    def multiplier(self, dt):
-        return None
-
-    def _factor(self, dt: float) -> np.ndarray:
-        E = self._cache.get(dt)
-        if E is None:
-            E = expm(self.C * dt)
-            self._cache[dt] = E
-        return E
-
-    def propagate(self, V: np.ndarray, dt: float) -> np.ndarray:
-        E = self._factor(dt)
-        return E @ V @ E.T
-
-
-class VecStepper:
-    """Dense fallback: exp(K dt) on row-major vec(T)."""
-
-    def __init__(self, K: np.ndarray):
-        self.K = K
-        self._cache: dict[float, np.ndarray] = {}
-
-    def multiplier(self, dt):
-        return None
-
-    def _matrix(self, dt: float) -> np.ndarray:
-        M = self._cache.get(dt)
-        if M is None:
-            M = expm(self.K * dt)
-            self._cache[dt] = M
-        return M
-
-    def propagate(self, V: np.ndarray, dt: float) -> np.ndarray:
+    def apply(self, V: np.ndarray, F: np.ndarray) -> np.ndarray:
+        if self.kind == "diagonal":
+            return V * F
+        if self.kind == "congruence":
+            return F @ V @ F.T
         d = V.shape[-1]
-        return (self._matrix(dt) @ V.reshape(-1)).reshape(d, d)
+        return (F @ V.reshape(-1)).reshape(d, d)
 
 
-def make_stepper(spec: GeneratorSpec):
+def make_stepper(spec: GeneratorSpec) -> Stepper:
     if spec.is_tensor_diagonal:
         mask = spec.projection.mask if spec.projection is not None else None
-        return DiagonalStepper(generator_eigensystem(spec), mask)
+        return Stepper("diagonal", generator_eigensystem(spec), mask)
     if spec.kind == "sylvester" and spec.projection is None:
-        return SylvesterStepper(spec.C)
-    return VecStepper(generator_matrix(spec))
+        return Stepper("congruence", spec.C)
+    return Stepper("vec", generator_matrix(spec))
 
 
 # --- grids and paths ---------------------------------------------------------
@@ -349,14 +317,17 @@ class VariancePath:
 
 def evolve_coupled(
     v0s: np.ndarray,
-    steppers: list,
+    steppers: list[Stepper],
     jump_stacks: list[np.ndarray],
     grid: TimeGrid,
 ) -> np.ndarray:
     """Propagate several coupled paths over one grid; returns (P, G, d, d).
 
     Paths share the clock; each path has its own initial value, stepper, and
-    jump tensors (aligned index-by-index across paths).
+    jump tensors (aligned index-by-index across paths).  The step factors are
+    built once per distinct dt and stepper object (paths may share one); when
+    every stepper is diagonal they are stacked and all paths advance in one
+    multiplication.
     """
     P, d = v0s.shape[0], v0s.shape[-1]
     G = grid.size
@@ -364,21 +335,25 @@ def evolve_coupled(
     V = v0s.astype(float).copy()
     out[:, 0] = V
 
-    all_diag = all(isinstance(s, DiagonalStepper) for s in steppers)
-    mult_cache: dict[float, np.ndarray] = {}
+    all_diag = all(s.kind == "diagonal" for s in steppers)
+    distinct = {id(s): s for s in steppers}
+    factors: dict[float, np.ndarray | list[np.ndarray]] = {}
 
     times, jidx = grid.times, grid.jump_index
     for g in range(1, G):
         dt = times[g] - times[g - 1]
         if dt > 0.0:
+            F = factors.get(dt)
+            if F is None:
+                made = {key: s.factor(dt) for key, s in distinct.items()}
+                F = [made[id(s)] for s in steppers]
+                if all_diag:
+                    F = np.stack(F)
+                factors[dt] = F
             if all_diag:
-                M = mult_cache.get(dt)
-                if M is None:
-                    M = np.stack([s.multiplier(dt) for s in steppers])
-                    mult_cache[dt] = M
-                V = V * M
+                V = V * F
             else:
-                V = np.stack([steppers[p].propagate(V[p], dt) for p in range(P)])
+                V = np.stack([steppers[p].apply(V[p], F[p]) for p in range(P)])
         j = jidx[g]
         if j >= 0:
             for p in range(P):
@@ -426,69 +401,3 @@ def sup_norm_stack(D: np.ndarray, mode: str) -> float:
     if mode == "trace":
         return float(np.max(np.sum(s, axis=-1)))
     raise ValueError(f"unknown norm mode {mode!r}")
-
-
-def variance_sup_error(path: VariancePath, approx: VariancePath, mode: str = "hs") -> float:
-    """sup over the grid (left limits included) of the pathwise error norm."""
-    if path.grid is not approx.grid and not np.array_equal(path.grid.times, approx.grid.times):
-        raise ValueError("paths live on different grids; coupling violated")
-    return sup_norm_stack(path.values - approx.values, mode)
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    adjoint_compatible: bool
-    positivity_preserving: bool
-    jumps_psd: bool
-    initial_psd: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return (
-            self.adjoint_compatible
-            and self.positivity_preserving
-            and self.jumps_psd
-            and self.initial_psd
-        )
-
-
-def check_positivity_conditions(
-    spec: GeneratorSpec, stream: CoupledJumpStream, v0: np.ndarray
-) -> PositivityReport:
-    """Numerically screen the structural conditions under which V stays PSD:
-    (a) the generator commutes with the adjoint, (b) it preserves positivity,
-    (c) all jumps are self-adjoint PSD, (d) the initial value is."""
-    d = spec.dim
-    probe = np.random.default_rng(0)  # fixed probes; report is deterministic
-
-    a_ok = True
-    for _ in range(8):
-        T = probe.standard_normal((d, d))
-        if norm(apply_generator(spec, T).T - apply_generator(spec, T.T), "hs") > 1e-10:
-            a_ok = False
-            break
-
-    if spec.kind == "sylvester" and spec.projection is None:
-        # exp(c t) T = e^{Ct} T e^{C*t} is a congruence, hence positivity-preserving
-        b_ok = True
-    else:
-        b_ok = True
-        for _ in range(8):
-            A = probe.standard_normal((d, d))
-            Ppsd = A @ A.T
-            img = apply_generator(spec, Ppsd)
-            w = np.linalg.eigvalsh((img + img.T) / 2.0)
-            if w[0] < -tol_psd(float(np.max(np.abs(w)))):
-                b_ok = False
-                break
-
-    def psd_ok(M):
-        if not is_self_adjoint(M):
-            return False
-        w = np.linalg.eigvalsh(M)
-        return w.size == 0 or w[0] >= -tol_psd(float(np.max(np.abs(w))))
-
-    c_ok = all(psd_ok(X) for X in stream.jumps)
-    c_ok = c_ok and all(psd_ok(X) for n in stream.levels for X in stream.approx_jumps(n))
-    d_ok = psd_ok(as_hs_operator(v0, d=d))
-    return PositivityReport(a_ok, b_ok, c_ok, d_ok)

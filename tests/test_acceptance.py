@@ -20,7 +20,7 @@ from opvol.cli import main
 from opvol.experiments import default_generator_scenario, default_scenario, run_experiment
 from opvol.forward import ForwardSemigroupSpec, simulate_forward_coupled
 from opvol.operators import ProjectionSpec, norm, project_operator, psd_sqrt, tensor_product
-from opvol.pricing import FunctionalSpec, PayoffSpec, price_option
+from opvol.pricing import FunctionalSpec, PayoffSpec, mean_se
 from opvol.processes import (
     PURPOSE_CLOCK,
     PURPOSE_JUMPS,
@@ -288,8 +288,9 @@ def test_criterion_10_pricing_chain_and_half_normal(jump_run, gaussian_ensemble)
     worst_chain = min(min(p.chain_margin, p.cap_margin) for p in result.pricing)
 
     paths, q, horizon = gaussian_ensemble
-    price, se = price_option(
-        paths, FunctionalSpec.coordinate(0, 8), PayoffSpec.call(0.0), tau=horizon
+    first = FunctionalSpec.coordinate(0, 8)
+    price, se = mean_se(
+        PayoffSpec.call(0.0).evaluate(np.array([first.apply(p.at_time(horizon)) for p in paths]))
     )
     sigma = math.sqrt(q.q[0] * horizon)
     target = sigma / math.sqrt(2.0 * math.pi)

@@ -161,6 +161,23 @@ class TestVerifyCommand:
             assert err.count("\n") == 1
         assert not (tmp_path / "bounds.csv").exists()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"replications": 4, "horizon": 1e308, "exercise_time": 1e308},
+            {"replications": 4, "rate": 1e300},
+        ],
+    )
+    def test_huge_expected_jump_count_exits_one(self, tmp_path, capsys, overrides):
+        path = write_config(tmp_path, **overrides)
+        code = main(["verify", path, "--threads", "1", "--out-dir", str(tmp_path)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: rate * horizon = ")
+        assert "lower rate or horizon" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "bounds.csv").exists()
+
     def test_threads_below_one_exits_one(self, tmp_path, capsys):
         path = write_config(tmp_path)
         for value in ("0", "-5"):

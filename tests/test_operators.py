@@ -10,9 +10,7 @@ from opvol.operators import (
     as_hs_operator,
     matrix_exp,
     norm,
-    operator_modulus,
     project_operator,
-    project_vector,
     psd_sqrt,
     psd_sqrt_batch,
     singular_values,
@@ -170,25 +168,6 @@ class TestPsdSqrt:
             psd_sqrt_batch(Ts)
 
 
-class TestModulus:
-    def test_diagonal(self):
-        np.testing.assert_allclose(operator_modulus(np.diag([1.0, -2.0])), np.diag([1.0, 2.0]), atol=1e-13)
-
-    def test_psd_fixed_point(self):
-        rng = np.random.default_rng(7)
-        T = random_psd(rng, d=6)
-        assert norm(operator_modulus(T) - T, "hs") <= 1e-10
-
-    def test_rank_one_quarter_power(self):
-        # || |f(x)g|^{1/2} ||_hs^2 = ||f(x)g||_1 = |f| |g|
-        rng = np.random.default_rng(8)
-        f, g = rng.standard_normal((2, 8))
-        M = operator_modulus(tensor_product(f, g))
-        lhs = norm(psd_sqrt(M), "hs") ** 2
-        expected = np.linalg.norm(f) * np.linalg.norm(g)
-        assert abs(lhs - expected) < 1e-10
-
-
 class TestMatrixExp:
     def test_diagonal(self):
         np.testing.assert_allclose(
@@ -260,7 +239,9 @@ class TestProjections:
         rng = np.random.default_rng(22)
         f, g = rng.standard_normal((2, 5))
         lhs = project_operator(tensor_product(f, g), ProjectionSpec.corner(2, 5))
-        rhs = tensor_product(project_vector(f, 2), project_vector(g, 2))
+        fn, gn = f.copy(), g.copy()
+        fn[2:] = gn[2:] = 0.0
+        rhs = tensor_product(fn, gn)
         np.testing.assert_array_equal(lhs, rhs)
 
     def test_corner_at_capacity_is_full(self):
@@ -285,23 +266,6 @@ class TestProjections:
         T = np.diag(0.5 ** np.arange(1, d + 1))
         err2 = norm(T - project_operator(T, ProjectionSpec.level(4, d)), "hs") ** 2
         assert abs(err2 - 1.0 / 48.0) < 1e-12
-
-    def test_project_vector(self):
-        np.testing.assert_array_equal(project_vector(np.array([1.0, 2.0, 3.0]), 2), [1.0, 2.0, 0.0])
-
-    def test_project_vector_full(self):
-        f = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(project_vector(f, 3), f)
-
-    def test_project_vector_tail(self):
-        f = np.ones(3)
-        assert abs(np.sum((f - project_vector(f, 1)) ** 2) - 2.0) < 1e-14
-
-    def test_project_vector_range(self):
-        with pytest.raises(ValueError):
-            project_vector(np.ones(3), 0)
-        with pytest.raises(ValueError):
-            project_vector(np.ones(3), 4)
 
     def test_bad_pair_rejected(self):
         with pytest.raises(ValueError):

@@ -5,14 +5,7 @@ import pytest
 
 from opvol.forward import ForwardSemigroupSpec, simulate_forward_coupled
 from opvol.operators import ProjectionSpec, project_operator
-from opvol.pricing import (
-    FunctionalSpec,
-    PayoffSpec,
-    price_option,
-    price_robustness_report,
-    price_vol_option,
-    variance_at,
-)
+from opvol.pricing import FunctionalSpec, PayoffSpec, mean_se, pricing_report
 from opvol.processes import CoupledJumpStream, JumpLaw, PoissonClock, QWienerSpec, sample_clock, sample_jump_stream, stream
 from opvol.variance import GeneratorSpec, build_grid, evolve_variance, karhunen_loeve_spectrum
 
@@ -39,6 +32,25 @@ def gaussian_ensemble(d=4, reps=1500, m_points=25, seed=61, levels=()):
         simulate_forward_coupled(exact, approx, fwd, q, stream(seed, 3, rep))
         for rep in range(reps)
     ], q
+
+
+def payoffs(paths, functional, payoff, tau, level=None):
+    """Per-replication payoff p(<riesz, X(tau)>) of an ensemble."""
+    return payoff.evaluate(np.array([functional.apply(p.at_time(tau, level)) for p in paths]))
+
+
+def chain_report(paths, functional, payoff, tau, level, **cap):
+    """pricing_report fed from forward paths, as the engine feeds it from replications."""
+    dist = np.array([np.linalg.norm(p.at_time(tau) - p.at_time(tau, level)) for p in paths])
+    return pricing_report(
+        level,
+        payoffs(paths, functional, payoff, tau),
+        payoffs(paths, functional, payoff, tau, level),
+        dist,
+        payoff,
+        functional,
+        **cap,
+    )
 
 
 def jump_ensemble(d=6, reps=400, level=3, seed=62):
@@ -106,7 +118,7 @@ class TestFunctionals:
     def test_presets(self):
         e1 = FunctionalSpec.coordinate(0, 4)
         assert e1.apply(np.array([3.0, 1.0, 1.0, 1.0])) == 3.0
-        tr = FunctionalSpec.trace(3)
+        tr = FunctionalSpec(riesz=np.eye(3))
         assert tr.apply(np.diag([1.0, 2.0, 3.0])) == pytest.approx(6.0)
 
     def test_dimension_mismatch(self):
@@ -117,59 +129,31 @@ class TestFunctionals:
 class TestForwardPricing:
     def test_identity_payoff_centered(self):
         paths, q = gaussian_ensemble()
-        price, se = price_option(paths, FunctionalSpec.coordinate(0, 4), PayoffSpec.identity(), 1.0)
+        price, se = mean_se(payoffs(paths, FunctionalSpec.coordinate(0, 4), PayoffSpec.identity(), 1.0))
         assert abs(price) <= 3 * se
 
     def test_half_normal_call(self):
         paths, q = gaussian_ensemble(reps=2500)
-        price, se = price_option(paths, FunctionalSpec.coordinate(0, 4), PayoffSpec.call(0.0), 1.0)
+        price, se = mean_se(payoffs(paths, FunctionalSpec.coordinate(0, 4), PayoffSpec.call(0.0), 1.0))
         sigma = np.sqrt(q.q[0] * 1.0)
         assert abs(price - sigma / np.sqrt(2 * np.pi)) <= 3 * se
 
     def test_constant_payoff(self):
         paths, _ = gaussian_ensemble(reps=50)
-        price, se = price_option(paths, FunctionalSpec.coordinate(0, 4), PayoffSpec.constant(5.0), 1.0)
+        price, se = mean_se(payoffs(paths, FunctionalSpec.coordinate(0, 4), PayoffSpec.constant(5.0), 1.0))
         assert price == 5.0 and se == 0.0
 
     def test_off_grid_exercise_rejected(self):
         paths, _ = gaussian_ensemble(reps=2)
         with pytest.raises(ValueError):
-            price_option(paths, FunctionalSpec.coordinate(0, 4), PayoffSpec.identity(), 1.0 / 3.0)
-
-
-class TestVolPricing:
-    def test_deterministic_diagonal(self):
-        d = 4
-        diag = np.array([1.0, 4.0, 9.0, 0.25])
-        exact, _ = constant_paths(np.diag(diag), 1.0, 8, d)
-        price, se = price_vol_option(
-            [exact] * 5, FunctionalSpec.trace(d), PayoffSpec.identity(), 0.5
-        )
-        assert price == pytest.approx(np.sum(np.sqrt(diag)), rel=1e-12)
-        assert se == 0.0
-
-    def test_zero_payoff(self):
-        d = 2
-        exact, _ = constant_paths(np.eye(d), 1.0, 4, d)
-        price, se = price_vol_option([exact], FunctionalSpec.trace(d), PayoffSpec.constant(0.0), 1.0)
-        assert price == 0.0 and se == 0.0
-
-    def test_right_continuous_at_jump(self):
-        d = 2
-        spec = GeneratorSpec.diagonal("sylvester", np.zeros(d))
-        y = np.array([1.0, 0.0])
-        clock = PoissonClock(rate=1.0, horizon=1.0, times=np.array([0.5]))
-        js = CoupledJumpStream(clock=clock, ys=y[None], levels=(1,))
-        grid = build_grid(1.0, 2, clock.times)
-        path = evolve_variance(np.zeros((d, d)), spec, js, grid)
-        np.testing.assert_array_equal(variance_at(path, 0.5), np.outer(y, y))
+            payoffs(paths, FunctionalSpec.coordinate(0, 4), PayoffSpec.identity(), 1.0 / 3.0)
 
 
 class TestRobustnessChain:
     def test_no_truncation_all_zero(self):
         d = 4
         paths, _ = gaussian_ensemble(reps=200, levels=(d,))
-        report = price_robustness_report(
+        report = chain_report(
             paths, FunctionalSpec.coordinate(0, d), PayoffSpec.call(0.0), 1.0, d, theorem_cap=0.0
         )
         assert report.price_diff == 0.0
@@ -179,7 +163,7 @@ class TestRobustnessChain:
     def test_coordinate_identity_chain(self):
         paths = jump_ensemble()
         fn = FunctionalSpec.coordinate(0, 6)
-        report = price_robustness_report(paths, fn, PayoffSpec.identity(), 1.0, 3)
+        report = chain_report(paths, fn, PayoffSpec.identity(), 1.0, 3)
         dx = np.array([p.at_time(1.0) - p.at_time(1.0, 3) for p in paths])
         assert report.price_diff == pytest.approx(abs(dx[:, 0].mean()), rel=1e-12)
         assert report.lipschitz_rhs == pytest.approx(
@@ -190,22 +174,23 @@ class TestRobustnessChain:
 
     def test_zero_lipschitz(self):
         paths = jump_ensemble(reps=30)
-        report = price_robustness_report(
+        report = chain_report(
             paths, FunctionalSpec.coordinate(0, 6), PayoffSpec.constant(7.0), 1.0, 3
         )
         assert report.price_diff == 0.0 and report.lipschitz_rhs == 0.0
         assert report.passed
 
     def test_uncoupled_level_rejected(self):
+        # payoff arrays that do not pair replication by replication
         paths = jump_ensemble(reps=3)
+        fn, payoff = FunctionalSpec.coordinate(0, 6), PayoffSpec.identity()
+        exact = payoffs(paths, fn, payoff, 1.0)
         with pytest.raises(ValueError):
-            price_robustness_report(
-                paths, FunctionalSpec.coordinate(0, 6), PayoffSpec.identity(), 1.0, 5
-            )
+            pricing_report(3, exact, exact[:2], np.zeros(3), payoff, fn)
 
     def test_call_chain_margin(self):
         paths = jump_ensemble()
-        report = price_robustness_report(
+        report = chain_report(
             paths, FunctionalSpec.coordinate(0, 6), PayoffSpec.call(0.0), 1.0, 3
         )
         assert report.chain_margin >= -3.0
@@ -215,8 +200,8 @@ class TestRobustnessChain:
         paths = jump_ensemble()
         payoff = PayoffSpec.call(0.0)
         fn = FunctionalSpec.coordinate(0, 6)
-        exact = payoff.evaluate(np.array([fn.apply(p.at_time(1.0)) for p in paths]))
-        trunc = payoff.evaluate(np.array([fn.apply(p.at_time(1.0, 3)) for p in paths]))
+        exact = payoffs(paths, fn, payoff, 1.0)
+        trunc = payoffs(paths, fn, payoff, 1.0, 3)
         coupled_var = np.var(exact - trunc, ddof=1)
         shuffled = np.random.default_rng(3).permutation(trunc)
         independent_var = np.var(exact - shuffled, ddof=1)

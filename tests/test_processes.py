@@ -14,7 +14,6 @@ from opvol.processes import (
     cp_second_moment_bound,
     sample_clock,
     sample_jump_stream,
-    sample_tensor_jump,
     sample_wiener_increments,
     stream,
 )
@@ -80,23 +79,25 @@ class TestJumps:
     def test_deterministic_direction(self):
         # Y = e1 gives X = X^n = e1 (x) e1 at every level
         law = JumpLaw(sampler=lambda rng, size: np.tile([1.0, 0.0, 0.0], (size, 1)))
-        X, approx = sample_tensor_jump(law, (1, 2), stream(0, 2, 0))
+        clock = PoissonClock(rate=1.0, horizon=1.0, times=np.array([0.5]))
+        js = sample_jump_stream(clock, law, (1, 2), stream(0, 2, 0))
         expected = np.zeros((3, 3))
         expected[0, 0] = 1.0
-        np.testing.assert_array_equal(X, expected)
-        for Xn in approx.values():
-            np.testing.assert_array_equal(Xn, expected)
+        np.testing.assert_array_equal(js.jumps[0], expected)
+        for n in js.levels:
+            np.testing.assert_array_equal(js.approx_jumps(n)[0], expected)
 
     def test_full_level_exact(self):
-        law = JumpLaw.geometric(8)
-        X, approx = sample_tensor_jump(law, (8,), stream(0, 2, 1))
-        np.testing.assert_array_equal(approx[8], X)
+        clock = PoissonClock(rate=1.0, horizon=1.0, times=np.array([0.5]))
+        js = sample_jump_stream(clock, JumpLaw.geometric(8), (8,), stream(0, 2, 1))
+        np.testing.assert_array_equal(js.approx_jumps(8), js.jumps)
 
     def test_jumps_are_psd_rank_one(self):
         law = JumpLaw.geometric(8)
-        for rep in range(20):
-            X, approx = sample_tensor_jump(law, (2, 4), stream(3, 2, rep))
-            for M in [X, *approx.values()]:
+        clock = PoissonClock(rate=1.0, horizon=1.0, times=np.linspace(0.05, 1.0, 20))
+        js = sample_jump_stream(clock, law, (2, 4), stream(3, 2, 0))
+        for X, X2, X4 in zip(js.jumps, js.approx_jumps(2), js.approx_jumps(4)):
+            for M in (X, X2, X4):
                 w = np.linalg.eigvalsh(M)
                 assert w[0] >= -1e-12
                 assert np.sum(w > 1e-12 * max(w[-1], 1.0)) <= 1

@@ -11,15 +11,16 @@ from opvol.variance import (
     NotNormal,
     apply_generator,
     build_grid,
-    check_positivity_conditions,
     eigen_tail_sup_sq,
+    evolve_coupled,
     evolve_variance,
     generator_eigensystem,
     generator_matrix,
     generator_op_norm,
     karhunen_loeve_spectrum,
+    make_stepper,
+    sup_norm_stack,
     truncate_generator,
-    variance_sup_error,
 )
 
 
@@ -337,6 +338,36 @@ class TestEvolution:
         expected = direct_path_values(v0, spec, js, grid)
         np.testing.assert_allclose(path.values, expected, rtol=1e-9, atol=1e-12)
 
+    def test_coupled_mix_matches_single_paths(self):
+        # one evolve_coupled call over paths of every stepper form equals each
+        # path evolved alone, bit for bit
+        d = 4
+        rng = np.random.default_rng(41)
+        B = rng.standard_normal((d, d))
+        specs = [
+            GeneratorSpec.diagonal("sylvester", -karhunen_loeve_spectrum(d)),
+            GeneratorSpec.diagonal(
+                "sylvester", -karhunen_loeve_spectrum(d), projection=ProjectionSpec.level(3, d)
+            ),
+            GeneratorSpec(kind="sylvester", C=-0.2 * (B + B.T)),
+            GeneratorSpec(
+                kind="general",
+                action=-0.5 * np.eye(d * d) + 0.05 * rng.standard_normal((d * d, d * d)),
+            ),
+        ]
+        assert [make_stepper(s).kind for s in specs] == ["diagonal", "diagonal", "congruence", "vec"]
+        clock = sample_clock(3.0, 1.0, stream(42, 1, 0))
+        js = sample_jump_stream(clock, JumpLaw.geometric(d), (2,), stream(42, 2, 0))
+        assert clock.count > 0
+        grid = build_grid(1.0, 12, clock.times)
+        v0s = np.stack([np.diag(rng.uniform(0.1, 1.0, d)) for _ in specs])
+        jump_stacks = [js.jumps, js.approx_jumps(2), js.jumps, js.approx_jumps(2)]
+        levels = [None, 2, None, 2]
+        vals = evolve_coupled(v0s, [make_stepper(s) for s in specs], jump_stacks, grid)
+        for p, (spec, level) in enumerate(zip(specs, levels)):
+            alone = evolve_variance(v0s[p], spec, js, grid, level=level)
+            assert np.array_equal(vals[p], alone.values)
+
     def test_approx_path_uses_truncated_jumps(self):
         spec = GeneratorSpec.diagonal("sylvester", np.zeros(4))
         clock = sample_clock(2.0, 1.0, stream(18, 1, 0))
@@ -356,7 +387,7 @@ class TestSupError:
         v0 = np.diag([1.0, 0.5, 0.25, 0.125])
         a = evolve_variance(v0, spec, js, grid)
         b = evolve_variance(v0, spec, js, grid, level=4)
-        assert variance_sup_error(a, b, "hs") == 0.0
+        assert sup_norm_stack(a.values - b.values, "hs") == 0.0
 
     def test_single_jump_difference(self):
         # c = 0, V0^n = V0: the error path is 0 then X1 - X1^n, so the sup is its norm
@@ -369,16 +400,8 @@ class TestSupError:
         approx = evolve_variance(v0, spec, js, grid, level=2)
         D = js.jumps[0] - js.approx_jumps(2)[0]
         for mode in ("hs", "op", "trace"):
-            assert variance_sup_error(full, approx, mode) == pytest.approx(norm(D, mode), rel=1e-12)
-
-    def test_grid_mismatch_rejected(self):
-        spec = GeneratorSpec.diagonal("sylvester", np.zeros(2))
-        g1 = build_grid(1.0, 4, np.empty(0))
-        g2 = build_grid(1.0, 5, np.empty(0))
-        a = evolve_variance(np.eye(2), spec, empty_stream(2, (1,)), g1)
-        b = evolve_variance(np.eye(2), spec, empty_stream(2, (1,)), g2)
-        with pytest.raises(ValueError):
-            variance_sup_error(a, b)
+            sup = sup_norm_stack(full.values - approx.values, mode)
+            assert sup == pytest.approx(norm(D, mode), rel=1e-12)
 
     def test_pathwise_exponential_bound(self):
         # per-path: sup ||dV|| <= e^{||c|| T} (||dV0|| + sum ||dX_i||), every norm
@@ -395,7 +418,7 @@ class TestSupError:
             approx_vals = evolve_variance(v0n, spec, js, grid, level=4)
             diffs = js.jumps - js.approx_jumps(4)
             for mode in ("hs", "op", "trace"):
-                lhs = variance_sup_error(full, approx_vals, mode)
+                lhs = sup_norm_stack(full.values - approx_vals.values, mode)
                 rhs = np.exp(cn * 1.0) * (
                     norm(v0 - v0n, mode) + sum(norm(D, mode) for D in diffs)
                 )
@@ -403,28 +426,6 @@ class TestSupError:
 
 
 class TestPositivity:
-    def make_stream(self, rep=0):
-        clock = sample_clock(2.0, 1.0, stream(29, 1, rep))
-        return sample_jump_stream(clock, JumpLaw.geometric(4), (2,), stream(29, 2, rep))
-
-    def test_sylvester_all_pass(self):
-        spec = GeneratorSpec(kind="sylvester", C=np.random.default_rng(11).standard_normal((4, 4)))
-        report = check_positivity_conditions(spec, self.make_stream(), np.eye(4))
-        assert report.all_pass
-
-    def test_sandwich_all_pass(self):
-        spec = GeneratorSpec(kind="sandwich", C=np.random.default_rng(12).standard_normal((4, 4)))
-        report = check_positivity_conditions(spec, self.make_stream(), np.eye(4))
-        assert report.all_pass
-
-    def test_indefinite_initial_fails(self):
-        spec = GeneratorSpec.diagonal("sylvester", np.zeros(4))
-        report = check_positivity_conditions(
-            spec, self.make_stream(), np.diag([1.0, -1.0, 0.0, 0.0])
-        )
-        assert not report.initial_psd
-        assert report.jumps_psd
-
     def test_simulated_paths_stay_psd(self):
         # under the structural conditions, min eigenvalue >= -tol at every grid point
         spec = GeneratorSpec.diagonal("sylvester", -karhunen_loeve_spectrum(6))
