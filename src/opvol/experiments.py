@@ -50,7 +50,7 @@ from opvol.bounds import (
     combined_margin,
 )
 from opvol.forward import ForwardSemigroupSpec, forward_sup_error, simulate_forward_coupled
-from opvol.operators import ProjectionSpec, norm, psd_sqrt_batch
+from opvol.operators import NotPositiveSemidefinite, ProjectionSpec, norm, psd_sqrt_batch
 from opvol.pricing import FunctionalSpec, PayoffSpec, PricingReport, mean_se, pricing_report
 from opvol.processes import (
     PURPOSE_CLOCK,
@@ -67,6 +67,7 @@ from opvol.processes import (
 )
 from opvol.variance import (
     GeneratorSpec,
+    TimeGrid,
     VariancePath,
     build_grid,
     eigen_tail_sup_sq,
@@ -83,6 +84,10 @@ TRUNCATION_MODES = ("jumps", "generator")
 # rate * horizon, the expected number of jumps per replication, above which a
 # scenario is rejected: every jump adds two grid slots to every coupled path
 MAX_EXPECTED_JUMPS = 1e4
+
+# m_points above which a scenario is rejected: every step is a grid slot that
+# every coupled path stores as a d x d matrix
+MAX_GRID_STEPS = 10**6
 
 
 # --- scenario ----------------------------------------------------------------
@@ -132,6 +137,10 @@ class CoupledScenario:
             raise ValueError("horizon must be positive")
         if self.m_points < 1:
             raise ValueError("need at least one time step")
+        if self.m_points > MAX_GRID_STEPS:
+            raise ValueError(
+                f"m_points = {self.m_points} exceeds {MAX_GRID_STEPS}; lower m_points"
+            )
         if self.rate < 0:
             raise ValueError("jump rate must be nonnegative")
         if self.rate * self.horizon > MAX_EXPECTED_JUMPS:
@@ -366,42 +375,77 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
         ]
         jump_stacks = [js.jumps] * (len(levels) + 1)
     vals = evolve_coupled(v0s, steppers, jump_stacks, grid)
+    try:
+        out.update(_path_stats(scenario, rep, gen, grid, vals, v0s))
+    except (NotPositiveSemidefinite, np.linalg.LinAlgError) as exc:
+        raise type(exc)(_failure_message(exc, rep, levels, grid, vals)) from exc
+    return out
 
+
+def _path_stats(scenario: CoupledScenario, rep: int, gen: GeneratorSpec,
+                grid: TimeGrid, vals: np.ndarray, v0s: np.ndarray) -> dict:
+    """Per-level statistics of the coupled paths vals (exact first): sup
+    errors, and in jumps mode square roots, the forward run and payoffs."""
+    levels = scenario.levels
+    out: dict = {}
     for i, n in enumerate(levels, start=1):
         D = vals[0] - vals[i]
         sup_hs = sup_norm_stack(D, "hs")
         out[f"sup_hs@{n}"] = sup_hs
         out[f"sup_sq_hs@{n}"] = sup_hs**2
         out[f"sup_op@{n}"] = sup_norm_stack(D, "op")
+    if scenario.truncation != "jumps":
+        return out
 
-    if mode == "jumps":
-        sqrts = psd_sqrt_batch(vals)
-        for i, n in enumerate(levels, start=1):
-            dS = sqrts[0] - sqrts[i]
-            out[f"sqrt_sup_sq_op@{n}"] = sup_norm_stack(dS, "op") ** 2
-            out[f"sqrt_sup_sq_hs@{n}"] = sup_norm_stack(dS, "hs") ** 2
+    sqrts = psd_sqrt_batch(vals)
+    for i, n in enumerate(levels, start=1):
+        dS = sqrts[0] - sqrts[i]
+        out[f"sqrt_sup_sq_op@{n}"] = sup_norm_stack(dS, "op") ** 2
+        out[f"sqrt_sup_sq_hs@{n}"] = sup_norm_stack(dS, "hs") ** 2
 
-        exact_path = VariancePath(grid, vals[0], gen, v0s[0])
-        approx = {
-            n: VariancePath(grid, vals[i], gen, v0s[i])
-            for i, n in enumerate(levels, start=1)
-        }
-        fpath = simulate_forward_coupled(
-            exact_path, approx, scenario.forward_spec(), scenario.q_spec(),
-            stream(seed, PURPOSE_WIENER, rep), sqrts,
-        )
-        payoff = scenario.payoff()
-        functional = scenario.functional()
-        tau = scenario.exercise_time
-        xt = fpath.at_time(tau)
-        out["pay_exact"] = payoff.evaluate(functional.apply(xt))
-        for n in levels:
-            out[f"fwd_sup_sq@{n}"] = forward_sup_error(fpath, n)
-            xtn = fpath.at_time(tau, n)
-            out[f"pay_trunc@{n}"] = payoff.evaluate(functional.apply(xtn))
-            out[f"dx_tau@{n}"] = float(np.linalg.norm(xt - xtn))
-
+    exact_path = VariancePath(grid, vals[0], gen, v0s[0])
+    approx = {
+        n: VariancePath(grid, vals[i], gen, v0s[i])
+        for i, n in enumerate(levels, start=1)
+    }
+    fpath = simulate_forward_coupled(
+        exact_path, approx, scenario.forward_spec(), scenario.q_spec(),
+        stream(scenario.master_seed, PURPOSE_WIENER, rep), sqrts,
+    )
+    payoff = scenario.payoff()
+    functional = scenario.functional()
+    tau = scenario.exercise_time
+    xt = fpath.at_time(tau)
+    out["pay_exact"] = payoff.evaluate(functional.apply(xt))
+    for n in levels:
+        out[f"fwd_sup_sq@{n}"] = forward_sup_error(fpath, n)
+        xtn = fpath.at_time(tau, n)
+        out[f"pay_trunc@{n}"] = payoff.evaluate(functional.apply(xtn))
+        out[f"dx_tau@{n}"] = float(np.linalg.norm(xt - xtn))
     return out
+
+
+def _failure_message(exc: Exception, rep: int, levels: tuple[int, ...],
+                     grid: TimeGrid, vals: np.ndarray) -> str:
+    """One line naming the replication, path and grid slot a numerical
+    failure came from.
+
+    A NotPositiveSemidefinite from the square roots carries its (path, slot)
+    index; otherwise the slot is the earliest one holding a non-finite value,
+    the usual cause of a LAPACK failure.
+    """
+    where = f"numerical failure in replication {rep}"
+    index, cause = getattr(exc, "index", ()), ""
+    if len(index) != 2:
+        bad = ~np.all(np.isfinite(vals), axis=(-2, -1))  # (paths, slots)
+        if not np.any(bad):
+            return f"{where}, no single grid slot identified: {exc}"
+        g = int(np.flatnonzero(np.any(bad, axis=0))[0])
+        index, cause = (int(np.argmax(bad[:, g])), g), ", first non-finite value"
+    p, g = index
+    path = "exact path" if p == 0 else f"level {levels[p - 1]} path"
+    side = ", left limit" if grid.is_left[g] else ""
+    return f"{where}, {path}, grid slot {g} (t = {grid.times[g]:.6g}{side}){cause}: {exc}"
 
 
 def _worker_count(threads: int, replications: int, cpus: int) -> int:

@@ -23,8 +23,23 @@ HSOperator = np.ndarray
 SYM_TOL = 1e-12  # certification threshold for self-adjointness
 
 
+# LAPACK's symmetric eigensolvers (dsyevd) rescale a matrix whose largest
+# entry lies outside [_UNSCALED_MIN, _UNSCALED_MAX] = [2**-485, 2**485], and the
+# rescaling rounds; inside that range a diagonal matrix comes back exactly,
+# its diagonal as the eigenvalues and a permutation matrix as the eigenvectors
+_UNSCALED_MIN = float(np.sqrt(np.finfo(float).tiny / np.finfo(float).eps))
+_UNSCALED_MAX = 1.0 / _UNSCALED_MIN
+
+
 class NotPositiveSemidefinite(ValueError):
-    """Raised when a matrix required to be PSD has an eigenvalue below -tol_psd."""
+    """Raised when a matrix required to be PSD has an eigenvalue below -tol_psd.
+
+    index is the position of that matrix in the batch, () for a single matrix.
+    """
+
+    def __init__(self, message: str, index: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.index = tuple(int(k) for k in index)
 
 
 def as_hilbert_vector(coeffs, d: int | None = None) -> HilbertVector:
@@ -99,9 +114,25 @@ def norm(T: HSOperator, mode: str = "hs", self_adjoint: bool | None = None) -> f
     raise ValueError(f"unknown norm mode {mode!r}")
 
 
-def tol_psd(op_norm: float) -> float:
-    """Negative-eigenvalue tolerance: 1e-9 * (1 + ||T||op)."""
+def tol_psd(op_norm):
+    """Negative-eigenvalue tolerance: 1e-9 * (1 + ||T||op), elementwise on arrays."""
     return 1e-9 * (1.0 + op_norm)
+
+
+def closed_form_diagonal(Ts: np.ndarray) -> np.ndarray:
+    """Mask over the leading axes of a (..., d, d) stack: True where the matrix
+    is diagonal (every off-diagonal entry is zero) and its largest entry is 0
+    or lies in [_UNSCALED_MIN, _UNSCALED_MAX].
+
+    For such a matrix LAPACK's eigh and eigvalsh return the sorted diagonal
+    and a permutation matrix exactly, so its eigendecomposition is known
+    without calling them.  NaN and infinite diagonals fall outside the mask.
+    """
+    d = Ts.shape[-1]
+    off_diagonal = ~np.eye(d, dtype=bool)
+    diagonal_only = ~np.any((Ts != 0.0) & off_diagonal, axis=(-2, -1))
+    top = np.max(np.abs(np.diagonal(Ts, axis1=-2, axis2=-1)), axis=-1)
+    return diagonal_only & ((top == 0.0) | ((top >= _UNSCALED_MIN) & (top <= _UNSCALED_MAX)))
 
 
 def psd_sqrt(T: HSOperator) -> HSOperator:
@@ -113,30 +144,41 @@ def psd_sqrt(T: HSOperator) -> HSOperator:
     T = as_hs_operator(T)
     if not is_self_adjoint(T):
         raise ValueError("psd_sqrt requires a self-adjoint matrix")
-    w, U = np.linalg.eigh(T)
-    tol = tol_psd(float(np.max(np.abs(w))) if w.size else 0.0)
-    if w.size and w[0] < -tol:
-        raise NotPositiveSemidefinite(
-            f"eigenvalue {w[0]:.6e} below -tol_psd = {-tol:.6e}"
-        )
-    w = np.clip(w, 0.0, None)
-    return (U * np.sqrt(w)) @ U.T
+    return psd_sqrt_batch(T[None])[0]
 
 
 def psd_sqrt_batch(Ts: np.ndarray) -> np.ndarray:
-    """psd_sqrt applied along the first axis of a (G, d, d) stack."""
-    w, U = np.linalg.eigh(Ts)
-    opn = np.max(np.abs(w), axis=-1)
-    tol = 1e-9 * (1.0 + opn)
+    """psd_sqrt applied along the leading axes of a (..., d, d) stack.
+
+    Diagonal slots (closed_form_diagonal) take sqrt(clip(diag, 0)) on the
+    diagonal; this is bit for bit what the eigh reconstruction gives them.
+    Only the other slots go to eigh.  A slot with an eigenvalue below -tol_psd
+    raises NotPositiveSemidefinite naming the first such slot.
+    """
+    Ts = np.asarray(Ts, dtype=float)
+    diag = closed_form_diagonal(Ts)
+    rest = ~diag
+    w = np.sort(np.diagonal(Ts, axis1=-2, axis2=-1), axis=-1)
+    w_rest, U = np.linalg.eigh(Ts[rest])
+    w[rest] = w_rest
+    tol = tol_psd(np.max(np.abs(w), axis=-1))
     wmin = w[..., 0]
     bad = wmin < -tol
     if np.any(bad):
         i = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise NotPositiveSemidefinite(
-            f"matrix {i} in batch: eigenvalue {wmin[i]:.6e} below -tol_psd = {-tol[i]:.6e}"
+            f"matrix {i} in batch: eigenvalue {wmin[i]:.6e} below -tol_psd = {-tol[i]:.6e}",
+            index=i,
         )
-    w = np.clip(w, 0.0, None)
-    return np.einsum("...ij,...j,...kj->...ik", U, np.sqrt(w), U)
+    rest_roots = np.einsum("...ij,...j,...kj->...ik", U, np.sqrt(np.clip(w_rest, 0.0, None)), U)
+    del U  # the output below is allocated after the eigenvectors are freed
+    out = np.empty_like(Ts)
+    out[rest] = rest_roots
+    # clip turns -0.0 into +0.0, so every root is +0 or more and the zeros off
+    # the diagonal are +0, as in the reconstruction
+    roots = np.sqrt(np.clip(np.diagonal(Ts[diag], axis1=-2, axis2=-1), 0.0, None))
+    out[diag] = np.eye(Ts.shape[-1]) * roots[:, None, :]
+    return out
 
 
 def matrix_exp(T: HSOperator, t: float = 1.0) -> HSOperator:

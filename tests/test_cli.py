@@ -178,6 +178,28 @@ class TestVerifyCommand:
         assert err.count("\n") == 1
         assert not (tmp_path / "bounds.csv").exists()
 
+    def test_huge_grid_exits_one(self, tmp_path, capsys):
+        path = write_config(tmp_path, m_points=10**6 + 1)
+        code = main(["verify", path, "--threads", "1", "--out-dir", str(tmp_path)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: m_points = 1000001 exceeds 1000000; lower m_points\n"
+        assert not (tmp_path / "bounds.csv").exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_numerical_failure_exits_one_naming_the_slot(self, tmp_path, capsys, threads):
+        # V(t) = V0 e^{1600 t} overflows to inf first at t = 0.5, slot 5 of the jump-free grid
+        path = write_config(tmp_path, replications=4, rate=0.0, generator_spectrum=[800.0] * 8)
+        with np.errstate(all="ignore"):
+            code = main(["verify", path, "--threads", threads, "--out-dir", str(tmp_path)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        line = [ln for ln in err.splitlines() if ln.startswith("error: ")]
+        assert line == [
+            "error: numerical failure in replication 0, exact path, grid slot 5 (t = 0.5), "
+            "first non-finite value: SVD did not converge"
+        ]
+        assert not (tmp_path / "bounds.csv").exists()
+
     def test_threads_below_one_exits_one(self, tmp_path, capsys):
         path = write_config(tmp_path)
         for value in ("0", "-5"):

@@ -92,6 +92,14 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="time step"):
             small_scenario(m_points=0)
 
+    def test_grid_steps_capped(self):
+        # validation only: no grid of this size is ever built
+        cap = experiments.MAX_GRID_STEPS
+        assert cap == 10**6
+        assert small_scenario(m_points=cap).m_points == cap
+        with pytest.raises(ValueError, match=f"^m_points = {cap + 1} exceeds {cap}; lower m_points$"):
+            small_scenario(m_points=cap + 1)
+
     def test_non_finite_numbers_name_the_field(self):
         for name in ("horizon", "rate", "payoff_strike", "exercise_time"):
             for value in (math.nan, math.inf, -math.inf):
@@ -156,6 +164,68 @@ class TestSquareRootsPerReplication:
         sc = default_generator_scenario(replications=10, master_seed=5).with_(m_points=25)
         calls, _ = self.count_decompositions(monkeypatch, sc)
         assert calls == []
+
+
+class TestNumericalFailure:
+    """A numerical failure inside a replication names the replication, the
+    path and the grid slot it came from."""
+
+    def run_with(self, monkeypatch, scenario, corrupt):
+        grids = []
+        evolve = experiments.evolve_coupled
+
+        def corrupted(v0s, steppers, jump_stacks, grid):
+            vals = evolve(v0s, steppers, jump_stacks, grid)
+            grids.append(grid)
+            corrupt(vals)
+            return vals
+
+        monkeypatch.setattr(experiments, "evolve_coupled", corrupted)
+        with pytest.raises(ValueError) as got:
+            experiments._rep_stats(scenario, 3)
+        return got.value, grids[0]
+
+    def test_negative_diagonal_before_the_first_jump(self, monkeypatch):
+        sc = small_scenario(rate=5.0)
+
+        def corrupt(vals):
+            # level 4 is path 2; slot 1 is diagonal, so it takes the closed form
+            vals[2, 1] = np.diag(np.r_[-1.0, np.ones(7)])
+
+        exc, grid = self.run_with(monkeypatch, sc, corrupt)
+        assert isinstance(exc, opvol.NotPositiveSemidefinite)
+        assert str(exc).startswith(
+            f"numerical failure in replication 3, level 4 path, grid slot 1 (t = {grid.times[1]:.6g}"
+        )
+        assert "eigenvalue -1.000000e+00 below -tol_psd" in str(exc)
+        assert "\n" not in str(exc)
+
+    def test_non_finite_value_names_the_earliest_slot(self, monkeypatch):
+        sc = small_scenario(rate=5.0)
+
+        def corrupt(vals):
+            vals[3, 7:, 0, 1] = np.nan
+            vals[1, 9, 2, 2] = np.inf
+
+        with np.errstate(all="ignore"):
+            exc, grid = self.run_with(monkeypatch, sc, corrupt)
+        assert isinstance(exc, np.linalg.LinAlgError)
+        assert str(exc).startswith(
+            f"numerical failure in replication 3, level 6 path, grid slot 7 (t = {grid.times[7]:.6g}"
+        )
+        assert "first non-finite value: " in str(exc)
+
+    def test_generator_mode_names_the_slot_too(self, monkeypatch):
+        sc = default_generator_scenario(replications=10, master_seed=5).with_(m_points=25)
+
+        def corrupt(vals):
+            vals[0, 4:] = np.nan
+
+        with np.errstate(all="ignore"):
+            exc, grid = self.run_with(monkeypatch, sc, corrupt)
+        assert str(exc).startswith(
+            f"numerical failure in replication 3, exact path, grid slot 4 (t = {grid.times[4]:.6g}"
+        )
 
 
 class TestReports:

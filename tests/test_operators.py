@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from opvol.operators import (
     NotPositiveSemidefinite,
     ProjectionSpec,
     as_hilbert_vector,
     as_hs_operator,
+    closed_form_diagonal,
     matrix_exp,
     norm,
     project_operator,
@@ -166,6 +169,85 @@ class TestPsdSqrt:
         Ts = np.stack([np.eye(3), np.diag([1.0, 1.0, -0.5])])
         with pytest.raises(NotPositiveSemidefinite):
             psd_sqrt_batch(Ts)
+
+
+def _eigh_sqrt_batch(Ts):
+    """Square roots through eigh on every slot: the reference psd_sqrt_batch
+    must equal bit for bit, error message included."""
+    w, U = np.linalg.eigh(Ts)
+    opn = np.max(np.abs(w), axis=-1)
+    tol = 1e-9 * (1.0 + opn)
+    wmin = w[..., 0]
+    bad = wmin < -tol
+    if np.any(bad):
+        i = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise NotPositiveSemidefinite(
+            f"matrix {i} in batch: eigenvalue {wmin[i]:.6e} below -tol_psd = {-tol[i]:.6e}"
+        )
+    w = np.clip(w, 0.0, None)
+    return np.einsum("...ij,...j,...kj->...ik", U, np.sqrt(w), U)
+
+
+def mixed_psd_stack(seed, d, kinds, exponent):
+    """Slots at scale 10**exponent: zero, diagonal (with +-0 and entries just
+    below zero that the tolerance clamps), rank-one and full-rank PSD."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    Ts = np.zeros((len(kinds), d, d))
+    for g, kind in enumerate(kinds):
+        if kind == "diagonal":
+            diag = np.abs(rng.standard_normal(d)) * scale
+            diag[rng.random(d) < 0.3] = rng.choice([0.0, -0.0, -1e-12 * scale])
+            Ts[g] = np.diag(diag)
+            if rng.random() < 0.5:
+                Ts[g][~np.eye(d, dtype=bool)] = -0.0
+        elif kind == "rank_one":
+            y = rng.standard_normal(d)
+            Ts[g] = np.outer(y, y) * scale
+        elif kind == "full":
+            A = rng.standard_normal((d, d))
+            Ts[g] = A @ A.T * scale
+    return Ts
+
+
+class TestPsdSqrtDiagonalSlots:
+    """psd_sqrt_batch skips eigh on diagonal slots; its output must be what
+    eigh on every slot gives, signed zeros included."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 16),
+        kinds=st.lists(st.sampled_from(["zero", "diagonal", "rank_one", "full"]), min_size=1, max_size=16),
+        exponent=st.floats(-150.0, 150.0),
+    )
+    @example(seed=1, d=8, kinds=["diagonal"] * 6, exponent=0.0)
+    @example(seed=2, d=3, kinds=["diagonal"], exponent=-150.0)
+    def test_mixed_stacks_match_eigh(self, seed, d, kinds, exponent):
+        Ts = mixed_psd_stack(seed, d, kinds, exponent)
+        try:
+            expected = _eigh_sqrt_batch(Ts)
+        except NotPositiveSemidefinite as exc:
+            with pytest.raises(NotPositiveSemidefinite) as got:
+                psd_sqrt_batch(Ts)
+            assert str(got.value) == str(exc)
+            return
+        out = psd_sqrt_batch(Ts)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+    def test_negative_diagonal_names_its_slot(self):
+        Ts = np.stack([np.diag([1.0, 2.0]), np.outer([1.0, 1.0], [1.0, 1.0]), np.diag([1.0, -0.5])])
+        assert closed_form_diagonal(Ts).tolist() == [True, False, True]
+        with pytest.raises(NotPositiveSemidefinite, match=r"^matrix \(np.int64\(2\),\) in batch") as got:
+            psd_sqrt_batch(Ts)
+        assert got.value.index == (2,)
+
+    def test_scaled_or_non_finite_diagonals_go_to_eigh(self):
+        # LAPACK rescales outside [2**-485, 2**485], so those diagonals are not closed forms
+        Ts = np.stack([np.diag([2.0**-486, 0.0]), np.diag([2.0**486, 1.0]), np.diag([np.nan, 1.0]),
+                       np.diag([2.0**-485, 0.0]), np.diag([2.0**485, 1.0]), np.zeros((2, 2))])
+        assert closed_form_diagonal(Ts).tolist() == [False, False, False, True, True, True]
 
 
 class TestMatrixExp:

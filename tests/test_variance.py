@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from opvol.operators import ProjectionSpec, norm, project_operator
+from opvol.operators import ProjectionSpec, as_hs_operator, norm, project_operator, psd_sqrt_batch
 from opvol.processes import CoupledJumpStream, JumpLaw, PoissonClock, sample_clock, sample_jump_stream, stream
 from opvol.variance import (
     GeneratorSpec,
     NotNormal,
-    apply_generator,
     build_grid,
     eigen_tail_sup_sq,
     evolve_coupled,
@@ -22,6 +23,23 @@ from opvol.variance import (
     sup_norm_stack,
     truncate_generator,
 )
+
+
+def _apply_generator(spec, T):
+    """Reference action c(T) (with Pi_n compression when the spec carries a
+    projection), evaluated straight from the definition of each kind."""
+    T = as_hs_operator(T, d=spec.dim)
+    if spec.projection is not None:
+        T = np.where(spec.projection.mask, T, 0.0)
+    if spec.kind == "sandwich":
+        out = spec.C @ T @ spec.C.T
+    elif spec.kind == "sylvester":
+        out = spec.C @ T + T @ spec.C.T
+    else:
+        out = (spec.action @ T.reshape(-1)).reshape(T.shape)
+    if spec.projection is not None:
+        out = np.where(spec.projection.mask, out, 0.0)
+    return out
 
 
 def empty_stream(d=4, levels=(2,)):
@@ -67,13 +85,13 @@ class TestGeneratorSpec:
         rng = np.random.default_rng(0)
         C, T = rng.standard_normal((2, 5, 5))
         spec = GeneratorSpec(kind="sandwich", C=C)
-        np.testing.assert_allclose(apply_generator(spec, T), C @ T @ C.T, rtol=1e-12)
+        np.testing.assert_allclose(_apply_generator(spec, T), C @ T @ C.T, rtol=1e-12)
 
     def test_sylvester_action(self):
         rng = np.random.default_rng(1)
         C, T = rng.standard_normal((2, 5, 5))
         spec = GeneratorSpec(kind="sylvester", C=C)
-        np.testing.assert_allclose(apply_generator(spec, T), C @ T + T @ C.T, rtol=1e-12)
+        np.testing.assert_allclose(_apply_generator(spec, T), C @ T + T @ C.T, rtol=1e-12)
 
     def test_general_action(self):
         rng = np.random.default_rng(2)
@@ -81,7 +99,7 @@ class TestGeneratorSpec:
         T = rng.standard_normal((3, 3))
         spec = GeneratorSpec(kind="general", action=K)
         np.testing.assert_allclose(
-            apply_generator(spec, T), (K @ T.reshape(-1)).reshape(3, 3), rtol=1e-12
+            _apply_generator(spec, T), (K @ T.reshape(-1)).reshape(3, 3), rtol=1e-12
         )
 
     def test_matrix_matches_action(self):
@@ -92,7 +110,7 @@ class TestGeneratorSpec:
             spec = GeneratorSpec(kind=kind, C=C)
             K = generator_matrix(spec)
             np.testing.assert_allclose(
-                (K @ T.reshape(-1)).reshape(4, 4), apply_generator(spec, T), rtol=1e-11
+                (K @ T.reshape(-1)).reshape(4, 4), _apply_generator(spec, T), rtol=1e-11
             )
 
     def test_matrix_matches_action_compressed(self):
@@ -103,7 +121,7 @@ class TestGeneratorSpec:
         spec = truncate_generator(GeneratorSpec(kind="sylvester", C=C), P)
         K = generator_matrix(spec)
         np.testing.assert_allclose(
-            (K @ T.reshape(-1)).reshape(4, 4), apply_generator(spec, T), rtol=1e-11
+            (K @ T.reshape(-1)).reshape(4, 4), _apply_generator(spec, T), rtol=1e-11
         )
 
 
@@ -136,7 +154,7 @@ class TestEigensystem:
                     E = np.zeros((4, 4))
                     E[j, k] = 1.0
                     np.testing.assert_allclose(
-                        apply_generator(spec, E), Lam[j, k] * E, atol=1e-10
+                        _apply_generator(spec, E), Lam[j, k] * E, atol=1e-10
                     )
 
     def test_not_normal(self):
@@ -163,7 +181,7 @@ class TestTruncation:
         assert generator_op_norm(full) == pytest.approx(generator_op_norm(spec), rel=1e-12)
         rng = np.random.default_rng(5)
         T = rng.standard_normal((6, 6))
-        np.testing.assert_allclose(apply_generator(full, T), apply_generator(spec, T), atol=1e-12)
+        np.testing.assert_allclose(_apply_generator(full, T), _apply_generator(spec, T), atol=1e-12)
 
     def test_contraction_of_op_norm(self):
         spec = GeneratorSpec.diagonal("sylvester", -karhunen_loeve_spectrum(8))
@@ -204,7 +222,7 @@ class TestTruncation:
         Lam = generator_eigensystem(spec)
         for _ in range(20):
             T = rng.standard_normal((6, 6))
-            diff = apply_generator(spec, T) - apply_generator(trunc, T)
+            diff = _apply_generator(spec, T) - _apply_generator(trunc, T)
             lhs = norm(diff, "hs") ** 2
             rhs = float(np.sum((Lam**2 * T**2)[~P.mask]))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
@@ -423,6 +441,128 @@ class TestSupError:
                     norm(v0 - v0n, mode) + sum(norm(D, mode) for D in diffs)
                 )
                 assert lhs <= rhs * (1 + 1e-12)
+
+
+def _full_op_sup(D):
+    """The op-norm sup with a solve on every slot: the reference the pruned
+    sup_norm_stack must equal bit for bit."""
+    asym = np.max(np.abs(D - np.swapaxes(D, -2, -1)))
+    scale = max(float(np.max(np.abs(D))), 1.0)
+    if asym <= 1e-10 * scale:
+        s = np.abs(np.linalg.eigvalsh((D + np.swapaxes(D, -2, -1)) / 2.0))
+    else:
+        s = np.linalg.svd(D, compute_uv=False)
+    return float(np.max(s))
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return ("value", repr(fn(*args)))
+    except Exception as exc:  # the reference's exception is part of the behaviour
+        return ("raise", type(exc), str(exc))
+
+
+SLOT_KINDS = ("zero", "diagonal", "rank_one", "full", "flat", "near_copy")
+
+
+def slot_stack(seed, d, kinds, exponent, spread, psd=False):
+    """A (G, d, d) symmetric stack, one slot per kind, each slot's op norm
+    within a factor 1 +- spread of 10**exponent.
+
+    full is A + A^T (indefinite) or, with psd, A A^T; flat has every |eigenvalue|
+    near its op norm, so its trace bound is loose where a rank-one slot's is
+    tight, and a small spread makes the bound order differ from the op-norm
+    order; a near_copy repeats the previous slot to within 1e-12.
+    """
+    rng = np.random.default_rng(seed)
+    D = np.zeros((len(kinds), d, d))
+    for g, kind in enumerate(kinds):
+        if kind == "diagonal":
+            diag = rng.standard_normal(d)
+            M = np.diag(np.abs(diag) if psd else diag)
+        elif kind == "rank_one":
+            y = rng.standard_normal(d)
+            M = (1.0 if psd else rng.choice([-1.0, 1.0])) * np.outer(y, y)
+        elif kind == "full":
+            A = rng.standard_normal((d, d))
+            M = A @ A.T if psd else A + A.T
+        elif kind == "flat":
+            Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            s = rng.uniform(0.9, 1.0, d) * (1.0 if psd else rng.choice([-1.0, 1.0], d))
+            M = (Q * s) @ Q.T
+            M = (M + M.T) / 2.0
+        elif kind == "near_copy" and g > 0:
+            D[g] = D[g - 1] * (1.0 + 1e-12 * rng.uniform(-1.0, 1.0))
+            continue
+        else:
+            continue
+        target = 10.0**exponent * (1.0 + spread * rng.uniform(-1.0, 1.0))
+        D[g] = M * (target / np.linalg.norm(M, 2))
+    return D
+
+
+stack_args = dict(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 16),
+    kinds=st.lists(st.sampled_from(SLOT_KINDS), min_size=1, max_size=24),
+    exponent=st.floats(-150.0, 150.0),
+    spread=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 0.5]),
+)
+
+
+class TestPrunedOpSup:
+    """sup_norm_stack(D, "op") solves only the slots that can hold the max; it
+    must return exactly what a solve on every slot returns."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(**stack_args)
+    @example(seed=1, d=8, kinds=["diagonal"] * 12, exponent=0.0, spread=0.5)
+    @example(seed=2, d=8, kinds=["rank_one"], exponent=-150.0, spread=0.0)
+    @example(seed=3, d=16, kinds=["zero", "diagonal", "rank_one", "full"], exponent=150.0, spread=0.5)
+    @example(seed=4, d=4, kinds=["rank_one"] + ["near_copy"] * 10, exponent=3.0, spread=0.0)
+    @example(seed=6, d=8, kinds=["flat", "rank_one"] * 4, exponent=0.0, spread=1e-6)
+    def test_symmetric_stacks_match_full_solve(self, seed, d, kinds, exponent, spread):
+        D = slot_stack(seed, d, kinds, exponent, spread)
+        assert sup_norm_stack(D, "op") == _full_op_sup(D)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(**stack_args)
+    @example(seed=5, d=8, kinds=["zero", "diagonal", "diagonal", "rank_one", "rank_one"], exponent=0.0,
+             spread=0.5)
+    def test_square_root_differences_match_full_solve(self, seed, d, kinds, exponent, spread):
+        # differences of PSD square roots are symmetric only to rounding
+        A = slot_stack(seed, d, kinds, exponent, spread, psd=True)
+        B = slot_stack(seed + 1, d, kinds, exponent, spread, psd=True)
+        dS = psd_sqrt_batch(A) - psd_sqrt_batch(B)
+        assert sup_norm_stack(dS, "op") == _full_op_sup(dS)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(**stack_args, bad=st.sampled_from([np.nan, np.inf, -np.inf]), where=st.integers(0, 10**6))
+    def test_non_finite_stacks_behave_as_before(self, seed, d, kinds, exponent, spread, bad, where):
+        D = slot_stack(seed, d, kinds, exponent, spread)
+        D.reshape(-1)[where % D.size] = bad
+        with np.errstate(all="ignore"):
+            assert _outcome(sup_norm_stack, D, "op") == _outcome(_full_op_sup, D)
+
+    def test_overflowing_symmetrisation_behaves_as_before(self):
+        D = np.full((3, 2, 2), 1.5e308)
+        with np.errstate(all="ignore"):
+            assert _outcome(sup_norm_stack, D, "op") == _outcome(_full_op_sup, D)
+
+    def test_diagonal_slots_take_the_closed_form(self, monkeypatch):
+        # a stack of diagonal slots and one rank-one slot solves the rank-one slot only
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            solved.append(1 if a.ndim == 2 else a.shape[0])
+            return eigvalsh(a)
+
+        D = np.stack([np.diag([0.5, -2.0, 1.0]), np.zeros((3, 3)), np.outer([1.0, 1.0, 0.0], [1.0, 1.0, 0.0])])
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert sup_norm_stack(D, "op") == 2.0
+        assert sum(solved) == 1
 
 
 class TestPositivity:
