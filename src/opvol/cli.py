@@ -10,7 +10,8 @@ Each takes an optional JSON config path whose keys mirror CoupledScenario
 field-for-field; omitted fields fall back to the reference scenario.  The
 master seed resolves in priority order: --seed flag, config value, OPVOL_SEED
 environment variable, built-in default.  Exit codes: 0 all rows pass, 2 some
-bound failed, 1 configuration or usage error.
+bound failed (one stderr line per failing row, stdout silent), 1
+configuration or usage error, or a numerical failure.
 
 CSV output is stable by construction: fixed column order, floats at 17
 significant digits, UNIX newlines.  The --threads flag is a performance knob
@@ -194,22 +195,47 @@ def write_pricing_csv(result: ExperimentResult, path: str) -> None:
 # --- subcommands ---------------------------------------------------------------
 
 
+def _print_failures(lines: list[str]) -> None:
+    """One stderr line per failing row, numbers as in the CSVs."""
+    for line in lines:
+        print(f"fail: {line}", file=sys.stderr)
+
+
 def cmd_verify(scenario: CoupledScenario, out_dir: str, threads: int) -> int:
     result = run_experiment(scenario, workers=threads)
     write_bounds_csv(result, os.path.join(out_dir, "bounds.csv"))
-    return EXIT_PASS if all(r.passed for r in result.reports) else EXIT_FAIL
+    failed = [r for r in result.reports if not r.passed]
+    _print_failures([
+        f"{r.bound_id} level {r.level} margin {_fmt(r.margin)} lhs {_fmt(r.lhs)} rhs {_fmt(r.rhs)}"
+        for r in failed
+    ])
+    return EXIT_FAIL if failed else EXIT_PASS
 
 
 def cmd_converge(scenario: CoupledScenario, out_dir: str, threads: int) -> int:
     study = convergence_study(scenario, workers=threads)
     write_convergence_csv(study, os.path.join(out_dir, "convergence.csv"))
+    _print_failures([
+        f"{bound_id} not weakly decreasing: " + ", ".join(
+            f"level {r.level} {_fmt(r.estimate)} +- {_fmt(r.stderr)}" for r in study.series(bound_id)
+        )
+        for bound_id in dict.fromkeys(r.bound_id for r in study.rows)
+        if not study.monotone.get(bound_id, False)
+    ])
     return EXIT_PASS if study.passed else EXIT_FAIL
 
 
 def cmd_price(scenario: CoupledScenario, out_dir: str, threads: int) -> int:
     result = run_experiment(scenario, workers=threads)
     write_pricing_csv(result, os.path.join(out_dir, "pricing.csv"))
-    return EXIT_PASS if all(p.passed for p in result.pricing) else EXIT_FAIL
+    failed = [p for p in result.pricing if not p.passed]
+    _print_failures([
+        f"pricing level {p.level} chain_margin {_fmt(p.chain_margin)} price_diff {_fmt(p.price_diff)} "
+        f"lipschitz_bound {_fmt(p.lipschitz_rhs)} cap_margin {_fmt(p.cap_margin)} "
+        f"theorem_cap {_fmt(p.theorem_cap)}"
+        for p in failed
+    ])
+    return EXIT_FAIL if failed else EXIT_PASS
 
 
 _COMMANDS = {"verify": cmd_verify, "converge": cmd_converge, "price": cmd_price}

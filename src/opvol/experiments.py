@@ -31,7 +31,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -67,6 +67,7 @@ from opvol.processes import (
 )
 from opvol.variance import (
     GeneratorSpec,
+    Stepper,
     TimeGrid,
     VariancePath,
     build_grid,
@@ -226,6 +227,43 @@ class CoupledScenario:
     def with_(self, **changes) -> "CoupledScenario":
         return replace(self, **changes)
 
+    @cached_property
+    def _run(self) -> "_RunConstants":
+        """The models every replication uses, built once per scenario object
+        (once per worker process) on first use."""
+        gen = self.generator_spec()
+        if self.truncation == "jumps":
+            # the truncated paths keep the exact generator: one shared stepper
+            steppers = [make_stepper(gen)] * (len(self.levels) + 1)
+        else:
+            steppers = [make_stepper(gen)] + [
+                make_stepper(self.truncated_generator_spec(n)) for n in self.levels
+            ]
+        v0s = np.stack([self.v0()] + [self.v0_at_level(n) for n in self.levels])
+        v0s.setflags(write=False)
+        return _RunConstants(
+            gen=gen, steppers=steppers, v0s=v0s, jump_law=self.jump_law(),
+            forward=self.forward_spec(), q=self.q_spec(), payoff=self.payoff(),
+            functional=self.functional(),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class _RunConstants:
+    """What a replication needs from its scenario beyond the random draws.
+
+    steppers and v0s hold the exact path first, then one entry per level.
+    """
+
+    gen: GeneratorSpec
+    steppers: list[Stepper]
+    v0s: np.ndarray
+    jump_law: JumpLaw
+    forward: ForwardSemigroupSpec
+    q: QWienerSpec
+    payoff: PayoffSpec
+    functional: FunctionalSpec
+
 
 # --- reports -----------------------------------------------------------------
 
@@ -309,6 +347,7 @@ class ConvergenceStudy:
 # --- per-replication worker --------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     """Simulate one coupled replication and return its sufficient statistics.
 
@@ -316,10 +355,13 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     operators, kept for the jackknife on |E X1|^2.  Per-jump quantities that
     feed pooled moments ship both their sum and their sum of squares.
     Per-level keys carry an '@n' suffix.
+
+    Overflow and invalid-value warnings are silenced: a path that overflows
+    ends in a numerical failure whose one-line message names its slot.
     """
     d, T, seed = scenario.d, scenario.horizon, scenario.master_seed
     levels = scenario.levels
-    gen = scenario.generator_spec()
+    run = scenario._run
     mode = scenario.truncation
 
     if scenario.rate > 0:
@@ -327,7 +369,7 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     else:
         clock = PoissonClock.empty(0.0, T)
     stream_levels = levels if mode == "jumps" else ()
-    js = sample_jump_stream(clock, scenario.jump_law(), stream_levels, stream(seed, PURPOSE_JUMPS, rep))
+    js = sample_jump_stream(clock, run.jump_law, stream_levels, stream(seed, PURPOSE_JUMPS, rep))
     grid = build_grid(T, scenario.m_points, clock.times)
 
     out: dict = {"n_jumps": float(clock.count)}
@@ -365,28 +407,24 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
                 out[f"cpp_sup_sq@{n}"] = 0.0
 
     # coupled variance paths: slot 0 exact, slot i the i-th level
-    v0s = np.stack([scenario.v0()] + [scenario.v0_at_level(n) for n in levels])
     if mode == "jumps":
-        steppers = [make_stepper(gen)] * (len(levels) + 1)
         jump_stacks = [js.jumps] + [js.approx_jumps(n) for n in levels]
     else:
-        steppers = [make_stepper(gen)] + [
-            make_stepper(scenario.truncated_generator_spec(n)) for n in levels
-        ]
         jump_stacks = [js.jumps] * (len(levels) + 1)
-    vals = evolve_coupled(v0s, steppers, jump_stacks, grid)
+    vals = evolve_coupled(run.v0s, run.steppers, jump_stacks, grid)
     try:
-        out.update(_path_stats(scenario, rep, gen, grid, vals, v0s))
+        out.update(_path_stats(scenario, rep, grid, vals))
     except (NotPositiveSemidefinite, np.linalg.LinAlgError) as exc:
         raise type(exc)(_failure_message(exc, rep, levels, grid, vals)) from exc
     return out
 
 
-def _path_stats(scenario: CoupledScenario, rep: int, gen: GeneratorSpec,
-                grid: TimeGrid, vals: np.ndarray, v0s: np.ndarray) -> dict:
+def _path_stats(scenario: CoupledScenario, rep: int, grid: TimeGrid,
+                vals: np.ndarray) -> dict:
     """Per-level statistics of the coupled paths vals (exact first): sup
     errors, and in jumps mode square roots, the forward run and payoffs."""
     levels = scenario.levels
+    run = scenario._run
     out: dict = {}
     for i, n in enumerate(levels, start=1):
         D = vals[0] - vals[i]
@@ -403,17 +441,16 @@ def _path_stats(scenario: CoupledScenario, rep: int, gen: GeneratorSpec,
         out[f"sqrt_sup_sq_op@{n}"] = sup_norm_stack(dS, "op") ** 2
         out[f"sqrt_sup_sq_hs@{n}"] = sup_norm_stack(dS, "hs") ** 2
 
-    exact_path = VariancePath(grid, vals[0], gen, v0s[0])
+    exact_path = VariancePath(grid, vals[0], run.gen, run.v0s[0])
     approx = {
-        n: VariancePath(grid, vals[i], gen, v0s[i])
+        n: VariancePath(grid, vals[i], run.gen, run.v0s[i])
         for i, n in enumerate(levels, start=1)
     }
     fpath = simulate_forward_coupled(
-        exact_path, approx, scenario.forward_spec(), scenario.q_spec(),
+        exact_path, approx, run.forward, run.q,
         stream(scenario.master_seed, PURPOSE_WIENER, rep), sqrts,
     )
-    payoff = scenario.payoff()
-    functional = scenario.functional()
+    payoff, functional = run.payoff, run.functional
     tau = scenario.exercise_time
     xt = fpath.at_time(tau)
     out["pay_exact"] = payoff.evaluate(functional.apply(xt))

@@ -191,20 +191,15 @@ def simulate_forward_coupled(
     noise = np.einsum("pkij,kj->pki", sqrts[:, np.flatnonzero(steps)], increments[steps])
 
     # transport over the positive-length steps: state = S(dt)(state + noise)
+    uniq, row = np.unique(dts[steps], return_inverse=True)
+    table = _propagator_table(fwd, uniq)
+    diagonal = fwd.kind == "diagonal"
     states = np.zeros((n_paths, noise.shape[1] + 1, d))
     state = states[:, 0]
-    diag_exponents = np.diagonal(fwd.A) if fwd.kind == "diagonal" else None
-    prop_cache: dict[float, np.ndarray] = {}
-    for k, dt in enumerate(dts[steps]):
-        mult = prop_cache.get(dt)
-        if mult is None:
-            if diag_exponents is not None:
-                mult = np.exp(diag_exponents * dt)
-            else:
-                mult = matrix_exp(fwd.A, dt)
-            prop_cache[dt] = mult
+    for k, r in enumerate(row):
+        mult = table[r]
         state = state + noise[:, k]
-        state = state * mult if diag_exponents is not None else state @ mult.T
+        state = state * mult if diagonal else state @ mult.T
         states[:, k + 1] = state
     # a zero-length jump slot repeats the state before it
     xs = states[:, np.concatenate(([0], np.cumsum(steps)))]
@@ -215,6 +210,16 @@ def simulate_forward_coupled(
         approx={n: xs[i + 1] for i, n in enumerate(approx)},
         increments=increments,
     )
+
+
+def _propagator_table(fwd: ForwardSemigroupSpec, dts: np.ndarray) -> np.ndarray:
+    """S(dt) for each step length in the 1-D array dts, in one call: the
+    multipliers exp(a dt), shape (U, d), for the diagonal kind, the matrices
+    shape (U, d, d) otherwise.  Row u holds the bits of the call with dts[u]
+    alone."""
+    if fwd.kind == "diagonal":
+        return np.exp(np.diagonal(fwd.A) * dts[:, None])
+    return matrix_exp(fwd.A, dts[:, None, None])
 
 
 def forward_sup_error(path: ForwardPath, level: int) -> float:

@@ -165,7 +165,7 @@ def psd_sqrt_batch(Ts: np.ndarray) -> np.ndarray:
     wmin = w[..., 0]
     bad = wmin < -tol
     if np.any(bad):
-        i = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        i = tuple(int(k) for k in np.unravel_index(int(np.argmax(bad)), bad.shape))
         raise NotPositiveSemidefinite(
             f"matrix {i} in batch: eigenvalue {wmin[i]:.6e} below -tol_psd = {-tol[i]:.6e}",
             index=i,
@@ -181,8 +181,11 @@ def psd_sqrt_batch(Ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def matrix_exp(T: HSOperator, t: float = 1.0) -> HSOperator:
-    """exp(tT) via scaling-and-squaring (scipy's Pade implementation)."""
+def matrix_exp(T: HSOperator, t: float | np.ndarray = 1.0) -> HSOperator:
+    """exp(tT) via scaling-and-squaring (scipy's Pade implementation).
+
+    t shaped (U, 1, 1) gives the stack of exp(t[u] T), each the bits of the
+    call with that t alone (scipy solves the slices one by one)."""
     T = as_hs_operator(T)
     return expm(t * T)
 

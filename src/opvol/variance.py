@@ -204,15 +204,16 @@ class Stepper:
     exp(c t) T = e^{Ct} T e^{C*t} of the uncompressed sylvester kind, with
     base = C.  kind "vec": the dense exp(K dt) on row-major vec(T).
 
-    factor(dt) builds the propagator for one step length and apply(V, F)
-    advances V by it; caching factors per dt is the caller's business.
+    factor(dt) builds the propagator for one step length, or a stack of them
+    for step lengths shaped (U, 1, 1), each slice the same bits as the call
+    with that one step length; apply(V, F) advances V by one propagator.
     """
 
     kind: str
     base: np.ndarray
     mask: np.ndarray | None = None
 
-    def factor(self, dt: float) -> np.ndarray:
+    def factor(self, dt: float | np.ndarray) -> np.ndarray:
         if self.kind != "diagonal":
             return expm(self.base * dt)
         M = np.exp(self.base * dt)
@@ -272,21 +273,16 @@ def build_grid(horizon: float, m_points: int, jump_times: np.ndarray) -> TimeGri
     distinct = np.union1d(base, jump_times)
     jump_pos = np.searchsorted(distinct, jump_times)
 
-    times, is_left, jidx = [], [], []
-    jump_at = {int(p): i for i, p in enumerate(jump_pos)}
-    for g, t in enumerate(distinct):
-        if g in jump_at:
-            times.append(t)
-            is_left.append(True)
-            jidx.append(-1)
-        times.append(t)
-        is_left.append(False)
-        jidx.append(jump_at.get(g, -1))
-    return TimeGrid(
-        times=np.array(times),
-        is_left=np.array(is_left, dtype=bool),
-        jump_index=np.array(jidx, dtype=np.int64),
-    )
+    # a distinct time holding a jump takes two slots, the left limit first
+    counts = np.ones(distinct.size, dtype=np.int64)
+    counts[jump_pos] = 2
+    right = np.cumsum(counts) - 1
+    times = np.repeat(distinct, counts)
+    is_left = np.ones(times.size, dtype=bool)
+    is_left[right] = False
+    jidx = np.full(times.size, -1, dtype=np.int64)
+    jidx[right[jump_pos]] = np.arange(jump_pos.size)
+    return TimeGrid(times=times, is_left=is_left, jump_index=jidx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,6 +296,14 @@ class VariancePath:
     v0: np.ndarray
 
 
+# np.multiply.accumulate walks each of the P d^2 entries of a slot along the
+# slot axis on its own, about 4 ns per entry and slot; the slot-by-slot loop
+# costs about 5 us per slot up to d = 16.  Above this many entries per slot
+# (five d = 8 paths hold 320, five d = 16 paths 1,280) the loop is the
+# cheaper of the two; both give the same products.
+_ACCUMULATE_MAX_ENTRIES = 512
+
+
 def evolve_coupled(
     v0s: np.ndarray,
     steppers: list[Stepper],
@@ -309,40 +313,57 @@ def evolve_coupled(
     """Propagate several coupled paths over one grid; returns (P, G, d, d).
 
     Paths share the clock; each path has its own initial value, stepper, and
-    jump tensors (aligned index-by-index across paths).  The step factors are
-    built once per distinct dt and stepper object (paths may share one); when
-    every stepper is diagonal they are stacked and all paths advance in one
-    multiplication.
+    jump tensors (aligned index-by-index across paths).  Each distinct
+    stepper object (paths may share one) builds its factors for all distinct
+    positive step lengths in one call.  When every stepper is diagonal and a
+    slot holds at most _ACCUMULATE_MAX_ENTRIES entries, the per-step factors
+    are written into the output and each segment between jumps is one
+    cumulative product along the slot axis, which multiplies in the same
+    order as a step-by-step loop; a zero-length step takes a factor of ones,
+    and x * 1.0 is x.  Otherwise the paths advance slot by slot.
     """
     P, d = v0s.shape[0], v0s.shape[-1]
     G = grid.size
     out = np.empty((P, G, d, d))
-    V = v0s.astype(float).copy()
-    out[:, 0] = V
+    out[:, 0] = v0s
 
-    all_diag = all(s.kind == "diagonal" for s in steppers)
+    dts = np.diff(grid.times)
+    moving = dts > 0.0
+    uniq, inv = np.unique(dts[moving], return_inverse=True)
     distinct = {id(s): s for s in steppers}
-    factors: dict[float, np.ndarray | list[np.ndarray]] = {}
+    tables = {key: s.factor(uniq[:, None, None]) for key, s in distinct.items()}
+    row = np.full(G - 1, uniq.size)  # table row of each step; past the end if zero-length
+    row[moving] = inv
+    jidx = grid.jump_index
+    jumps = np.stack(jump_stacks)
 
-    times, jidx = grid.times, grid.jump_index
-    for g in range(1, G):
-        dt = times[g] - times[g - 1]
-        if dt > 0.0:
-            F = factors.get(dt)
-            if F is None:
-                made = {key: s.factor(dt) for key, s in distinct.items()}
-                F = [made[id(s)] for s in steppers]
-                if all_diag:
-                    F = np.stack(F)
-                factors[dt] = F
-            if all_diag:
-                V = V * F
-            else:
-                V = np.stack([steppers[p].apply(V[p], F[p]) for p in range(P)])
-        j = jidx[g]
-        if j >= 0:
+    diagonal = all(s.kind == "diagonal" for s in steppers)
+    if diagonal:
+        # one factor table per path, its last row ones for the zero-length steps
+        ones = np.ones((1, d, d))
+        factors = np.stack([np.concatenate([tables[id(s)], ones]) for s in steppers])
+        if P * d * d <= _ACCUMULATE_MAX_ENTRIES:
             for p in range(P):
-                V[p] = V[p] + jump_stacks[p][j]
+                # rows are in range; "clip" writes into out, where "raise" buffers
+                np.take(factors[p], row, axis=0, out=out[p, 1:], mode="clip")
+            jump_slots = np.flatnonzero(jidx[1:] >= 0) + 1
+            for start, stop in zip(np.r_[0, jump_slots], np.r_[jump_slots, G]):
+                if start > 0:
+                    head = out[:, start]
+                    np.multiply(out[:, start - 1], head, out=head)
+                    head += jumps[:, jidx[start]]
+                seg = out[:, start:stop]
+                np.multiply.accumulate(seg, axis=1, out=seg)
+            return out
+
+    V = out[:, 0].copy()
+    for g, (r, j) in enumerate(zip(row.tolist(), jidx[1:].tolist()), start=1):
+        if diagonal:
+            np.multiply(V, factors[:, r], out=V)
+        elif r < uniq.size:
+            V = np.stack([s.apply(V[p], tables[id(s)][r]) for p, s in enumerate(steppers)])
+        if j >= 0:
+            V += jumps[:, j]
         out[:, g] = V
     return out
 
@@ -375,10 +396,19 @@ def sup_norm_stack(D: np.ndarray, mode: str) -> float:
     """max over the first axis of norm(D[g], mode) for a stack of matrices.
 
     In op mode a finite symmetric stack solves only the slots that can hold
-    the max (_op_sup_symmetric); the result is the same to the last bit.
+    the max (_op_sup_symmetric); the result is the same to the last bit.  A
+    float stack equal to its transpose bit for bit, with max |D| <= _HALF_MAX,
+    is its own symmetrisation (D + D^T) / 2 bit for bit, so it goes there
+    without the asymmetry, scale and symmetrisation sweeps.
     """
     if mode == "hs":
         return float(np.sqrt(np.max(np.sum(D * D, axis=(-2, -1)))))
+    if mode == "op" and D.dtype == np.float64:
+        bits = D.view(np.int64)
+        if np.array_equal(bits, np.swapaxes(bits, -2, -1)):
+            top = np.max(np.abs(D), axis=(-2, -1))
+            if np.max(top) <= _HALF_MAX:  # False on NaN
+                return _op_sup_symmetric(D, top)
     asym = np.max(np.abs(D - np.swapaxes(D, -2, -1)))
     scale = max(float(np.max(np.abs(D))), 1.0)
     if asym <= 1e-10 * scale:
@@ -396,6 +426,9 @@ def sup_norm_stack(D: np.ndarray, mode: str) -> float:
         return float(np.max(np.sum(s, axis=-1)))
     raise ValueError(f"unknown norm mode {mode!r}")
 
+
+# below this, x + x does not overflow, so (x + x) / 2 is x
+_HALF_MAX = float(np.finfo(float).max) / 2.0
 
 # a slot whose certified upper bound falls below this fraction of an exact op
 # norm cannot hold the sup: eigvalsh and the bound each carry a relative

@@ -200,6 +200,21 @@ class TestVerifyCommand:
         ]
         assert not (tmp_path / "bounds.csv").exists()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_numerical_failure_prints_one_line_and_no_warnings(self, tmp_path, capfd, threads):
+        # capfd sees the worker processes' stderr too: numpy's overflow and
+        # invalid-value warnings from the replications must not reach it
+        doc = {"generator_spectrum": [800.0] * 8, "replications": 4, "m_points": 20}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        code = main(["verify", str(path), "--threads", threads, "--out-dir", str(tmp_path)])
+        assert code == EXIT_ERROR
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith("error: numerical failure in replication 0, exact path, grid slot ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not (tmp_path / "bounds.csv").exists()
+
     def test_threads_below_one_exits_one(self, tmp_path, capsys):
         path = write_config(tmp_path)
         for value in ("0", "-5"):
@@ -208,7 +223,7 @@ class TestVerifyCommand:
             assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "bounds.csv").exists()
 
-    def test_bound_failure_exits_two(self, tmp_path, monkeypatch):
+    def test_bound_failure_exits_two(self, tmp_path, monkeypatch, capsys):
         import opvol.cli as cli_mod
         from opvol.experiments import ExperimentResult, make_report
 
@@ -220,6 +235,28 @@ class TestVerifyCommand:
         assert code == EXIT_FAIL
         line = (tmp_path / "bounds.csv").read_text().strip().split("\n")[1]
         assert line.endswith(",false")
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "fail: x level 1 margin -inf lhs 1 rhs 0\n"
+
+    def test_bound_failure_lists_only_failing_rows(self, tmp_path, monkeypatch, capsys):
+        import opvol.cli as cli_mod
+        from opvol.experiments import ExperimentResult, make_report
+
+        reports = (
+            make_report("variance_jumps", 2, 2.0, 0.25, 0.5, 0.0),
+            make_report("variance_jumps", 4, 0.25, 0.25, 0.5, 0.0),
+            make_report("sqrt_op", 6, 0.75, 0.0625, 0.5, 0.0),
+        )
+        result = ExperimentResult(default_scenario(), reports, ())
+        monkeypatch.setattr(cli_mod, "run_experiment", lambda scenario, workers=1: result)
+        assert main(["verify", "--out-dir", str(tmp_path)]) == EXIT_FAIL
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "fail: variance_jumps level 2 margin -6 lhs 2 rhs 0.5",
+            "fail: sqrt_op level 6 margin -4 lhs 0.75 rhs 0.5",
+        ]
 
 
 class TestConvergeCommand:
@@ -236,6 +273,29 @@ class TestConvergeCommand:
         code = main(["converge", path, "--out-dir", str(tmp_path)])
         assert code == EXIT_ERROR
         assert "three levels" in capsys.readouterr().err
+
+    def test_non_monotone_series_exits_two_naming_it(self, tmp_path, monkeypatch, capsys):
+        import opvol.cli as cli_mod
+        from opvol.experiments import ConvergenceRow, ConvergenceStudy
+
+        rows = (
+            ConvergenceRow(2, "variance_sup_sq", 1.0, 0.0),
+            ConvergenceRow(2, "forward_sup_sq", 0.5, 0.125),
+            ConvergenceRow(4, "variance_sup_sq", 0.5, 0.0),
+            ConvergenceRow(4, "forward_sup_sq", 2.0, 0.125),
+        )
+        study = ConvergenceStudy(
+            default_scenario(), rows, {"variance_sup_sq": True, "forward_sup_sq": False}
+        )
+        monkeypatch.setattr(cli_mod, "convergence_study", lambda scenario, workers=1: study)
+        assert main(["converge", "--out-dir", str(tmp_path)]) == EXIT_FAIL
+        assert len((tmp_path / "convergence.csv").read_text().strip().split("\n")) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "fail: forward_sup_sq not weakly decreasing: "
+            "level 2 0.5 +- 0.125, level 4 2 +- 0.125\n"
+        )
 
     def test_seed_repeatability_bytes(self, tmp_path):
         path = write_config(tmp_path)
@@ -256,6 +316,27 @@ class TestPriceCommand:
             cols = line.split(",")
             assert cols[1] == "5" and cols[2] == "0" and cols[3] == "0"
             assert cols[-1] == "true"
+
+    def test_failing_rows_exit_two_naming_them(self, tmp_path, monkeypatch, capsys):
+        import opvol.cli as cli_mod
+        from opvol.experiments import ExperimentResult
+        from opvol.pricing import PricingReport
+
+        rows = (
+            PricingReport(2, 1.0, 0.1, 0.5, 0.1, 0.5, 0.0, 0.25, 0.0),
+            PricingReport(4, 1.0, 0.1, 0.9, 0.1, 0.125, 0.0, 0.25, 0.0, 1.0, 0.0),
+        )
+        result = ExperimentResult(default_scenario(), (), rows)
+        monkeypatch.setattr(cli_mod, "run_experiment", lambda scenario, workers=1: result)
+        assert main(["price", "--out-dir", str(tmp_path)]) == EXIT_FAIL
+        lines = (tmp_path / "pricing.csv").read_text().strip().split("\n")[1:]
+        assert [ln.endswith(",false") for ln in lines] == [True, False]
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "fail: pricing level 2 chain_margin -inf price_diff 0.5 lipschitz_bound 0.25 "
+            "cap_margin inf theorem_cap inf\n"
+        )
 
     def test_identity_payoff_centered(self, tmp_path):
         path = write_config(tmp_path, payoff_kind="identity", replications=200)

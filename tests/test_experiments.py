@@ -166,6 +166,36 @@ class TestSquareRootsPerReplication:
         assert calls == []
 
 
+class TestRunConstants:
+    """Generator specs, steppers and initial states are built once per
+    scenario object, on first use, not once per replication."""
+
+    @pytest.mark.parametrize("truncation, builds", [("jumps", 1), ("generator", 4)])
+    def test_steppers_built_once_per_run(self, monkeypatch, truncation, builds):
+        made = []
+        make_stepper = experiments.make_stepper
+
+        def counting(spec):
+            made.append(spec)
+            return make_stepper(spec)
+
+        monkeypatch.setattr(experiments, "make_stepper", counting)
+        sc = small_scenario(truncation=truncation, levels=(2, 4, 6))
+        for rep in range(3):
+            experiments._rep_stats(sc, rep)
+        assert len(made) == builds
+        experiments._rep_stats(sc.with_(master_seed=sc.master_seed + 1), 0)
+        assert len(made) == 2 * builds
+
+    def test_replications_do_not_depend_on_the_cache(self):
+        sc = small_scenario(rate=5.0)
+        warm = [experiments._rep_stats(sc, rep) for rep in (0, 1)]
+        cold = experiments._rep_stats(sc.with_(), 1)
+        assert warm[1].keys() == cold.keys()
+        for key in cold:
+            assert np.array_equal(warm[1][key], cold[key])
+
+
 class TestNumericalFailure:
     """A numerical failure inside a replication names the replication, the
     path and the grid slot it came from."""
@@ -194,11 +224,10 @@ class TestNumericalFailure:
 
         exc, grid = self.run_with(monkeypatch, sc, corrupt)
         assert isinstance(exc, opvol.NotPositiveSemidefinite)
-        assert str(exc).startswith(
-            f"numerical failure in replication 3, level 4 path, grid slot 1 (t = {grid.times[1]:.6g}"
+        assert str(exc) == (
+            f"numerical failure in replication 3, level 4 path, grid slot 1 (t = {grid.times[1]:.6g}, left limit): "
+            "matrix (2, 1) in batch: eigenvalue -1.000000e+00 below -tol_psd = -2.000000e-09"
         )
-        assert "eigenvalue -1.000000e+00 below -tol_psd" in str(exc)
-        assert "\n" not in str(exc)
 
     def test_non_finite_value_names_the_earliest_slot(self, monkeypatch):
         sc = small_scenario(rate=5.0)

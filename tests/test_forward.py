@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opvol.forward import ForwardPath, ForwardSemigroupSpec, forward_sup_error, simulate_forward_coupled
+from opvol.forward import (
+    ForwardPath,
+    ForwardSemigroupSpec,
+    _propagator_table,
+    forward_sup_error,
+    simulate_forward_coupled,
+)
 from opvol.operators import (
     NotPositiveSemidefinite,
     ProjectionSpec,
@@ -297,6 +305,27 @@ class TestPrecomputedSquareRoots:
             np.testing.assert_array_equal(path.values, xs[0])
             for i, n in enumerate(levels, start=1):
                 np.testing.assert_array_equal(path.approx[n], xs[i])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        dts=st.lists(st.floats(1e-6, 3.0), min_size=1, max_size=30, unique=True),
+        d=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_propagator_table_matches_per_step_calls(self, dts, d, seed):
+        rng = np.random.default_rng(seed)
+        dts = np.sort(dts)
+        diagonal = ForwardSemigroupSpec.diagonal(rng.uniform(-2.0, 1.0, d))
+        skew = ForwardSemigroupSpec(kind="skew", A=random_skew(rng, d))
+        for fwd, step in (
+            (diagonal, lambda dt: np.exp(np.diagonal(diagonal.A) * dt)),
+            (skew, lambda dt: matrix_exp(skew.A, dt)),
+        ):
+            table = _propagator_table(fwd, dts)
+            for u, dt in enumerate(dts):
+                want = step(dt)
+                assert np.array_equal(table[u], want)
+                assert np.array_equal(np.signbit(table[u]), np.signbit(want))
 
     def test_wrong_stack_shape_rejected(self):
         d = 4

@@ -243,7 +243,76 @@ class TestTruncation:
             assert tail_sup_sq == pytest.approx(float(np.max(Lam[~P.mask] ** 2)), abs=1e-15)
 
 
+def _build_grid_loop(horizon, m_points, jump_times):
+    """The slot-by-slot grid builder: the reference build_grid must equal."""
+    jump_times = np.asarray(jump_times, dtype=float)
+    base = np.linspace(0.0, horizon, m_points + 1)
+    distinct = np.union1d(base, jump_times)
+    jump_pos = np.searchsorted(distinct, jump_times)
+    times, is_left, jidx = [], [], []
+    jump_at = {int(p): i for i, p in enumerate(jump_pos)}
+    for g, t in enumerate(distinct):
+        if g in jump_at:
+            times.append(t)
+            is_left.append(True)
+            jidx.append(-1)
+        times.append(t)
+        is_left.append(False)
+        jidx.append(jump_at.get(g, -1))
+    return np.array(times), np.array(is_left, dtype=bool), np.array(jidx, dtype=np.int64)
+
+
+def _evolve_loop(v0s, steppers, jump_stacks, grid):
+    """The slot-by-slot evolution with one factor call per step length: the
+    reference evolve_coupled must equal bit for bit."""
+    P = v0s.shape[0]
+    V = v0s.astype(float).copy()
+    out = np.empty((P, grid.size) + v0s.shape[1:])
+    out[:, 0] = V
+    factors = {}
+    for g in range(1, grid.size):
+        dt = grid.times[g] - grid.times[g - 1]
+        if dt > 0.0:
+            if dt not in factors:
+                factors[dt] = [s.factor(dt) for s in steppers]
+            V = np.stack([s.apply(V[p], F) for p, (s, F) in enumerate(zip(steppers, factors[dt]))])
+        j = grid.jump_index[g]
+        if j >= 0:
+            for p in range(P):
+                V[p] = V[p] + jump_stacks[p][j]
+        out[:, g] = V
+    return out
+
+
+@st.composite
+def jump_grids(draw):
+    """(horizon, m_points, jump times): 0-30 sorted jumps in (0, horizon],
+    some on base grid points and at the horizon itself."""
+    horizon = draw(st.sampled_from([1.0, 0.7, 2.5]))
+    m_points = draw(st.integers(1, 40))
+    base = np.linspace(0.0, horizon, m_points + 1)
+    free = draw(st.lists(st.floats(0.0, horizon, exclude_min=True), max_size=30))
+    on_base = draw(st.lists(st.integers(1, m_points), max_size=5))
+    times = np.unique(np.r_[free, base[on_base]])[:30]
+    return horizon, m_points, times
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 class TestGrid:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(jump_grids())
+    @example((1.0, 4, np.array([0.5, 1.0])))
+    @example((1.0, 1, np.empty(0)))
+    def test_matches_slot_by_slot_builder(self, case):
+        horizon, m_points, times = case
+        grid = build_grid(horizon, m_points, times)
+        ref = _build_grid_loop(horizon, m_points, times)
+        for got, want in zip((grid.times, grid.is_left, grid.jump_index), ref):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_structure(self):
         grid = build_grid(1.0, 4, np.array([0.3, 0.75]))
         # jump times appear twice: left slot then right slot
@@ -385,6 +454,79 @@ class TestEvolution:
         for p, (spec, level) in enumerate(zip(specs, levels)):
             alone = evolve_variance(v0s[p], spec, js, grid, level=level)
             assert np.array_equal(vals[p], alone.values)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        case=jump_grids(),
+        d=st.integers(1, 16),
+        kind=st.sampled_from(["sylvester", "sandwich"]),
+        shared=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(case=(1.0, 4, np.array([0.25, 0.6, 1.0])), d=3, kind="sylvester", shared=False, seed=1)
+    @example(case=(2.5, 40, np.array([1.25, 1.3])), d=2, kind="sandwich", shared=True, seed=2)
+    @example(case=(1.0, 20, np.array([0.05, 0.5, 1.0])), d=16, kind="sylvester", shared=False, seed=3)
+    def test_diagonal_paths_match_slot_by_slot_loop(self, case, d, kind, shared, seed):
+        # the exact path and masked (compressed) paths, or one stepper shared
+        # by every path as in jump truncation; up to d = 13 the three paths
+        # take the cumulative product, above it the slot-by-slot multiply
+        horizon, m_points, times = case
+        rng = np.random.default_rng(seed)
+        spec = GeneratorSpec.diagonal(kind, -rng.uniform(0.0, 3.0, d))
+        specs = [spec] + [truncate_generator(spec, ProjectionSpec.level(n, d)) for n in (2, d + 1)]
+        steppers = [make_stepper(spec)] * len(specs) if shared else [make_stepper(s) for s in specs]
+        ys = rng.standard_normal((times.size, d))
+        jumps = np.einsum("ij,ik->ijk", ys, ys)
+        jump_stacks = [jumps * rng.uniform(0.0, 1.0) for _ in specs]
+        v0s = np.stack([np.diag(rng.uniform(0.0, 1.0, d)) for _ in specs])
+        v0s[-1, 0, 0] = -0.0
+        grid = build_grid(horizon, m_points, times)
+        got = evolve_coupled(v0s, steppers, jump_stacks, grid)
+        assert _same_bits(got, _evolve_loop(v0s, steppers, jump_stacks, grid))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=jump_grids(), seed=st.integers(0, 2**32 - 1))
+    def test_mixed_paths_match_slot_by_slot_loop(self, case, seed):
+        horizon, m_points, times = case
+        d = 3
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((d, d))
+        specs = [
+            GeneratorSpec.diagonal("sylvester", -rng.uniform(0.0, 3.0, d)),
+            GeneratorSpec(kind="sylvester", C=-0.2 * (B + B.T)),
+            GeneratorSpec(kind="general", action=-0.5 * np.eye(d * d) + 0.05 * rng.standard_normal((d * d, d * d))),
+        ]
+        steppers = [make_stepper(s) for s in specs]
+        assert [s.kind for s in steppers] == ["diagonal", "congruence", "vec"]
+        ys = rng.standard_normal((times.size, d))
+        jump_stacks = [np.einsum("ij,ik->ijk", ys, ys)] * len(specs)
+        v0s = np.stack([np.diag(rng.uniform(0.0, 1.0, d)) for _ in specs])
+        grid = build_grid(horizon, m_points, times)
+        got = evolve_coupled(v0s, steppers, jump_stacks, grid)
+        assert _same_bits(got, _evolve_loop(v0s, steppers, jump_stacks, grid))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        dts=st.lists(st.floats(1e-6, 3.0), min_size=1, max_size=30, unique=True),
+        d=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_factors_match_per_step_calls(self, dts, d, seed):
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((d, d))
+        lam = -rng.uniform(0.0, 3.0, d)
+        steppers = [
+            make_stepper(GeneratorSpec.diagonal("sandwich", lam)),
+            make_stepper(GeneratorSpec.diagonal("sylvester", lam, projection=ProjectionSpec.level(2, d))),
+            make_stepper(GeneratorSpec(kind="sylvester", C=-0.2 * (B + B.T))),
+            make_stepper(GeneratorSpec(kind="sandwich", C=0.5 * B)),
+        ]
+        assert [s.kind for s in steppers] == ["diagonal", "diagonal", "congruence", "vec"]
+        dts = np.array(dts)
+        for s in steppers:
+            stacked = s.factor(dts[:, None, None])
+            for u, dt in enumerate(dts):
+                assert _same_bits(stacked[u], s.factor(dt))
 
     def test_approx_path_uses_truncated_jumps(self):
         spec = GeneratorSpec.diagonal("sylvester", np.zeros(4))
@@ -547,6 +689,36 @@ class TestPrunedOpSup:
 
     def test_overflowing_symmetrisation_behaves_as_before(self):
         D = np.full((3, 2, 2), 1.5e308)
+        with np.errstate(all="ignore"):
+            assert _outcome(sup_norm_stack, D, "op") == _outcome(_full_op_sup, D)
+
+    @pytest.mark.parametrize("bump", [-1, 0, 1])
+    @pytest.mark.parametrize("kinds", [["full", "rank_one"], ["diagonal", "zero", "full"]])
+    def test_symmetric_stacks_near_half_max_behave_as_before(self, bump, kinds):
+        # up to finfo.max / 2 the stack is its own symmetrisation; one ulp
+        # above, D + D^T overflows and the old path runs
+        D = slot_stack(11, 4, kinds, 0.0, 0.5)
+        D *= np.finfo(float).max / 2 / np.max(np.abs(D))
+        top = np.unravel_index(np.argmax(np.abs(D)), D.shape)
+        if bump:
+            D[top] = np.nextafter(D[top], np.copysign(np.inf, D[top] * bump))
+        D[top[:-2] + top[:-3:-1]] = D[top]
+        assert np.array_equal(D, np.swapaxes(D, -2, -1))
+        with np.errstate(all="ignore"):
+            assert _outcome(sup_norm_stack, D, "op") == _outcome(_full_op_sup, D)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(**stack_args, bad=st.sampled_from([np.nan, np.inf, -np.inf, -0.0]), where=st.integers(0, 10**6))
+    def test_symmetric_non_finite_and_signed_zero_stacks_behave_as_before(
+        self, seed, d, kinds, exponent, spread, bad, where
+    ):
+        # a value placed at (i, j) and (j, i) keeps the stack symmetric; a -0.0
+        # facing a +0.0 is equal but not the same bits
+        D = slot_stack(seed, d, kinds, exponent, spread)
+        g, i, j = np.unravel_index(where % D.size, D.shape)
+        D[g, i, j] = D[g, j, i] = bad
+        if bad == 0.0:
+            D[g, j, i] = 0.0
         with np.errstate(all="ignore"):
             assert _outcome(sup_norm_stack, D, "op") == _outcome(_full_op_sup, D)
 
