@@ -227,10 +227,18 @@ class CoupledScenario:
     def with_(self, **changes) -> "CoupledScenario":
         return replace(self, **changes)
 
+    def __getstate__(self) -> dict:
+        # a pickled scenario leaves its run constants behind; the copy rebuilds them
+        state = dict(self.__dict__)
+        state.pop("_run", None)
+        return state
+
     @cached_property
     def _run(self) -> "_RunConstants":
         """The models every replication uses, built once per scenario object
-        (once per worker process) on first use."""
+        on first use.  They are not pickled: a worker pool unpickles one copy
+        of the scenario per chunk of replications, and each copy builds its
+        own."""
         gen = self.generator_spec()
         if self.truncation == "jumps":
             # the truncated paths keep the exact generator: one shared stepper
@@ -356,8 +364,11 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     feed pooled moments ship both their sum and their sum of squares.
     Per-level keys carry an '@n' suffix.
 
-    Overflow and invalid-value warnings are silenced: a path that overflows
-    ends in a numerical failure whose one-line message names its slot.
+    Overflow and invalid-value warnings are silenced.  A non-finite value
+    that makes a decomposition raise is reported by the one-line failure
+    message, which names its slot; one that raises nothing (a finite path
+    whose squared entries overflow in the HS sup, say) shows only as an
+    infinite statistic.
     """
     d, T, seed = scenario.d, scenario.horizon, scenario.master_seed
     levels = scenario.levels

@@ -296,12 +296,18 @@ class VariancePath:
     v0: np.ndarray
 
 
-# np.multiply.accumulate walks each of the P d^2 entries of a slot along the
-# slot axis on its own, about 4 ns per entry and slot; the slot-by-slot loop
-# costs about 5 us per slot up to d = 16.  Above this many entries per slot
-# (five d = 8 paths hold 320, five d = 16 paths 1,280) the loop is the
-# cheaper of the two; both give the same products.
-_ACCUMULATE_MAX_ENTRIES = 512
+# When to take the cumulative product.  Timed on 54 diagonal cases (P d^2 from
+# 144 to 1,280 entries per slot, 0 to 40 jumps on a 200-step grid; 2-vCPU
+# x86-64, numpy 2.4.6), np.multiply.accumulate costs about 4 ns per entry and
+# slot plus 22 ns per entry and segment, and the slot-by-slot loop about 1.2 us
+# per slot plus 1.8 ns per entry and slot.  The two cross where
+# P d^2 (G + 10 J) = 460 G for G slots and J jumps: measured near 460 entries
+# per slot with no jump, 400 with 5 and 256 with 20, so four d = 8 paths with
+# a jump or two take the cumulative product and five d = 16 paths the loop.
+# This rule came within 0.6 % of the faster route in every case; P d^2 <= 512
+# alone was up to 66 % slower.
+_SEGMENT_SLOTS = 10
+_LOOP_SLOT_ENTRIES = 460
 
 
 def evolve_coupled(
@@ -315,12 +321,12 @@ def evolve_coupled(
     Paths share the clock; each path has its own initial value, stepper, and
     jump tensors (aligned index-by-index across paths).  Each distinct
     stepper object (paths may share one) builds its factors for all distinct
-    positive step lengths in one call.  When every stepper is diagonal and a
-    slot holds at most _ACCUMULATE_MAX_ENTRIES entries, the per-step factors
-    are written into the output and each segment between jumps is one
-    cumulative product along the slot axis, which multiplies in the same
-    order as a step-by-step loop; a zero-length step takes a factor of ones,
-    and x * 1.0 is x.  Otherwise the paths advance slot by slot.
+    positive step lengths in one call.  When every stepper is diagonal and the
+    cost rule above favours it, the per-step factors are written into the
+    output and each segment between jumps is one cumulative product along the
+    slot axis, which multiplies in the same order as a step-by-step loop; a
+    zero-length step takes a factor of ones, and x * 1.0 is x.  Otherwise the
+    paths advance slot by slot.
     """
     P, d = v0s.shape[0], v0s.shape[-1]
     G = grid.size
@@ -342,11 +348,11 @@ def evolve_coupled(
         # one factor table per path, its last row ones for the zero-length steps
         ones = np.ones((1, d, d))
         factors = np.stack([np.concatenate([tables[id(s)], ones]) for s in steppers])
-        if P * d * d <= _ACCUMULATE_MAX_ENTRIES:
+        jump_slots = np.flatnonzero(jidx[1:] >= 0) + 1
+        if P * d * d * (G + _SEGMENT_SLOTS * jump_slots.size) <= _LOOP_SLOT_ENTRIES * G:
             for p in range(P):
                 # rows are in range; "clip" writes into out, where "raise" buffers
                 np.take(factors[p], row, axis=0, out=out[p, 1:], mode="clip")
-            jump_slots = np.flatnonzero(jidx[1:] >= 0) + 1
             for start, stop in zip(np.r_[0, jump_slots], np.r_[jump_slots, G]):
                 if start > 0:
                     head = out[:, start]

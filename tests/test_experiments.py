@@ -1,6 +1,8 @@
 """Tests for the coupled experiment orchestration."""
 
 import math
+import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +197,15 @@ class TestRunConstants:
         for key in cold:
             assert np.array_equal(warm[1][key], cold[key])
 
+    def test_pickled_scenario_leaves_the_cache_behind(self):
+        sc = small_scenario()
+        sc._run
+        assert "_run" in sc.__dict__
+        copy = pickle.loads(pickle.dumps(sc))
+        assert "_run" not in copy.__dict__ and "_run" in sc.__dict__
+        assert np.array_equal(copy._run.v0s, sc._run.v0s)
+        assert np.array_equal(copy.generator_spectrum, sc.generator_spectrum)
+
 
 class TestNumericalFailure:
     """A numerical failure inside a replication names the replication, the
@@ -255,6 +266,17 @@ class TestNumericalFailure:
         assert str(exc).startswith(
             f"numerical failure in replication 3, exact path, grid slot 4 (t = {grid.times[4]:.6g}"
         )
+
+    def test_finite_path_whose_squares_overflow_raises_nothing(self):
+        # V ~ e^{368 t}: entries near 1e159 stay finite, their squares in the
+        # HS sup do not; no decomposition fails, so the only sign is inf
+        sc = small_scenario(truncation="generator", generator_spectrum=np.full(8, 184.0), rate=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = experiments._rep_stats(sc, 0)
+        for n in sc.levels:
+            assert out[f"sup_hs@{n}"] == math.inf
+            assert 1e158 < out[f"sup_op@{n}"] < math.inf
 
 
 class TestReports:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from opvol import variance
 from opvol.operators import ProjectionSpec, as_hs_operator, norm, project_operator, psd_sqrt_batch
 from opvol.processes import CoupledJumpStream, JumpLaw, PoissonClock, sample_clock, sample_jump_stream, stream
 from opvol.variance import (
@@ -468,8 +469,8 @@ class TestEvolution:
     @example(case=(1.0, 20, np.array([0.05, 0.5, 1.0])), d=16, kind="sylvester", shared=False, seed=3)
     def test_diagonal_paths_match_slot_by_slot_loop(self, case, d, kind, shared, seed):
         # the exact path and masked (compressed) paths, or one stepper shared
-        # by every path as in jump truncation; up to d = 13 the three paths
-        # take the cumulative product, above it the slot-by-slot multiply
+        # by every path as in jump truncation, on the route the cost rule
+        # picks and on each route forced
         horizon, m_points, times = case
         rng = np.random.default_rng(seed)
         spec = GeneratorSpec.diagonal(kind, -rng.uniform(0.0, 3.0, d))
@@ -481,8 +482,12 @@ class TestEvolution:
         v0s = np.stack([np.diag(rng.uniform(0.0, 1.0, d)) for _ in specs])
         v0s[-1, 0, 0] = -0.0
         grid = build_grid(horizon, m_points, times)
-        got = evolve_coupled(v0s, steppers, jump_stacks, grid)
-        assert _same_bits(got, _evolve_loop(v0s, steppers, jump_stacks, grid))
+        want = _evolve_loop(v0s, steppers, jump_stacks, grid)
+        assert _same_bits(evolve_coupled(v0s, steppers, jump_stacks, grid), want)
+        for limit in (0, 10**12):  # slot by slot, then cumulative product
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(variance, "_LOOP_SLOT_ENTRIES", limit)
+                assert _same_bits(evolve_coupled(v0s, steppers, jump_stacks, grid), want)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(case=jump_grids(), seed=st.integers(0, 2**32 - 1))
