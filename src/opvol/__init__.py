@@ -21,18 +21,14 @@ from opvol.bounds import (
     combined_margin,
 )
 from opvol.experiments import (
-    BoundReport,
-    ConvergenceRow,
     ConvergenceStudy,
     CoupledScenario,
     ExperimentResult,
     convergence_study,
-    default_generator_scenario,
     default_scenario,
     run_experiment,
 )
 from opvol.forward import (
-    ForwardPath,
     ForwardSemigroupSpec,
     forward_sup_error,
     simulate_forward_coupled,
@@ -44,9 +40,6 @@ from opvol.operators import (
     ProjectionSpec,
     matrix_exp,
     norm,
-    project_operator,
-    psd_sqrt,
-    tensor_product,
 )
 from opvol.pricing import (
     FunctionalSpec,
@@ -56,10 +49,7 @@ from opvol.pricing import (
 from opvol.processes import (
     PURPOSE_CLOCK,
     PURPOSE_JUMPS,
-    PURPOSE_MOMENTS,
     PURPOSE_WIENER,
-    CoupledJumpStream,
-    InvalidMoments,
     JumpLaw,
     PoissonClock,
     QWienerSpec,
@@ -72,17 +62,12 @@ from opvol.processes import (
 )
 from opvol.variance import (
     GeneratorSpec,
-    NotNormal,
     TimeGrid,
     VariancePath,
     build_grid,
     eigen_tail_sup_sq,
     evolve_coupled,
-    evolve_variance,
-    generator_eigensystem,
     generator_gap_op_norm,
-    generator_matrix,
-    generator_op_norm,
     karhunen_loeve_spectrum,
     make_stepper,
     sup_norm_stack,
@@ -91,26 +76,19 @@ from opvol.variance import (
 
 __all__ = [
     "BoundInputs",
-    "BoundReport",
-    "ConvergenceRow",
     "ConvergenceStudy",
-    "CoupledJumpStream",
     "CoupledScenario",
     "ExperimentResult",
-    "ForwardPath",
     "ForwardSemigroupSpec",
     "FunctionalSpec",
     "GeneratorSpec",
     "HSOperator",
     "HilbertVector",
-    "InvalidMoments",
     "JumpLaw",
-    "NotNormal",
     "NotPositiveSemidefinite",
     "PASS_MARGIN",
     "PURPOSE_CLOCK",
     "PURPOSE_JUMPS",
-    "PURPOSE_MOMENTS",
     "PURPOSE_WIENER",
     "PayoffSpec",
     "PoissonClock",
@@ -134,22 +112,15 @@ __all__ = [
     "convergence_study",
     "cp_second_moment",
     "cp_second_moment_bound",
-    "default_generator_scenario",
     "default_scenario",
     "eigen_tail_sup_sq",
     "evolve_coupled",
-    "evolve_variance",
     "forward_sup_error",
-    "generator_eigensystem",
     "generator_gap_op_norm",
-    "generator_matrix",
-    "generator_op_norm",
     "karhunen_loeve_spectrum",
     "make_stepper",
     "matrix_exp",
     "norm",
-    "project_operator",
-    "psd_sqrt",
     "run_experiment",
     "sample_clock",
     "sample_jump_stream",
@@ -157,7 +128,6 @@ __all__ = [
     "simulate_forward_coupled",
     "stream",
     "sup_norm_stack",
-    "tensor_product",
     "truncate_generator",
 ]
 

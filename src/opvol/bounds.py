@@ -18,11 +18,15 @@ Conventions shared by all bounds:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 K_ZERO_REL = 1e-12
 
-SQRT_CASES = ("op-norm", "hs-jumps", "hs-generator")
+SQRT_CASES = ("op-norm", "hs-jumps")
+
+# the largest exponent x with a finite e^x
+_MAX_EXPONENT = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -32,8 +36,7 @@ class BoundInputs:
     Semigroup constants (c, k) certify the forward propagator; gen_norm and
     gen_norm_trunc are the operator norms of the mean-reversion generator and
     its compression.  The remaining fields are moments of the initial
-    variance V0 and of a single jump X1, and the squared sup of the generator
-    spectrum outside the kept index set.
+    variance V0 and of a single jump X1.
     """
 
     c: float = 1.0
@@ -46,9 +49,6 @@ class BoundInputs:
     v0_sq: float = 0.0
     jump_sq: float = 0.0
     jump_mean_sq: float = 0.0
-    v0_tr: float = 0.0
-    jump_tr: float = 0.0
-    tail_sup_sq: float = 0.0
 
     def __post_init__(self) -> None:
         if self.c < 1.0:
@@ -63,15 +63,23 @@ class BoundInputs:
             "v0_sq",
             "jump_sq",
             "jump_mean_sq",
-            "v0_tr",
-            "jump_tr",
-            "tail_sup_sq",
         ):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
 
     def with_(self, **changes: float) -> "BoundInputs":
         return replace(self, **changes)
+
+
+def _growth_exponent(x: float, field: str) -> float:
+    """x, the exponent of a growth factor e^x that field and the horizon set.
+
+    An exponent above log(float max) overflows; it raises a ValueError that
+    names the two config fields to lower.
+    """
+    if x > _MAX_EXPONENT:
+        raise ValueError(f"growth factor exp({x:.6g}) overflows: lower |{field}| or horizon")
+    return x
 
 
 def bound_forward(inputs: BoundInputs) -> float:
@@ -83,7 +91,8 @@ def bound_forward(inputs: BoundInputs) -> float:
     c, k, t = inputs.c, inputs.k, inputs.horizon
     if abs(k) < K_ZERO_REL / t:
         return c * c * inputs.trace_q * t
-    return c * c * inputs.trace_q * (math.expm1(2.0 * k * t)) / (2.0 * k)
+    growth = math.expm1(_growth_exponent(2.0 * k * t, "forward_spectrum"))
+    return c * c * inputs.trace_q * growth / (2.0 * k)
 
 
 def bound_variance_jumps(inputs: BoundInputs, sharp: bool = False) -> tuple[float, float]:
@@ -97,9 +106,10 @@ def bound_variance_jumps(inputs: BoundInputs, sharp: bool = False) -> tuple[floa
     derivation (diagnostic only, never a replacement).
     """
     t, rate = inputs.horizon, inputs.rate
-    base = 2.0 * math.exp(2.0 * t * inputs.gen_norm)
+    growth = math.exp(_growth_exponent(2.0 * t * inputs.gen_norm, "generator_spectrum"))
+    base = 2.0 * growth
     load = t * rate * (1.0 + rate * t)
-    c1 = base * load if sharp else base * load * math.exp(2.0 * t * inputs.gen_norm)
+    c1 = base * load if sharp else base * load * growth
     return base, c1
 
 
@@ -126,7 +136,8 @@ def bound_variance_generator(inputs: BoundInputs) -> float:
     """Constant C(T) = 2 T^2 e^{2T (||c|| v ||c^n||)} (E||V0||^2 + rate T E||X1||^2
     + rate^2 T^2 (E||X1||)^2); the caller multiplies by ||c - c^n||_op^2."""
     t = inputs.horizon
-    growth = math.exp(2.0 * t * max(inputs.gen_norm, inputs.gen_norm_trunc))
+    gn = max(inputs.gen_norm, inputs.gen_norm_trunc)
+    growth = math.exp(_growth_exponent(2.0 * t * gn, "generator_spectrum"))
     return 2.0 * t * t * growth * _generator_moment_load(inputs)
 
 
@@ -134,48 +145,32 @@ def bound_variance_generator_tail(inputs: BoundInputs) -> float:
     """Compact-case constant C(T) = 4 T^2 e^{2T||c||} times the same moment
     load; the caller multiplies by the spectral tail sup_{J^c} Lambda^2."""
     t = inputs.horizon
-    growth = math.exp(2.0 * t * inputs.gen_norm)
+    growth = math.exp(_growth_exponent(2.0 * t * inputs.gen_norm, "generator_spectrum"))
     return 4.0 * t * t * growth * _generator_moment_load(inputs)
 
 
-def bound_sqrt(
-    inputs: BoundInputs,
-    case: str,
-    sup_op_error: float | None = None,
-    k_factor: float = 1.0,
-) -> float:
+def bound_sqrt(inputs: BoundInputs, case: str, sup_op_error: float | None = None) -> float:
     """Right-hand sides for the square-root comparisons E[sup||rV - rV^n||^2].
 
     * ``op-norm``: the constant-free comparison; returns the supplied
       estimate of E[sup||V - V^n||_op] unchanged.
-    * ``hs-jumps``: constant k e^{T||c||} rate T; caller multiplies by the
-      trace moment E||X1 - X1^n||_1.
-    * ``hs-generator``: constant k T e^{T(||c|| v ||c^n||)} (E||V0||_1 +
-      rate T E||X1||_1); caller multiplies by ||c - c^n||_op.
+    * ``hs-jumps``: constant k e^{T||c||} rate T with k = 1; caller
+      multiplies by the trace moment E||X1 - X1^n||_1.
 
-    The proportionality constant k of the two hs cases is not pinned down
-    by the underlying square-root perturbation theory; ``k_factor``
-    defaults to 1 and reports must carry the symbolic k alongside.
+    The proportionality constant k of the hs case is not pinned down by the
+    underlying square-root perturbation theory; reports carry it as k1.
     """
     if case not in SQRT_CASES:
         raise ValueError(f"unknown square-root bound case {case!r}")
-    if k_factor < 0.0:
-        raise ValueError("k_factor must be nonnegative")
-    t = inputs.horizon
     if case == "op-norm":
         if sup_op_error is None:
             raise ValueError("op-norm case needs the estimated E[sup||V - V^n||_op]")
         if sup_op_error < 0.0:
             raise ValueError("sup_op_error must be nonnegative")
         return float(sup_op_error)
-    if case == "hs-jumps":
-        return k_factor * math.exp(t * inputs.gen_norm) * inputs.rate * t
-    return (
-        k_factor
-        * t
-        * math.exp(t * max(inputs.gen_norm, inputs.gen_norm_trunc))
-        * (inputs.v0_tr + inputs.rate * t * inputs.jump_tr)
-    )
+    t = inputs.horizon
+    growth = math.exp(_growth_exponent(t * inputs.gen_norm, "generator_spectrum"))
+    return growth * inputs.rate * t
 
 
 def bound_tensor_jump(m4: float, m4_diff: float) -> float:
@@ -196,7 +191,8 @@ def bound_pathwise(gen_norm: float, horizon: float, dv0: float, jump_diff_total:
     """Pathwise error cap e^{||c|| T} (||dV0|| + sum_i ||dX_i||), any one norm."""
     if min(gen_norm, horizon, dv0, jump_diff_total) < 0.0:
         raise ValueError("pathwise bound inputs must be nonnegative")
-    return math.exp(gen_norm * horizon) * (dv0 + jump_diff_total)
+    growth = math.exp(_growth_exponent(gen_norm * horizon, "generator_spectrum"))
+    return growth * (dv0 + jump_diff_total)
 
 
 def bound_pricing(lipschitz: float, functional_norm: float, e_abs: float) -> float:

@@ -379,8 +379,7 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
         clock = sample_clock(scenario.rate, T, stream(seed, PURPOSE_CLOCK, rep))
     else:
         clock = PoissonClock.empty(0.0, T)
-    stream_levels = levels if mode == "jumps" else ()
-    js = sample_jump_stream(clock, run.jump_law, stream_levels, stream(seed, PURPOSE_JUMPS, rep))
+    js = sample_jump_stream(clock, run.jump_law, stream(seed, PURPOSE_JUMPS, rep))
     grid = build_grid(T, scenario.m_points, clock.times)
 
     out: dict = {"n_jumps": float(clock.count)}
@@ -393,6 +392,7 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     out["x_sum_tensor"] = js.jumps.sum(axis=0) if clock.count else np.zeros((d, d))
     out["l2_total"] = float(np.sum(out["x_sum_tensor"] ** 2))
     if mode == "jumps":
+        approx = {n: js.approx_jumps(n) for n in levels}
         for n in levels:
             y2n = np.sum(js.ys_at_level(n) ** 2, axis=1)
             dy2 = y2 - y2n  # |Y - Y^n|^2: the dropped coordinates are orthogonal
@@ -404,7 +404,7 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
             out[f"sum_dx_sq_sq@{n}"] = float(np.sum(dx_sq**2))
             out[f"sum_dx_hs@{n}"] = float(np.sum(np.sqrt(np.maximum(dx_sq, 0.0))))
             if clock.count:
-                dX = js.jumps - js.approx_jumps(n)
+                dX = js.jumps - approx[n]
                 sv = np.linalg.svd(dX, compute_uv=False)
                 tr = np.sum(sv, axis=1)
                 out[f"sum_dx_tr@{n}"] = float(np.sum(tr))
@@ -419,7 +419,7 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
 
     # coupled variance paths: slot 0 exact, slot i the i-th level
     if mode == "jumps":
-        jump_stacks = [js.jumps] + [js.approx_jumps(n) for n in levels]
+        jump_stacks = [js.jumps] + [approx[n] for n in levels]
     else:
         jump_stacks = [js.jumps] * (len(levels) + 1)
     vals = evolve_coupled(run.v0s, run.steppers, jump_stacks, grid)

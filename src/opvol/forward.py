@@ -74,23 +74,9 @@ class ForwardSemigroupSpec:
     def diagonal(cls, exponents: np.ndarray) -> "ForwardSemigroupSpec":
         return cls(kind="diagonal", A=np.diag(np.asarray(exponents, dtype=float)))
 
-    @classmethod
-    def zero(cls, dim: int) -> "ForwardSemigroupSpec":
-        return cls(kind="diagonal", A=np.zeros((dim, dim)))
-
     @property
     def dim(self) -> int:
         return self.A.shape[0]
-
-    def operator(self, t: float) -> HSOperator:
-        """The semigroup element S(t) as a dense matrix."""
-        if self.kind == "diagonal":
-            return np.diag(np.exp(np.diagonal(self.A) * t))
-        return matrix_exp(self.A, t)
-
-    def norm_bound(self, t: float) -> float:
-        """Certified bound c e^{kt} on ||S(t)||_op."""
-        return self.c * np.exp(self.k * t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,14 +102,6 @@ class ForwardPath:
         for n, xs in self.approx.items():
             if xs.shape != self.values.shape:
                 raise ValueError(f"level {n} trajectory shape mismatch")
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-    def terminal(self, level: int | None = None) -> HilbertVector:
-        xs = self.values if level is None else self.approx[level]
-        return xs[-1]
 
     def at_time(self, t: float, level: int | None = None) -> HilbertVector:
         """Value at grid time t (X is continuous, so slot choice is moot)."""

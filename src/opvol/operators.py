@@ -70,16 +70,6 @@ def is_self_adjoint(T: HSOperator, tol: float = SYM_TOL) -> bool:
     return bool(np.max(np.abs(T - T.T)) <= tol)
 
 
-def tensor_product(f: HilbertVector, g: HilbertVector) -> HSOperator:
-    """Rank-one operator f (x) g, acting as h -> (g, h) f.
-
-    Its matrix has entry[j, k] = f_j g_k, hence equals the outer product.
-    """
-    f = as_hilbert_vector(f)
-    g = as_hilbert_vector(g, d=f.shape[0])
-    return np.outer(f, g)
-
-
 def singular_values(T: HSOperator, self_adjoint: bool | None = None) -> np.ndarray:
     """Singular values of T, descending.
 
@@ -216,29 +206,9 @@ class ProjectionSpec:
         )
         return cls(dim=dim, pairs=pairs)
 
-    @classmethod
-    def corner(cls, n: int, dim: int) -> "ProjectionSpec":
-        """Index set {j <= n, k <= n}: compression to the span of the first n
-        basis vectors.  This one is a congruence T -> P T P, so it preserves
-        positivity and matches coordinate truncation of vectors (f (x) g maps
-        to f^n (x) g^n)."""
-        pairs = frozenset(
-            (j, k) for j in range(1, n + 1) for k in range(1, n + 1)
-        )
-        return cls(dim=dim, pairs=pairs)
-
-    @classmethod
-    def full(cls, dim: int) -> "ProjectionSpec":
-        return cls.level(2 * dim, dim)
-
     @cached_property
     def mask(self) -> np.ndarray:
         m = np.zeros((self.dim, self.dim), dtype=bool)
         for j, k in self.pairs:
             m[j - 1, k - 1] = True
         return m
-
-def project_operator(T: HSOperator, P: ProjectionSpec) -> HSOperator:
-    """Pi_n T: zero every entry outside the index set."""
-    T = as_hs_operator(T, d=P.dim)
-    return np.where(P.mask, T, 0.0)

@@ -1,45 +1,43 @@
 """Option prices on forwards, with robustness certificates against the
 truncated model.
 
-Prices are undiscounted expectations P = E[p(D X(tau))] of a Lipschitz
-payoff applied to a continuous linear functional of the state at a fixed
-exercise time.  Robustness reports compare the coupled price gap |P - P^n|
-against its Lipschitz certificate and an optional model-level cap.
+Prices are undiscounted expectations P = E[p(<D, X(tau)>)] of a Lipschitz
+payoff p (call, put, identity or constant) applied to a continuous linear
+functional of the state at a fixed exercise time; the functional is given by
+its Riesz vector D.  Robustness reports compare the coupled price gap
+|P - P^n| against its Lipschitz certificate and an optional model-level cap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .bounds import PASS_MARGIN, bound_pricing, combined_margin
+from .operators import as_hilbert_vector
 
-PAYOFF_KINDS = ("call", "put", "identity", "custom")
+PAYOFF_KINDS = ("call", "put", "identity", "constant")
 
 
 @dataclass(frozen=True)
 class PayoffSpec:
     """Scalar payoff with a certified Lipschitz constant.
 
-    Built-in kinds are 1-Lipschitz; a custom payoff supplies a vectorized
-    callable together with its own constant.
+    call, put and identity are 1-Lipschitz; constant is 0-Lipschitz and pays
+    its strike field whatever the state.
     """
 
     kind: str
     lipschitz: float
     strike: float = 0.0
-    fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in PAYOFF_KINDS:
             raise ValueError(f"unknown payoff kind {self.kind!r}")
         if self.lipschitz < 0.0:
             raise ValueError("Lipschitz constant must be nonnegative")
-        if self.kind == "custom" and self.fn is None:
-            raise ValueError("custom payoff requires a callable")
 
     @classmethod
     def call(cls, strike: float = 0.0) -> "PayoffSpec":
@@ -55,11 +53,7 @@ class PayoffSpec:
 
     @classmethod
     def constant(cls, value: float) -> "PayoffSpec":
-        return cls(kind="custom", lipschitz=0.0, fn=lambda x: np.full_like(x, value))
-
-    @classmethod
-    def custom(cls, fn: Callable[[np.ndarray], np.ndarray], lipschitz: float) -> "PayoffSpec":
-        return cls(kind="custom", lipschitz=lipschitz, fn=fn)
+        return cls(kind="constant", lipschitz=0.0, strike=value)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -69,27 +63,20 @@ class PayoffSpec:
             return np.maximum(self.strike - x, 0.0)
         if self.kind == "identity":
             return x
-        return np.asarray(self.fn(x), dtype=float)
+        return np.full_like(x, self.strike)
 
 
 @dataclass(frozen=True, eq=False)
 class FunctionalSpec:
-    """Continuous linear functional given by its Riesz representative.
-
-    A vector representative acts on the state space by the inner product; a
-    matrix representative acts on variance operators by the Hilbert-Schmidt
-    pairing.  The stored operator norm is the representative's norm.
-    """
+    """Continuous linear functional on the state space, given by its Riesz
+    vector; it acts by the inner product, and its operator norm is the
+    vector's norm."""
 
     riesz: np.ndarray
     op_norm: float = field(init=False)
 
     def __post_init__(self) -> None:
-        riesz = np.asarray(self.riesz, dtype=float)
-        if riesz.ndim not in (1, 2):
-            raise ValueError("Riesz representative must be a vector or a matrix")
-        if not np.all(np.isfinite(riesz)):
-            raise ValueError("Riesz representative must be finite")
+        riesz = as_hilbert_vector(self.riesz)
         object.__setattr__(self, "riesz", riesz)
         object.__setattr__(self, "op_norm", float(np.linalg.norm(riesz)))
 

@@ -9,14 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
 PURPOSE_CLOCK = 1
 PURPOSE_JUMPS = 2
 PURPOSE_WIENER = 3
-PURPOSE_MOMENTS = 4
 
 
 class InvalidMoments(ValueError):
@@ -72,56 +70,38 @@ def sample_clock(rate: float, horizon: float, rng: np.random.Generator) -> Poiss
 
 @dataclass(frozen=True, eq=False)
 class JumpLaw:
-    """Law of the jump building block Y in H.
+    """Law of the jump building block Y in H: mean-zero Gaussian with
+    independent coordinates of variance gammas[j]."""
 
-    Default: mean-zero Gaussian with independent coordinates of variance
-    gammas[j].  A custom sampler(rng, size) -> (size, d) array may be supplied
-    instead.
-    """
-
-    gammas: np.ndarray | None = None
-    sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
+    gammas: np.ndarray
 
     def __post_init__(self):
-        if (self.gammas is None) == (self.sampler is None):
-            raise ValueError("provide exactly one of gammas or sampler")
-        if self.gammas is not None:
-            g = np.asarray(self.gammas, dtype=float)
-            if g.ndim != 1 or np.any(g < 0) or not np.all(np.isfinite(g)):
-                raise ValueError("jump spectrum must be a nonnegative finite sequence")
-            object.__setattr__(self, "gammas", g)
+        g = np.asarray(self.gammas, dtype=float)
+        if g.ndim != 1 or np.any(g < 0) or not np.all(np.isfinite(g)):
+            raise ValueError("jump spectrum must be a nonnegative finite sequence")
+        object.__setattr__(self, "gammas", g)
 
     @classmethod
     def geometric(cls, d: int, base: float = 0.5) -> "JumpLaw":
         return cls(gammas=base ** np.arange(1, d + 1))
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.sampler is not None:
-            ys = np.asarray(self.sampler(rng, size), dtype=float)
-            if ys.ndim != 2 or ys.shape[0] != size:
-                raise ValueError("custom sampler must return a (size, d) array")
-            return ys
         return np.sqrt(self.gammas) * rng.standard_normal((size, self.gammas.size))
 
 
 @dataclass(frozen=True, eq=False)
 class CoupledJumpStream:
-    """Tensor-squared jumps X_i = Y_i (x) Y_i with all truncation levels on one clock."""
+    """Tensor-squared jumps X_i = Y_i (x) Y_i, and their truncations at any
+    level, on one clock."""
 
     clock: PoissonClock
     ys: np.ndarray  # (N, d) full-resolution jump vectors
-    levels: tuple[int, ...]
 
     def __post_init__(self):
         ys = np.asarray(self.ys, dtype=float)
         if ys.ndim != 2 or ys.shape[0] != self.clock.count:
             raise ValueError("ys must be (N, d) aligned with the clock")
         object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "levels", tuple(int(n) for n in self.levels))
-        d = ys.shape[1]
-        for n in self.levels:
-            if not 1 <= n <= d:
-                raise ValueError(f"truncation level {n} outside 1..{d}")
 
     @property
     def dim(self) -> int:
@@ -145,12 +125,9 @@ class CoupledJumpStream:
         return np.einsum("ij,ik->ijk", yn, yn)
 
 
-def sample_jump_stream(
-    clock: PoissonClock, law: JumpLaw, levels: tuple[int, ...], rng: np.random.Generator
-) -> CoupledJumpStream:
+def sample_jump_stream(clock: PoissonClock, law: JumpLaw, rng: np.random.Generator) -> CoupledJumpStream:
     """All jumps of one replication, sharing the clock across levels."""
-    ys = law.draw(rng, clock.count)
-    return CoupledJumpStream(clock=clock, ys=ys, levels=tuple(levels))
+    return CoupledJumpStream(clock=clock, ys=law.draw(rng, clock.count))
 
 
 def cp_second_moment(rate: float, t: float, m2: float, m1sq: float) -> float:

@@ -6,13 +6,16 @@ space and admits the exact representation
     V(t) = exp(c t) V0 + sum_{T_i <= t} exp(c (t - T_i)) X_i,
 
 so paths are built by exact semigroup propagation between events rather than
-Euler stepping.  Generators come in three kinds:
+Euler stepping.  The generator is built from a diagonal d x d matrix C in one
+of two kinds,
 
-  sandwich:   T -> C T C*
-  sylvester:  T -> C T + T C*
-  general:    explicit d^2 x d^2 action on row-major vec(T)
+  sandwich:   T -> C T C*      eigenvalues Lambda[j, k] = C_jj C_kk
+  sylvester:  T -> C T + T C*  eigenvalues Lambda[j, k] = C_jj + C_kk
 
-and each kind supports compression c^n = Pi_n c Pi_n by a ProjectionSpec.
+so it is diagonal in the tensor basis e_j (x) e_k and exp(c t) multiplies
+entry (j, k) by exp(Lambda[j, k] t).  Either kind supports compression
+c^n = Pi_n c Pi_n by a ProjectionSpec, which zeroes Lambda outside the index
+set.
 """
 
 from __future__ import annotations
@@ -21,71 +24,42 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
-from opvol.operators import (
-    ProjectionSpec,
-    as_hs_operator,
-    closed_form_diagonal,
-    is_self_adjoint,
-    norm,
-)
-from opvol.processes import CoupledJumpStream
-
-NORMAL_TOL = 1e-10
-
-
-class NotNormal(ValueError):
-    """Raised when an eigensystem is requested for a non-normal (or complex-spectrum) C."""
+from opvol.operators import ProjectionSpec, as_hs_operator, closed_form_diagonal
 
 
 @dataclass(frozen=True, eq=False)
 class GeneratorSpec:
-    """Bounded generator acting on the operator space.
+    """Bounded generator of the sandwich or sylvester kind with diagonal C.
 
-    For sandwich/sylvester kinds, C is the underlying d x d matrix; for the
-    general kind, action is the explicit d^2 x d^2 matrix on row-major vec.
     A non-None projection means the compressed generator Pi_n c Pi_n.
     """
 
     kind: str
-    C: np.ndarray | None = None
-    action: np.ndarray | None = None
+    C: np.ndarray
     projection: ProjectionSpec | None = None
 
     def __post_init__(self):
-        if self.kind not in ("sandwich", "sylvester", "general"):
+        if self.kind not in ("sandwich", "sylvester"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.kind == "general":
-            if self.action is None:
-                raise ValueError("general kind needs an explicit action matrix")
-            A = np.asarray(self.action, dtype=float)
-            d2 = A.shape[0]
-            d = int(round(np.sqrt(d2)))
-            if A.ndim != 2 or A.shape[0] != A.shape[1] or d * d != d2:
-                raise ValueError("action must be square with side d^2")
-            object.__setattr__(self, "action", A)
-        else:
-            if self.C is None:
-                raise ValueError(f"{self.kind} kind needs the matrix C")
-            object.__setattr__(self, "C", as_hs_operator(self.C))
+        C = as_hs_operator(self.C)
+        if np.count_nonzero(C - np.diag(np.diagonal(C))):
+            raise ValueError("generator matrix C must be diagonal")
+        object.__setattr__(self, "C", C)
         if self.projection is not None and self.projection.dim != self.dim:
             raise ValueError("projection dimension does not match generator")
 
     @property
     def dim(self) -> int:
-        if self.C is not None:
-            return int(self.C.shape[0])
-        return int(round(np.sqrt(self.action.shape[0])))
-
-    @property
-    def is_tensor_diagonal(self) -> bool:
-        """True when the action is diagonal in the tensor basis (diagonal C)."""
-        return self.C is not None and np.all(self.C == np.diag(np.diagonal(self.C)))
+        return int(self.C.shape[0])
 
     @cached_property
     def op_norm(self) -> float:
-        return generator_op_norm(self)
+        """Exact operator norm on HS space: max |Lambda| over the kept index set."""
+        Lam = generator_eigensystem(self)
+        if self.projection is not None:
+            Lam = np.where(self.projection.mask, Lam, 0.0)
+        return float(np.max(np.abs(Lam)))
 
     @classmethod
     def diagonal(cls, kind: str, spectrum, projection: ProjectionSpec | None = None) -> "GeneratorSpec":
@@ -99,46 +73,9 @@ def karhunen_loeve_spectrum(d: int) -> np.ndarray:
     return (2.0 / ((2 * j - 1) * np.pi)) ** 2
 
 
-def generator_matrix(spec: GeneratorSpec) -> np.ndarray:
-    """Explicit d^2 x d^2 matrix of the action on row-major vec(T)."""
-    d = spec.dim
-    if spec.kind == "sandwich":
-        K = np.kron(spec.C, spec.C)
-    elif spec.kind == "sylvester":
-        eye = np.eye(d)
-        K = np.kron(spec.C, eye) + np.kron(eye, spec.C)
-    else:
-        K = spec.action.copy()
-    if spec.projection is not None:
-        p = spec.projection.mask.reshape(-1).astype(float)
-        K = K * p[:, None] * p[None, :]
-    return K
-
-
 def generator_eigensystem(spec: GeneratorSpec) -> np.ndarray:
-    """Tensor-basis eigenvalues Lambda[j, k] of a sandwich or sylvester generator.
-
-    Requires C normal with a real spectrum (symmetric).  For diagonal C the
-    eigenvectors are the tensor basis e_j (x) e_k themselves and the returned
-    order matches the basis; otherwise the order follows the eigendecomposition
-    of C.  The eigen residual is verified to 1e-10.
-    """
-    if spec.kind not in ("sandwich", "sylvester"):
-        raise ValueError("eigensystem formulas exist for sandwich/sylvester kinds only")
-    C = spec.C
-    if norm(C @ C.T - C.T @ C, "hs") > NORMAL_TOL:
-        raise NotNormal("C is not normal")
-    if not is_self_adjoint(C, tol=1e-12):
-        # a real normal matrix with real spectrum is symmetric
-        raise NotNormal("C is normal but has a complex spectrum; no real eigen-pairs")
-    if spec.is_tensor_diagonal:
-        lam = np.diagonal(C).astype(float)
-        V = np.eye(spec.dim)
-    else:
-        lam, V = np.linalg.eigh(C)
-    resid = np.max(np.linalg.norm(C @ V - V * lam, axis=0))
-    if resid > 1e-10:
-        raise NotNormal(f"eigen residual {resid:.3e} exceeds 1e-10")
+    """Eigenvalues Lambda[j, k] of the uncompressed generator on e_j (x) e_k."""
+    lam = np.diagonal(spec.C)
     if spec.kind == "sandwich":
         return np.outer(lam, lam)
     return lam[:, None] + lam[None, :]
@@ -149,22 +86,6 @@ def truncate_generator(spec: GeneratorSpec, P: ProjectionSpec) -> GeneratorSpec:
     if spec.projection is not None:
         raise ValueError("generator is already compressed")
     return replace(spec, projection=P)
-
-
-def generator_op_norm(spec: GeneratorSpec) -> float:
-    """Exact operator norm of the (possibly compressed) generator on HS space."""
-    if spec.is_tensor_diagonal:
-        Lam = generator_eigensystem(spec)
-        if spec.projection is not None:
-            Lam = np.where(spec.projection.mask, Lam, 0.0)
-        return float(np.max(np.abs(Lam)))
-    if spec.projection is None and spec.kind == "sandwich":
-        return norm(spec.C, "op") ** 2
-    if spec.projection is None and spec.kind == "sylvester" and is_self_adjoint(spec.C):
-        lam = np.linalg.eigvalsh(spec.C)
-        return float(np.max(np.abs(lam[:, None] + lam[None, :])))
-    K = generator_matrix(spec)
-    return float(np.linalg.svd(K, compute_uv=False)[0])
 
 
 def eigen_tail_sup_sq(spec: GeneratorSpec, P: ProjectionSpec) -> float:
@@ -179,64 +100,38 @@ def eigen_tail_sup_sq(spec: GeneratorSpec, P: ProjectionSpec) -> float:
 def generator_gap_op_norm(spec: GeneratorSpec, P: ProjectionSpec) -> float:
     """Operator norm of c - Pi c Pi on the operator space.
 
-    For tensor-diagonal generators the difference acts diagonally on the
-    eigen grid, so the norm is exactly the sup of |Lambda| over the
-    complement of the index set; otherwise fall back to the largest
-    singular value of the dense d^2 x d^2 difference.
+    The difference acts diagonally on the eigen grid, so the norm is exactly
+    the sup of |Lambda| over the complement of the index set.
     """
-    if spec.kind in ("sandwich", "sylvester") and spec.is_tensor_diagonal:
-        return float(np.sqrt(eigen_tail_sup_sq(spec, P)))
-    K = generator_matrix(spec) - generator_matrix(truncate_generator(spec, P))
-    if K.size == 0:
-        return 0.0
-    return float(np.linalg.svd(K, compute_uv=False)[0])
+    return float(np.sqrt(eigen_tail_sup_sq(spec, P)))
 
 
 # --- semigroup steppers -----------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class Stepper:
-    """The semigroup exp(c dt) of one generator in one of three forms.
+    """The semigroup exp(c dt) of one generator as entrywise multipliers
+    exp(Lambda dt); a compressed generator (mask set) multiplies on the index
+    set and leaves the rest fixed.
 
-    kind "diagonal": entrywise multipliers exp(Lambda dt) for tensor-diagonal
-    generators; a compressed generator (mask set) multiplies on the index set
-    and leaves the rest fixed.  kind "congruence": the closed form
-    exp(c t) T = e^{Ct} T e^{C*t} of the uncompressed sylvester kind, with
-    base = C.  kind "vec": the dense exp(K dt) on row-major vec(T).
-
-    factor(dt) builds the propagator for one step length, or a stack of them
+    factor(dt) builds the multipliers for one step length, or a stack of them
     for step lengths shaped (U, 1, 1), each slice the same bits as the call
-    with that one step length; apply(V, F) advances V by one propagator.
+    with that one step length.
     """
 
-    kind: str
     base: np.ndarray
     mask: np.ndarray | None = None
 
     def factor(self, dt: float | np.ndarray) -> np.ndarray:
-        if self.kind != "diagonal":
-            return expm(self.base * dt)
         M = np.exp(self.base * dt)
         if self.mask is not None:
             M = np.where(self.mask, M, 1.0)
         return M
 
-    def apply(self, V: np.ndarray, F: np.ndarray) -> np.ndarray:
-        if self.kind == "diagonal":
-            return V * F
-        if self.kind == "congruence":
-            return F @ V @ F.T
-        d = V.shape[-1]
-        return (F @ V.reshape(-1)).reshape(d, d)
-
 
 def make_stepper(spec: GeneratorSpec) -> Stepper:
-    if spec.is_tensor_diagonal:
-        mask = spec.projection.mask if spec.projection is not None else None
-        return Stepper("diagonal", generator_eigensystem(spec), mask)
-    if spec.kind == "sylvester" and spec.projection is None:
-        return Stepper("congruence", spec.C)
-    return Stepper("vec", generator_matrix(spec))
+    mask = spec.projection.mask if spec.projection is not None else None
+    return Stepper(generator_eigensystem(spec), mask)
 
 
 # --- grids and paths ---------------------------------------------------------
@@ -319,9 +214,9 @@ def evolve_coupled(
     """Propagate several coupled paths over one grid; returns (P, G, d, d).
 
     Paths share the clock; each path has its own initial value, stepper, and
-    jump tensors (aligned index-by-index across paths).  Each distinct
-    stepper object (paths may share one) builds its factors for all distinct
-    positive step lengths in one call.  When every stepper is diagonal and the
+    jump tensors (aligned index-by-index across paths, one per jump slot of
+    the grid).  Each distinct stepper object (paths may share one) builds its
+    factors for all distinct positive step lengths in one call.  When the
     cost rule above favours it, the per-step factors are written into the
     output and each segment between jumps is one cumulative product along the
     slot axis, which multiplies in the same order as a step-by-step loop; a
@@ -330,6 +225,14 @@ def evolve_coupled(
     """
     P, d = v0s.shape[0], v0s.shape[-1]
     G = grid.size
+    jidx = grid.jump_index
+    jumps = np.stack(jump_stacks)
+    jump_slots = np.flatnonzero(jidx[1:] >= 0) + 1
+    if jump_slots.size != jumps.shape[1]:
+        raise ValueError(
+            f"grid has {jump_slots.size} jump slots for {jumps.shape[1]} jumps per path; "
+            "it is missing jump times of the clock"
+        )
     out = np.empty((P, G, d, d))
     out[:, 0] = v0s
 
@@ -338,64 +241,32 @@ def evolve_coupled(
     uniq, inv = np.unique(dts[moving], return_inverse=True)
     distinct = {id(s): s for s in steppers}
     tables = {key: s.factor(uniq[:, None, None]) for key, s in distinct.items()}
-    row = np.full(G - 1, uniq.size)  # table row of each step; past the end if zero-length
+    # one factor table per path, its last row ones for the zero-length steps
+    ones = np.ones((1, d, d))
+    factors = np.stack([np.concatenate([tables[id(s)], ones]) for s in steppers])
+    row = np.full(G - 1, uniq.size)  # table row of each step; the ones if zero-length
     row[moving] = inv
-    jidx = grid.jump_index
-    jumps = np.stack(jump_stacks)
 
-    diagonal = all(s.kind == "diagonal" for s in steppers)
-    if diagonal:
-        # one factor table per path, its last row ones for the zero-length steps
-        ones = np.ones((1, d, d))
-        factors = np.stack([np.concatenate([tables[id(s)], ones]) for s in steppers])
-        jump_slots = np.flatnonzero(jidx[1:] >= 0) + 1
-        if P * d * d * (G + _SEGMENT_SLOTS * jump_slots.size) <= _LOOP_SLOT_ENTRIES * G:
-            for p in range(P):
-                # rows are in range; "clip" writes into out, where "raise" buffers
-                np.take(factors[p], row, axis=0, out=out[p, 1:], mode="clip")
-            for start, stop in zip(np.r_[0, jump_slots], np.r_[jump_slots, G]):
-                if start > 0:
-                    head = out[:, start]
-                    np.multiply(out[:, start - 1], head, out=head)
-                    head += jumps[:, jidx[start]]
-                seg = out[:, start:stop]
-                np.multiply.accumulate(seg, axis=1, out=seg)
-            return out
+    if P * d * d * (G + _SEGMENT_SLOTS * jump_slots.size) <= _LOOP_SLOT_ENTRIES * G:
+        for p in range(P):
+            # rows are in range; "clip" writes into out, where "raise" buffers
+            np.take(factors[p], row, axis=0, out=out[p, 1:], mode="clip")
+        for start, stop in zip(np.r_[0, jump_slots], np.r_[jump_slots, G]):
+            if start > 0:
+                head = out[:, start]
+                np.multiply(out[:, start - 1], head, out=head)
+                head += jumps[:, jidx[start]]
+            seg = out[:, start:stop]
+            np.multiply.accumulate(seg, axis=1, out=seg)
+        return out
 
     V = out[:, 0].copy()
     for g, (r, j) in enumerate(zip(row.tolist(), jidx[1:].tolist()), start=1):
-        if diagonal:
-            np.multiply(V, factors[:, r], out=V)
-        elif r < uniq.size:
-            V = np.stack([s.apply(V[p], tables[id(s)][r]) for p, s in enumerate(steppers)])
+        np.multiply(V, factors[:, r], out=V)
         if j >= 0:
             V += jumps[:, j]
         out[:, g] = V
     return out
-
-
-def evolve_variance(
-    v0: np.ndarray,
-    spec: GeneratorSpec,
-    stream: CoupledJumpStream,
-    grid: TimeGrid,
-    level: int | None = None,
-) -> VariancePath:
-    """Exact path of V (level=None) or of the level-n approximant V^n.
-
-    The approximant uses the truncated jumps of the coupled stream; the grid
-    must contain every jump time of the stream's clock.
-    """
-    v0 = as_hs_operator(v0, d=stream.dim)
-    n_jumps = stream.clock.count
-    present = np.isin(stream.clock.times, grid.times[grid.jump_index >= 0])
-    if n_jumps and not np.all(present):
-        raise ValueError("grid is missing jump times of the clock")
-    jumps = stream.jumps if level is None else stream.approx_jumps(level)
-    values = evolve_coupled(
-        v0s=v0[None], steppers=[make_stepper(spec)], jump_stacks=[jumps], grid=grid
-    )[0]
-    return VariancePath(grid=grid, values=values, generator=spec, v0=v0)
 
 
 def sup_norm_stack(D: np.ndarray, mode: str) -> float:

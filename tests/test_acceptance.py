@@ -19,12 +19,11 @@ import pytest
 from opvol.cli import main
 from opvol.experiments import default_generator_scenario, default_scenario, run_experiment
 from opvol.forward import ForwardSemigroupSpec, simulate_forward_coupled
-from opvol.operators import ProjectionSpec, norm, project_operator, psd_sqrt, tensor_product
+from opvol.operators import ProjectionSpec, norm, psd_sqrt
 from opvol.pricing import FunctionalSpec, PayoffSpec, mean_se
 from opvol.processes import (
     PURPOSE_CLOCK,
     PURPOSE_JUMPS,
-    PURPOSE_MOMENTS,
     PURPOSE_WIENER,
     CoupledJumpStream,
     JumpLaw,
@@ -38,14 +37,17 @@ from opvol.variance import (
     GeneratorSpec,
     build_grid,
     eigen_tail_sup_sq,
-    evolve_variance,
     generator_eigensystem,
-    generator_matrix,
     karhunen_loeve_spectrum,
     truncate_generator,
 )
+from reference import generator_matrix, project, variance_path
 
 WORKERS = min(8, os.cpu_count() or 1)
+
+# stream purpose of the plain jump draws that criterion 4 estimates moments
+# from, disjoint from the engine's clock, jump and Wiener streams
+PURPOSE_MOMENTS = 4
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -77,14 +79,10 @@ def gaussian_ensemble():
     geometric noise spectrum, 1600 forward paths on a 200-step unit grid."""
     d, horizon, m_points, reps = 8, 1.0, 200, 1600
     gen = GeneratorSpec.diagonal("sylvester", np.zeros(d))
-    js = CoupledJumpStream(
-        clock=PoissonClock.empty(rate=0.0, horizon=horizon),
-        ys=np.empty((0, d)),
-        levels=(d,),
-    )
+    js = CoupledJumpStream(clock=PoissonClock.empty(rate=0.0, horizon=horizon), ys=np.empty((0, d)))
     grid = build_grid(horizon, m_points, np.empty(0))
-    vpath = evolve_variance(np.eye(d), gen, js, grid)
-    fwd = ForwardSemigroupSpec.zero(d)
+    vpath = variance_path(np.eye(d), gen, js, grid)
+    fwd = ForwardSemigroupSpec.diagonal(np.zeros(d))
     q = QWienerSpec.geometric(d)
     paths = [
         simulate_forward_coupled(vpath, {}, fwd, q, stream(515, PURPOSE_WIENER, rep))
@@ -99,7 +97,7 @@ def test_criterion_01_operator_identities():
     worst_tensor = 0.0
     for _ in range(1000):
         f, g = rng.standard_normal(8), rng.standard_normal(8)
-        gap = abs(norm(tensor_product(f, g), "trace") - np.linalg.norm(f) * np.linalg.norm(g))
+        gap = abs(norm(np.outer(f, g), "trace") - np.linalg.norm(f) * np.linalg.norm(g))
         worst_tensor = max(worst_tensor, gap)
     worst_sqrt = 0.0
     for _ in range(1000):
@@ -152,7 +150,7 @@ def test_criterion_03_eigensystem_and_tail_identity():
     for diag in [lam] + [rng.uniform(-2.0, 2.0, size=8) for _ in range(3)]:
         T = np.diag(diag)
         for n in range(1, 17):
-            Tn = project_operator(T, ProjectionSpec.level(n, 8))
+            Tn = project(T, ProjectionSpec.level(n, 8))
             lhs = norm(T - Tn, "hs") ** 2
             rhs = float(np.sum(diag[2 * ks > n] ** 2))
             tail_gap = max(tail_gap, abs(lhs - rhs))
@@ -254,7 +252,7 @@ def test_criterion_08_forward_noise_bound(jump_run):
 
 def test_criterion_09_ito_isometry_and_bias(gaussian_ensemble):
     paths, q, horizon = gaussian_ensemble
-    sq = np.array([float(p.terminal() @ p.terminal()) for p in paths])
+    sq = np.array([float(p.values[-1] @ p.values[-1]) for p in paths])
     mc = float(sq.mean())
     se = float(sq.std(ddof=1) / math.sqrt(sq.size))
     target = horizon * q.trace_q

@@ -1,6 +1,7 @@
 """Bound constants: plug-in oracles, limits, and monotonicity."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -29,8 +30,6 @@ BUMPABLE = (
     "v0_sq",
     "jump_sq",
     "jump_mean_sq",
-    "v0_tr",
-    "jump_tr",
 )
 
 
@@ -47,7 +46,6 @@ def evaluate_all(inputs):
             bound_variance_generator(inputs),
             bound_variance_generator_tail(inputs),
             bound_sqrt(inputs, "hs-jumps"),
-            bound_sqrt(inputs, "hs-generator"),
         ]
     )
 
@@ -146,19 +144,11 @@ class TestSqrtBounds:
         inputs = BoundInputs(gen_norm=0.0, rate=1.0, horizon=1.0)
         assert bound_sqrt(inputs, "hs-jumps") == 1.0
 
-    def test_hs_generator_plugin(self):
-        inputs = BoundInputs(horizon=1.0, rate=1.0, v0_tr=1.0, jump_tr=1.0)
-        assert bound_sqrt(inputs, "hs-generator") == pytest.approx(2.0)
-
-    def test_k_factor_scales(self):
-        inputs = BoundInputs(gen_norm=0.3, rate=2.0, horizon=1.5)
-        assert bound_sqrt(inputs, "hs-jumps", k_factor=3.0) == pytest.approx(
-            3.0 * bound_sqrt(inputs, "hs-jumps")
-        )
-
     def test_unknown_case(self):
         with pytest.raises(ValueError):
             bound_sqrt(BoundInputs(), "trace-free")
+        with pytest.raises(ValueError):
+            bound_sqrt(BoundInputs(), "hs-generator")
 
 
 class TestJumpAndPricing:
@@ -200,6 +190,24 @@ class TestValidation:
         assert inputs.with_(rate=2.0).rate == 2.0
         assert inputs.rate == 1.0
 
+    def test_overflowing_growth_names_the_fields(self):
+        # e^x is finite up to x = log(float max) = 709.78...; one ulp above,
+        # each growth factor raises, naming the fields that set its exponent
+        limit = math.log(sys.float_info.max)
+        at = BoundInputs(horizon=1.0, rate=1.0, gen_norm=limit / 2.0, k=limit / 2.0, v0_sq=1.0)
+        above = at.with_(gen_norm=np.nextafter(limit, math.inf) / 2.0, k=np.nextafter(limit, math.inf) / 2.0)
+        generator = (
+            bound_variance_jumps,
+            bound_variance_generator,
+            bound_variance_generator_tail,
+            lambda inputs: bound_sqrt(inputs.with_(gen_norm=2.0 * inputs.gen_norm), "hs-jumps"),
+            lambda inputs: bound_pathwise(2.0 * inputs.gen_norm, 1.0, 0.0, 0.0),
+        )
+        for fn, field in [(fn, "generator_spectrum") for fn in generator] + [(bound_forward, "forward_spectrum")]:
+            fn(at)  # a bound may come out inf, which passes honestly
+            with pytest.raises(ValueError, match=rf"^growth factor exp\(709\.783\) overflows: lower \|{field}\| or horizon$"):
+                fn(above)
+
 
 class TestMonotonicity:
     def test_nondecreasing_in_every_input(self):
@@ -216,8 +224,6 @@ class TestMonotonicity:
                 v0_sq=rng.uniform(0, 2),
                 jump_sq=rng.uniform(0, 2),
                 jump_mean_sq=rng.uniform(0, 2),
-                v0_tr=rng.uniform(0, 2),
-                jump_tr=rng.uniform(0, 2),
             )
             before = evaluate_all(base)
             for field in BUMPABLE:

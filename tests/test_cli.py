@@ -215,6 +215,27 @@ class TestVerifyCommand:
         assert err.count("\n") == 1 and err.endswith("\n")
         assert not (tmp_path / "bounds.csv").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"truncation": "generator", "generator_spectrum": [184.0] * 8}, "generator_spectrum"),
+            ({"truncation": "jumps", "generator_spectrum": [184.0] * 8}, "generator_spectrum"),
+            ({"truncation": "jumps", "forward_spectrum": [400.0] * 8}, "forward_spectrum"),
+        ],
+        ids=["generator", "jumps", "forward"],
+    )
+    def test_overflowing_growth_factor_exits_one(self, tmp_path, capsys, overrides, field):
+        # every replication finishes; the bound constant e^{2 T ||c||} (or
+        # e^{2 k T}) would overflow, and that is one line naming the fields
+        path = write_config(tmp_path, rate=0.0, replications=4, m_points=20, **overrides)
+        code = main(["verify", path, "--threads", "1", "--out-dir", str(tmp_path)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: growth factor exp(")
+        assert err.endswith(f") overflows: lower |{field}| or horizon\n")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "bounds.csv").exists()
+
     def test_threads_below_one_exits_one(self, tmp_path, capsys):
         path = write_config(tmp_path)
         for value in ("0", "-5"):

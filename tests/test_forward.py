@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opvol.forward import (
-    ForwardPath,
     ForwardSemigroupSpec,
     _propagator_table,
     forward_sup_error,
@@ -14,22 +13,22 @@ from opvol.forward import (
 )
 from opvol.operators import (
     NotPositiveSemidefinite,
-    ProjectionSpec,
     matrix_exp,
-    norm,
-    project_operator,
     psd_sqrt,
     psd_sqrt_batch,
 )
 from opvol.processes import (
+    CoupledJumpStream,
     JumpLaw,
+    PoissonClock,
     QWienerSpec,
     sample_clock,
     sample_jump_stream,
     sample_wiener_increments,
     stream,
 )
-from opvol.variance import GeneratorSpec, VariancePath, build_grid, evolve_variance, karhunen_loeve_spectrum
+from opvol.variance import GeneratorSpec, VariancePath, build_grid, karhunen_loeve_spectrum
+from reference import corner, variance_path
 
 
 def random_skew(rng, d):
@@ -37,19 +36,24 @@ def random_skew(rng, d):
     return (M - M.T) / 2
 
 
+def zero_semigroup(d):
+    return ForwardSemigroupSpec.diagonal(np.zeros(d))
+
+
+def semigroup(fwd, t):
+    """S(t) as a dense matrix, from the propagator table the recursion uses."""
+    S = _propagator_table(fwd, np.array([t]))[0]
+    return np.diag(S) if fwd.kind == "diagonal" else S
+
+
 def constant_paths(v0, horizon, m_points, d, levels=()):
     """Jump-free variance paths: V stays at v0, V^n stays at the projection."""
-    from opvol.processes import CoupledJumpStream, PoissonClock
-
     spec = GeneratorSpec.diagonal("sylvester", np.zeros(d))
     clock = PoissonClock.empty(rate=0.0, horizon=horizon)
-    js = CoupledJumpStream(clock=clock, ys=np.empty((0, d)), levels=levels or (d,))
+    js = CoupledJumpStream(clock=clock, ys=np.empty((0, d)))
     grid = build_grid(horizon, m_points, np.empty(0))
-    exact = evolve_variance(v0, spec, js, grid)
-    approx = {}
-    for n in levels:
-        v0n = project_operator(v0, ProjectionSpec.corner(n, d))
-        approx[n] = evolve_variance(v0n, spec, js, grid, level=n)
+    exact = variance_path(v0, spec, js, grid)
+    approx = {n: variance_path(corner(v0, n), spec, js, grid, level=n) for n in levels}
     return exact, approx
 
 
@@ -74,13 +78,11 @@ class TestSemigroupSpec:
     def test_diagonal_constants(self):
         spec = ForwardSemigroupSpec.diagonal([-1.0, 0.5, 0.0])
         assert spec.c == 1.0 and spec.k == 0.5
-        assert spec.norm_bound(2.0) == pytest.approx(np.e)
 
     def test_skew_constants(self):
         A = random_skew(np.random.default_rng(0), 4)
         spec = ForwardSemigroupSpec(kind="skew", A=A)
         assert spec.c == 1.0 and spec.k == 0.0
-        assert spec.norm_bound(10.0) == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -92,7 +94,7 @@ class TestSemigroupSpec:
 
     def test_diagonal_operator(self):
         spec = ForwardSemigroupSpec.diagonal([-2.0, 1.0])
-        np.testing.assert_allclose(spec.operator(0.5), np.diag([np.exp(-1.0), np.exp(0.5)]))
+        np.testing.assert_allclose(semigroup(spec, 0.5), np.diag([np.exp(-1.0), np.exp(0.5)]))
 
     def test_skew_isometry(self):
         rng = np.random.default_rng(1)
@@ -100,13 +102,12 @@ class TestSemigroupSpec:
         for _ in range(20):
             t = float(rng.uniform(0, 5))
             f = rng.standard_normal(6)
-            S = spec.operator(t)
+            S = semigroup(spec, t)
             assert np.linalg.norm(S @ f) == pytest.approx(np.linalg.norm(f), abs=1e-10)
 
     def test_semigroup_law(self):
         spec = ForwardSemigroupSpec(kind="skew", A=random_skew(np.random.default_rng(2), 4))
-        S = spec.operator
-        np.testing.assert_allclose(S(0.7) @ S(0.3), S(1.0), atol=1e-12)
+        np.testing.assert_allclose(semigroup(spec, 0.7) @ semigroup(spec, 0.3), semigroup(spec, 1.0), atol=1e-12)
 
     def test_quasi_contraction_certificate(self):
         # ||S(t)||_op <= c e^{kt} on random times for both kinds
@@ -117,15 +118,15 @@ class TestSemigroupSpec:
         ]
         for spec in specs:
             for t in rng.uniform(0, 3, size=10):
-                opn = np.linalg.svd(spec.operator(t), compute_uv=False)[0]
-                assert opn <= spec.norm_bound(t) * (1 + 1e-12)
+                opn = np.linalg.svd(semigroup(spec, t), compute_uv=False)[0]
+                assert opn <= spec.c * np.exp(spec.k * t) * (1 + 1e-12)
 
 
 class TestSimulation:
     def test_zero_volatility_gives_zero(self):
         d = 4
         exact, _ = constant_paths(np.zeros((d, d)), 1.0, 16, d)
-        fwd = ForwardSemigroupSpec.zero(d)
+        fwd = zero_semigroup(d)
         path = simulate_forward_coupled(exact, {}, fwd, QWienerSpec.geometric(d), stream(41, 3, 0))
         np.testing.assert_array_equal(path.values, 0.0)
 
@@ -145,19 +146,19 @@ class TestSimulation:
         A = rng.standard_normal((d, d))
         v0 = A @ A.T / d + np.eye(d)
         exact, approx = constant_paths(v0, 1.0, 1, d, levels=(2,))
-        fwd = ForwardSemigroupSpec.zero(d)
+        fwd = zero_semigroup(d)
         path = simulate_forward_coupled(exact, approx, fwd, QWienerSpec.geometric(d), stream(43, 3, 0))
         db = path.increments[0]
-        v0n = project_operator(v0, ProjectionSpec.corner(2, d))
+        v0n = corner(v0, 2)
         expected = np.linalg.norm((psd_sqrt(v0) - psd_sqrt(v0n)) @ db) ** 2
         assert forward_sup_error(path, 2) == pytest.approx(expected, rel=1e-12)
-        np.testing.assert_allclose(path.terminal(), psd_sqrt(v0) @ db, rtol=1e-12)
+        np.testing.assert_allclose(path.values[-1], psd_sqrt(v0) @ db, rtol=1e-12)
 
     def test_grid_mismatch_rejected(self):
         d = 2
         exact, _ = constant_paths(np.eye(d), 1.0, 8, d)
         other, _ = constant_paths(np.eye(d), 1.0, 9, d)
-        fwd = ForwardSemigroupSpec.zero(d)
+        fwd = zero_semigroup(d)
         with pytest.raises(ValueError):
             simulate_forward_coupled(exact, {2: other}, fwd, QWienerSpec.geometric(d), stream(44, 3, 0))
 
@@ -166,7 +167,7 @@ class TestSimulation:
         exact, _ = constant_paths(np.eye(d), 1.0, 4, d)
         bad_values = np.tile(np.diag([1.0, -1.0]), (exact.grid.size, 1, 1))
         bad = VariancePath(grid=exact.grid, values=bad_values, generator=exact.generator, v0=bad_values[0])
-        fwd = ForwardSemigroupSpec.zero(d)
+        fwd = zero_semigroup(d)
         with pytest.raises(NotPositiveSemidefinite):
             simulate_forward_coupled(bad, {}, fwd, QWienerSpec.geometric(d), stream(45, 3, 0))
 
@@ -178,15 +179,10 @@ class TestSimulation:
         v0 = np.diag(0.5 ** np.arange(1, d + 1))
 
         def run(levels):
-            js = sample_jump_stream(clock, JumpLaw.geometric(d), levels, stream(46, 2, 0))
+            js = sample_jump_stream(clock, JumpLaw.geometric(d), stream(46, 2, 0))
             grid = build_grid(1.0, 20, clock.times)
-            exact = evolve_variance(v0, spec, js, grid)
-            approx = {
-                n: evolve_variance(
-                    project_operator(v0, ProjectionSpec.corner(n, d)), spec, js, grid, level=n
-                )
-                for n in levels
-            }
+            exact = variance_path(v0, spec, js, grid)
+            approx = {n: variance_path(corner(v0, n), spec, js, grid, level=n) for n in levels}
             fwd = ForwardSemigroupSpec.diagonal(np.full(d, -0.3))
             return simulate_forward_coupled(exact, approx, fwd, QWienerSpec.geometric(d), stream(46, 3, 0))
 
@@ -199,7 +195,7 @@ class TestSimulation:
     def test_unknown_level_rejected(self):
         d = 2
         exact, approx = constant_paths(np.eye(d), 1.0, 4, d, levels=(1,))
-        fwd = ForwardSemigroupSpec.zero(d)
+        fwd = zero_semigroup(d)
         path = simulate_forward_coupled(exact, approx, fwd, QWienerSpec.geometric(d), stream(47, 3, 0))
         with pytest.raises(KeyError):
             forward_sup_error(path, 2)
@@ -208,7 +204,7 @@ class TestSimulation:
         d = 4
         v0 = np.diag([1.0, 0.5, 0.25, 0.125])
         exact, approx = constant_paths(v0, 1.0, 32, d, levels=(2,))
-        fwd = ForwardSemigroupSpec.zero(d)
+        fwd = zero_semigroup(d)
         path = simulate_forward_coupled(exact, approx, fwd, QWienerSpec.geometric(d), stream(48, 3, 0))
         diff = np.sum((path.values - path.approx[2]) ** 2, axis=1)
         assert np.max(diff[::4]) <= forward_sup_error(path, 2)
@@ -216,7 +212,7 @@ class TestSimulation:
     def test_at_time_lookup(self):
         d = 2
         exact, _ = constant_paths(np.eye(d), 1.0, 4, d)
-        fwd = ForwardSemigroupSpec.zero(d)
+        fwd = zero_semigroup(d)
         path = simulate_forward_coupled(exact, {}, fwd, QWienerSpec.geometric(d), stream(49, 3, 0))
         np.testing.assert_array_equal(path.at_time(0.5), path.values[2])
         with pytest.raises(ValueError):
@@ -228,16 +224,11 @@ def jump_paths(d, levels, seed):
     spec = GeneratorSpec.diagonal("sylvester", -karhunen_loeve_spectrum(d))
     clock = sample_clock(6.0, 1.0, stream(seed, 1, 0))
     assert clock.count > 0
-    js = sample_jump_stream(clock, JumpLaw.geometric(d), levels, stream(seed, 2, 0))
+    js = sample_jump_stream(clock, JumpLaw.geometric(d), stream(seed, 2, 0))
     grid = build_grid(1.0, 20, clock.times)
     v0 = np.diag(0.5 ** np.arange(1, d + 1))
-    exact = evolve_variance(v0, spec, js, grid)
-    approx = {
-        n: evolve_variance(
-            project_operator(v0, ProjectionSpec.corner(n, d)), spec, js, grid, level=n
-        )
-        for n in levels
-    }
+    exact = variance_path(v0, spec, js, grid)
+    approx = {n: variance_path(corner(v0, n), spec, js, grid, level=n) for n in levels}
     return exact, approx
 
 
@@ -331,7 +322,7 @@ class TestPrecomputedSquareRoots:
         d = 4
         exact, approx = jump_paths(d, (2,), seed=63)
         full = psd_sqrt_batch(np.stack([exact.values, approx[2].values]))
-        fwd = ForwardSemigroupSpec.zero(d)
+        fwd = zero_semigroup(d)
         q = QWienerSpec.geometric(d)
         for bad in (full[:1], full[:, 1:], full[..., :2, :2]):
             with pytest.raises(ValueError, match="square root stack"):
@@ -343,12 +334,12 @@ class TestIsometry:
         # A = 0, V = I: E|X(T)|^2 = T Tr(Q), and the scheme has zero bias here
         d = 4
         q = QWienerSpec.geometric(d)
-        fwd = ForwardSemigroupSpec.zero(d)
+        fwd = zero_semigroup(d)
         exact, _ = constant_paths(np.eye(d), 1.0, 25, d)
         sq = np.empty(1500)
         for rep in range(sq.size):
             path = simulate_forward_coupled(exact, {}, fwd, q, stream(50, 3, rep))
-            sq[rep] = np.sum(path.terminal() ** 2)
+            sq[rep] = np.sum(path.values[-1] ** 2)
         est, se = sq.mean(), sq.std(ddof=1) / np.sqrt(sq.size)
         assert abs(est - q.trace_q) <= 3 * se
 
@@ -361,7 +352,7 @@ class TestIsometry:
         sq = np.empty(1500)
         for rep in range(sq.size):
             path = simulate_forward_coupled(exact, {}, fwd, q, stream(51, 3, rep))
-            sq[rep] = np.sum(path.terminal() ** 2)
+            sq[rep] = np.sum(path.values[-1] ** 2)
         est, se = sq.mean(), sq.std(ddof=1) / np.sqrt(sq.size)
         assert abs(est - q.trace_q) <= 3 * se
 
@@ -385,7 +376,7 @@ class TestIsometry:
         sq = np.empty(1500)
         for rep in range(sq.size):
             path = simulate_forward_coupled(exact, {}, fwd, qspec, stream(52, 3, rep))
-            sq[rep] = np.sum(path.terminal() ** 2)
+            sq[rep] = np.sum(path.values[-1] ** 2)
         est, se = sq.mean(), sq.std(ddof=1) / np.sqrt(sq.size)
         assert abs(est - target) <= 3 * se
 

@@ -13,12 +13,12 @@ from opvol.operators import (
     closed_form_diagonal,
     matrix_exp,
     norm,
-    project_operator,
     psd_sqrt,
     psd_sqrt_batch,
     singular_values,
-    tensor_product,
 )
+from opvol.processes import CoupledJumpStream, PoissonClock
+from reference import corner, project
 
 
 def random_psd(rng, d=8, scale=1.0):
@@ -45,22 +45,24 @@ class TestValidation:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            tensor_product([1.0, 0.0], [1.0, 0.0, 0.0])
+            as_hilbert_vector([1.0, 0.0], d=3)
 
 
 class TestTensorProduct:
+    """The rank-one operator f (x) g, h -> (g, h) f, has the matrix np.outer(f, g)."""
+
     def test_basis_case(self):
         # e1 (x) e2 maps e2 -> e1 and kills the rest
         e1 = np.array([1.0, 0.0, 0.0])
         e2 = np.array([0.0, 1.0, 0.0])
-        T = tensor_product(e1, e2)
+        T = np.outer(e1, e2)
         assert np.array_equal(T @ e2, e1)
         assert np.array_equal(T @ e1, np.zeros(3))
 
     def test_action_is_inner_product(self):
         rng = np.random.default_rng(1)
         f, g, h = rng.standard_normal((3, 6))
-        T = tensor_product(f, g)
+        T = np.outer(f, g)
         np.testing.assert_allclose(T @ h, np.dot(g, h) * f, rtol=1e-13)
 
     def test_coefficients_match_entries(self):
@@ -73,13 +75,13 @@ class TestTensorProduct:
                 ej[j] = 1.0
                 ek = np.zeros(5)
                 ek[k] = 1.0
-                assert abs(np.sum(T * tensor_product(ej, ek)) - T[j, k]) < 1e-14
+                assert abs(np.sum(T * np.outer(ej, ek)) - T[j, k]) < 1e-14
 
     def test_square_difference_example(self):
         # f=(1,0), g=(0,1): ||f(x)f - g(x)g||_hs^2 = 2, bound 4(|f|^2 v |g|^2)|f-g|^2 = 8
         f = np.array([1.0, 0.0])
         g = np.array([0.0, 1.0])
-        D = tensor_product(f, f) - tensor_product(g, g)
+        D = np.outer(f, f) - np.outer(g, g)
         lhs = norm(D, "hs") ** 2
         assert abs(lhs - 2.0) < 1e-14
         bound = 4.0 * max(f @ f, g @ g) * np.sum((f - g) ** 2)
@@ -90,7 +92,7 @@ class TestTensorProduct:
         # ||f (x) g||_1 = |f| |g|; |f|=2, |g|=3 gives 6
         f = np.array([2.0, 0.0, 0.0])
         g = np.array([0.0, 3.0, 0.0])
-        assert abs(norm(tensor_product(f, g), "trace") - 6.0) < 1e-12
+        assert abs(norm(np.outer(f, g), "trace") - 6.0) < 1e-12
 
 
 class TestNorms:
@@ -301,51 +303,52 @@ class TestProjections:
         rng = np.random.default_rng(12)
         T = rng.standard_normal((8, 8))
         P = ProjectionSpec.level(5, 8)
-        once = project_operator(T, P)
-        assert np.array_equal(project_operator(once, P), once)
+        once = project(T, P)
+        assert np.array_equal(project(once, P), once)
         assert norm(once, "hs") <= norm(T, "hs")
 
     def test_identity_level3(self):
         # keeps only (1,1); squared truncation error is 2
         Pn = ProjectionSpec.level(3, 3)
-        Tn = project_operator(np.eye(3), Pn)
+        Tn = project(np.eye(3), Pn)
         np.testing.assert_array_equal(Tn, np.diag([1.0, 0.0, 0.0]))
         assert abs(norm(np.eye(3) - Tn, "hs") ** 2 - 2.0) < 1e-14
 
     def test_full_grid_unchanged(self):
         rng = np.random.default_rng(13)
         T = rng.standard_normal((4, 4))
-        assert np.array_equal(project_operator(T, ProjectionSpec.full(4)), T)
+        assert np.array_equal(project(T, ProjectionSpec.level(8, 4)), T)
+
+    # corner (tests/reference.py) is the compression that jump truncation applies
 
     def test_corner_is_congruence(self):
         rng = np.random.default_rng(21)
         T = random_psd(rng, 6)
         P = np.diag([1.0] * 3 + [0.0] * 3)
-        Tn = project_operator(T, ProjectionSpec.corner(3, 6))
+        Tn = corner(T, 3)
         np.testing.assert_array_equal(Tn, P @ T @ P)
         assert np.linalg.eigvalsh(Tn).min() >= -1e-12
 
     def test_corner_matches_vector_truncation(self):
+        # the level-n jump Y^n (x) Y^n is the corner of Y (x) Y
         rng = np.random.default_rng(22)
-        f, g = rng.standard_normal((2, 5))
-        lhs = project_operator(tensor_product(f, g), ProjectionSpec.corner(2, 5))
-        fn, gn = f.copy(), g.copy()
-        fn[2:] = gn[2:] = 0.0
-        rhs = tensor_product(fn, gn)
-        np.testing.assert_array_equal(lhs, rhs)
+        ys = rng.standard_normal((3, 5))
+        clock = PoissonClock(rate=1.0, horizon=1.0, times=np.array([0.2, 0.5, 0.9]))
+        js = CoupledJumpStream(clock=clock, ys=ys)
+        for n in range(1, 6):
+            np.testing.assert_array_equal(js.approx_jumps(n), [corner(X, n) for X in js.jumps])
 
     def test_corner_at_capacity_is_full(self):
-        assert ProjectionSpec.corner(4, 4).pairs == ProjectionSpec.full(4).pairs
-
-    def test_corner_out_of_range(self):
-        with pytest.raises(ValueError):
-            ProjectionSpec.corner(5, 4)
+        # at n = d the corner keeps every entry, as the full triangle level does
+        T = np.random.default_rng(23).standard_normal((4, 4))
+        np.testing.assert_array_equal(corner(T, 4), T)
+        np.testing.assert_array_equal(corner(T, 4), project(T, ProjectionSpec.level(8, 4)))
 
     def test_tail_sum_identity(self):
         rng = np.random.default_rng(14)
         T = rng.standard_normal((8, 8))
         P = ProjectionSpec.level(6, 8)
-        err2 = norm(T - project_operator(T, P), "hs") ** 2
+        err2 = norm(T - project(T, P), "hs") ** 2
         tail = sum(T[j - 1, k - 1] ** 2 for j in range(1, 9) for k in range(1, 9) if j + k > 6)
         assert abs(err2 - tail) < 1e-12
 
@@ -354,7 +357,7 @@ class TestProjections:
         # Ambient d=24 makes the finite tail match the series to 1e-12.
         d = 24
         T = np.diag(0.5 ** np.arange(1, d + 1))
-        err2 = norm(T - project_operator(T, ProjectionSpec.level(4, d)), "hs") ** 2
+        err2 = norm(T - project(T, ProjectionSpec.level(4, d)), "hs") ** 2
         assert abs(err2 - 1.0 / 48.0) < 1e-12
 
     def test_bad_pair_rejected(self):

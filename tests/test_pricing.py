@@ -4,29 +4,26 @@ import numpy as np
 import pytest
 
 from opvol.forward import ForwardSemigroupSpec, simulate_forward_coupled
-from opvol.operators import ProjectionSpec, project_operator
 from opvol.pricing import FunctionalSpec, PayoffSpec, mean_se, pricing_report
 from opvol.processes import CoupledJumpStream, JumpLaw, PoissonClock, QWienerSpec, sample_clock, sample_jump_stream, stream
-from opvol.variance import GeneratorSpec, build_grid, evolve_variance, karhunen_loeve_spectrum
+from opvol.variance import GeneratorSpec, build_grid, karhunen_loeve_spectrum
+from reference import corner, variance_path
 
 
 def constant_paths(v0, horizon, m_points, d, levels=()):
     spec = GeneratorSpec.diagonal("sylvester", np.zeros(d))
     clock = PoissonClock.empty(rate=0.0, horizon=horizon)
-    js = CoupledJumpStream(clock=clock, ys=np.empty((0, d)), levels=levels or (d,))
+    js = CoupledJumpStream(clock=clock, ys=np.empty((0, d)))
     grid = build_grid(horizon, m_points, np.empty(0))
-    exact = evolve_variance(v0, spec, js, grid)
-    approx = {
-        n: evolve_variance(project_operator(v0, ProjectionSpec.corner(n, d)), spec, js, grid, level=n)
-        for n in levels
-    }
+    exact = variance_path(v0, spec, js, grid)
+    approx = {n: variance_path(corner(v0, n), spec, js, grid, level=n) for n in levels}
     return exact, approx
 
 
 def gaussian_ensemble(d=4, reps=1500, m_points=25, seed=61, levels=()):
     """A = 0, V = I: X(T) is exactly Gaussian with coordinate variances q_j T."""
     q = QWienerSpec.geometric(d)
-    fwd = ForwardSemigroupSpec.zero(d)
+    fwd = ForwardSemigroupSpec.diagonal(np.zeros(d))
     exact, approx = constant_paths(np.eye(d), 1.0, m_points, d, levels=levels)
     return [
         simulate_forward_coupled(exact, approx, fwd, q, stream(seed, 3, rep))
@@ -56,16 +53,16 @@ def chain_report(paths, functional, payoff, tau, level, **cap):
 def jump_ensemble(d=6, reps=400, level=3, seed=62):
     spec = GeneratorSpec.diagonal("sylvester", -karhunen_loeve_spectrum(d))
     v0 = np.diag(0.5 ** np.arange(1, d + 1))
-    v0n = project_operator(v0, ProjectionSpec.corner(level, d))
+    v0n = corner(v0, level)
     q = QWienerSpec.geometric(d)
-    fwd = ForwardSemigroupSpec.zero(d)
+    fwd = ForwardSemigroupSpec.diagonal(np.zeros(d))
     paths = []
     for rep in range(reps):
         clock = sample_clock(2.0, 1.0, stream(seed, 1, rep))
-        js = sample_jump_stream(clock, JumpLaw.geometric(d), (level,), stream(seed, 2, rep))
+        js = sample_jump_stream(clock, JumpLaw.geometric(d), stream(seed, 2, rep))
         grid = build_grid(1.0, 20, clock.times)
-        exact = evolve_variance(v0, spec, js, grid)
-        approx = {level: evolve_variance(v0n, spec, js, grid, level=level)}
+        exact = variance_path(v0, spec, js, grid)
+        approx = {level: variance_path(v0n, spec, js, grid, level=level)}
         paths.append(simulate_forward_coupled(exact, approx, fwd, q, stream(seed, 3, rep)))
     return paths
 
@@ -92,7 +89,6 @@ class TestPayoffs:
             PayoffSpec.put(-0.3),
             PayoffSpec.identity(),
             PayoffSpec.constant(5.0),
-            PayoffSpec.custom(lambda x: np.tanh(2.0 * x), 2.0),
         ]
         x, y = rng.standard_normal((2, 500))
         for p in payoffs:
@@ -104,26 +100,24 @@ class TestFunctionals:
     def test_norm_matches_riesz(self):
         rng = np.random.default_rng(1)
         v = rng.standard_normal(8)
-        M = rng.standard_normal((8, 8))
         assert FunctionalSpec(riesz=v).op_norm == pytest.approx(np.linalg.norm(v), abs=1e-12)
-        assert FunctionalSpec(riesz=M).op_norm == pytest.approx(np.linalg.norm(M), abs=1e-12)
 
     def test_apply_is_inner_product(self):
         rng = np.random.default_rng(2)
         v, x = rng.standard_normal((2, 6))
         assert FunctionalSpec(riesz=v).apply(x) == pytest.approx(float(v @ x), rel=1e-14)
-        A, B = rng.standard_normal((2, 3, 3))
-        assert FunctionalSpec(riesz=A).apply(B) == pytest.approx(float(np.sum(A * B)), rel=1e-14)
 
     def test_presets(self):
         e1 = FunctionalSpec.coordinate(0, 4)
         assert e1.apply(np.array([3.0, 1.0, 1.0, 1.0])) == 3.0
-        tr = FunctionalSpec(riesz=np.eye(3))
-        assert tr.apply(np.diag([1.0, 2.0, 3.0])) == pytest.approx(6.0)
+        assert e1.op_norm == 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             FunctionalSpec(riesz=np.ones(3)).apply(np.ones(4))
+        # the representative is a vector of the state space, not a matrix
+        with pytest.raises(ValueError):
+            FunctionalSpec(riesz=np.eye(3))
 
 
 class TestForwardPricing:

@@ -78,24 +78,23 @@ class TestClock:
 class TestJumps:
     def test_deterministic_direction(self):
         # Y = e1 gives X = X^n = e1 (x) e1 at every level
-        law = JumpLaw(sampler=lambda rng, size: np.tile([1.0, 0.0, 0.0], (size, 1)))
         clock = PoissonClock(rate=1.0, horizon=1.0, times=np.array([0.5]))
-        js = sample_jump_stream(clock, law, (1, 2), stream(0, 2, 0))
+        js = CoupledJumpStream(clock=clock, ys=np.array([[1.0, 0.0, 0.0]]))
         expected = np.zeros((3, 3))
         expected[0, 0] = 1.0
         np.testing.assert_array_equal(js.jumps[0], expected)
-        for n in js.levels:
+        for n in (1, 2, 3):
             np.testing.assert_array_equal(js.approx_jumps(n)[0], expected)
 
     def test_full_level_exact(self):
         clock = PoissonClock(rate=1.0, horizon=1.0, times=np.array([0.5]))
-        js = sample_jump_stream(clock, JumpLaw.geometric(8), (8,), stream(0, 2, 1))
+        js = sample_jump_stream(clock, JumpLaw.geometric(8), stream(0, 2, 1))
         np.testing.assert_array_equal(js.approx_jumps(8), js.jumps)
 
     def test_jumps_are_psd_rank_one(self):
         law = JumpLaw.geometric(8)
         clock = PoissonClock(rate=1.0, horizon=1.0, times=np.linspace(0.05, 1.0, 20))
-        js = sample_jump_stream(clock, law, (2, 4), stream(3, 2, 0))
+        js = sample_jump_stream(clock, law, stream(3, 2, 0))
         for X, X2, X4 in zip(js.jumps, js.approx_jumps(2), js.approx_jumps(4)):
             for M in (X, X2, X4):
                 w = np.linalg.eigvalsh(M)
@@ -107,14 +106,15 @@ class TestJumps:
             JumpLaw(gammas=np.array([0.5, -0.1]))
 
     def test_law_needs_exactly_one_source(self):
+        # the spectrum is the law's only source, and it must be a sequence
         with pytest.raises(ValueError):
-            JumpLaw()
+            JumpLaw(gammas=None)
         with pytest.raises(ValueError):
-            JumpLaw(gammas=np.ones(2), sampler=lambda rng, size: np.zeros((size, 2)))
+            JumpLaw(gammas=np.ones((2, 2)))
 
     def test_stream_coupling(self):
         clock = PoissonClock(rate=1.0, horizon=1.0, times=np.array([0.2, 0.7, 0.9]))
-        js = sample_jump_stream(clock, JumpLaw.geometric(8), (2, 4), stream(1, 2, 0))
+        js = sample_jump_stream(clock, JumpLaw.geometric(8), stream(1, 2, 0))
         assert js.jumps.shape == (3, 8, 8)
         assert js.approx_jumps(2).shape == (3, 8, 8)
         # truncation zeroes every entry with a coordinate beyond the level
