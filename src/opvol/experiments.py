@@ -250,7 +250,7 @@ class CoupledScenario:
         v0s = np.stack([self.v0()] + [self.v0_at_level(n) for n in self.levels])
         v0s.setflags(write=False)
         return _RunConstants(
-            gen=gen, steppers=steppers, v0s=v0s, jump_law=self.jump_law(),
+            steppers=steppers, v0s=v0s, jump_law=self.jump_law(),
             forward=self.forward_spec(), q=self.q_spec(), payoff=self.payoff(),
             functional=self.functional(),
         )
@@ -263,7 +263,6 @@ class _RunConstants:
     steppers and v0s hold the exact path first, then one entry per level.
     """
 
-    gen: GeneratorSpec
     steppers: list[Stepper]
     v0s: np.ndarray
     jump_law: JumpLaw
@@ -320,9 +319,6 @@ class ExperimentResult:
     def passed(self) -> bool:
         return all(r.passed for r in self.reports) and all(p.passed for p in self.pricing)
 
-    def by_id(self, bound_id: str) -> tuple[BoundReport, ...]:
-        return tuple(r for r in self.reports if r.bound_id == bound_id)
-
 
 @dataclass(frozen=True)
 class ConvergenceRow:
@@ -359,10 +355,20 @@ class ConvergenceStudy:
 def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     """Simulate one coupled replication and return its sufficient statistics.
 
-    Every entry is a float except x_sum_tensor, the (d, d) sum of the jump
-    operators, kept for the jackknife on |E X1|^2.  Per-jump quantities that
-    feed pooled moments ship both their sum and their sum of squares.
-    Per-level keys carry an '@n' suffix.
+    The keys depend only on the truncation mode, never on the draws.  Each
+    value is a float, an (L,) array over scenario.levels (L of them) or, for
+    x_sum_tensor, the (d, d) sum of the jump operators kept for the
+    jackknife on |E X1|^2:
+
+      both modes   n_jumps, sum_y2, sum_y4, sum_y8, l2_total, x_sum_tensor;
+                   (L,) sup_hs, sup_sq_hs, sup_op
+      jumps mode   pay_exact; (L,) sum_dy2, sum_dy4, sum_dy8, sum_dx_sq,
+                   sum_dx_sq_sq, sum_dx_hs, sum_dx_tr, sum_dx_tr_sq,
+                   cpp_sup_sq, sqrt_sup_sq_op, sqrt_sup_sq_hs, fwd_sup_sq,
+                   pay_trunc, dx_tau
+
+    Per-jump quantities that feed pooled moments ship both their sum and
+    their sum of squares.
 
     Overflow and invalid-value warnings are silenced.  A non-finite value
     that makes a decomposition raise is reported by the one-line failure
@@ -370,7 +376,7 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     whose squared entries overflow in the HS sup, say) shows only as an
     infinite statistic.
     """
-    d, T, seed = scenario.d, scenario.horizon, scenario.master_seed
+    T, seed = scenario.horizon, scenario.master_seed
     levels = scenario.levels
     run = scenario._run
     mode = scenario.truncation
@@ -389,39 +395,33 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     out["sum_y2"] = float(np.sum(y2))
     out["sum_y4"] = float(np.sum(y2**2))
     out["sum_y8"] = float(np.sum(y2**4))
-    out["x_sum_tensor"] = js.jumps.sum(axis=0) if clock.count else np.zeros((d, d))
+    out["x_sum_tensor"] = js.jumps.sum(axis=0)
     out["l2_total"] = float(np.sum(out["x_sum_tensor"] ** 2))
     if mode == "jumps":
-        approx = {n: js.approx_jumps(n) for n in levels}
-        for n in levels:
-            y2n = np.sum(js.ys_at_level(n) ** 2, axis=1)
-            dy2 = y2 - y2n  # |Y - Y^n|^2: the dropped coordinates are orthogonal
-            out[f"sum_dy2@{n}"] = float(np.sum(dy2))
-            out[f"sum_dy4@{n}"] = float(np.sum(dy2**2))
-            out[f"sum_dy8@{n}"] = float(np.sum(dy2**4))
-            dx_sq = y2**2 - y2n**2  # |X - X^n|_HS^2 for nested tensor squares
-            out[f"sum_dx_sq@{n}"] = float(np.sum(dx_sq))
-            out[f"sum_dx_sq_sq@{n}"] = float(np.sum(dx_sq**2))
-            out[f"sum_dx_hs@{n}"] = float(np.sum(np.sqrt(np.maximum(dx_sq, 0.0))))
-            if clock.count:
-                dX = js.jumps - approx[n]
-                sv = np.linalg.svd(dX, compute_uv=False)
-                tr = np.sum(sv, axis=1)
-                out[f"sum_dx_tr@{n}"] = float(np.sum(tr))
-                out[f"sum_dx_tr_sq@{n}"] = float(np.sum(tr**2))
-                # L - L^n is piecewise constant, so its sup sits at a jump time
-                prefix = np.cumsum(dX, axis=0)
-                out[f"cpp_sup_sq@{n}"] = float(np.max(np.sum(prefix**2, axis=(1, 2))))
-            else:
-                out[f"sum_dx_tr@{n}"] = 0.0
-                out[f"sum_dx_tr_sq@{n}"] = 0.0
-                out[f"cpp_sup_sq@{n}"] = 0.0
-
-    # coupled variance paths: slot 0 exact, slot i the i-th level
-    if mode == "jumps":
-        jump_stacks = [js.jumps] + [approx[n] for n in levels]
+        # one row per level, one column per jump; each row sum has the bits
+        # of the same sum over that level alone
+        y2n = np.sum(np.stack([js.ys_at_level(n) for n in levels]) ** 2, axis=2)
+        dy2 = y2 - y2n  # |Y - Y^n|^2: the dropped coordinates are orthogonal
+        out["sum_dy2"] = np.sum(dy2, axis=1)
+        out["sum_dy4"] = np.sum(dy2**2, axis=1)
+        out["sum_dy8"] = np.sum(dy2**4, axis=1)
+        dx_sq = y2**2 - y2n**2  # |X - X^n|_HS^2 for nested tensor squares
+        out["sum_dx_sq"] = np.sum(dx_sq, axis=1)
+        out["sum_dx_sq_sq"] = np.sum(dx_sq**2, axis=1)
+        out["sum_dx_hs"] = np.sum(np.sqrt(np.maximum(dx_sq, 0.0)), axis=1)
+        approx = np.stack([js.approx_jumps(n) for n in levels])
+        dX = js.jumps - approx
+        tr = np.sum(np.linalg.svd(dX, compute_uv=False), axis=2)
+        out["sum_dx_tr"] = np.sum(tr, axis=1)
+        out["sum_dx_tr_sq"] = np.sum(tr**2, axis=1)
+        # L - L^n is piecewise constant, so its sup sits at a jump time
+        prefix = np.cumsum(dX, axis=1)
+        out["cpp_sup_sq"] = np.max(np.sum(prefix**2, axis=(2, 3)), axis=1, initial=0.0)
+        jump_stacks = [js.jumps, *approx]
     else:
         jump_stacks = [js.jumps] * (len(levels) + 1)
+
+    # coupled variance paths: slot 0 exact, slot i the i-th level
     vals = evolve_coupled(run.v0s, run.steppers, jump_stacks, grid)
     try:
         out.update(_path_stats(scenario, rep, grid, vals))
@@ -432,44 +432,47 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
 
 def _path_stats(scenario: CoupledScenario, rep: int, grid: TimeGrid,
                 vals: np.ndarray) -> dict:
-    """Per-level statistics of the coupled paths vals (exact first): sup
-    errors, and in jumps mode square roots, the forward run and payoffs."""
+    """Statistics of the coupled paths vals (exact first), (L,) arrays but
+    for pay_exact: sup errors, and in jumps mode square roots, the forward
+    run and payoffs.  Squares of sups are taken on the Python floats: numpy's
+    square of an array can round differently from the float's ** 2."""
     levels = scenario.levels
     run = scenario._run
-    out: dict = {}
-    for i, n in enumerate(levels, start=1):
-        D = vals[0] - vals[i]
-        sup_hs = sup_norm_stack(D, "hs")
-        out[f"sup_hs@{n}"] = sup_hs
-        out[f"sup_sq_hs@{n}"] = sup_hs**2
-        out[f"sup_op@{n}"] = sup_norm_stack(D, "op")
+    sup_hs, sup_op = [], []
+    for path in vals[1:]:
+        D = vals[0] - path
+        sup_hs.append(sup_norm_stack(D, "hs"))
+        sup_op.append(sup_norm_stack(D, "op"))
+    out: dict = {
+        "sup_hs": np.array(sup_hs),
+        "sup_sq_hs": np.array([s**2 for s in sup_hs]),
+        "sup_op": np.array(sup_op),
+    }
     if scenario.truncation != "jumps":
         return out
 
     sqrts = psd_sqrt_batch(vals)
-    for i, n in enumerate(levels, start=1):
-        dS = sqrts[0] - sqrts[i]
-        out[f"sqrt_sup_sq_op@{n}"] = sup_norm_stack(dS, "op") ** 2
-        out[f"sqrt_sup_sq_hs@{n}"] = sup_norm_stack(dS, "hs") ** 2
+    sqrt_hs, sqrt_op = [], []
+    for root in sqrts[1:]:
+        dS = sqrts[0] - root
+        sqrt_hs.append(sup_norm_stack(dS, "hs"))
+        sqrt_op.append(sup_norm_stack(dS, "op"))
+    out["sqrt_sup_sq_op"] = np.array([s**2 for s in sqrt_op])
+    out["sqrt_sup_sq_hs"] = np.array([s**2 for s in sqrt_hs])
 
-    exact_path = VariancePath(grid, vals[0], run.gen, run.v0s[0])
-    approx = {
-        n: VariancePath(grid, vals[i], run.gen, run.v0s[i])
-        for i, n in enumerate(levels, start=1)
-    }
+    approx = {n: VariancePath(grid, vals[i]) for i, n in enumerate(levels, start=1)}
     fpath = simulate_forward_coupled(
-        exact_path, approx, run.forward, run.q,
+        VariancePath(grid, vals[0]), approx, run.forward, run.q,
         stream(scenario.master_seed, PURPOSE_WIENER, rep), sqrts,
     )
     payoff, functional = run.payoff, run.functional
     tau = scenario.exercise_time
     xt = fpath.at_time(tau)
+    xtn = [fpath.at_time(tau, n) for n in levels]
     out["pay_exact"] = payoff.evaluate(functional.apply(xt))
-    for n in levels:
-        out[f"fwd_sup_sq@{n}"] = forward_sup_error(fpath, n)
-        xtn = fpath.at_time(tau, n)
-        out[f"pay_trunc@{n}"] = payoff.evaluate(functional.apply(xtn))
-        out[f"dx_tau@{n}"] = float(np.linalg.norm(xt - xtn))
+    out["fwd_sup_sq"] = np.array([forward_sup_error(fpath, n) for n in levels])
+    out["pay_trunc"] = np.array([payoff.evaluate(functional.apply(x)) for x in xtn])
+    out["dx_tau"] = np.array([np.linalg.norm(xt - x) for x in xtn])
     return out
 
 
@@ -501,21 +504,28 @@ def _worker_count(threads: int, replications: int, cpus: int) -> int:
     return max(1, min(threads, replications, cpus))
 
 
-def _map_reps(scenario: CoupledScenario, workers: int) -> list[dict]:
+def _map_reps(scenario: CoupledScenario, workers: int) -> dict[str, np.ndarray]:
+    """Run every replication and stack its statistics into columns.
+
+    Each _rep_stats key becomes one array whose first axis is the
+    replication, in replication order for any worker count: (R,) for a
+    float, (R, L) for a per-level array, (R, d, d) for x_sum_tensor.  A
+    reducer reads level i as s[key][:, i]; a column slice has the bits of
+    the same values gathered into their own array, whereas a reduction of
+    the whole (R, L) block along axis 0 may not.
+    """
     reps = range(scenario.replications)
     workers = _worker_count(workers, scenario.replications, os.cpu_count() or 1)
     if workers == 1:
-        return [_rep_stats(scenario, r) for r in reps]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, scenario.replications // (workers * 4))
-        return list(pool.map(partial(_rep_stats, scenario), reps, chunksize=chunk))
+        rows = [_rep_stats(scenario, r) for r in reps]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, scenario.replications // (workers * 4))
+            rows = list(pool.map(partial(_rep_stats, scenario), reps, chunksize=chunk))
+    return {key: np.array([row[key] for row in rows]) for key in rows[0]}
 
 
 # --- reduction helpers -------------------------------------------------------
-
-
-def _column(reps: list[dict], key: str) -> np.ndarray:
-    return np.array([r[key] for r in reps])
 
 
 def _pooled_moment(sums: np.ndarray, sq_sums: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
@@ -564,27 +574,34 @@ def _product_root_se(a: float, a_se: float, b: float, b_se: float, scale: float)
 # --- experiment reduction ----------------------------------------------------
 
 
-def _moment_rows(scenario: CoupledScenario, reps: list[dict], counts: np.ndarray,
-                 m4: tuple[float, float]) -> list[BoundReport]:
+def _moment_rows(scenario: CoupledScenario, s: dict[str, np.ndarray]):
     """Second moment of the compound Poisson sum, checked from both sides
     against the identity rate*t*m2 + (rate*t)^2*m1sq and from below against
-    the coarse bound rate*t*(1 + rate*t)*m2."""
+    the coarse bound rate*t*(1 + rate*t)*m2.
+
+    Returns the three rows and the pooled per-jump moments, each a (mean,
+    stderr) pair: m4 of |Y|^4 = |X|_HS^2 and m2 of |Y|^2.
+    """
     lam, T = scenario.rate, scenario.horizon
-    lhs, lhs_se = mean_se(_column(reps, "l2_total"))
-    tensors = np.stack([r["x_sum_tensor"] for r in reps])
-    m1sq, m1sq_se = _jackknife_mean_norm_sq(tensors, counts)
-    ident = cp_second_moment(lam, T, m4[0], m1sq)
+    counts = s["n_jumps"]
+    m4 = _pooled_moment(s["sum_y4"], s["sum_y8"], counts)
+    m2 = _pooled_moment(s["sum_y2"], s["sum_y4"], counts)
+    lhs, lhs_se = mean_se(s["l2_total"])
+    m1sq, m1sq_se = _jackknife_mean_norm_sq(s["x_sum_tensor"], counts)
+    # |mean X|^2 <= mean |X|^2 holds for every sample; an excess is rounding
+    ident = cp_second_moment(lam, T, m4[0], min(m1sq, m4[0]))
     ident_se = math.hypot(lam * T * m4[1], lam * lam * T * T * m1sq_se)
     coarse = cp_second_moment_bound(lam, T, m4[0])
     coarse_se = lam * T * (1.0 + lam * T) * m4[1]
-    return [
+    rows = [
         make_report("cpp_moment_upper", 0, lhs, lhs_se, ident, ident_se),
         make_report("cpp_moment_lower", 0, ident, ident_se, lhs, lhs_se),
         make_report("cpp_moment_bound", 0, lhs, lhs_se, coarse, coarse_se),
     ]
+    return rows, m4, m2
 
 
-def _reduce_jumps(scenario: CoupledScenario, reps: list[dict]) -> ExperimentResult:
+def _reduce_jumps(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> ExperimentResult:
     lam, T = scenario.rate, scenario.horizon
     gen = scenario.generator_spec()
     gn = gen.op_norm
@@ -599,35 +616,23 @@ def _reduce_jumps(scenario: CoupledScenario, reps: list[dict]) -> ExperimentResu
     )
     payoff = scenario.payoff()
     functional = scenario.functional()
+    counts = s["n_jumps"]
 
-    counts = _column(reps, "n_jumps")
-    m4 = _pooled_moment(_column(reps, "sum_y4"), _column(reps, "sum_y8"), counts)
-    m2 = _pooled_moment(_column(reps, "sum_y2"), _column(reps, "sum_y4"), counts)
-
-    reports = _moment_rows(scenario, reps, counts, m4)
+    reports, m4, m2 = _moment_rows(scenario, s)
     pricing: list[PricingReport] = []
 
-    pay_exact = _column(reps, "pay_exact")
-
-    for n in scenario.levels:
+    for i, n in enumerate(scenario.levels):
+        col = {key: v[:, i] for key, v in s.items() if v.ndim == 2}  # level n of each (R, L)
         dv0 = scenario.v0() - scenario.v0_at_level(n)
         dv0_hs = norm(dv0, "hs")
         dv0_sq = dv0_hs**2
 
-        sup_sq, sup_sq_se = mean_se(_column(reps, f"sup_sq_hs@{n}"))
-        sup_hs, sup_hs_se = mean_se(_column(reps, f"sup_hs@{n}"))
-        dx_sq = _pooled_moment(
-            _column(reps, f"sum_dx_sq@{n}"), _column(reps, f"sum_dx_sq_sq@{n}"), counts
-        )
-        dx_tr = _pooled_moment(
-            _column(reps, f"sum_dx_tr@{n}"), _column(reps, f"sum_dx_tr_sq@{n}"), counts
-        )
-        dy2 = _pooled_moment(
-            _column(reps, f"sum_dy2@{n}"), _column(reps, f"sum_dy4@{n}"), counts
-        )
-        dy4 = _pooled_moment(
-            _column(reps, f"sum_dy4@{n}"), _column(reps, f"sum_dy8@{n}"), counts
-        )
+        sup_sq, sup_sq_se = mean_se(col["sup_sq_hs"])
+        sup_hs, sup_hs_se = mean_se(col["sup_hs"])
+        dx_sq = _pooled_moment(col["sum_dx_sq"], col["sum_dx_sq_sq"], counts)
+        dx_tr = _pooled_moment(col["sum_dx_tr"], col["sum_dx_tr_sq"], counts)
+        dy2 = _pooled_moment(col["sum_dy2"], col["sum_dy4"], counts)
+        dy4 = _pooled_moment(col["sum_dy4"], col["sum_dy8"], counts)
 
         reports.append(make_report(
             "variance_jumps", n, sup_sq, sup_sq_se,
@@ -637,14 +642,14 @@ def _reduce_jumps(scenario: CoupledScenario, reps: list[dict]) -> ExperimentResu
             "variance_jumps_sharp", n, sup_sq, sup_sq_se,
             c0 * dv0_sq + c1_sharp * dx_sq[0], c1_sharp * dx_sq[1],
         ))
-        cpp_sup, cpp_sup_se = mean_se(_column(reps, f"cpp_sup_sq@{n}"))
+        cpp_sup, cpp_sup_se = mean_se(col["cpp_sup_sq"])
         reports.append(make_report(
             "cpp_diff", n, cpp_sup, cpp_sup_se,
             cpp_const * dx_sq[0], cpp_const * dx_sq[1],
         ))
 
-        slack = _column(reps, f"sup_hs@{n}") - np.array([
-            bound_pathwise(gn, T, dv0_hs, r[f"sum_dx_hs@{n}"]) for r in reps
+        slack = col["sup_hs"] - np.array([
+            bound_pathwise(gn, T, dv0_hs, x) for x in col["sum_dx_hs"].tolist()
         ])
         reports.append(make_report(
             "variance_pathwise", n, float(np.max(slack)), 0.0, 0.0, 0.0,
@@ -661,8 +666,8 @@ def _reduce_jumps(scenario: CoupledScenario, reps: list[dict]) -> ExperimentResu
             trace_rhs, _product_root_se(m2[0], m2[1], dy2[0], dy2[1], 2.0),
         ))
 
-        sqrt_op, sqrt_op_se = mean_se(_column(reps, f"sqrt_sup_sq_op@{n}"))
-        sup_op, sup_op_se = mean_se(_column(reps, f"sup_op@{n}"))
+        sqrt_op, sqrt_op_se = mean_se(col["sqrt_sup_sq_op"])
+        sup_op, sup_op_se = mean_se(col["sup_op"])
         reports.append(make_report(
             "sqrt_op", n, sqrt_op, sqrt_op_se,
             bound_sqrt(base, "op-norm", sup_op_error=sup_op), sup_op_se,
@@ -670,13 +675,13 @@ def _reduce_jumps(scenario: CoupledScenario, reps: list[dict]) -> ExperimentResu
         if dv0_sq == 0.0:
             # the trace-route square root certificate assumes the approximant
             # starts from the exact initial state
-            sqrt_hs, sqrt_hs_se = mean_se(_column(reps, f"sqrt_sup_sq_hs@{n}"))
+            sqrt_hs, sqrt_hs_se = mean_se(col["sqrt_sup_sq_hs"])
             reports.append(make_report(
                 "sqrt_jumps_k1", n, sqrt_hs, sqrt_hs_se,
                 sqrt_hs_factor * dx_tr[0], sqrt_hs_factor * dx_tr[1],
             ))
 
-        fwd_sup, fwd_sup_se = mean_se(_column(reps, f"fwd_sup_sq@{n}"))
+        fwd_sup, fwd_sup_se = mean_se(col["fwd_sup_sq"])
         reports.append(make_report(
             "forward_noise", n, fwd_sup, fwd_sup_se,
             fwd_const * sup_hs, fwd_const * sup_hs_se,
@@ -689,25 +694,22 @@ def _reduce_jumps(scenario: CoupledScenario, reps: list[dict]) -> ExperimentResu
         else:
             cap_se = 0.0
         pricing.append(pricing_report(
-            n, pay_exact, _column(reps, f"pay_trunc@{n}"), _column(reps, f"dx_tau@{n}"),
+            n, s["pay_exact"], col["pay_trunc"], col["dx_tau"],
             payoff, functional, cap, cap_se,
         ))
 
     return ExperimentResult(scenario=scenario, reports=tuple(reports), pricing=tuple(pricing))
 
 
-def _reduce_generator(scenario: CoupledScenario, reps: list[dict]) -> ExperimentResult:
+def _reduce_generator(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> ExperimentResult:
     lam, T = scenario.rate, scenario.horizon
     gen = scenario.generator_spec()
     gn = gen.op_norm
-    counts = _column(reps, "n_jumps")
-    m4 = _pooled_moment(_column(reps, "sum_y4"), _column(reps, "sum_y8"), counts)
-    m2 = _pooled_moment(_column(reps, "sum_y2"), _column(reps, "sum_y4"), counts)
     v0_sq = norm(scenario.v0(), "hs") ** 2
 
-    reports = _moment_rows(scenario, reps, counts, m4)
+    reports, m4, m2 = _moment_rows(scenario, s)
 
-    for n in scenario.levels:
+    for i, n in enumerate(scenario.levels):
         P = ProjectionSpec.level(n, scenario.d)
         trunc = scenario.truncated_generator_spec(n)
         gap = generator_gap_op_norm(gen, P)
@@ -726,7 +728,7 @@ def _reduce_generator(scenario: CoupledScenario, reps: list[dict]) -> Experiment
             d_m4 = (fn(inputs.with_(jump_sq=m4[0] + m4[1])) - fn(inputs)) * factor
             m2sq_se = 2.0 * m2[0] * m2[1]
             d_m2 = (fn(inputs.with_(jump_mean_sq=m2[0] ** 2 + m2sq_se)) - fn(inputs)) * factor
-            sup_sq, sup_sq_se = mean_se(_column(reps, f"sup_sq_hs@{n}"))
+            sup_sq, sup_sq_se = mean_se(s["sup_sq_hs"][:, i])
             reports.append(make_report(
                 bound_id, n, sup_sq, sup_sq_se, rhs, math.hypot(d_m4, d_m2),
             ))
@@ -743,10 +745,10 @@ def run_experiment(scenario: CoupledScenario, workers: int = 1) -> ExperimentRes
     Deterministic given scenario.master_seed; the worker count only changes
     wall time, never results.
     """
-    reps = _map_reps(scenario, workers)
+    s = _map_reps(scenario, workers)
     if scenario.truncation == "jumps":
-        return _reduce_jumps(scenario, reps)
-    return _reduce_generator(scenario, reps)
+        return _reduce_jumps(scenario, s)
+    return _reduce_generator(scenario, s)
 
 
 # --- convergence -------------------------------------------------------------
@@ -762,22 +764,19 @@ def convergence_study(scenario: CoupledScenario, workers: int = 1) -> Convergenc
     """
     if len(scenario.levels) < 3:
         raise ValueError("a convergence study needs at least three levels")
-    reps = _map_reps(scenario, workers)
-    counts = _column(reps, "n_jumps")
+    s = _map_reps(scenario, workers)
     gen = scenario.generator_spec()
 
     rows: list[ConvergenceRow] = []
-    for n in scenario.levels:
-        est, se = mean_se(_column(reps, f"sup_sq_hs@{n}"))
+    for i, n in enumerate(scenario.levels):
+        est, se = mean_se(s["sup_sq_hs"][:, i])
         rows.append(ConvergenceRow(n, "variance_sup_sq", est, se))
         if scenario.truncation == "jumps":
-            est, se = mean_se(_column(reps, f"fwd_sup_sq@{n}"))
+            est, se = mean_se(s["fwd_sup_sq"][:, i])
             rows.append(ConvergenceRow(n, "forward_sup_sq", est, se))
-            est, se = mean_se(_column(reps, f"sqrt_sup_sq_hs@{n}"))
+            est, se = mean_se(s["sqrt_sup_sq_hs"][:, i])
             rows.append(ConvergenceRow(n, "sqrt_sup_sq_hs", est, se))
-            est, se = _pooled_moment(
-                _column(reps, f"sum_dy2@{n}"), _column(reps, f"sum_dy4@{n}"), counts
-            )
+            est, se = _pooled_moment(s["sum_dy2"][:, i], s["sum_dy4"][:, i], s["n_jumps"])
             rows.append(ConvergenceRow(n, "jump_y_diff_sq", est, se))
             rows.append(ConvergenceRow(
                 n, "y_tail_expected", float(np.sum(scenario.jump_gammas[n:])), 0.0
@@ -836,8 +835,3 @@ def default_scenario(replications: int = 2000, master_seed: int = 1729,
         replications=replications,
         master_seed=master_seed,
     )
-
-
-def default_generator_scenario(replications: int = 2000, master_seed: int = 1729) -> CoupledScenario:
-    return default_scenario(replications=replications, master_seed=master_seed,
-                            truncation="generator")

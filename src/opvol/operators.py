@@ -125,25 +125,16 @@ def closed_form_diagonal(Ts: np.ndarray) -> np.ndarray:
     return diagonal_only & ((top == 0.0) | ((top >= _UNSCALED_MIN) & (top <= _UNSCALED_MAX)))
 
 
-def psd_sqrt(T: HSOperator) -> HSOperator:
-    """Unique PSD square root of a self-adjoint PSD matrix.
+def psd_sqrt_batch(Ts: np.ndarray) -> np.ndarray:
+    """Unique PSD square root of each matrix along the leading axes of a
+    symmetric PSD (..., d, d) stack.
 
     Eigenvalues in [-tol_psd, 0) are treated as arithmetic noise and clamped
-    to zero; anything below -tol_psd raises NotPositiveSemidefinite.
-    """
-    T = as_hs_operator(T)
-    if not is_self_adjoint(T):
-        raise ValueError("psd_sqrt requires a self-adjoint matrix")
-    return psd_sqrt_batch(T[None])[0]
-
-
-def psd_sqrt_batch(Ts: np.ndarray) -> np.ndarray:
-    """psd_sqrt applied along the leading axes of a (..., d, d) stack.
-
-    Diagonal slots (closed_form_diagonal) take sqrt(clip(diag, 0)) on the
-    diagonal; this is bit for bit what the eigh reconstruction gives them.
-    Only the other slots go to eigh.  A slot with an eigenvalue below -tol_psd
-    raises NotPositiveSemidefinite naming the first such slot.
+    to zero; a slot with an eigenvalue below -tol_psd raises
+    NotPositiveSemidefinite naming the first such slot.  Diagonal slots
+    (closed_form_diagonal) take sqrt(clip(diag, 0)) on the diagonal; this is
+    bit for bit what the eigh reconstruction gives them.  Only the other
+    slots go to eigh.
     """
     Ts = np.asarray(Ts, dtype=float)
     diag = closed_form_diagonal(Ts)

@@ -112,8 +112,8 @@ class CoupledJumpStream:
         """(N, d, d) stack of X_i."""
         return np.einsum("ij,ik->ijk", self.ys, self.ys)
 
-    def ys_at_level(self, n: int | None) -> np.ndarray:
-        if n is None or n >= self.dim:
+    def ys_at_level(self, n: int) -> np.ndarray:
+        if n >= self.dim:
             return self.ys
         out = self.ys.copy()
         out[:, n:] = 0.0

@@ -187,8 +187,6 @@ class VariancePath:
 
     grid: TimeGrid
     values: np.ndarray  # (G, d, d)
-    generator: GeneratorSpec
-    v0: np.ndarray
 
 
 # When to take the cumulative product.  Timed on 54 diagonal cases (P d^2 from
@@ -270,7 +268,8 @@ def evolve_coupled(
 
 
 def sup_norm_stack(D: np.ndarray, mode: str) -> float:
-    """max over the first axis of norm(D[g], mode) for a stack of matrices.
+    """max over the first axis of norm(D[g], mode) for a stack of matrices,
+    mode "hs" or "op".
 
     In op mode a finite symmetric stack solves only the slots that can hold
     the max (_op_sup_symmetric); the result is the same to the last bit.  A
@@ -280,7 +279,9 @@ def sup_norm_stack(D: np.ndarray, mode: str) -> float:
     """
     if mode == "hs":
         return float(np.sqrt(np.max(np.sum(D * D, axis=(-2, -1)))))
-    if mode == "op" and D.dtype == np.float64:
+    if mode != "op":
+        raise ValueError(f"unknown norm mode {mode!r}")
+    if D.dtype == np.float64:
         bits = D.view(np.int64)
         if np.array_equal(bits, np.swapaxes(bits, -2, -1)):
             top = np.max(np.abs(D), axis=(-2, -1))
@@ -290,18 +291,13 @@ def sup_norm_stack(D: np.ndarray, mode: str) -> float:
     scale = max(float(np.max(np.abs(D))), 1.0)
     if asym <= 1e-10 * scale:
         S = (D + np.swapaxes(D, -2, -1)) / 2.0
-        if mode == "op":
-            top = np.max(np.abs(S), axis=(-2, -1))
-            if np.all(np.isfinite(top)):
-                return _op_sup_symmetric(S, top)
+        top = np.max(np.abs(S), axis=(-2, -1))
+        if np.all(np.isfinite(top)):
+            return _op_sup_symmetric(S, top)
         s = np.abs(np.linalg.eigvalsh(S))
     else:
         s = np.linalg.svd(D, compute_uv=False)
-    if mode == "op":
-        return float(np.max(s))
-    if mode == "trace":
-        return float(np.max(np.sum(s, axis=-1)))
-    raise ValueError(f"unknown norm mode {mode!r}")
+    return float(np.max(s))
 
 
 # below this, x + x does not overflow, so (x + x) / 2 is x

@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 from opvol.cli import main
-from opvol.experiments import default_generator_scenario, default_scenario, run_experiment
+from opvol.experiments import default_scenario, run_experiment
 from opvol.forward import ForwardSemigroupSpec, simulate_forward_coupled
-from opvol.operators import ProjectionSpec, norm, psd_sqrt
+from opvol.operators import ProjectionSpec, norm
 from opvol.pricing import FunctionalSpec, PayoffSpec, mean_se
 from opvol.processes import (
     PURPOSE_CLOCK,
@@ -41,7 +41,7 @@ from opvol.variance import (
     karhunen_loeve_spectrum,
     truncate_generator,
 )
-from reference import generator_matrix, project, variance_path
+from reference import default_generator_scenario, generator_matrix, project, psd_sqrt, variance_path
 
 WORKERS = min(8, os.cpu_count() or 1)
 

@@ -178,6 +178,15 @@ class TestVerifyCommand:
         assert err.count("\n") == 1
         assert not (tmp_path / "bounds.csv").exists()
 
+    @pytest.mark.parametrize("seed", ["12", "14", "29"])
+    def test_one_jump_in_total_is_not_a_config_error(self, tmp_path, capsys, seed):
+        # with a single jump |mean X|^2 and mean |X|^2 are the same number,
+        # and their two roundings may put the first one ulp above the second
+        path = write_config(tmp_path, rate=0.3, replications=2, m_points=20)
+        code = main(["verify", path, "--seed", seed, "--threads", "1", "--out-dir", str(tmp_path)])
+        assert code != EXIT_ERROR
+        assert "exceeds" not in capsys.readouterr().err
+
     def test_huge_grid_exits_one(self, tmp_path, capsys):
         path = write_config(tmp_path, m_points=10**6 + 1)
         code = main(["verify", path, "--threads", "1", "--out-dir", str(tmp_path)])

@@ -15,11 +15,11 @@ from opvol.experiments import (
     CoupledScenario,
     ExperimentResult,
     convergence_study,
-    default_generator_scenario,
     default_scenario,
     make_report,
     run_experiment,
 )
+from reference import by_id, default_generator_scenario
 
 
 def small_scenario(**changes):
@@ -189,6 +189,30 @@ class TestRunConstants:
         experiments._rep_stats(sc.with_(master_seed=sc.master_seed + 1), 0)
         assert len(made) == 2 * builds
 
+    def test_statistics_have_fixed_keys_and_shapes(self):
+        # the key set depends on the truncation mode only, never on the draws
+        jumps = small_scenario(rate=5.0)
+        no_jumps = small_scenario(rate=0.0)
+        generator = default_generator_scenario(replications=10, master_seed=5).with_(m_points=25)
+        outs = {sc: experiments._rep_stats(sc, 0) for sc in (jumps, no_jumps, generator)}
+        assert outs[jumps]["n_jumps"] > 0.0 and outs[no_jumps]["n_jumps"] == 0.0
+        shapes = {sc: {key: np.shape(v) for key, v in out.items()} for sc, out in outs.items()}
+        for sc, shape in shapes.items():
+            assert set(shape.values()) <= {(), (len(sc.levels),), (sc.d, sc.d)}
+            assert not [key for key in shape if "@" in key]
+        assert shapes[jumps] == shapes[no_jumps]
+        assert set(shapes[generator]) < set(shapes[jumps])
+        assert {k: v for k, v in shapes[jumps].items() if k in shapes[generator]} == shapes[generator]
+
+    @pytest.mark.parametrize("truncation", ["jumps", "generator"])
+    def test_columns_do_not_depend_on_the_worker_count(self, truncation):
+        sc = small_scenario(truncation=truncation, replications=6, rate=3.0)
+        serial, pooled = experiments._map_reps(sc, 1), experiments._map_reps(sc, 2)
+        assert serial.keys() == pooled.keys() == experiments._rep_stats(sc, 0).keys()
+        for key, col in serial.items():
+            assert col.shape[0] == sc.replications
+            assert np.array_equal(col, pooled[key])
+
     def test_replications_do_not_depend_on_the_cache(self):
         sc = small_scenario(rate=5.0)
         warm = [experiments._rep_stats(sc, rep) for rep in (0, 1)]
@@ -274,9 +298,9 @@ class TestNumericalFailure:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = experiments._rep_stats(sc, 0)
-        for n in sc.levels:
-            assert out[f"sup_hs@{n}"] == math.inf
-            assert 1e158 < out[f"sup_op@{n}"] < math.inf
+        for i in range(len(sc.levels)):
+            assert out["sup_hs"][i] == math.inf
+            assert 1e158 < out["sup_op"][i] < math.inf
 
 
 class TestReports:
@@ -324,7 +348,7 @@ class TestJumpTruncationExperiment:
 
     def test_sharp_constant_is_tighter(self):
         res = run_experiment(small_scenario())
-        for plain, sharp in zip(res.by_id("variance_jumps"), res.by_id("variance_jumps_sharp")):
+        for plain, sharp in zip(by_id(res, "variance_jumps"), by_id(res, "variance_jumps_sharp")):
             assert sharp.rhs < plain.rhs
             assert sharp.lhs == plain.lhs
 
@@ -351,8 +375,8 @@ class TestJumpTruncationExperiment:
         assert "sqrt_jumps_k1" not in ids
         assert "sqrt_op" in ids
         # the initial-state term now contributes to the variance bound
-        plain = run_experiment(small_scenario()).by_id("variance_jumps")
-        trunc = res.by_id("variance_jumps")
+        plain = by_id(run_experiment(small_scenario()), "variance_jumps")
+        trunc = by_id(res, "variance_jumps")
         assert all(t.rhs > p.rhs for t, p in zip(trunc, plain))
 
     def test_zero_rate_degenerates_cleanly(self):
@@ -384,7 +408,7 @@ class TestJumpTruncationExperiment:
         hi = run_experiment(sc.with_(replications=600))
 
         def se_of(res, bound_id, level):
-            (row,) = [r for r in res.by_id(bound_id) if r.level == level]
+            (row,) = [r for r in by_id(res, bound_id) if r.level == level]
             return row.lhs_se
 
         # doubling R should shrink each stderr by 1/sqrt(2), within 20%
@@ -408,7 +432,7 @@ class TestGeneratorCompressionExperiment:
 
     def test_gap_tail_rows_are_deterministic(self):
         res = run_experiment(default_generator_scenario(replications=10, master_seed=5))
-        rows = res.by_id("generator_gap_tail")
+        rows = by_id(res, "generator_gap_tail")
         assert [r.level for r in rows] == [2, 4, 6]
         for r in rows:
             assert r.lhs_se == 0.0 and r.rhs_se == 0.0

@@ -14,7 +14,6 @@ from opvol.forward import (
 from opvol.operators import (
     NotPositiveSemidefinite,
     matrix_exp,
-    psd_sqrt,
     psd_sqrt_batch,
 )
 from opvol.processes import (
@@ -28,7 +27,7 @@ from opvol.processes import (
     stream,
 )
 from opvol.variance import GeneratorSpec, VariancePath, build_grid, karhunen_loeve_spectrum
-from reference import corner, variance_path
+from reference import corner, psd_sqrt, variance_path
 
 
 def random_skew(rng, d):
@@ -166,7 +165,7 @@ class TestSimulation:
         d = 2
         exact, _ = constant_paths(np.eye(d), 1.0, 4, d)
         bad_values = np.tile(np.diag([1.0, -1.0]), (exact.grid.size, 1, 1))
-        bad = VariancePath(grid=exact.grid, values=bad_values, generator=exact.generator, v0=bad_values[0])
+        bad = VariancePath(grid=exact.grid, values=bad_values)
         fwd = zero_semigroup(d)
         with pytest.raises(NotPositiveSemidefinite):
             simulate_forward_coupled(bad, {}, fwd, QWienerSpec.geometric(d), stream(45, 3, 0))

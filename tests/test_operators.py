@@ -13,12 +13,11 @@ from opvol.operators import (
     closed_form_diagonal,
     matrix_exp,
     norm,
-    psd_sqrt,
     psd_sqrt_batch,
     singular_values,
 )
 from opvol.processes import CoupledJumpStream, PoissonClock
-from reference import corner, project
+from reference import corner, project, psd_sqrt
 
 
 def random_psd(rng, d=8, scale=1.0):

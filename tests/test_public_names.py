@@ -1,11 +1,15 @@
-"""Every public name has a caller in the program.
+"""Every public name, function, class and method has a caller in the program.
 
 A name in opvol.__all__ must be used in src/opvol outside the module that
-defines it, or in perfbench/.  A name that only the tests reach belongs in
-the tests, as a private helper, or in its own module without the export.
+defines it, or in perfbench/.  Every top-level function and class of
+src/opvol, and every method other than a dunder, must be used in src/opvol
+outside its own definition, or in perfbench/.  Use is by name, bare or as an
+attribute.  Code that only the tests reach belongs in the tests, as a
+private helper or in tests/reference.py.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import opvol
@@ -30,15 +34,34 @@ def _defined(tree: ast.Module) -> set[str]:
     return names
 
 
-def _used(tree: ast.Module) -> set[str]:
-    """Names a module reads, bare or as an attribute (imports alone do not count)."""
-    names = set()
+def _uses(tree: ast.AST) -> Counter:
+    """How often a tree reads each name, bare or as an attribute (imports
+    alone do not count)."""
+    names = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            names[node.attr] += 1
     return names
+
+
+def _used(tree: ast.Module) -> set[str]:
+    return set(_uses(tree))
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of every top-level function and class and of
+    every method that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item
 
 
 def test_every_public_name_has_a_caller():
@@ -51,3 +74,16 @@ def test_every_public_name_has_a_caller():
         if not callers and name not in bench:
             orphans.append(f"{home}.{name}")
     assert not orphans, f"public names with no caller outside tests: {orphans}"
+
+
+def test_every_function_class_and_method_has_a_caller():
+    trees = {p.stem: _parse(p) for p in PACKAGE.glob("*.py")}
+    package = sum((_uses(tree) for tree in trees.values()), Counter())
+    bench = set().union(*(_used(_parse(p)) for p in (ROOT / "perfbench").glob("*.py")))
+    orphans = []
+    for stem, tree in trees.items():
+        for qualname, node in _definitions(tree):
+            outside = package[node.name] - _uses(node)[node.name]
+            if outside <= 0 and node.name not in bench:
+                orphans.append(f"{stem}.{qualname}")
+    assert not orphans, f"definitions with no caller outside tests: {sorted(orphans)}"
