@@ -368,7 +368,9 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
                    pay_trunc, dx_tau
 
     Per-jump quantities that feed pooled moments ship both their sum and
-    their sum of squares.
+    their sum of squares.  The trace norms of the jump differences behind
+    sum_dx_tr come from the rank-two closed form (_jump_trace_norm_sq) on
+    the squared norms, with no SVD.
 
     Overflow and invalid-value warnings are silenced.  A non-finite value
     that makes a decomposition raise is reported by the one-line failure
@@ -409,13 +411,12 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
         out["sum_dx_sq"] = np.sum(dx_sq, axis=1)
         out["sum_dx_sq_sq"] = np.sum(dx_sq**2, axis=1)
         out["sum_dx_hs"] = np.sum(np.sqrt(np.maximum(dx_sq, 0.0)), axis=1)
+        tr_sq = _jump_trace_norm_sq(dy2, y2n)
+        out["sum_dx_tr"] = np.sum(np.sqrt(tr_sq), axis=1)
+        out["sum_dx_tr_sq"] = np.sum(tr_sq, axis=1)
         approx = np.stack([js.approx_jumps(n) for n in levels])
-        dX = js.jumps - approx
-        tr = np.sum(np.linalg.svd(dX, compute_uv=False), axis=2)
-        out["sum_dx_tr"] = np.sum(tr, axis=1)
-        out["sum_dx_tr_sq"] = np.sum(tr**2, axis=1)
         # L - L^n is piecewise constant, so its sup sits at a jump time
-        prefix = np.cumsum(dX, axis=1)
+        prefix = np.cumsum(js.jumps - approx, axis=1)
         out["cpp_sup_sq"] = np.max(np.sum(prefix**2, axis=(2, 3)), axis=1, initial=0.0)
         jump_stacks = [js.jumps, *approx]
     else:
@@ -430,10 +431,23 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     return out
 
 
+def _jump_trace_norm_sq(dy2: np.ndarray, y2n: np.ndarray) -> np.ndarray:
+    """|Y (x) Y - Y^n (x) Y^n|_tr^2 from dy2 = |Y - Y^n|^2 and y2n = |Y^n|^2.
+
+    With Z = Y - Y^n orthogonal to Y^n, the difference Y^n (x) Z + Z (x) Y^n
+    + Z (x) Z has rank two: on the orthonormal pair Y^n / |Y^n|, Z / |Z| it
+    is [[0, ab], [ab, b^2]] with a = |Y^n| and b = |Z|.  Its eigenvalues
+    (b^2 +- sqrt(b^4 + 4 a^2 b^2)) / 2 have opposite signs, so the trace
+    norm is their difference, sqrt(dy2 (dy2 + 4 y2n)).
+    """
+    return dy2 * (dy2 + 4.0 * y2n)
+
+
 def _path_stats(scenario: CoupledScenario, rep: int, grid: TimeGrid,
                 vals: np.ndarray) -> dict:
     """Statistics of the coupled paths vals (exact first), (L,) arrays but
-    for pay_exact: sup errors, and in jumps mode square roots, the forward
+    for pay_exact: sup errors, and in jumps mode square roots (one
+    psd_sqrt_batch call per path, the levels as block roots), the forward
     run and payoffs.  Squares of sups are taken on the Python floats: numpy's
     square of an array can round differently from the float's ** 2."""
     levels = scenario.levels
@@ -451,7 +465,17 @@ def _path_stats(scenario: CoupledScenario, rep: int, grid: TimeGrid,
     if scenario.truncation != "jumps":
         return out
 
-    sqrts = psd_sqrt_batch(vals)
+    # the exact path is full; with a diagonal generator the level-n path is
+    # blockdiag(n x n block, diagonal tail), which psd_sqrt_batch checks
+    sqrts = np.empty_like(vals)
+    for p, n in enumerate((None, *levels)):
+        try:
+            sqrts[p] = psd_sqrt_batch(vals[p], block=n)
+        except NotPositiveSemidefinite as exc:
+            # name the matrix by (path, slot), as in the whole (P, G) stack
+            i = (p, *exc.index)
+            detail = str(exc).partition(" in batch: ")[2]
+            raise NotPositiveSemidefinite(f"matrix {i} in batch: {detail}", index=i) from exc
     sqrt_hs, sqrt_op = [], []
     for root in sqrts[1:]:
         dS = sqrts[0] - root
@@ -523,6 +547,40 @@ def _map_reps(scenario: CoupledScenario, workers: int) -> dict[str, np.ndarray]:
             chunk = max(1, scenario.replications // (workers * 4))
             rows = list(pool.map(partial(_rep_stats, scenario), reps, chunksize=chunk))
     return {key: np.array([row[key] for row in rows]) for key in rows[0]}
+
+
+def _require_finite(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> None:
+    """Raise a ValueError naming the first non-finite statistic of the table
+    s: in the earliest replication that holds one, the first key in table
+    order, and its level for an (R, L) column.  A finite config can still
+    overflow (squared entries near 1e155 in an HS sup, say); the reducers
+    then never see the inf or NaN, nor warn about it."""
+    first = None
+    for key, col in s.items():
+        bad = np.argwhere(~np.isfinite(col.reshape(col.shape[0], -1)))
+        if bad.size and (first is None or bad[0, 0] < first[0]):
+            first = (int(bad[0, 0]), key, int(bad[0, 1]))
+    if first is None:
+        return
+    r, key, j = first
+    col = s[key]
+    level = f" at level {scenario.levels[j]}" if col.ndim == 2 else ""
+    value = float(col[r].reshape(-1)[j])
+    raise ValueError(f"numerical failure in replication {r}: statistic {key}{level} is {value}")
+
+
+def _check_growth(scenario: CoupledScenario) -> None:
+    """Raise the bounds' ValueError for a growth factor that overflows, as the
+    reducers would, before the statistics are checked: an overflowing
+    constant is the cause to name, and its paths often overflow too.
+    e^{2 T |c|} (generator) and e^{2 k T} (forward transport, jumps mode) are
+    the largest factors the reducers take."""
+    T = scenario.horizon
+    bound_variance_jumps(BoundInputs(horizon=T, rate=scenario.rate,
+                                     gen_norm=scenario.generator_spec().op_norm))
+    if scenario.truncation == "jumps":
+        fwd = scenario.forward_spec()
+        bound_forward(BoundInputs(c=fwd.c, k=fwd.k, trace_q=scenario.q_spec().trace_q, horizon=T))
 
 
 # --- reduction helpers -------------------------------------------------------
@@ -746,6 +804,8 @@ def run_experiment(scenario: CoupledScenario, workers: int = 1) -> ExperimentRes
     wall time, never results.
     """
     s = _map_reps(scenario, workers)
+    _check_growth(scenario)
+    _require_finite(scenario, s)
     if scenario.truncation == "jumps":
         return _reduce_jumps(scenario, s)
     return _reduce_generator(scenario, s)
@@ -765,6 +825,7 @@ def convergence_study(scenario: CoupledScenario, workers: int = 1) -> Convergenc
     if len(scenario.levels) < 3:
         raise ValueError("a convergence study needs at least three levels")
     s = _map_reps(scenario, workers)
+    _require_finite(scenario, s)
     gen = scenario.generator_spec()
 
     rows: list[ConvergenceRow] = []

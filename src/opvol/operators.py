@@ -125,25 +125,62 @@ def closed_form_diagonal(Ts: np.ndarray) -> np.ndarray:
     return diagonal_only & ((top == 0.0) | ((top >= _UNSCALED_MIN) & (top <= _UNSCALED_MAX)))
 
 
-def psd_sqrt_batch(Ts: np.ndarray) -> np.ndarray:
+def _quarter_root(w: np.ndarray) -> np.ndarray:
+    """sqrt(sqrt(max(w, 0))); clip turns -0.0 into +0.0, so every entry and
+    every product of two entries is +0 or more."""
+    return np.sqrt(np.sqrt(np.clip(w, 0.0, None)))
+
+
+def _block_diagonal(Ts: np.ndarray, n: int) -> bool:
+    """True when every matrix of the (..., d, d) stack is zero outside its
+    leading n x n block and its tail diagonal, and that diagonal is finite.
+    One exact sweep: a NaN (from 0 * inf, say) or any other nonzero entry
+    makes it False."""
+    d = Ts.shape[-1]
+    outside = Ts != 0.0
+    outside[..., :n, :n] = False
+    # flat entry i (d + 1) is (i, i): the tail diagonal starts at i = n
+    outside.reshape(*Ts.shape[:-2], d * d)[..., n * (d + 1) :: d + 1] = False
+    tail = np.diagonal(Ts, axis1=-2, axis2=-1)[..., n:]
+    return not np.any(outside) and bool(np.all(np.isfinite(tail)))
+
+
+def psd_sqrt_batch(Ts: np.ndarray, block: int | None = None) -> np.ndarray:
     """Unique PSD square root of each matrix along the leading axes of a
     symmetric PSD (..., d, d) stack.
 
     Eigenvalues in [-tol_psd, 0) are treated as arithmetic noise and clamped
     to zero; a slot with an eigenvalue below -tol_psd raises
-    NotPositiveSemidefinite naming the first such slot.  Diagonal slots
-    (closed_form_diagonal) take sqrt(clip(diag, 0)) on the diagonal; this is
-    bit for bit what the eigh reconstruction gives them.  Only the other
-    slots go to eigh.
+    NotPositiveSemidefinite naming the first such slot.
+
+    Each root is M M^T with M = U diag(w^(1/4)) from the eigendecomposition
+    U diag(w) U^T; numpy's matmul hands a product of a matrix with its own
+    transpose to BLAS syrk and mirrors the triangle, so the root is
+    symmetric bit for bit.  Diagonal slots (closed_form_diagonal) take sqrt(sqrt(clip(diag,
+    0)))**2 on the diagonal without eigh; that is what the product gives them
+    bit for bit, since eigh returns their diagonal and a permutation matrix.
+
+    With block = n < d, a stack whose entries are all zero outside the
+    leading n x n block and the (finite) tail diagonal, checked exactly
+    (_block_diagonal), takes blockdiag(sqrt(B), sqrt(tail)): eigh runs on the
+    n x n blocks B only, and the tail root is taken as a diagonal slot's.
+    The tolerance comes from the whole matrix's spectrum, the block's
+    eigenvalues and the tail together.  Any other stack, or block None or at
+    least d, takes the full solve.
     """
     Ts = np.asarray(Ts, dtype=float)
-    diag = closed_form_diagonal(Ts)
-    rest = ~diag
-    w = np.sort(np.diagonal(Ts, axis1=-2, axis2=-1), axis=-1)
-    w_rest, U = np.linalg.eigh(Ts[rest])
-    w[rest] = w_rest
-    tol = tol_psd(np.max(np.abs(w), axis=-1))
-    wmin = w[..., 0]
+    d = Ts.shape[-1]
+    n = d if block is None or block >= d or not _block_diagonal(Ts, block) else block
+    diagonals = np.diagonal(Ts, axis1=-2, axis2=-1)
+    # each matrix's eigenvalues: its diagonal, but for a block that is not
+    # diagonal, the block's eigenvalues and then the tail
+    spectra = diagonals.copy()
+    B = Ts[..., :n, :n]
+    diag = closed_form_diagonal(B)
+    w, U = np.linalg.eigh(B[~diag])
+    spectra[..., :n][~diag] = w
+    tol = tol_psd(np.max(np.abs(spectra), axis=-1))
+    wmin = np.min(spectra, axis=-1)
     bad = wmin < -tol
     if np.any(bad):
         i = tuple(int(k) for k in np.unravel_index(int(np.argmax(bad)), bad.shape))
@@ -151,14 +188,13 @@ def psd_sqrt_batch(Ts: np.ndarray) -> np.ndarray:
             f"matrix {i} in batch: eigenvalue {wmin[i]:.6e} below -tol_psd = {-tol[i]:.6e}",
             index=i,
         )
-    rest_roots = np.einsum("...ij,...j,...kj->...ik", U, np.sqrt(np.clip(w_rest, 0.0, None)), U)
+    M = U * _quarter_root(w)[..., None, :]
     del U  # the output below is allocated after the eigenvectors are freed
-    out = np.empty_like(Ts)
-    out[rest] = rest_roots
-    # clip turns -0.0 into +0.0, so every root is +0 or more and the zeros off
-    # the diagonal are +0, as in the reconstruction
-    roots = np.sqrt(np.clip(np.diagonal(Ts[diag], axis1=-2, axis2=-1), 0.0, None))
-    out[diag] = np.eye(Ts.shape[-1]) * roots[:, None, :]
+    out = np.zeros_like(Ts)
+    # every diagonal as a diagonal slot's, then the other slots' blocks whole
+    q = _quarter_root(diagonals)
+    out.reshape(*Ts.shape[:-2], d * d)[..., :: d + 1] = q * q
+    out[..., :n, :n][~diag] = M @ np.swapaxes(M, -2, -1)
     return out
 
 

@@ -224,6 +224,20 @@ class TestVerifyCommand:
         assert err.count("\n") == 1 and err.endswith("\n")
         assert not (tmp_path / "bounds.csv").exists()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overflowing_statistic_exits_one_without_warnings(self, tmp_path, capfd, threads):
+        # every replication finishes, but |V - V^n|_HS^2 overflows for entries
+        # near 1e155: one line naming the statistic, no reduction, no warning
+        doc = {"truncate_v0": True, "v0_diag": [1e155] * 8, "replications": 4, "m_points": 10}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code = main(["verify", str(path), "--threads", threads, "--out-dir", str(tmp_path)])
+        assert code == EXIT_ERROR
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err == "error: numerical failure in replication 0: statistic sup_hs at level 2 is inf\n"
+        assert not (tmp_path / "bounds.csv").exists()
+
     @pytest.mark.parametrize(
         "overrides, field",
         [

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import opvol
 from opvol import bounds, experiments, forward
@@ -19,6 +21,7 @@ from opvol.experiments import (
     make_report,
     run_experiment,
 )
+from opvol.processes import PURPOSE_CLOCK, PURPOSE_JUMPS, sample_clock, sample_jump_stream, stream
 from reference import by_id, default_generator_scenario
 
 
@@ -139,9 +142,9 @@ class TestSquareRootsPerReplication:
         def counting(owner):
             inner = owner.psd_sqrt_batch
 
-            def psd_sqrt_batch(Ts):
-                calls.append(Ts.shape[:-2])
-                return inner(Ts)
+            def psd_sqrt_batch(Ts, block=None):
+                calls.append((Ts.shape[:-2], block))
+                return inner(Ts, block=block)
 
             monkeypatch.setattr(owner, "psd_sqrt_batch", psd_sqrt_batch)
 
@@ -160,12 +163,61 @@ class TestSquareRootsPerReplication:
         sc = small_scenario(rate=5.0)
         calls, (size,) = self.count_decompositions(monkeypatch, sc)
         assert size > sc.m_points + 1  # the replication has jump slots
-        assert calls == [(len(sc.levels) + 1, size)]
+        # one call for the exact path (full solve), then one per level with
+        # that level as its block size
+        assert calls == [((size,), None)] + [((size,), n) for n in sc.levels]
 
     def test_generator_mode_decomposes_nothing(self, monkeypatch):
         sc = default_generator_scenario(replications=10, master_seed=5).with_(m_points=25)
         calls, _ = self.count_decompositions(monkeypatch, sc)
         assert calls == []
+
+
+def svd_trace_norms(ys, n):
+    """Reference: the singular values of each Y (x) Y - Y^n (x) Y^n, summed."""
+    yn = ys.copy()
+    yn[:, n:] = 0.0
+    dX = np.einsum("ij,ik->ijk", ys, ys) - np.einsum("ij,ik->ijk", yn, yn)
+    return np.sum(np.linalg.svd(dX, compute_uv=False), axis=-1)
+
+
+class TestJumpTraceNorm:
+    """The jump differences' trace norm comes from the rank-two closed form,
+    checked against the SVD of the difference."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 16), jumps=st.integers(1, 20),
+           exponent=st.floats(-50.0, 50.0), lead_zero=st.booleans())
+    @example(seed=0, d=8, jumps=5, exponent=0.0, lead_zero=True)
+    def test_closed_form_matches_svd(self, seed, d, jumps, exponent, lead_zero):
+        rng = np.random.default_rng(seed)
+        ys = rng.standard_normal((jumps, d)) * 10.0**exponent
+        for n in range(1, d + 1):
+            if lead_zero:
+                ys[:, :n] = 0.0  # Y^n = 0: the difference is Y (x) Y itself
+            y2 = np.sum(ys**2, axis=1)
+            y2n = np.sum(ys[:, :n] ** 2, axis=1)
+            dy2 = y2 - y2n
+            got = np.sqrt(experiments._jump_trace_norm_sq(dy2, y2n))
+            want = svd_trace_norms(ys, n)
+            # the SVD errs by about d eps |dX|op per singular value, and
+            # dy2 = y2 - y2n carries eps y2 / dy2 relative from the cancellation
+            rtol = 8 * d * np.finfo(float).eps * (1.0 + y2 / np.where(dy2 > 0.0, dy2, np.inf))
+            assert np.all(np.abs(got - want) <= rtol * want + 1e-300)
+            if lead_zero:
+                np.testing.assert_allclose(got, y2, rtol=4e-16)
+
+    def test_replication_statistics_use_it(self):
+        sc = small_scenario(rate=5.0)
+        for rep in range(4):
+            out = experiments._rep_stats(sc, rep)
+            clock = sample_clock(sc.rate, sc.horizon, stream(sc.master_seed, PURPOSE_CLOCK, rep))
+            js = sample_jump_stream(clock, sc.jump_law(), stream(sc.master_seed, PURPOSE_JUMPS, rep))
+            assert clock.count > 0
+            for i, n in enumerate(sc.levels):
+                tr = svd_trace_norms(js.ys, n)
+                np.testing.assert_allclose(out["sum_dx_tr"][i], np.sum(tr), rtol=1e-13)
+                np.testing.assert_allclose(out["sum_dx_tr_sq"][i], np.sum(tr**2), rtol=1e-13)
 
 
 class TestRunConstants:
@@ -279,6 +331,27 @@ class TestNumericalFailure:
         )
         assert "first non-finite value: " in str(exc)
 
+    def test_negative_tail_entry_after_a_jump(self, monkeypatch):
+        sc = small_scenario(rate=5.0)
+        slots = []
+
+        def corrupt(vals):
+            # level 2 is path 1; after the first jump its leading block is not
+            # diagonal, so the slot takes the block route, and (5, 5) is a
+            # tail entry
+            g = int(np.flatnonzero(vals[1, :, 0, 1] != 0.0)[0])
+            vals[1, g, 5, 5] = -0.5
+            slots.append(g)
+
+        exc, grid = self.run_with(monkeypatch, sc, corrupt)
+        g = slots[0]
+        assert not grid.is_left[g]
+        assert isinstance(exc, opvol.NotPositiveSemidefinite)
+        assert str(exc).startswith(
+            f"numerical failure in replication 3, level 2 path, grid slot {g} (t = {grid.times[g]:.6g}): "
+            f"matrix (1, {g}) in batch: eigenvalue -5.000000e-01 below -tol_psd = -"
+        )
+
     def test_generator_mode_names_the_slot_too(self, monkeypatch):
         sc = default_generator_scenario(replications=10, master_seed=5).with_(m_points=25)
 
@@ -301,6 +374,38 @@ class TestNumericalFailure:
         for i in range(len(sc.levels)):
             assert out["sup_hs"][i] == math.inf
             assert 1e158 < out["sup_op"][i] < math.inf
+
+
+class TestNonFiniteStatistics:
+    """A non-finite statistic is named before any reducer sees it: the
+    earliest replication holding one, then the first key in table order."""
+
+    def table(self):
+        return {
+            "n_jumps": np.array([1.0, 2.0, 0.0]),
+            "sup_hs": np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]]),
+            "x_sum_tensor": np.zeros((3, 2, 2)),
+        }
+
+    def test_finite_table_passes(self):
+        experiments._require_finite(small_scenario(), self.table())
+
+    def test_names_key_level_and_replication(self):
+        s = self.table()
+        s["sup_hs"][2, 0] = np.nan
+        s["sup_hs"][1, 1] = np.inf
+        s["x_sum_tensor"][1, 0, 1] = -np.inf
+        with pytest.raises(ValueError) as got:
+            experiments._require_finite(small_scenario(), s)
+        assert str(got.value) == "numerical failure in replication 1: statistic sup_hs at level 4 is inf"
+
+    def test_columns_without_levels(self):
+        s = self.table()
+        s["x_sum_tensor"][2, 1, 1] = np.nan
+        s["n_jumps"][2] = -np.inf
+        with pytest.raises(ValueError) as got:
+            experiments._require_finite(small_scenario(), s)
+        assert str(got.value) == "numerical failure in replication 2: statistic n_jumps is -inf"
 
 
 class TestReports:

@@ -1,11 +1,18 @@
 """Golden outputs: the CLI's CSV bytes for fixed small runs.
 
-Refactors and performance work must leave every report byte-identical, so
-each case below runs one CLI command in-process and compares its CSV with a
-file recorded under tests/golden/.  Re-record (only for an intended change
-of results) with
+Each case below runs one CLI command in-process and compares its CSV with a
+file recorded under tests/golden/, so any change of any result shows here.
+The rounding rule (README, "Determinism"): a refactor keeps these bytes.  A
+change that alters floating-point rounding on purpose re-records them from
+its own code, in the same change, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+It must keep tests/test_golden_values.py passing unchanged (every value
+within 1e-9 relative of the frozen tests/golden_values/ copy, which is
+never re-recorded), and it lists in CHANGES.md the kernels it changed and
+the largest relative difference per CSV.  Byte identity across worker
+counts and across repeats stays exact.
 """
 
 import json

@@ -173,8 +173,9 @@ class TestPsdSqrt:
 
 
 def _eigh_sqrt_batch(Ts):
-    """Square roots through eigh on every slot: the reference psd_sqrt_batch
-    must equal bit for bit, error message included."""
+    """Square roots through eigh on every slot, each rebuilt as M @ M.T with
+    M = U * w**(1/4): the reference psd_sqrt_batch must equal bit for bit,
+    error message included."""
     w, U = np.linalg.eigh(Ts)
     opn = np.max(np.abs(w), axis=-1)
     tol = 1e-9 * (1.0 + opn)
@@ -185,8 +186,8 @@ def _eigh_sqrt_batch(Ts):
         raise NotPositiveSemidefinite(
             f"matrix {i} in batch: eigenvalue {wmin[i]:.6e} below -tol_psd = {-tol[i]:.6e}"
         )
-    w = np.clip(w, 0.0, None)
-    return np.einsum("...ij,...j,...kj->...ik", U, np.sqrt(w), U)
+    M = U * np.sqrt(np.sqrt(np.clip(w, 0.0, None)))[..., None, :]
+    return M @ np.swapaxes(M, -2, -1)
 
 
 def mixed_psd_stack(seed, d, kinds, exponent):
@@ -257,6 +258,159 @@ class TestPsdSqrtDiagonalSlots:
         Ts = np.stack([np.diag([2.0**-486, 0.0]), np.diag([2.0**486, 1.0]), np.diag([np.nan, 1.0]),
                        np.diag([2.0**-485, 0.0]), np.diag([2.0**485, 1.0]), np.zeros((2, 2))])
         assert closed_form_diagonal(Ts).tolist() == [False, False, False, True, True, True]
+
+
+def block_psd_stack(seed, d, n, slots, exponent, rank):
+    """Stack of matrices zero outside a leading n x n PSD block of the given
+    rank and a nonnegative tail diagonal (some entries exactly zero), at
+    scale 10**exponent: what a level-n variance path holds."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    Ts = np.zeros((slots, d, d))
+    for g in range(slots):
+        A = rng.standard_normal((n, rank))
+        Ts[g, :n, :n] = A @ A.T * scale
+        tail = np.abs(rng.standard_normal(d - n)) * scale
+        tail[rng.random(d - n) < 0.3] = 0.0
+        Ts[g, np.arange(n, d), np.arange(n, d)] = tail
+    return Ts
+
+
+def root_tolerance(Ts):
+    """Per-slot bound on the gap between two computed PSD roots of Ts.
+
+    Each is (to rounding) the exact root of a matrix within c d eps ||T||op
+    of T, the backward error of eigh, and ||sqrt A - sqrt B||op <=
+    sqrt(||A - B||op) for PSD A and B; so two roots differ by at most twice
+    sqrt(c d eps ||T||op), here with c = 8.
+    """
+    d = Ts.shape[-1]
+    top = np.max(np.abs(np.linalg.eigvalsh(Ts)), axis=-1)
+    return 2.0 * np.sqrt(8.0 * d * np.finfo(float).eps * top)
+
+
+block_stacks = st.integers(2, 16).flatmap(lambda d: st.tuples(
+    st.integers(0, 2**32 - 1), st.just(d), st.integers(1, d - 1), st.integers(1, 12),
+    st.floats(-100.0, 100.0), st.integers(0, d),
+))
+
+
+class TestPsdSqrtBlocks:
+    """psd_sqrt_batch(Ts, block=n) solves only the leading n x n blocks when
+    the stack is exactly block-diagonal with a diagonal tail; it must agree
+    with the full solve (_eigh_sqrt_batch) within root_tolerance, take the
+    PSD tolerance from the whole spectrum, and fall back to the full solve's
+    bits on any other stack."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=block_stacks)
+    @example(case=(3, 16, 12, 8, 0.0, 12))
+    @example(case=(4, 8, 1, 4, 0.0, 0))
+    def test_block_roots_match_the_full_solve(self, case):
+        seed, d, n, slots, exponent, rank = case
+        Ts = block_psd_stack(seed, d, n, slots, exponent, min(rank, n))
+        out = psd_sqrt_batch(Ts, block=n)
+        gap = np.max(np.abs(out - _eigh_sqrt_batch(Ts)), axis=(-2, -1))
+        assert np.all(gap <= root_tolerance(Ts))
+        assert np.array_equal(out, np.swapaxes(out, -2, -1))
+        # the block-diagonal pattern is kept exactly
+        assert not np.any(out[:, :n, n:]) and not np.any(out[:, n:, :n])
+        assert np.array_equal(out[:, n:, n:], np.eye(d - n) * out[:, n:, n:])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=block_stacks, excess=st.floats(1.5, 10.0), lead=st.floats(20.0, 1e6))
+    def test_tolerance_comes_from_the_whole_spectrum(self, case, excess, lead):
+        # the block's least eigenvalue lies below -tol_psd of the block alone
+        # but above -tol_psd of the whole matrix, whose tail entry dominates
+        seed, d, n, slots, _, _ = case
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = rng.uniform(0.1, 1.0, n)
+        lam[0] = -excess * 1e-9 * (1.0 + np.max(lam))
+        Ts = np.zeros((slots, d, d))
+        Ts[:, :n, :n] = (Q * lam) @ Q.T
+        Ts[:, :n, :n] = (Ts[:, :n, :n] + np.swapaxes(Ts[:, :n, :n], -2, -1)) / 2.0
+        Ts[:, n, n] = lead * excess * (1.0 + np.max(lam))
+        with pytest.raises(NotPositiveSemidefinite):
+            psd_sqrt_batch(Ts[:, :n, :n])
+        out = psd_sqrt_batch(Ts, block=n)
+        gap = np.max(np.abs(out - _eigh_sqrt_batch(Ts)), axis=(-2, -1))
+        # both roots clamp the same eigenvalue, of size at most excess * 2e-9
+        assert np.all(gap <= root_tolerance(Ts) + np.sqrt(excess * 2e-9))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=block_stacks, where=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+           value=st.floats(1e-3, 1e3))
+    def test_negative_tail_entry_names_its_path_and_slot(self, case, where, value):
+        seed, d, n, slots, exponent, rank = case
+        Ts = np.stack([block_psd_stack(seed + p, d, n, slots, exponent, min(rank, n)) for p in range(2)])
+        p, g = where[0] % 2, where[1] % slots
+        k = n + where[1] % (d - n)
+        Ts[p, g, k, k] = -value * (1.0 + np.max(np.abs(Ts[p, g])))
+        with pytest.raises(NotPositiveSemidefinite) as full:
+            _eigh_sqrt_batch(Ts)
+        with pytest.raises(NotPositiveSemidefinite) as got:
+            psd_sqrt_batch(Ts, block=n)
+        assert got.value.index == (p, g)
+        assert str(got.value).startswith(f"matrix {(p, g)} in batch: eigenvalue {Ts[p, g, k, k]:.6e} below")
+        assert str(full.value).startswith(f"matrix {(p, g)} in batch: ")
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=block_stacks, where=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16), st.integers(0, 2**16)),
+           value=st.sampled_from([1e-300, 1e-3, 1.0, np.nan]))
+    def test_an_entry_off_the_pattern_takes_the_full_solve(self, case, where, value):
+        seed, d, n, slots, exponent, rank = case
+        Ts = block_psd_stack(seed, d, n, slots, exponent, min(rank, n))
+        g, i, j = where[0] % slots, where[1] % d, where[2] % d
+        if i < n and j < n:
+            i = n  # (n, j) with j < n lies off the block
+        elif i == j:
+            j = (i + 1) % d  # off the tail diagonal
+        Ts[g, i, j] = Ts[g, j, i] = value * 10.0**exponent
+        try:
+            expected = psd_sqrt_batch(Ts)
+        except (NotPositiveSemidefinite, np.linalg.LinAlgError) as exc:
+            with pytest.raises(type(exc)) as got:
+                psd_sqrt_batch(Ts, block=n)
+            assert str(got.value) == str(exc)
+            return
+        out = psd_sqrt_batch(Ts, block=n)
+        assert np.array_equal(out, expected, equal_nan=True)
+        if not np.isnan(value):
+            assert np.array_equal(out, _eigh_sqrt_batch(Ts))
+
+    def test_non_finite_tail_takes_the_full_solve(self):
+        Ts = block_psd_stack(7, 6, 3, 4, 0.0, 3)
+        Ts[2, 4, 4] = np.inf
+        with np.errstate(invalid="ignore"):
+            try:
+                expected = psd_sqrt_batch(Ts)
+            except np.linalg.LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError):
+                    psd_sqrt_batch(Ts, block=3)
+                return
+            assert np.array_equal(psd_sqrt_batch(Ts, block=3), expected, equal_nan=True)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(case=block_stacks)
+    def test_block_of_full_size_is_the_full_solve(self, case):
+        seed, d, _, slots, exponent, rank = case
+        Ts = block_psd_stack(seed, d, d, slots, exponent, rank)
+        expected = _eigh_sqrt_batch(Ts)
+        assert np.array_equal(psd_sqrt_batch(Ts, block=d), expected)
+        assert np.array_equal(psd_sqrt_batch(Ts, block=d + 3), expected)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(case=block_stacks)
+    def test_zero_block(self, case):
+        seed, d, n, slots, exponent, _ = case
+        Ts = block_psd_stack(seed, d, n, slots, exponent, 0)
+        out = psd_sqrt_batch(Ts, block=n)
+        assert not np.any(out[:, :n, :])
+        tail = np.diagonal(Ts, axis1=-2, axis2=-1)[:, n:]
+        np.testing.assert_allclose(np.diagonal(out, axis1=-2, axis2=-1)[:, n:], np.sqrt(tail), rtol=4e-16)
+        # a diagonal matrix: the full solve's closed form, bit for bit
+        assert np.array_equal(out, _eigh_sqrt_batch(Ts))
 
 
 class TestMatrixExp:
