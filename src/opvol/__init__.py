@@ -37,9 +37,6 @@ from opvol.operators import (
     HilbertVector,
     HSOperator,
     NotPositiveSemidefinite,
-    ProjectionSpec,
-    matrix_exp,
-    norm,
 )
 from opvol.pricing import (
     FunctionalSpec,
@@ -93,7 +90,6 @@ __all__ = [
     "PayoffSpec",
     "PoissonClock",
     "PricingReport",
-    "ProjectionSpec",
     "QWienerSpec",
     "TimeGrid",
     "VariancePath",
@@ -119,8 +115,6 @@ __all__ = [
     "generator_gap_op_norm",
     "karhunen_loeve_spectrum",
     "make_stepper",
-    "matrix_exp",
-    "norm",
     "run_experiment",
     "sample_clock",
     "sample_jump_stream",

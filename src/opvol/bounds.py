@@ -23,8 +23,6 @@ from dataclasses import dataclass, replace
 
 K_ZERO_REL = 1e-12
 
-SQRT_CASES = ("op-norm", "hs-jumps")
-
 # the largest exponent x with a finite e^x
 _MAX_EXPONENT = math.log(sys.float_info.max)
 
@@ -149,25 +147,16 @@ def bound_variance_generator_tail(inputs: BoundInputs) -> float:
     return 4.0 * t * t * growth * _generator_moment_load(inputs)
 
 
-def bound_sqrt(inputs: BoundInputs, case: str, sup_op_error: float | None = None) -> float:
-    """Right-hand sides for the square-root comparisons E[sup||rV - rV^n||^2].
+def bound_sqrt(inputs: BoundInputs) -> float:
+    """Constant k e^{T||c||} rate T, with k = 1, of the square-root comparison
+    E[sup||rV - rV^n||_HS^2] <= k e^{T||c||} rate T E||X1 - X1^n||_1; the
+    caller multiplies by the trace moment E||X1 - X1^n||_1.
 
-    * ``op-norm``: the constant-free comparison; returns the supplied
-      estimate of E[sup||V - V^n||_op] unchanged.
-    * ``hs-jumps``: constant k e^{T||c||} rate T with k = 1; caller
-      multiplies by the trace moment E||X1 - X1^n||_1.
-
-    The proportionality constant k of the hs case is not pinned down by the
-    underlying square-root perturbation theory; reports carry it as k1.
+    The proportionality constant k is not pinned down by the underlying
+    square-root perturbation theory; reports carry it as k1.  The op-norm
+    comparison E[sup||rV - rV^n||_op^2] <= E[sup||V - V^n||_op] is
+    constant-free and needs no function here.
     """
-    if case not in SQRT_CASES:
-        raise ValueError(f"unknown square-root bound case {case!r}")
-    if case == "op-norm":
-        if sup_op_error is None:
-            raise ValueError("op-norm case needs the estimated E[sup||V - V^n||_op]")
-        if sup_op_error < 0.0:
-            raise ValueError("sup_op_error must be nonnegative")
-        return float(sup_op_error)
     t = inputs.horizon
     growth = math.exp(_growth_exponent(t * inputs.gen_norm, "generator_spectrum"))
     return growth * inputs.rate * t

@@ -9,18 +9,12 @@ operator coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
-from scipy.linalg import expm
 
 # Coefficient vector in H (shape (d,)) and operator in the tensor basis
-# (shape (d, d)).  Plain arrays; the helpers below validate on entry.
+# (shape (d, d)).  Plain arrays; as_hilbert_vector validates a vector on entry.
 HilbertVector = np.ndarray
 HSOperator = np.ndarray
-
-SYM_TOL = 1e-12  # certification threshold for self-adjointness
 
 
 # LAPACK's symmetric eigensolvers (dsyevd) rescale a matrix whose largest
@@ -42,66 +36,14 @@ class NotPositiveSemidefinite(ValueError):
         self.index = tuple(int(k) for k in index)
 
 
-def as_hilbert_vector(coeffs, d: int | None = None) -> HilbertVector:
-    """Validate and return a coefficient vector (1-D, finite, length d if given)."""
+def as_hilbert_vector(coeffs) -> HilbertVector:
+    """Validate and return a coefficient vector (1-D, finite)."""
     f = np.asarray(coeffs, dtype=float)
     if f.ndim != 1:
         raise ValueError(f"expected a 1-D coefficient vector, got shape {f.shape}")
-    if d is not None and f.shape[0] != d:
-        raise ValueError(f"expected dimension {d}, got {f.shape[0]}")
     if not np.all(np.isfinite(f)):
         raise ValueError("non-finite entries in Hilbert vector")
     return f
-
-
-def as_hs_operator(entries, d: int | None = None) -> HSOperator:
-    """Validate and return an operator matrix (square, finite)."""
-    T = np.asarray(entries, dtype=float)
-    if T.ndim != 2 or T.shape[0] != T.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {T.shape}")
-    if d is not None and T.shape[0] != d:
-        raise ValueError(f"expected dimension {d}, got {T.shape[0]}")
-    if not np.all(np.isfinite(T)):
-        raise ValueError("non-finite entries in operator")
-    return T
-
-
-def is_self_adjoint(T: HSOperator, tol: float = SYM_TOL) -> bool:
-    return bool(np.max(np.abs(T - T.T)) <= tol)
-
-
-def singular_values(T: HSOperator, self_adjoint: bool | None = None) -> np.ndarray:
-    """Singular values of T, descending.
-
-    Self-adjoint inputs (certified or detected at SYM_TOL) use the eigenvalues
-    of T directly; otherwise the eigenvalues of T*T are used.
-    """
-    T = as_hs_operator(T)
-    if self_adjoint is None:
-        self_adjoint = is_self_adjoint(T)
-    if self_adjoint:
-        s = np.abs(np.linalg.eigvalsh(T))
-    else:
-        w = np.linalg.eigvalsh(T.T @ T)
-        # Squaring T loses half the precision near zero; eigenvalues of T*T
-        # below the numerical-rank threshold are noise, not tiny singular values.
-        if w.size:
-            w[w < w.max() * T.shape[0] * np.finfo(float).eps] = 0.0
-        s = np.sqrt(np.clip(w, 0.0, None))
-    return np.sort(s)[::-1]
-
-
-def norm(T: HSOperator, mode: str = "hs", self_adjoint: bool | None = None) -> float:
-    """Operator norm in one of the three modes: hs, op, trace."""
-    T = as_hs_operator(T)
-    if mode == "hs":
-        return float(np.linalg.norm(T))
-    s = singular_values(T, self_adjoint=self_adjoint)
-    if mode == "op":
-        return float(s[0]) if s.size else 0.0
-    if mode == "trace":
-        return float(s.sum())
-    raise ValueError(f"unknown norm mode {mode!r}")
 
 
 def tol_psd(op_norm):
@@ -196,46 +138,3 @@ def psd_sqrt_batch(Ts: np.ndarray, block: int | None = None) -> np.ndarray:
     out.reshape(*Ts.shape[:-2], d * d)[..., :: d + 1] = q * q
     out[..., :n, :n][~diag] = M @ np.swapaxes(M, -2, -1)
     return out
-
-
-def matrix_exp(T: HSOperator, t: float | np.ndarray = 1.0) -> HSOperator:
-    """exp(tT) via scaling-and-squaring (scipy's Pade implementation).
-
-    t shaped (U, 1, 1) gives the stack of exp(t[u] T), each the bits of the
-    call with that t alone (scipy solves the slices one by one)."""
-    T = as_hs_operator(T)
-    return expm(t * T)
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectionSpec:
-    """Coordinate projection onto span{e_j (x) e_k : (j, k) in the index set}.
-
-    Indices are 1-based.  The convenience constructor `level(n, d)` builds the
-    nested family J_n = {(j, k): j + k <= n}.
-    """
-
-    dim: int
-    pairs: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        for j, k in self.pairs:
-            if not (1 <= j <= self.dim and 1 <= k <= self.dim):
-                raise ValueError(f"index pair ({j}, {k}) outside 1..{self.dim}")
-
-    @classmethod
-    def level(cls, n: int, dim: int) -> "ProjectionSpec":
-        pairs = frozenset(
-            (j, k)
-            for j in range(1, dim + 1)
-            for k in range(1, dim + 1)
-            if j + k <= n
-        )
-        return cls(dim=dim, pairs=pairs)
-
-    @cached_property
-    def mask(self) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim), dtype=bool)
-        for j, k in self.pairs:
-            m[j - 1, k - 1] = True
-        return m

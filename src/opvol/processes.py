@@ -81,10 +81,6 @@ class JumpLaw:
             raise ValueError("jump spectrum must be a nonnegative finite sequence")
         object.__setattr__(self, "gammas", g)
 
-    @classmethod
-    def geometric(cls, d: int, base: float = 0.5) -> "JumpLaw":
-        return cls(gammas=base ** np.arange(1, d + 1))
-
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.sqrt(self.gammas) * rng.standard_normal((size, self.gammas.size))
 
@@ -162,10 +158,6 @@ class QWienerSpec:
     @property
     def trace_q(self) -> float:
         return float(self.q.sum())
-
-    @classmethod
-    def geometric(cls, d: int, base: float = 0.5) -> "QWienerSpec":
-        return cls(q=base ** np.arange(1, d + 1))
 
 
 def sample_wiener_increments(

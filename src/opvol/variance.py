@@ -14,8 +14,8 @@ of two kinds,
 
 so it is diagonal in the tensor basis e_j (x) e_k and exp(c t) multiplies
 entry (j, k) by exp(Lambda[j, k] t).  Either kind supports compression
-c^n = Pi_n c Pi_n by a ProjectionSpec, which zeroes Lambda outside the index
-set.
+c^n = Pi_n c Pi_n by a keep-mask over the entries (j, k), which zeroes Lambda
+outside the kept index set; truncate_generator keeps J_n = {j + k <= n}.
 """
 
 from __future__ import annotations
@@ -25,45 +25,43 @@ from functools import cached_property
 
 import numpy as np
 
-from opvol.operators import ProjectionSpec, as_hs_operator, closed_form_diagonal
+from opvol.operators import as_hilbert_vector, closed_form_diagonal
 
 
 @dataclass(frozen=True, eq=False)
 class GeneratorSpec:
-    """Bounded generator of the sandwich or sylvester kind with diagonal C.
+    """Bounded generator of the sandwich or sylvester kind, given by the
+    spectrum (diagonal) of C.
 
-    A non-None projection means the compressed generator Pi_n c Pi_n.
+    A non-None mask, a (d, d) boolean keep-set over the entries (j, k), means
+    the compressed generator Pi c Pi onto span{e_j (x) e_k : mask[j, k]}.
     """
 
     kind: str
-    C: np.ndarray
-    projection: ProjectionSpec | None = None
+    spectrum: np.ndarray
+    mask: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in ("sandwich", "sylvester"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        C = as_hs_operator(self.C)
-        if np.count_nonzero(C - np.diag(np.diagonal(C))):
-            raise ValueError("generator matrix C must be diagonal")
-        object.__setattr__(self, "C", C)
-        if self.projection is not None and self.projection.dim != self.dim:
-            raise ValueError("projection dimension does not match generator")
+        object.__setattr__(self, "spectrum", as_hilbert_vector(self.spectrum))
+        if self.mask is not None:
+            mask = np.asarray(self.mask, dtype=bool)
+            if mask.shape != (self.dim, self.dim):
+                raise ValueError(f"mask has shape {mask.shape}, expected {(self.dim, self.dim)}")
+            object.__setattr__(self, "mask", mask)
 
     @property
     def dim(self) -> int:
-        return int(self.C.shape[0])
+        return int(self.spectrum.size)
 
     @cached_property
     def op_norm(self) -> float:
         """Exact operator norm on HS space: max |Lambda| over the kept index set."""
         Lam = generator_eigensystem(self)
-        if self.projection is not None:
-            Lam = np.where(self.projection.mask, Lam, 0.0)
+        if self.mask is not None:
+            Lam = np.where(self.mask, Lam, 0.0)
         return float(np.max(np.abs(Lam)))
-
-    @classmethod
-    def diagonal(cls, kind: str, spectrum, projection: ProjectionSpec | None = None) -> "GeneratorSpec":
-        return cls(kind=kind, C=np.diag(np.asarray(spectrum, dtype=float)), projection=projection)
 
 
 def karhunen_loeve_spectrum(d: int) -> np.ndarray:
@@ -75,35 +73,37 @@ def karhunen_loeve_spectrum(d: int) -> np.ndarray:
 
 def generator_eigensystem(spec: GeneratorSpec) -> np.ndarray:
     """Eigenvalues Lambda[j, k] of the uncompressed generator on e_j (x) e_k."""
-    lam = np.diagonal(spec.C)
+    lam = spec.spectrum
     if spec.kind == "sandwich":
         return np.outer(lam, lam)
     return lam[:, None] + lam[None, :]
 
 
-def truncate_generator(spec: GeneratorSpec, P: ProjectionSpec) -> GeneratorSpec:
-    """Compressed generator Pi_n c Pi_n."""
-    if spec.projection is not None:
+def truncate_generator(spec: GeneratorSpec, n: int) -> GeneratorSpec:
+    """Compressed generator Pi_n c Pi_n onto J_n = {(j, k): j + k <= n}
+    (1-based indices)."""
+    if spec.mask is not None:
         raise ValueError("generator is already compressed")
-    return replace(spec, projection=P)
+    j = np.arange(1, spec.dim + 1)
+    return replace(spec, mask=j[:, None] + j[None, :] <= n)
 
 
-def eigen_tail_sup_sq(spec: GeneratorSpec, P: ProjectionSpec) -> float:
-    """sup of Lambda_m^2 over the complement of the index set (ambient grid)."""
-    Lam = generator_eigensystem(spec)
-    comp = ~P.mask
-    if not np.any(comp):
+def eigen_tail_sup_sq(spec: GeneratorSpec) -> float:
+    """sup of Lambda^2 over the entries a compressed generator drops (0 when
+    it drops none)."""
+    if spec.mask is None or np.all(spec.mask):
         return 0.0
-    return float(np.max(Lam[comp] ** 2))
+    return float(np.max(generator_eigensystem(spec)[~spec.mask] ** 2))
 
 
-def generator_gap_op_norm(spec: GeneratorSpec, P: ProjectionSpec) -> float:
-    """Operator norm of c - Pi c Pi on the operator space.
+def generator_gap_op_norm(spec: GeneratorSpec) -> float:
+    """Operator norm of c - Pi c Pi on the operator space, for the
+    compressed generator spec = Pi c Pi.
 
     The difference acts diagonally on the eigen grid, so the norm is exactly
-    the sup of |Lambda| over the complement of the index set.
+    the sup of |Lambda| over the dropped entries.
     """
-    return float(np.sqrt(eigen_tail_sup_sq(spec, P)))
+    return float(np.sqrt(eigen_tail_sup_sq(spec)))
 
 
 # --- semigroup steppers -----------------------------------------------------
@@ -130,8 +130,7 @@ class Stepper:
 
 
 def make_stepper(spec: GeneratorSpec) -> Stepper:
-    mask = spec.projection.mask if spec.projection is not None else None
-    return Stepper(generator_eigensystem(spec), mask)
+    return Stepper(generator_eigensystem(spec), spec.mask)
 
 
 # --- grids and paths ---------------------------------------------------------

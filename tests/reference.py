@@ -2,20 +2,23 @@
 
 variance_path runs one variance path through the engine's evolve_coupled,
 psd_sqrt takes one matrix through the engine's psd_sqrt_batch,
-default_generator_scenario is the reference scenario in generator mode, and
-by_id picks a result's rows of one bound.  The others are built straight
-from the definitions: generator_matrix is the explicit d^2 x d^2 matrix of a
-generator on row-major vec(T), which the expm reference paths use; project
-is Pi_n T for a ProjectionSpec; and corner is the compression that jump
-truncation applies, P T P with P the projection onto the first n
-coordinates.
+default_generator_scenario is the reference scenario in generator mode,
+level_mask is the keep-set J_n of the engine's truncate_generator, and by_id
+picks a result's rows of one bound.  geometric_law and geometric_noise are
+the jump law and noise spectrum with variances 2^-1, ..., 2^-d.  The others
+are built straight from the definitions: generator_matrix is the explicit
+d^2 x d^2 matrix of a generator on row-major vec(T), which the expm
+reference paths use; project is Pi T for a keep-mask; and corner is the
+compression that jump truncation applies, P T P with P the projection onto
+the first n coordinates.
 """
 
 import numpy as np
 
 from opvol.experiments import default_scenario
-from opvol.operators import as_hs_operator, is_self_adjoint, psd_sqrt_batch
-from opvol.variance import VariancePath, evolve_coupled, make_stepper
+from opvol.operators import psd_sqrt_batch
+from opvol.processes import JumpLaw, QWienerSpec
+from opvol.variance import GeneratorSpec, VariancePath, evolve_coupled, make_stepper, truncate_generator
 
 
 def variance_path(v0, spec, stream, grid, level=None):
@@ -30,8 +33,8 @@ def variance_path(v0, spec, stream, grid, level=None):
 
 def psd_sqrt(T):
     """Unique PSD square root of one self-adjoint PSD matrix."""
-    T = as_hs_operator(T)
-    if not is_self_adjoint(T):
+    T = np.asarray(T, dtype=float)
+    if T.ndim != 2 or np.max(np.abs(T - T.T)) > 1e-12:
         raise ValueError("psd_sqrt requires a self-adjoint matrix")
     return psd_sqrt_batch(T[None])[0]
 
@@ -39,6 +42,19 @@ def psd_sqrt(T):
 def default_generator_scenario(replications=2000, master_seed=1729):
     return default_scenario(replications=replications, master_seed=master_seed,
                             truncation="generator")
+
+
+def level_mask(n, d):
+    """Keep-set J_n = {(j, k): j + k <= n} (1-based) as a (d, d) mask."""
+    return truncate_generator(GeneratorSpec("sylvester", np.zeros(d)), n).mask
+
+
+def geometric_law(d):
+    return JumpLaw(gammas=0.5 ** np.arange(1, d + 1))
+
+
+def geometric_noise(d):
+    return QWienerSpec(q=0.5 ** np.arange(1, d + 1))
 
 
 def by_id(result, bound_id):
@@ -49,20 +65,21 @@ def by_id(result, bound_id):
 def generator_matrix(spec):
     """Explicit d^2 x d^2 matrix of the (compressed) action on row-major vec(T)."""
     d = spec.dim
+    C = np.diag(spec.spectrum)
     if spec.kind == "sandwich":
-        K = np.kron(spec.C, spec.C)
+        K = np.kron(C, C)
     else:
         eye = np.eye(d)
-        K = np.kron(spec.C, eye) + np.kron(eye, spec.C)
-    if spec.projection is not None:
-        p = spec.projection.mask.reshape(-1).astype(float)
+        K = np.kron(C, eye) + np.kron(eye, C)
+    if spec.mask is not None:
+        p = spec.mask.reshape(-1).astype(float)
         K = K * p[:, None] * p[None, :]
     return K
 
 
-def project(T, P):
-    """Pi_n T: every entry outside the index set of P zeroed."""
-    return np.where(P.mask, T, 0.0)
+def project(T, mask):
+    """Pi T: every entry outside the keep-mask zeroed."""
+    return np.where(mask, T, 0.0)
 
 
 def corner(T, n):

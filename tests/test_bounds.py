@@ -45,7 +45,7 @@ def evaluate_all(inputs):
             bound_cpp_diff(inputs),
             bound_variance_generator(inputs),
             bound_variance_generator_tail(inputs),
-            bound_sqrt(inputs, "hs-jumps"),
+            bound_sqrt(inputs),
         ]
     )
 
@@ -133,22 +133,9 @@ class TestVarianceGeneratorConstants:
 
 
 class TestSqrtBounds:
-    def test_op_norm_passthrough(self):
-        inputs = BoundInputs()
-        assert bound_sqrt(inputs, "op-norm", sup_op_error=0.0) == 0.0
-        assert bound_sqrt(inputs, "op-norm", sup_op_error=0.37) == 0.37
-        with pytest.raises(ValueError):
-            bound_sqrt(inputs, "op-norm")
-
     def test_hs_jumps_plugin(self):
         inputs = BoundInputs(gen_norm=0.0, rate=1.0, horizon=1.0)
-        assert bound_sqrt(inputs, "hs-jumps") == 1.0
-
-    def test_unknown_case(self):
-        with pytest.raises(ValueError):
-            bound_sqrt(BoundInputs(), "trace-free")
-        with pytest.raises(ValueError):
-            bound_sqrt(BoundInputs(), "hs-generator")
+        assert bound_sqrt(inputs) == 1.0
 
 
 class TestJumpAndPricing:
@@ -200,7 +187,7 @@ class TestValidation:
             bound_variance_jumps,
             bound_variance_generator,
             bound_variance_generator_tail,
-            lambda inputs: bound_sqrt(inputs.with_(gen_norm=2.0 * inputs.gen_norm), "hs-jumps"),
+            lambda inputs: bound_sqrt(inputs.with_(gen_norm=2.0 * inputs.gen_norm)),
             lambda inputs: bound_pathwise(2.0 * inputs.gen_norm, 1.0, 0.0, 0.0),
         )
         for fn, field in [(fn, "generator_spectrum") for fn in generator] + [(bound_forward, "forward_spectrum")]:

@@ -267,6 +267,37 @@ class TestVerifyCommand:
             assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "bounds.csv").exists()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("value", [-1, 8])
+    def test_functional_coordinate_out_of_range_exits_one(self, tmp_path, capfd, threads, value):
+        # d = 8: -1 would price the last coordinate, 8 would index none
+        path = write_config(tmp_path, functional_coordinate=value, replications=4, m_points=20)
+        code = main(["price", path, "--threads", threads, "--out-dir", str(tmp_path)])
+        assert code == EXIT_ERROR
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err == f"error: functional_coordinate must lie in 0..7, got {value}\n"
+        assert not (tmp_path / "pricing.csv").exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("source", ["config", "flag", "environment"])
+    def test_negative_master_seed_exits_one(self, tmp_path, capfd, monkeypatch, threads, source):
+        # rejected before any replication, whichever source the seed resolves from
+        overrides = {"master_seed": -3} if source == "config" else {}
+        path = write_config(tmp_path, replications=4, m_points=20, **overrides)
+        argv = ["verify", path, "--threads", threads, "--out-dir", str(tmp_path)]
+        if source == "flag":
+            argv += ["--seed", "-3"]
+        monkeypatch.delenv("OPVOL_SEED", raising=False)
+        if source == "environment":
+            monkeypatch.setenv("OPVOL_SEED", "-3")
+        code = main(argv)
+        assert code == EXIT_ERROR
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err == "error: master_seed must be nonnegative, got -3\n"
+        assert not (tmp_path / "bounds.csv").exists()
+
     def test_bound_failure_exits_two(self, tmp_path, monkeypatch, capsys):
         import opvol.cli as cli_mod
         from opvol.experiments import ExperimentResult, make_report

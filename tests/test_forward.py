@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from opvol.forward import (
     ForwardSemigroupSpec,
@@ -13,21 +14,18 @@ from opvol.forward import (
 )
 from opvol.operators import (
     NotPositiveSemidefinite,
-    matrix_exp,
     psd_sqrt_batch,
 )
 from opvol.processes import (
     CoupledJumpStream,
-    JumpLaw,
     PoissonClock,
-    QWienerSpec,
     sample_clock,
     sample_jump_stream,
     sample_wiener_increments,
     stream,
 )
 from opvol.variance import GeneratorSpec, VariancePath, build_grid, karhunen_loeve_spectrum
-from reference import corner, psd_sqrt, variance_path
+from reference import corner, geometric_law, geometric_noise, psd_sqrt, variance_path
 
 
 def random_skew(rng, d):
@@ -47,7 +45,7 @@ def semigroup(fwd, t):
 
 def constant_paths(v0, horizon, m_points, d, levels=()):
     """Jump-free variance paths: V stays at v0, V^n stays at the projection."""
-    spec = GeneratorSpec.diagonal("sylvester", np.zeros(d))
+    spec = GeneratorSpec("sylvester", np.zeros(d))
     clock = PoissonClock.empty(rate=0.0, horizon=horizon)
     js = CoupledJumpStream(clock=clock, ys=np.empty((0, d)))
     grid = build_grid(horizon, m_points, np.empty(0))
@@ -126,7 +124,7 @@ class TestSimulation:
         d = 4
         exact, _ = constant_paths(np.zeros((d, d)), 1.0, 16, d)
         fwd = zero_semigroup(d)
-        path = simulate_forward_coupled(exact, {}, fwd, QWienerSpec.geometric(d), stream(41, 3, 0))
+        path = simulate_forward_coupled(exact, {}, fwd, geometric_noise(d), stream(41, 3, 0))
         np.testing.assert_array_equal(path.values, 0.0)
 
     def test_identical_variance_paths_give_zero_error(self):
@@ -135,7 +133,7 @@ class TestSimulation:
         exact, _ = constant_paths(v0, 1.0, 16, d)
         fwd = ForwardSemigroupSpec.diagonal([-0.5, -0.25, 0.0, 0.25])
         path = simulate_forward_coupled(
-            exact, {4: exact}, fwd, QWienerSpec.geometric(d), stream(42, 3, 0)
+            exact, {4: exact}, fwd, geometric_noise(d), stream(42, 3, 0)
         )
         assert forward_sup_error(path, 4) == 0.0
 
@@ -146,7 +144,7 @@ class TestSimulation:
         v0 = A @ A.T / d + np.eye(d)
         exact, approx = constant_paths(v0, 1.0, 1, d, levels=(2,))
         fwd = zero_semigroup(d)
-        path = simulate_forward_coupled(exact, approx, fwd, QWienerSpec.geometric(d), stream(43, 3, 0))
+        path = simulate_forward_coupled(exact, approx, fwd, geometric_noise(d), stream(43, 3, 0))
         db = path.increments[0]
         v0n = corner(v0, 2)
         expected = np.linalg.norm((psd_sqrt(v0) - psd_sqrt(v0n)) @ db) ** 2
@@ -159,7 +157,7 @@ class TestSimulation:
         other, _ = constant_paths(np.eye(d), 1.0, 9, d)
         fwd = zero_semigroup(d)
         with pytest.raises(ValueError):
-            simulate_forward_coupled(exact, {2: other}, fwd, QWienerSpec.geometric(d), stream(44, 3, 0))
+            simulate_forward_coupled(exact, {2: other}, fwd, geometric_noise(d), stream(44, 3, 0))
 
     def test_indefinite_variance_rejected(self):
         d = 2
@@ -168,22 +166,22 @@ class TestSimulation:
         bad = VariancePath(grid=exact.grid, values=bad_values)
         fwd = zero_semigroup(d)
         with pytest.raises(NotPositiveSemidefinite):
-            simulate_forward_coupled(bad, {}, fwd, QWienerSpec.geometric(d), stream(45, 3, 0))
+            simulate_forward_coupled(bad, {}, fwd, geometric_noise(d), stream(45, 3, 0))
 
     def test_shared_noise_is_level_independent(self):
         # adding a level never resamples the driver: bit-identical increments and paths
         d = 6
-        spec = GeneratorSpec.diagonal("sylvester", -karhunen_loeve_spectrum(d))
+        spec = GeneratorSpec("sylvester", -karhunen_loeve_spectrum(d))
         clock = sample_clock(2.0, 1.0, stream(46, 1, 0))
         v0 = np.diag(0.5 ** np.arange(1, d + 1))
 
         def run(levels):
-            js = sample_jump_stream(clock, JumpLaw.geometric(d), stream(46, 2, 0))
+            js = sample_jump_stream(clock, geometric_law(d), stream(46, 2, 0))
             grid = build_grid(1.0, 20, clock.times)
             exact = variance_path(v0, spec, js, grid)
             approx = {n: variance_path(corner(v0, n), spec, js, grid, level=n) for n in levels}
             fwd = ForwardSemigroupSpec.diagonal(np.full(d, -0.3))
-            return simulate_forward_coupled(exact, approx, fwd, QWienerSpec.geometric(d), stream(46, 3, 0))
+            return simulate_forward_coupled(exact, approx, fwd, geometric_noise(d), stream(46, 3, 0))
 
         one = run((3,))
         two = run((3, 5))
@@ -195,7 +193,7 @@ class TestSimulation:
         d = 2
         exact, approx = constant_paths(np.eye(d), 1.0, 4, d, levels=(1,))
         fwd = zero_semigroup(d)
-        path = simulate_forward_coupled(exact, approx, fwd, QWienerSpec.geometric(d), stream(47, 3, 0))
+        path = simulate_forward_coupled(exact, approx, fwd, geometric_noise(d), stream(47, 3, 0))
         with pytest.raises(KeyError):
             forward_sup_error(path, 2)
 
@@ -204,7 +202,7 @@ class TestSimulation:
         v0 = np.diag([1.0, 0.5, 0.25, 0.125])
         exact, approx = constant_paths(v0, 1.0, 32, d, levels=(2,))
         fwd = zero_semigroup(d)
-        path = simulate_forward_coupled(exact, approx, fwd, QWienerSpec.geometric(d), stream(48, 3, 0))
+        path = simulate_forward_coupled(exact, approx, fwd, geometric_noise(d), stream(48, 3, 0))
         diff = np.sum((path.values - path.approx[2]) ** 2, axis=1)
         assert np.max(diff[::4]) <= forward_sup_error(path, 2)
 
@@ -212,7 +210,7 @@ class TestSimulation:
         d = 2
         exact, _ = constant_paths(np.eye(d), 1.0, 4, d)
         fwd = zero_semigroup(d)
-        path = simulate_forward_coupled(exact, {}, fwd, QWienerSpec.geometric(d), stream(49, 3, 0))
+        path = simulate_forward_coupled(exact, {}, fwd, geometric_noise(d), stream(49, 3, 0))
         np.testing.assert_array_equal(path.at_time(0.5), path.values[2])
         with pytest.raises(ValueError):
             path.at_time(0.33)
@@ -220,10 +218,10 @@ class TestSimulation:
 
 def jump_paths(d, levels, seed):
     """Coupled variance paths on a grid with jump slots (zero-length steps)."""
-    spec = GeneratorSpec.diagonal("sylvester", -karhunen_loeve_spectrum(d))
+    spec = GeneratorSpec("sylvester", -karhunen_loeve_spectrum(d))
     clock = sample_clock(6.0, 1.0, stream(seed, 1, 0))
     assert clock.count > 0
-    js = sample_jump_stream(clock, JumpLaw.geometric(d), stream(seed, 2, 0))
+    js = sample_jump_stream(clock, geometric_law(d), stream(seed, 2, 0))
     grid = build_grid(1.0, 20, clock.times)
     v0 = np.diag(0.5 ** np.arange(1, d + 1))
     exact = variance_path(v0, spec, js, grid)
@@ -263,7 +261,7 @@ def per_step_recursion(exact, approx, fwd, q, rng):
             if diag_exponents is not None:
                 state = state * np.exp(diag_exponents * dt)
             else:
-                state = state @ matrix_exp(fwd.A, dt).T
+                state = state @ expm(dt * fwd.A).T
             step_no += 1
         xs[:, g] = state
     return xs, increments
@@ -275,7 +273,7 @@ class TestPrecomputedSquareRoots:
         exact, approx = jump_paths(d, levels, seed=61)
         assert np.any(np.diff(exact.grid.times) == 0.0)
         sqrts = psd_sqrt_batch(np.stack([exact.values] + [approx[n].values for n in levels]))
-        q = QWienerSpec.geometric(d)
+        q = geometric_noise(d)
         for fwd in semigroups(d):
             own = simulate_forward_coupled(exact, approx, fwd, q, stream(61, 3, 0))
             given = simulate_forward_coupled(exact, approx, fwd, q, stream(61, 3, 0), sqrts)
@@ -287,7 +285,7 @@ class TestPrecomputedSquareRoots:
     def test_batched_noise_matches_per_step_loop(self):
         d, levels = 6, (2, 4)
         exact, approx = jump_paths(d, levels, seed=62)
-        q = QWienerSpec.geometric(d)
+        q = geometric_noise(d)
         for fwd in semigroups(d):
             path = simulate_forward_coupled(exact, approx, fwd, q, stream(62, 3, 0))
             xs, increments = per_step_recursion(exact, approx, fwd, q, stream(62, 3, 0))
@@ -309,7 +307,7 @@ class TestPrecomputedSquareRoots:
         skew = ForwardSemigroupSpec(kind="skew", A=random_skew(rng, d))
         for fwd, step in (
             (diagonal, lambda dt: np.exp(np.diagonal(diagonal.A) * dt)),
-            (skew, lambda dt: matrix_exp(skew.A, dt)),
+            (skew, lambda dt: expm(dt * skew.A)),
         ):
             table = _propagator_table(fwd, dts)
             for u, dt in enumerate(dts):
@@ -322,7 +320,7 @@ class TestPrecomputedSquareRoots:
         exact, approx = jump_paths(d, (2,), seed=63)
         full = psd_sqrt_batch(np.stack([exact.values, approx[2].values]))
         fwd = zero_semigroup(d)
-        q = QWienerSpec.geometric(d)
+        q = geometric_noise(d)
         for bad in (full[:1], full[:, 1:], full[..., :2, :2]):
             with pytest.raises(ValueError, match="square root stack"):
                 simulate_forward_coupled(exact, approx, fwd, q, stream(63, 3, 0), bad)
@@ -332,7 +330,7 @@ class TestIsometry:
     def test_constant_identity_volatility(self):
         # A = 0, V = I: E|X(T)|^2 = T Tr(Q), and the scheme has zero bias here
         d = 4
-        q = QWienerSpec.geometric(d)
+        q = geometric_noise(d)
         fwd = zero_semigroup(d)
         exact, _ = constant_paths(np.eye(d), 1.0, 25, d)
         sq = np.empty(1500)
@@ -345,7 +343,7 @@ class TestIsometry:
     def test_skew_transport_preserves_isometry(self):
         # skew A is an isometry group, so the constant-volatility value is unchanged
         d = 4
-        q = QWienerSpec.geometric(d)
+        q = geometric_noise(d)
         fwd = ForwardSemigroupSpec(kind="skew", A=random_skew(np.random.default_rng(7), d))
         exact, _ = constant_paths(np.eye(d), 1.0, 25, d)
         sq = np.empty(1500)
@@ -357,7 +355,7 @@ class TestIsometry:
 
     def test_scheme_expectation_formulas_agree_at_zero_drift(self):
         d = 3
-        q = QWienerSpec.geometric(d).q
+        q = geometric_noise(d).q
         v = np.array([1.0, 0.5, 0.25])
         a = np.zeros(d)
         assert scheme_second_moment(a, v, q, 1.0, 100) == pytest.approx(
@@ -366,7 +364,7 @@ class TestIsometry:
 
     def test_mc_matches_scheme_expectation_with_drift(self):
         d = 3
-        qspec = QWienerSpec.geometric(d)
+        qspec = geometric_noise(d)
         a = np.array([-1.0, -0.5, 0.25])
         v0 = np.diag([1.0, 0.5, 0.25])
         fwd = ForwardSemigroupSpec.diagonal(a)
@@ -381,7 +379,7 @@ class TestIsometry:
 
     def test_euler_bias_halves_with_step(self):
         d = 3
-        q = QWienerSpec.geometric(d).q
+        q = geometric_noise(d).q
         a = np.array([-1.2, -0.6, 0.4])
         v = np.array([1.0, 0.5, 0.25])
         truth = exact_second_moment(a, v, q, 1.0)

@@ -5,13 +5,13 @@ import pytest
 
 from opvol.forward import ForwardSemigroupSpec, simulate_forward_coupled
 from opvol.pricing import FunctionalSpec, PayoffSpec, mean_se, pricing_report
-from opvol.processes import CoupledJumpStream, JumpLaw, PoissonClock, QWienerSpec, sample_clock, sample_jump_stream, stream
+from opvol.processes import CoupledJumpStream, PoissonClock, sample_clock, sample_jump_stream, stream
 from opvol.variance import GeneratorSpec, build_grid, karhunen_loeve_spectrum
-from reference import corner, variance_path
+from reference import corner, geometric_law, geometric_noise, variance_path
 
 
 def constant_paths(v0, horizon, m_points, d, levels=()):
-    spec = GeneratorSpec.diagonal("sylvester", np.zeros(d))
+    spec = GeneratorSpec("sylvester", np.zeros(d))
     clock = PoissonClock.empty(rate=0.0, horizon=horizon)
     js = CoupledJumpStream(clock=clock, ys=np.empty((0, d)))
     grid = build_grid(horizon, m_points, np.empty(0))
@@ -22,7 +22,7 @@ def constant_paths(v0, horizon, m_points, d, levels=()):
 
 def gaussian_ensemble(d=4, reps=1500, m_points=25, seed=61, levels=()):
     """A = 0, V = I: X(T) is exactly Gaussian with coordinate variances q_j T."""
-    q = QWienerSpec.geometric(d)
+    q = geometric_noise(d)
     fwd = ForwardSemigroupSpec.diagonal(np.zeros(d))
     exact, approx = constant_paths(np.eye(d), 1.0, m_points, d, levels=levels)
     return [
@@ -51,15 +51,15 @@ def chain_report(paths, functional, payoff, tau, level, **cap):
 
 
 def jump_ensemble(d=6, reps=400, level=3, seed=62):
-    spec = GeneratorSpec.diagonal("sylvester", -karhunen_loeve_spectrum(d))
+    spec = GeneratorSpec("sylvester", -karhunen_loeve_spectrum(d))
     v0 = np.diag(0.5 ** np.arange(1, d + 1))
     v0n = corner(v0, level)
-    q = QWienerSpec.geometric(d)
+    q = geometric_noise(d)
     fwd = ForwardSemigroupSpec.diagonal(np.zeros(d))
     paths = []
     for rep in range(reps):
         clock = sample_clock(2.0, 1.0, stream(seed, 1, rep))
-        js = sample_jump_stream(clock, JumpLaw.geometric(d), stream(seed, 2, rep))
+        js = sample_jump_stream(clock, geometric_law(d), stream(seed, 2, rep))
         grid = build_grid(1.0, 20, clock.times)
         exact = variance_path(v0, spec, js, grid)
         approx = {level: variance_path(v0n, spec, js, grid, level=level)}
