@@ -33,11 +33,7 @@ from opvol.forward import (
     forward_sup_error,
     simulate_forward_coupled,
 )
-from opvol.operators import (
-    HilbertVector,
-    HSOperator,
-    NotPositiveSemidefinite,
-)
+from opvol.operators import NotPositiveSemidefinite
 from opvol.pricing import (
     FunctionalSpec,
     PayoffSpec,
@@ -49,7 +45,6 @@ from opvol.processes import (
     PURPOSE_WIENER,
     JumpLaw,
     PoissonClock,
-    QWienerSpec,
     cp_second_moment,
     cp_second_moment_bound,
     sample_clock,
@@ -79,8 +74,6 @@ __all__ = [
     "ForwardSemigroupSpec",
     "FunctionalSpec",
     "GeneratorSpec",
-    "HSOperator",
-    "HilbertVector",
     "JumpLaw",
     "NotPositiveSemidefinite",
     "PASS_MARGIN",
@@ -90,7 +83,6 @@ __all__ = [
     "PayoffSpec",
     "PoissonClock",
     "PricingReport",
-    "QWienerSpec",
     "TimeGrid",
     "VariancePath",
     "bound_cpp_diff",

@@ -31,13 +31,12 @@ _MAX_EXPONENT = math.log(sys.float_info.max)
 class BoundInputs:
     """Model constants and moment estimates consumed by the bound functions.
 
-    Semigroup constants (c, k) certify the forward propagator; gen_norm and
-    gen_norm_trunc are the operator norms of the mean-reversion generator and
-    its compression.  The remaining fields are moments of the initial
-    variance V0 and of a single jump X1.
+    The growth rate k certifies the forward propagator, ||S(t)|| <= e^{kt};
+    gen_norm and gen_norm_trunc are the operator norms of the mean-reversion
+    generator and its compression.  The remaining fields are moments of the
+    initial variance V0 and of a single jump X1.
     """
 
-    c: float = 1.0
     k: float = 0.0
     trace_q: float = 0.0
     horizon: float = 1.0
@@ -49,8 +48,6 @@ class BoundInputs:
     jump_mean_sq: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.c < 1.0:
-            raise ValueError("semigroup constant c must be >= 1")
         if self.horizon <= 0.0:
             raise ValueError("horizon must be positive")
         for name in (
@@ -81,16 +78,16 @@ def _growth_exponent(x: float, field: str) -> float:
 
 
 def bound_forward(inputs: BoundInputs) -> float:
-    """Noise constant C(T) = c^2 Tr(Q) (e^{2kT} - 1) / (2k).
+    """Noise constant C(T) = Tr(Q) (e^{2kT} - 1) / (2k).
 
-    At k = 0 the analytic limit c^2 Tr(Q) T is used; the switch triggers for
+    At k = 0 the analytic limit Tr(Q) T is used; the switch triggers for
     |k| < 1e-12 / T.  The caller multiplies by E[sup_t ||V - V^n||].
     """
-    c, k, t = inputs.c, inputs.k, inputs.horizon
+    k, t = inputs.k, inputs.horizon
     if abs(k) < K_ZERO_REL / t:
-        return c * c * inputs.trace_q * t
+        return inputs.trace_q * t
     growth = math.expm1(_growth_exponent(2.0 * k * t, "forward_spectrum"))
-    return c * c * inputs.trace_q * growth / (2.0 * k)
+    return inputs.trace_q * growth / (2.0 * k)
 
 
 def bound_variance_jumps(inputs: BoundInputs, sharp: bool = False) -> tuple[float, float]:

@@ -22,6 +22,7 @@ are started than there are replications or cores.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -49,14 +50,6 @@ class ConfigError(ValueError):
 
 # --- config loading ----------------------------------------------------------
 
-_INT_FIELDS = ("d", "m_points", "functional_coordinate", "replications", "master_seed")
-_FLOAT_FIELDS = ("horizon", "rate", "payoff_strike", "exercise_time")
-_ARRAY_FIELDS = ("jump_gammas", "q_spectrum", "generator_spectrum", "forward_spectrum", "v0_diag")
-_STR_FIELDS = ("generator_kind", "forward_kind", "truncation", "payoff_kind")
-_BOOL_FIELDS = ("truncate_v0",)
-
-_ALL_FIELDS = _INT_FIELDS + _FLOAT_FIELDS + _ARRAY_FIELDS + _STR_FIELDS + _BOOL_FIELDS + ("levels",)
-
 
 def _as_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
@@ -76,10 +69,28 @@ def _as_array(name: str, value) -> np.ndarray:
     return np.array([_as_float(f"{name}[{i}]", v) for i, v in enumerate(value)])
 
 
-def _as_levels(value) -> tuple[int, ...]:
+def _as_int_tuple(name: str, value) -> tuple[int, ...]:
     if not isinstance(value, list) or not value:
-        raise ConfigError("field 'levels' must be a nonempty list of integers")
-    return tuple(_as_int(f"levels[{i}]", v) for i, v in enumerate(value))
+        raise ConfigError(f"field '{name}' must be a nonempty list of integers")
+    return tuple(_as_int(f"{name}[{i}]", v) for i, v in enumerate(value))
+
+
+def _as_str(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"field '{name}' must be a string")
+    return value
+
+
+def _as_bool(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"field '{name}' must be a boolean")
+    return value
+
+
+# each CoupledScenario field's coercion, by its annotation
+_COERCE = {"int": _as_int, "float": _as_float, "np.ndarray": _as_array, "str": _as_str,
+           "bool": _as_bool, "tuple[int, ...]": _as_int_tuple}
+_FIELDS = {f.name: _COERCE[f.type] for f in dataclasses.fields(CoupledScenario)}
 
 
 def load_config(path: str) -> dict:
@@ -98,32 +109,13 @@ def load_config(path: str) -> dict:
     if not isinstance(raw, Mapping):
         raise ConfigError(f"{path}: top level must be a JSON object")
 
-    unknown = sorted(set(raw) - set(_ALL_FIELDS))
+    unknown = sorted(set(raw) - set(_FIELDS))
     if unknown:
         raise ConfigError(
             f"{path}: unknown field(s) {', '.join(repr(k) for k in unknown)}; "
-            f"valid fields are {', '.join(sorted(_ALL_FIELDS))}"
+            f"valid fields are {', '.join(sorted(_FIELDS))}"
         )
-
-    out: dict = {}
-    for name, value in raw.items():
-        if name == "levels":
-            out[name] = _as_levels(value)
-        elif name in _INT_FIELDS:
-            out[name] = _as_int(name, value)
-        elif name in _FLOAT_FIELDS:
-            out[name] = _as_float(name, value)
-        elif name in _ARRAY_FIELDS:
-            out[name] = _as_array(name, value)
-        elif name in _BOOL_FIELDS:
-            if not isinstance(value, bool):
-                raise ConfigError(f"field '{name}' must be a boolean")
-            out[name] = value
-        else:
-            if not isinstance(value, str):
-                raise ConfigError(f"field '{name}' must be a string")
-            out[name] = value
-    return out
+    return {name: _FIELDS[name](name, value) for name, value in raw.items()}
 
 
 def resolve_scenario(config_path: str | None, seed: int | None,

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property, partial
 
 import numpy as np
@@ -58,7 +58,6 @@ from opvol.processes import (
     PURPOSE_WIENER,
     JumpLaw,
     PoissonClock,
-    QWienerSpec,
     cp_second_moment,
     cp_second_moment_bound,
     sample_clock,
@@ -168,7 +167,9 @@ class CoupledScenario:
             raise ValueError("need at least two replications for standard errors")
         dt = self.horizon / self.m_points
         steps = self.exercise_time / dt
-        if not (0 < self.exercise_time <= self.horizon) or abs(steps - round(steps)) > 1e-9:
+        # the payoff is read at the uniform grid point round(steps), not at 0
+        if not (0 < self.exercise_time <= self.horizon and 1 <= round(steps)
+                and abs(steps - round(steps)) <= 1e-9):
             raise ValueError("exercise_time must sit on the uniform grid in (0, horizon]")
         # constructor smoke checks: fail fast on bad kinds
         self.generator_spec()
@@ -184,21 +185,10 @@ class CoupledScenario:
         return truncate_generator(self.generator_spec(), n)
 
     def forward_spec(self) -> ForwardSemigroupSpec:
-        if self.forward_kind == "diagonal":
-            return ForwardSemigroupSpec.diagonal(self.forward_spectrum)
-        if self.forward_kind == "skew":
-            A = np.zeros((self.d, self.d))
-            w = self.forward_spectrum[: self.d - 1]
-            A[np.arange(self.d - 1), np.arange(1, self.d)] = w
-            A[np.arange(1, self.d), np.arange(self.d - 1)] = -w
-            return ForwardSemigroupSpec(kind="skew", A=A)
-        raise ValueError(f"unknown forward semigroup kind {self.forward_kind!r}")
+        return ForwardSemigroupSpec(self.forward_kind, self.forward_spectrum)
 
     def jump_law(self) -> JumpLaw:
         return JumpLaw(gammas=self.jump_gammas)
-
-    def q_spec(self) -> QWienerSpec:
-        return QWienerSpec(q=self.q_spectrum)
 
     def v0(self) -> np.ndarray:
         return np.diag(self.v0_diag)
@@ -255,10 +245,14 @@ class CoupledScenario:
             ]
         v0s = np.stack([self.v0()] + [self.v0_at_level(n) for n in self.levels])
         v0s.setflags(write=False)
+        # the uniform grid point nearest exercise_time, with the bits
+        # build_grid gives it
+        steps = round(self.exercise_time / (self.horizon / self.m_points))
+        tau = np.linspace(0.0, self.horizon, self.m_points + 1)[steps]
         return _RunConstants(
             steppers=steppers, v0s=v0s, jump_law=self.jump_law(),
-            forward=self.forward_spec(), q=self.q_spec(), payoff=self.payoff(),
-            functional=self.functional(),
+            forward=self.forward_spec(), payoff=self.payoff(),
+            functional=self.functional(), tau=tau,
         )
 
 
@@ -266,16 +260,17 @@ class CoupledScenario:
 class _RunConstants:
     """What a replication needs from its scenario beyond the random draws.
 
-    steppers and v0s hold the exact path first, then one entry per level.
+    steppers and v0s hold the exact path first, then one entry per level;
+    tau is the exercise time as a point of every replication's grid.
     """
 
     steppers: list[Stepper]
     v0s: np.ndarray
     jump_law: JumpLaw
     forward: ForwardSemigroupSpec
-    q: QWienerSpec
     payoff: PayoffSpec
     functional: FunctionalSpec
+    tau: float
 
 
 # --- reports -----------------------------------------------------------------
@@ -490,17 +485,15 @@ def _path_stats(scenario: CoupledScenario, rep: int, grid: TimeGrid,
     out["sqrt_sup_sq_op"] = np.array([s**2 for s in sqrt_op])
     out["sqrt_sup_sq_hs"] = np.array([s**2 for s in sqrt_hs])
 
-    approx = {n: VariancePath(grid, vals[i]) for i, n in enumerate(levels, start=1)}
-    fpath = simulate_forward_coupled(
-        VariancePath(grid, vals[0]), approx, run.forward, run.q,
+    xs = simulate_forward_coupled(
+        VariancePath(grid, vals), run.forward, scenario.q_spectrum,
         stream(scenario.master_seed, PURPOSE_WIENER, rep), sqrts,
     )
     payoff, functional = run.payoff, run.functional
-    tau = scenario.exercise_time
-    xt = fpath.at_time(tau)
-    xtn = [fpath.at_time(tau, n) for n in levels]
+    # X is continuous, so the last slot at the exercise time will do
+    xt, *xtn = xs[:, np.searchsorted(grid.times, run.tau, side="right") - 1]
     out["pay_exact"] = payoff.evaluate(functional.apply(xt))
-    out["fwd_sup_sq"] = np.array([forward_sup_error(fpath, n) for n in levels])
+    out["fwd_sup_sq"] = forward_sup_error(xs)
     out["pay_trunc"] = np.array([payoff.evaluate(functional.apply(x)) for x in xtn])
     out["dx_tau"] = np.array([np.linalg.norm(xt - x) for x in xtn])
     return out
@@ -575,6 +568,16 @@ def _require_finite(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> None
     raise ValueError(f"numerical failure in replication {r}: statistic {key}{level} is {value}")
 
 
+def _require_finite_rows(rows) -> None:
+    """Raise a ValueError naming the first non-finite value of the reduced
+    rows, each (name, level, {field: value}).  A reduction of finite
+    statistics can still overflow (a mean of payoffs near 1e308, say)."""
+    for name, level, values in rows:
+        for key, value in values.items():
+            if not math.isfinite(value):
+                raise ValueError(f"numerical failure: {name} at level {level}: {key} is {value}")
+
+
 def _check_growth(scenario: CoupledScenario) -> None:
     """Raise the bounds' ValueError for a growth factor that overflows, as the
     reducers would, before the statistics are checked: an overflowing
@@ -585,8 +588,7 @@ def _check_growth(scenario: CoupledScenario) -> None:
     bound_variance_jumps(BoundInputs(horizon=T, rate=scenario.rate,
                                      gen_norm=scenario.generator_spec().op_norm))
     if scenario.truncation == "jumps":
-        fwd = scenario.forward_spec()
-        bound_forward(BoundInputs(c=fwd.c, k=fwd.k, trace_q=scenario.q_spec().trace_q, horizon=T))
+        bound_forward(BoundInputs(k=scenario.forward_spec().k, horizon=T))
 
 
 # --- reduction helpers -------------------------------------------------------
@@ -665,18 +667,18 @@ def _moment_rows(scenario: CoupledScenario, s: dict[str, np.ndarray]):
     return rows, m4, m2
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _reduce_jumps(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> ExperimentResult:
     lam, T = scenario.rate, scenario.horizon
     gn = scenario.generator_spec().op_norm
-    fwd = scenario.forward_spec()
     base = BoundInputs(horizon=T, rate=lam, gen_norm=gn)
     c0, c1 = bound_variance_jumps(base)
     _, c1_sharp = bound_variance_jumps(base, sharp=True)
     cpp_const = bound_cpp_diff(base)
     sqrt_hs_factor = bound_sqrt(base)
-    fwd_const = bound_forward(
-        BoundInputs(c=fwd.c, k=fwd.k, trace_q=scenario.q_spec().trace_q, horizon=T)
-    )
+    fwd_const = bound_forward(BoundInputs(
+        k=scenario.forward_spec().k, trace_q=float(scenario.q_spectrum.sum()), horizon=T,
+    ))
     payoff = scenario.payoff()
     functional = scenario.functional()
     counts = s["n_jumps"]
@@ -763,6 +765,7 @@ def _reduce_jumps(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> Experi
     return ExperimentResult(scenario=scenario, reports=tuple(reports), pricing=tuple(pricing))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _reduce_generator(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> ExperimentResult:
     lam, T = scenario.rate, scenario.horizon
     gn = scenario.generator_spec().op_norm
@@ -808,14 +811,22 @@ def run_experiment(scenario: CoupledScenario, workers: int = 1) -> ExperimentRes
     s = _map_reps(scenario, workers)
     _check_growth(scenario)
     _require_finite(scenario, s)
-    if scenario.truncation == "jumps":
-        return _reduce_jumps(scenario, s)
-    return _reduce_generator(scenario, s)
+    reduce = _reduce_jumps if scenario.truncation == "jumps" else _reduce_generator
+    result = reduce(scenario, s)
+    # margins may be +-inf; the values they come from may not
+    _require_finite_rows(
+        [(r.bound_id, r.level, {"lhs": r.lhs, "lhs_stderr": r.lhs_se, "rhs": r.rhs,
+                                "rhs_stderr": r.rhs_se}) for r in result.reports]
+        + [("pricing", p.level, {k: v for k, v in asdict(p).items() if k != "level"})
+           for p in result.pricing]
+    )
+    return result
 
 
 # --- convergence -------------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def convergence_study(scenario: CoupledScenario, workers: int = 1) -> ConvergenceStudy:
     """Per-level truncation error series with weak-monotonicity checks.
 
@@ -850,6 +861,8 @@ def convergence_study(scenario: CoupledScenario, workers: int = 1) -> Convergenc
         else:
             gap = generator_gap_op_norm(scenario.truncated_generator_spec(n))
             rows.append(ConvergenceRow(n, "generator_gap_sq", gap**2, 0.0))
+    _require_finite_rows([(r.bound_id, r.level, {"estimate": r.estimate, "stderr": r.stderr})
+                          for r in rows])
 
     monotone: dict[str, bool] = {}
     for bound_id in {r.bound_id for r in rows}:

@@ -23,157 +23,98 @@ one batched contraction, and only the transport by S(dt_m) runs step by step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
-from .operators import HilbertVector, HSOperator, psd_sqrt_batch
-from .processes import QWienerSpec, sample_wiener_increments
-from .variance import TimeGrid, VariancePath
+from .operators import psd_sqrt_batch
+from .processes import sample_wiener_increments
+from .variance import VariancePath
 
-SKEW_TOL = 1e-12
+SEMIGROUP_KINDS = ("diagonal", "skew")
 
 
 @dataclass(frozen=True, eq=False)
 class ForwardSemigroupSpec:
-    """Semigroup generator with certified quasi-contraction constants.
+    """Semigroup generator A given by its spectrum, one entry per coordinate.
 
-    Supported kinds keep the constants explicit: a diagonal generator gives
-    ||S(t)||_op = e^{t max a} (c = 1, k = max a); a skew-adjoint generator
-    gives an isometry group (c = 1, k = 0).
+    The diagonal kind has A = diag(spectrum), so ||S(t)||_op = e^{t max a}.
+    The skew kind has the tridiagonal skew-adjoint A with A[j, j+1] =
+    spectrum[j] = -A[j+1, j] for j < d - 1 (the last entry is unused), an
+    isometry group.  Both have c = 1 in ||S(t)|| <= c e^{kt}.
     """
 
     kind: str
-    A: HSOperator
-    c: float = field(init=False)
-    k: float = field(init=False)
+    spectrum: np.ndarray
 
     def __post_init__(self) -> None:
-        A = np.asarray(self.A, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("generator must be a square matrix")
-        if not np.all(np.isfinite(A)):
-            raise ValueError("generator entries must be finite")
-        object.__setattr__(self, "A", A)
-        scale = 1.0 + float(np.max(np.abs(A))) if A.size else 1.0
-        if self.kind == "diagonal":
-            if np.count_nonzero(A - np.diag(np.diagonal(A))):
-                raise ValueError("diagonal kind requires a diagonal generator")
-            object.__setattr__(self, "c", 1.0)
-            object.__setattr__(self, "k", float(np.max(np.diagonal(A))))
-        elif self.kind == "skew":
-            if np.max(np.abs(A + A.T)) > SKEW_TOL * scale:
-                raise ValueError("skew kind requires A + A^T = 0")
-            object.__setattr__(self, "c", 1.0)
-            object.__setattr__(self, "k", 0.0)
-        else:
-            raise ValueError(f"unknown semigroup kind {self.kind!r}")
-
-    @classmethod
-    def diagonal(cls, exponents: np.ndarray) -> "ForwardSemigroupSpec":
-        return cls(kind="diagonal", A=np.diag(np.asarray(exponents, dtype=float)))
+        object.__setattr__(self, "spectrum", np.asarray(self.spectrum, dtype=float))
+        if self.kind not in SEMIGROUP_KINDS:
+            raise ValueError(f"unknown forward semigroup kind {self.kind!r}")
 
     @property
-    def dim(self) -> int:
-        return self.A.shape[0]
+    def k(self) -> float:
+        """Growth rate k of ||S(t)||_op <= e^{kt}."""
+        return float(np.max(self.spectrum)) if self.kind == "diagonal" else 0.0
 
-
-@dataclass(frozen=True, eq=False)
-class ForwardPath:
-    """Coupled forward trajectories on a shared grid.
-
-    ``values[g]`` is X at grid slot g; ``approx[n]`` is the trajectory driven
-    by the level-n variance path and the same Wiener increments, which are
-    kept in ``increments`` (one row per grid step, zero rows for the
-    zero-length steps at jump-time markers).
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-    approx: Mapping[int, np.ndarray]
-    increments: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.values.shape[0] != self.grid.size:
-            raise ValueError("values do not cover the grid")
-        if self.increments.shape[0] != self.grid.size - 1:
-            raise ValueError("one increment row per grid step required")
-        for n, xs in self.approx.items():
-            if xs.shape != self.values.shape:
-                raise ValueError(f"level {n} trajectory shape mismatch")
-
-    def at_time(self, t: float, level: int | None = None) -> HilbertVector:
-        """Value at grid time t (X is continuous, so slot choice is moot)."""
-        idx = np.flatnonzero(np.abs(self.grid.times - t) <= 1e-12 * (1.0 + abs(t)))
-        if idx.size == 0:
-            raise ValueError(f"time {t} is not on the grid")
-        xs = self.values if level is None else self.approx[level]
-        return xs[idx[-1]]
-
-
-def _same_grid(a: TimeGrid, b: TimeGrid) -> bool:
-    return (
-        a is b
-        or (
-            np.array_equal(a.times, b.times)
-            and np.array_equal(a.is_left, b.is_left)
-            and np.array_equal(a.jump_index, b.jump_index)
-        )
-    )
+    def propagators(self, dts: np.ndarray) -> np.ndarray:
+        """S(dt) for each step length in the 1-D array dts, in one call: the
+        multipliers exp(a dt), shape (U, d), for the diagonal kind, the
+        matrices shape (U, d, d) for the skew kind.  Row u holds the bits of
+        the call with dts[u] alone (scipy's expm solves a stack slice by
+        slice)."""
+        if self.kind == "diagonal":
+            return np.exp(self.spectrum * dts[:, None])
+        d = self.spectrum.size
+        w = self.spectrum[: d - 1]
+        A = np.zeros((d, d))
+        A[np.arange(d - 1), np.arange(1, d)] = w
+        A[np.arange(1, d), np.arange(d - 1)] = -w
+        return expm(dts[:, None, None] * A)
 
 
 def simulate_forward_coupled(
-    exact: VariancePath,
-    approx: Mapping[int, VariancePath],
+    paths: VariancePath,
     fwd: ForwardSemigroupSpec,
-    q: QWienerSpec,
+    q: np.ndarray,
     rng: np.random.Generator,
     sqrts: np.ndarray | None = None,
-) -> ForwardPath:
+) -> np.ndarray:
     """Run the left-endpoint Euler recursion for X and every X^n.
 
-    All trajectories consume the identical Wiener increments.  ``sqrts`` is
-    the (1 + len(approx), grid.size, d, d) stack of square roots of the exact
-    path followed by each level in ``approx`` order, at every grid slot; when
-    omitted it is computed with one batched decomposition.  Only the left
-    endpoints of the positive-length steps are read.
+    paths.values is the (P, G, d, d) stack of coupled variance paths on
+    paths.grid, the exact path first; q is the noise spectrum.  Returns the
+    (P, G, d) states: every trajectory consumes the identical Wiener
+    increments.  ``sqrts`` is the stack of square roots of paths.values;
+    when omitted it is computed with one batched decomposition.  Only the
+    left endpoints of the positive-length steps are read.
     """
-    grid = exact.grid
-    d = exact.values.shape[1]
-    if fwd.dim != d or q.q.shape[0] != d:
+    grid = paths.grid
+    d = paths.values.shape[-1]
+    if fwd.spectrum.size != d or q.size != d:
         raise ValueError("dimension mismatch between variance, semigroup, and noise")
-    for n, path in approx.items():
-        if not _same_grid(grid, path.grid):
-            raise ValueError(f"level {n} variance path uses a different grid")
-    n_paths = 1 + len(approx)
     if sqrts is None:
-        sqrts = psd_sqrt_batch(np.stack([exact.values] + [approx[n].values for n in approx]))
-    elif sqrts.shape != (n_paths, grid.size, d, d):
+        sqrts = psd_sqrt_batch(paths.values)
+    elif sqrts.shape != paths.values.shape:
         raise ValueError(
-            f"square root stack has shape {sqrts.shape}, "
-            f"expected {(n_paths, grid.size, d, d)}"
+            f"square root stack has shape {sqrts.shape}, expected {paths.values.shape}"
         )
 
-    # One shared Wiener path, sampled on the distinct times and scattered to
-    # grid steps (duplicated jump-time slots get a zero increment).
-    distinct = grid.distinct_times
-    inc_distinct = sample_wiener_increments(q, distinct, rng)
+    # one shared Wiener path: an increment per distinct time, which is one
+    # per positive-length step, in order (jump-time slots add zero steps)
+    increments = sample_wiener_increments(q, grid.distinct_times, rng)
     dts = np.diff(grid.times)
     steps = dts > 0.0
-    increments = np.zeros((grid.size - 1, d))
-    pos = np.searchsorted(distinct, grid.times[1:])
-    increments[steps] = inc_distinct[pos[steps] - 1]
 
     # sqrt(V(t_m)) dB_m for every path and positive-length step at once
-    noise = np.einsum("pkij,kj->pki", sqrts[:, np.flatnonzero(steps)], increments[steps])
+    noise = np.einsum("pkij,kj->pki", sqrts[:, np.flatnonzero(steps)], increments)
 
     # transport over the positive-length steps: state = S(dt)(state + noise)
     uniq, row = np.unique(dts[steps], return_inverse=True)
-    table = _propagator_table(fwd, uniq)
+    table = fwd.propagators(uniq)
     diagonal = fwd.kind == "diagonal"
-    states = np.zeros((n_paths, noise.shape[1] + 1, d))
+    states = np.zeros((sqrts.shape[0], noise.shape[1] + 1, d))
     state = states[:, 0]
     for k, r in enumerate(row):
         mult = table[r]
@@ -181,29 +122,11 @@ def simulate_forward_coupled(
         state = state * mult if diagonal else state @ mult.T
         states[:, k + 1] = state
     # a zero-length jump slot repeats the state before it
-    xs = states[:, np.concatenate(([0], np.cumsum(steps)))]
-
-    return ForwardPath(
-        grid=grid,
-        values=xs[0],
-        approx={n: xs[i + 1] for i, n in enumerate(approx)},
-        increments=increments,
-    )
+    return states[:, np.concatenate(([0], np.cumsum(steps)))]
 
 
-def _propagator_table(fwd: ForwardSemigroupSpec, dts: np.ndarray) -> np.ndarray:
-    """S(dt) for each step length in the 1-D array dts, in one call: the
-    multipliers exp(a dt), shape (U, d), for the diagonal kind, the matrices
-    shape (U, d, d) otherwise.  Row u holds the bits of the call with dts[u]
-    alone (scipy's expm solves a stack slice by slice)."""
-    if fwd.kind == "diagonal":
-        return np.exp(np.diagonal(fwd.A) * dts[:, None])
-    return expm(dts[:, None, None] * fwd.A)
-
-
-def forward_sup_error(path: ForwardPath, level: int) -> float:
-    """sup over the grid of |X(t) - X^n(t)|^2 in the state-space norm."""
-    if level not in path.approx:
-        raise KeyError(f"level {level} was not simulated")
-    diff = path.values - path.approx[level]
-    return float(np.max(np.sum(diff * diff, axis=1)))
+def forward_sup_error(xs: np.ndarray) -> np.ndarray:
+    """(L,) sups over the grid of |X(t) - X^n(t)|^2 in the state-space norm,
+    for the (1 + L, G, d) states xs, exact first."""
+    diff = xs[0] - xs[1:]
+    return np.max(np.sum(diff * diff, axis=2), axis=1)

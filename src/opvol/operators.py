@@ -11,12 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Coefficient vector in H (shape (d,)) and operator in the tensor basis
-# (shape (d, d)).  Plain arrays; as_hilbert_vector validates a vector on entry.
-HilbertVector = np.ndarray
-HSOperator = np.ndarray
-
-
 # LAPACK's symmetric eigensolvers (dsyevd) rescale a matrix whose largest
 # entry lies outside [_UNSCALED_MIN, _UNSCALED_MAX] = [2**-485, 2**485], and the
 # rescaling rounds; inside that range a diagonal matrix comes back exactly,
@@ -36,7 +30,7 @@ class NotPositiveSemidefinite(ValueError):
         self.index = tuple(int(k) for k in index)
 
 
-def as_hilbert_vector(coeffs) -> HilbertVector:
+def as_hilbert_vector(coeffs) -> np.ndarray:
     """Validate and return a coefficient vector (1-D, finite)."""
     f = np.asarray(coeffs, dtype=float)
     if f.ndim != 1:

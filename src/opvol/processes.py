@@ -143,27 +143,11 @@ def cp_second_moment_bound(rate: float, t: float, m2: float) -> float:
     return rate * t * (1.0 + rate * t) * m2
 
 
-@dataclass(frozen=True, eq=False)
-class QWienerSpec:
-    """Diagonal covariance spectrum of the driving Q-Wiener process."""
-
-    q: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        if q.ndim != 1 or np.any(q < 0) or not np.all(np.isfinite(q)):
-            raise ValueError("Q spectrum must be a nonnegative finite sequence")
-        object.__setattr__(self, "q", q)
-
-    @property
-    def trace_q(self) -> float:
-        return float(self.q.sum())
-
-
 def sample_wiener_increments(
-    spec: QWienerSpec, grid: np.ndarray, rng: np.random.Generator
+    q: np.ndarray, grid: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Increments of the Q-Wiener process over each grid step, shape (M, d).
+    """Increments of the Q-Wiener process with diagonal covariance spectrum q
+    over each grid step, shape (M, d).
 
     Coefficient j of step m is sqrt(q_j * dt_m) * xi with xi standard normal.
     """
@@ -171,5 +155,5 @@ def sample_wiener_increments(
     if grid.ndim != 1 or grid.size < 2 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing and start at 0")
     dts = np.diff(grid)
-    xi = rng.standard_normal((dts.size, spec.q.size))
-    return np.sqrt(spec.q)[None, :] * np.sqrt(dts)[:, None] * xi
+    xi = rng.standard_normal((dts.size, q.size))
+    return np.sqrt(q)[None, :] * np.sqrt(dts)[:, None] * xi

@@ -181,11 +181,12 @@ def build_grid(horizon: float, m_points: int, jump_times: np.ndarray) -> TimeGri
 
 @dataclass(frozen=True, eq=False)
 class VariancePath:
-    """Exact variance path sampled on a TimeGrid; values[g] is V at times[g]
-    (the left limit where is_left is set)."""
+    """Variance path sampled on a TimeGrid; values[..., g, :, :] is V at
+    times[g] (the left limit where is_left is set).  values is (G, d, d), or
+    (P, G, d, d) for P coupled paths on the one grid."""
 
     grid: TimeGrid
-    values: np.ndarray  # (G, d, d)
+    values: np.ndarray
 
 
 # When to take the cumulative product.  Timed on 54 diagonal cases (P d^2 from

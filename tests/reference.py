@@ -17,7 +17,7 @@ import numpy as np
 
 from opvol.experiments import default_scenario
 from opvol.operators import psd_sqrt_batch
-from opvol.processes import JumpLaw, QWienerSpec
+from opvol.processes import JumpLaw
 from opvol.variance import GeneratorSpec, VariancePath, evolve_coupled, make_stepper, truncate_generator
 
 
@@ -54,7 +54,7 @@ def geometric_law(d):
 
 
 def geometric_noise(d):
-    return QWienerSpec(q=0.5 ** np.arange(1, d + 1))
+    return 0.5 ** np.arange(1, d + 1)
 
 
 def by_id(result, bound_id):

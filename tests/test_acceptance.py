@@ -32,6 +32,7 @@ from opvol.processes import (
 )
 from opvol.variance import (
     GeneratorSpec,
+    VariancePath,
     build_grid,
     eigen_tail_sup_sq,
     generator_eigensystem,
@@ -82,16 +83,18 @@ def generator_run():
 @pytest.fixture(scope="module")
 def gaussian_ensemble():
     """Jump-free configuration: V = I throughout, drift-free transport,
-    geometric noise spectrum, 1600 forward paths on a 200-step unit grid."""
+    geometric noise spectrum, 1600 forward paths (G, d) on a 200-step unit
+    grid."""
     d, horizon, m_points, reps = 8, 1.0, 200, 1600
     gen = GeneratorSpec("sylvester", np.zeros(d))
     js = CoupledJumpStream(clock=PoissonClock.empty(rate=0.0, horizon=horizon), ys=np.empty((0, d)))
     grid = build_grid(horizon, m_points, np.empty(0))
     vpath = variance_path(np.eye(d), gen, js, grid)
-    fwd = ForwardSemigroupSpec.diagonal(np.zeros(d))
+    stacked = VariancePath(grid, vpath.values[None])
+    fwd = ForwardSemigroupSpec("diagonal", np.zeros(d))
     q = geometric_noise(d)
     paths = [
-        simulate_forward_coupled(vpath, {}, fwd, q, stream(515, PURPOSE_WIENER, rep))
+        simulate_forward_coupled(stacked, fwd, q, stream(515, PURPOSE_WIENER, rep))[0]
         for rep in range(reps)
     ]
     return paths, q, horizon
@@ -258,10 +261,10 @@ def test_criterion_08_forward_noise_bound(jump_run):
 
 def test_criterion_09_ito_isometry_and_bias(gaussian_ensemble):
     paths, q, horizon = gaussian_ensemble
-    sq = np.array([float(p.values[-1] @ p.values[-1]) for p in paths])
+    sq = np.array([float(p[-1] @ p[-1]) for p in paths])
     mc = float(sq.mean())
     se = float(sq.std(ddof=1) / math.sqrt(sq.size))
-    target = horizon * q.trace_q
+    target = horizon * q.sum()
     # with drift-free transport the left-endpoint scheme reproduces
     # T Tr(Q) exactly, so the discretization allowance is zero
     iso_ok = abs(mc - target) <= 3.0 * se
@@ -274,9 +277,9 @@ def test_criterion_09_ito_isometry_and_bias(gaussian_ensemble):
         dt = horizon / m_points
         t = dt * np.arange(m_points)
         decay = np.exp(2.0 * np.outer(horizon - t, a))
-        return float(dt * np.sum(decay * (q.q * v_diag)))
+        return float(dt * np.sum(decay * (q * v_diag)))
 
-    truth = float(np.sum(q.q * v_diag * (np.exp(2.0 * a * horizon) - 1.0) / (2.0 * a)))
+    truth = float(np.sum(q * v_diag * (np.exp(2.0 * a * horizon) - 1.0) / (2.0 * a)))
     bias = [scheme(m) - truth for m in (200, 400)]
     ratio = bias[1] / bias[0]
     bias_ok = abs(ratio - 0.5) <= 0.1
@@ -294,9 +297,9 @@ def test_criterion_10_pricing_chain_and_half_normal(jump_run, gaussian_ensemble)
     paths, q, horizon = gaussian_ensemble
     first = FunctionalSpec.coordinate(0, 8)
     price, se = mean_se(
-        PayoffSpec.call(0.0).evaluate(np.array([first.apply(p.at_time(horizon)) for p in paths]))
+        PayoffSpec.call(0.0).evaluate(np.array([first.apply(p[-1]) for p in paths]))
     )
-    sigma = math.sqrt(q.q[0] * horizon)
+    sigma = math.sqrt(q[0] * horizon)
     target = sigma / math.sqrt(2.0 * math.pi)
     half_ok = abs(price - target) <= 3.0 * se
     ok = chain_ok and half_ok

@@ -52,27 +52,27 @@ def evaluate_all(inputs):
 
 class TestForwardConstant:
     def test_zero_growth_plugin(self):
-        inputs = BoundInputs(c=1.0, k=0.0, trace_q=2.0, horizon=1.0)
+        inputs = BoundInputs(k=0.0, trace_q=2.0, horizon=1.0)
         assert bound_forward(inputs) == pytest.approx(2.0, abs=1e-15)
 
     def test_unit_growth_plugin(self):
-        inputs = BoundInputs(c=1.0, k=1.0, trace_q=1.0, horizon=1.0)
+        inputs = BoundInputs(k=1.0, trace_q=1.0, horizon=1.0)
         assert bound_forward(inputs) == pytest.approx((math.e**2 - 1.0) / 2.0, rel=1e-12)
         assert bound_forward(inputs) == pytest.approx(3.194528, abs=5e-7)
 
     def test_short_horizon_vanishes(self):
-        inputs = BoundInputs(c=2.0, k=1.0, trace_q=1.0, horizon=1e-12)
+        inputs = BoundInputs(k=1.0, trace_q=1.0, horizon=1e-12)
         assert bound_forward(inputs) <= 5e-12
 
     def test_continuity_at_zero_growth(self):
-        limit = bound_forward(BoundInputs(c=1.0, k=0.0, trace_q=1.0, horizon=1.0))
+        limit = bound_forward(BoundInputs(k=0.0, trace_q=1.0, horizon=1.0))
         for k in (1e-8, -1e-8):
-            val = bound_forward(BoundInputs(c=1.0, k=k, trace_q=1.0, horizon=1.0))
+            val = bound_forward(BoundInputs(k=k, trace_q=1.0, horizon=1.0))
             assert abs(val - limit) <= 1e-6 * limit
 
     def test_negative_growth_consistent(self):
         # (e^{2kT} - 1)/(2k) stays positive and below T for k < 0
-        inputs = BoundInputs(c=1.0, k=-2.0, trace_q=1.0, horizon=1.0)
+        inputs = BoundInputs(k=-2.0, trace_q=1.0, horizon=1.0)
         val = bound_forward(inputs)
         assert 0.0 < val < 1.0
         assert val == pytest.approx((1.0 - math.exp(-4.0)) / 4.0, rel=1e-12)
@@ -160,10 +160,6 @@ class TestJumpAndPricing:
 
 
 class TestValidation:
-    def test_semigroup_constant_floor(self):
-        with pytest.raises(ValueError):
-            BoundInputs(c=0.5)
-
     def test_negative_moment(self):
         with pytest.raises(ValueError):
             BoundInputs(jump_sq=-1.0)
@@ -201,7 +197,6 @@ class TestMonotonicity:
         rng = np.random.default_rng(1)
         for _ in range(100):
             base = BoundInputs(
-                c=1.0 + rng.uniform(0, 1),
                 k=rng.uniform(-1, 1),
                 trace_q=rng.uniform(0, 2),
                 horizon=rng.uniform(0.1, 2),
@@ -217,8 +212,3 @@ class TestMonotonicity:
                 bumped = base.with_(**{field: getattr(base, field) + rng.uniform(0.01, 0.5)})
                 after = evaluate_all(bumped)
                 assert np.all(after >= before - 1e-12), field
-
-    def test_monotone_in_c(self):
-        a = BoundInputs(c=1.0, k=0.5, trace_q=1.0)
-        b = BoundInputs(c=2.0, k=0.5, trace_q=1.0)
-        assert bound_forward(b) >= bound_forward(a)

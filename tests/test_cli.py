@@ -259,6 +259,51 @@ class TestVerifyCommand:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "bounds.csv").exists()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "command, doc, line",
+        [
+            ("price", {"payoff_kind": "put", "payoff_strike": 1e308, "replications": 4, "m_points": 20},
+             "error: numerical failure: pricing at level 2: price is inf\n"),
+            ("verify", {"q_spectrum": [1e300, 1, 1, 1, 1, 1, 1, 1], "replications": 4, "m_points": 20},
+             "error: numerical failure: forward_noise at level 2: lhs_stderr is inf\n"),
+            ("converge", {"q_spectrum": [1e300, 1, 1, 1, 1, 1, 1, 1], "replications": 4, "m_points": 20},
+             "error: numerical failure: forward_sup_sq at level 2: stderr is inf\n"),
+        ],
+        ids=["price-mean", "verify-stderr", "converge-stderr"],
+    )
+    def test_overflowing_reduction_exits_one_without_warnings(self, tmp_path, capfd, threads,
+                                                              command, doc, line):
+        # every statistic is finite, but a mean or a standard error of them
+        # overflows: one line naming the row and the value, not a pass
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code = main([command, str(path), "--threads", threads, "--out-dir", str(tmp_path)])
+        assert code == EXIT_ERROR
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err == line
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("command", ["price", "verify"])
+    def test_exercise_time_near_a_grid_point_is_priced_there(self, tmp_path, capfd, threads, command):
+        # 0.3333333333 is within the scenario's 1e-9 steps of the point 1/3
+        # of a 3-step grid, though not within 1e-12 of it
+        path = tmp_path / "tau.json"
+        path.write_text(json.dumps({"m_points": 3, "exercise_time": 0.3333333333, "replications": 4}))
+        code = main([command, str(path), "--threads", threads, "--out-dir", str(tmp_path)])
+        out, err = capfd.readouterr()
+        assert code == EXIT_PASS, err
+        assert out == "" and err == ""
+        exact = main([command, "--threads", "1", "--out-dir", str(tmp_path / "exact")] + [
+            write_config(tmp_path, name="third.json", m_points=3, exercise_time=1.0 / 3.0,
+                         replications=4)
+        ])
+        assert exact == EXIT_PASS
+        name = "pricing.csv" if command == "price" else "bounds.csv"
+        assert (tmp_path / name).read_bytes() == (tmp_path / "exact" / name).read_bytes()
+
     def test_threads_below_one_exits_one(self, tmp_path, capsys):
         path = write_config(tmp_path)
         for value in ("0", "-5"):

@@ -78,6 +78,9 @@ class TestScenarioValidation:
             small_scenario(exercise_time=0.33)
         with pytest.raises(ValueError, match="exercise_time"):
             small_scenario(exercise_time=1.5)
+        # within 1e-9 steps of the grid point 0, which is not in (0, horizon]
+        with pytest.raises(ValueError, match="exercise_time"):
+            small_scenario(exercise_time=1e-12)
         sc = small_scenario(exercise_time=0.6)  # 15 of 25 steps
         assert sc.exercise_time == 0.6
 

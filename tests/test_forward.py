@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from opvol.forward import (
-    ForwardSemigroupSpec,
-    _propagator_table,
-    forward_sup_error,
-    simulate_forward_coupled,
-)
+from opvol.forward import ForwardSemigroupSpec, forward_sup_error, simulate_forward_coupled
 from opvol.operators import (
     NotPositiveSemidefinite,
     psd_sqrt_batch,
@@ -29,29 +24,44 @@ from reference import corner, geometric_law, geometric_noise, psd_sqrt, variance
 
 
 def random_skew(rng, d):
-    M = rng.standard_normal((d, d))
-    return (M - M.T) / 2
+    """Random tridiagonal skew weights; the last entry is unused."""
+    return ForwardSemigroupSpec("skew", rng.standard_normal(d))
+
+
+def skew_matrix(fwd):
+    """The skew kind's generator A, built entry by entry."""
+    d = fwd.spectrum.size
+    A = np.zeros((d, d))
+    for j in range(d - 1):
+        A[j, j + 1] = fwd.spectrum[j]
+        A[j + 1, j] = -fwd.spectrum[j]
+    return A
 
 
 def zero_semigroup(d):
-    return ForwardSemigroupSpec.diagonal(np.zeros(d))
+    return ForwardSemigroupSpec("diagonal", np.zeros(d))
 
 
 def semigroup(fwd, t):
-    """S(t) as a dense matrix, from the propagator table the recursion uses."""
-    S = _propagator_table(fwd, np.array([t]))[0]
+    """S(t) as a dense matrix, from the propagators the recursion uses."""
+    S = fwd.propagators(np.array([t]))[0]
     return np.diag(S) if fwd.kind == "diagonal" else S
 
 
+def stack(exact, approx):
+    """The coupled (P, G, d, d) path stack of exact and each level in approx."""
+    return VariancePath(exact.grid, np.stack([exact.values] + [approx[n].values for n in approx]))
+
+
 def constant_paths(v0, horizon, m_points, d, levels=()):
-    """Jump-free variance paths: V stays at v0, V^n stays at the projection."""
+    """Jump-free variance paths: V stays at v0, V^n stays at the projection;
+    the exact path first, then one per level."""
     spec = GeneratorSpec("sylvester", np.zeros(d))
     clock = PoissonClock.empty(rate=0.0, horizon=horizon)
     js = CoupledJumpStream(clock=clock, ys=np.empty((0, d)))
     grid = build_grid(horizon, m_points, np.empty(0))
     exact = variance_path(v0, spec, js, grid)
-    approx = {n: variance_path(corner(v0, n), spec, js, grid, level=n) for n in levels}
-    return exact, approx
+    return stack(exact, {n: variance_path(corner(v0, n), spec, js, grid, level=n) for n in levels})
 
 
 def scheme_second_moment(exponents, v_diag, q, horizon, m_points):
@@ -73,29 +83,24 @@ def exact_second_moment(exponents, v_diag, q, horizon):
 
 class TestSemigroupSpec:
     def test_diagonal_constants(self):
-        spec = ForwardSemigroupSpec.diagonal([-1.0, 0.5, 0.0])
-        assert spec.c == 1.0 and spec.k == 0.5
+        spec = ForwardSemigroupSpec("diagonal", [-1.0, 0.5, 0.0])
+        assert spec.k == 0.5
 
     def test_skew_constants(self):
-        A = random_skew(np.random.default_rng(0), 4)
-        spec = ForwardSemigroupSpec(kind="skew", A=A)
-        assert spec.c == 1.0 and spec.k == 0.0
+        spec = random_skew(np.random.default_rng(0), 4)
+        assert spec.k == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ForwardSemigroupSpec(kind="diagonal", A=np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            ForwardSemigroupSpec(kind="skew", A=np.eye(2))
-        with pytest.raises(ValueError):
-            ForwardSemigroupSpec(kind="spiral", A=np.zeros((2, 2)))
+            ForwardSemigroupSpec(kind="spiral", spectrum=np.zeros(2))
 
     def test_diagonal_operator(self):
-        spec = ForwardSemigroupSpec.diagonal([-2.0, 1.0])
+        spec = ForwardSemigroupSpec("diagonal", [-2.0, 1.0])
         np.testing.assert_allclose(semigroup(spec, 0.5), np.diag([np.exp(-1.0), np.exp(0.5)]))
 
     def test_skew_isometry(self):
         rng = np.random.default_rng(1)
-        spec = ForwardSemigroupSpec(kind="skew", A=random_skew(rng, 6))
+        spec = random_skew(rng, 6)
         for _ in range(20):
             t = float(rng.uniform(0, 5))
             f = rng.standard_normal(6)
@@ -103,73 +108,64 @@ class TestSemigroupSpec:
             assert np.linalg.norm(S @ f) == pytest.approx(np.linalg.norm(f), abs=1e-10)
 
     def test_semigroup_law(self):
-        spec = ForwardSemigroupSpec(kind="skew", A=random_skew(np.random.default_rng(2), 4))
+        spec = random_skew(np.random.default_rng(2), 4)
         np.testing.assert_allclose(semigroup(spec, 0.7) @ semigroup(spec, 0.3), semigroup(spec, 1.0), atol=1e-12)
 
     def test_quasi_contraction_certificate(self):
-        # ||S(t)||_op <= c e^{kt} on random times for both kinds
+        # ||S(t)||_op <= e^{kt} (c = 1) on random times for both kinds
         rng = np.random.default_rng(3)
         specs = [
-            ForwardSemigroupSpec.diagonal(rng.uniform(-2, 1, size=5)),
-            ForwardSemigroupSpec(kind="skew", A=random_skew(rng, 5)),
+            ForwardSemigroupSpec("diagonal", rng.uniform(-2, 1, size=5)),
+            random_skew(rng, 5),
         ]
         for spec in specs:
             for t in rng.uniform(0, 3, size=10):
                 opn = np.linalg.svd(semigroup(spec, t), compute_uv=False)[0]
-                assert opn <= spec.c * np.exp(spec.k * t) * (1 + 1e-12)
+                assert opn <= np.exp(spec.k * t) * (1 + 1e-12)
 
 
 class TestSimulation:
     def test_zero_volatility_gives_zero(self):
         d = 4
-        exact, _ = constant_paths(np.zeros((d, d)), 1.0, 16, d)
+        paths = constant_paths(np.zeros((d, d)), 1.0, 16, d)
         fwd = zero_semigroup(d)
-        path = simulate_forward_coupled(exact, {}, fwd, geometric_noise(d), stream(41, 3, 0))
-        np.testing.assert_array_equal(path.values, 0.0)
+        xs = simulate_forward_coupled(paths, fwd, geometric_noise(d), stream(41, 3, 0))
+        np.testing.assert_array_equal(xs[0], 0.0)
 
     def test_identical_variance_paths_give_zero_error(self):
         d = 4
         v0 = np.diag([1.0, 0.5, 0.25, 0.125])
-        exact, _ = constant_paths(v0, 1.0, 16, d)
-        fwd = ForwardSemigroupSpec.diagonal([-0.5, -0.25, 0.0, 0.25])
-        path = simulate_forward_coupled(
-            exact, {4: exact}, fwd, geometric_noise(d), stream(42, 3, 0)
-        )
-        assert forward_sup_error(path, 4) == 0.0
+        paths = constant_paths(v0, 1.0, 16, d, levels=(4,))
+        fwd = ForwardSemigroupSpec("diagonal", [-0.5, -0.25, 0.0, 0.25])
+        xs = simulate_forward_coupled(paths, fwd, geometric_noise(d), stream(42, 3, 0))
+        assert forward_sup_error(xs)[0] == 0.0
 
     def test_single_step_closed_form(self):
         d = 4
         rng = np.random.default_rng(5)
         A = rng.standard_normal((d, d))
         v0 = A @ A.T / d + np.eye(d)
-        exact, approx = constant_paths(v0, 1.0, 1, d, levels=(2,))
+        paths = constant_paths(v0, 1.0, 1, d, levels=(2,))
         fwd = zero_semigroup(d)
-        path = simulate_forward_coupled(exact, approx, fwd, geometric_noise(d), stream(43, 3, 0))
-        db = path.increments[0]
+        q = geometric_noise(d)
+        xs = simulate_forward_coupled(paths, fwd, q, stream(43, 3, 0))
+        db = sample_wiener_increments(q, paths.grid.distinct_times, stream(43, 3, 0))[0]
         v0n = corner(v0, 2)
         expected = np.linalg.norm((psd_sqrt(v0) - psd_sqrt(v0n)) @ db) ** 2
-        assert forward_sup_error(path, 2) == pytest.approx(expected, rel=1e-12)
-        np.testing.assert_allclose(path.values[-1], psd_sqrt(v0) @ db, rtol=1e-12)
-
-    def test_grid_mismatch_rejected(self):
-        d = 2
-        exact, _ = constant_paths(np.eye(d), 1.0, 8, d)
-        other, _ = constant_paths(np.eye(d), 1.0, 9, d)
-        fwd = zero_semigroup(d)
-        with pytest.raises(ValueError):
-            simulate_forward_coupled(exact, {2: other}, fwd, geometric_noise(d), stream(44, 3, 0))
+        assert forward_sup_error(xs)[0] == pytest.approx(expected, rel=1e-12)
+        np.testing.assert_allclose(xs[0, -1], psd_sqrt(v0) @ db, rtol=1e-12)
 
     def test_indefinite_variance_rejected(self):
         d = 2
-        exact, _ = constant_paths(np.eye(d), 1.0, 4, d)
-        bad_values = np.tile(np.diag([1.0, -1.0]), (exact.grid.size, 1, 1))
-        bad = VariancePath(grid=exact.grid, values=bad_values)
+        grid = constant_paths(np.eye(d), 1.0, 4, d).grid
+        bad_values = np.tile(np.diag([1.0, -1.0]), (1, grid.size, 1, 1))
+        bad = VariancePath(grid=grid, values=bad_values)
         fwd = zero_semigroup(d)
         with pytest.raises(NotPositiveSemidefinite):
-            simulate_forward_coupled(bad, {}, fwd, geometric_noise(d), stream(45, 3, 0))
+            simulate_forward_coupled(bad, fwd, geometric_noise(d), stream(45, 3, 0))
 
     def test_shared_noise_is_level_independent(self):
-        # adding a level never resamples the driver: bit-identical increments and paths
+        # adding a level never resamples the driver: bit-identical paths
         d = 6
         spec = GeneratorSpec("sylvester", -karhunen_loeve_spectrum(d))
         clock = sample_clock(2.0, 1.0, stream(46, 1, 0))
@@ -180,44 +176,27 @@ class TestSimulation:
             grid = build_grid(1.0, 20, clock.times)
             exact = variance_path(v0, spec, js, grid)
             approx = {n: variance_path(corner(v0, n), spec, js, grid, level=n) for n in levels}
-            fwd = ForwardSemigroupSpec.diagonal(np.full(d, -0.3))
-            return simulate_forward_coupled(exact, approx, fwd, geometric_noise(d), stream(46, 3, 0))
+            fwd = ForwardSemigroupSpec("diagonal", np.full(d, -0.3))
+            return simulate_forward_coupled(stack(exact, approx), fwd, geometric_noise(d), stream(46, 3, 0))
 
         one = run((3,))
         two = run((3, 5))
-        np.testing.assert_array_equal(one.increments, two.increments)
-        np.testing.assert_array_equal(one.values, two.values)
-        np.testing.assert_array_equal(one.approx[3], two.approx[3])
-
-    def test_unknown_level_rejected(self):
-        d = 2
-        exact, approx = constant_paths(np.eye(d), 1.0, 4, d, levels=(1,))
-        fwd = zero_semigroup(d)
-        path = simulate_forward_coupled(exact, approx, fwd, geometric_noise(d), stream(47, 3, 0))
-        with pytest.raises(KeyError):
-            forward_sup_error(path, 2)
+        np.testing.assert_array_equal(one[0], two[0])
+        np.testing.assert_array_equal(one[1], two[1])
 
     def test_sup_monotone_under_subgrid(self):
         d = 4
         v0 = np.diag([1.0, 0.5, 0.25, 0.125])
-        exact, approx = constant_paths(v0, 1.0, 32, d, levels=(2,))
+        paths = constant_paths(v0, 1.0, 32, d, levels=(2,))
         fwd = zero_semigroup(d)
-        path = simulate_forward_coupled(exact, approx, fwd, geometric_noise(d), stream(48, 3, 0))
-        diff = np.sum((path.values - path.approx[2]) ** 2, axis=1)
-        assert np.max(diff[::4]) <= forward_sup_error(path, 2)
-
-    def test_at_time_lookup(self):
-        d = 2
-        exact, _ = constant_paths(np.eye(d), 1.0, 4, d)
-        fwd = zero_semigroup(d)
-        path = simulate_forward_coupled(exact, {}, fwd, geometric_noise(d), stream(49, 3, 0))
-        np.testing.assert_array_equal(path.at_time(0.5), path.values[2])
-        with pytest.raises(ValueError):
-            path.at_time(0.33)
+        xs = simulate_forward_coupled(paths, fwd, geometric_noise(d), stream(48, 3, 0))
+        diff = np.sum((xs[0] - xs[1]) ** 2, axis=1)
+        assert np.max(diff[::4]) <= forward_sup_error(xs)[0]
 
 
 def jump_paths(d, levels, seed):
-    """Coupled variance paths on a grid with jump slots (zero-length steps)."""
+    """Coupled variance paths on a grid with jump slots (zero-length steps),
+    the exact path first."""
     spec = GeneratorSpec("sylvester", -karhunen_loeve_spectrum(d))
     clock = sample_clock(6.0, 1.0, stream(seed, 1, 0))
     assert clock.count > 0
@@ -225,21 +204,21 @@ def jump_paths(d, levels, seed):
     grid = build_grid(1.0, 20, clock.times)
     v0 = np.diag(0.5 ** np.arange(1, d + 1))
     exact = variance_path(v0, spec, js, grid)
-    approx = {n: variance_path(corner(v0, n), spec, js, grid, level=n) for n in levels}
-    return exact, approx
+    return stack(exact, {n: variance_path(corner(v0, n), spec, js, grid, level=n) for n in levels})
 
 
 def semigroups(d):
     return [
-        ForwardSemigroupSpec.diagonal(np.linspace(-0.5, 0.2, d)),
-        ForwardSemigroupSpec(kind="skew", A=random_skew(np.random.default_rng(8), d)),
+        ForwardSemigroupSpec("diagonal", np.linspace(-0.5, 0.2, d)),
+        random_skew(np.random.default_rng(8), d),
     ]
 
 
-def per_step_recursion(exact, approx, fwd, q, rng):
-    """The step-by-step Euler loop, one noise contraction per grid step."""
-    grid = exact.grid
-    d = exact.values.shape[1]
+def per_step_recursion(paths, fwd, q, rng):
+    """The step-by-step Euler loop, one noise contraction per grid step, with
+    the Wiener increments scattered to grid steps (zero at jump slots)."""
+    grid = paths.grid
+    d = paths.values.shape[-1]
     distinct = grid.distinct_times
     inc_distinct = sample_wiener_increments(q, distinct, rng)
     dts = np.diff(grid.times)
@@ -248,51 +227,45 @@ def per_step_recursion(exact, approx, fwd, q, rng):
     pos = np.searchsorted(distinct, grid.times[1:])
     increments[steps] = inc_distinct[pos[steps] - 1]
     endpoints = np.flatnonzero(steps)
-    stacks = [exact.values] + [approx[n].values for n in approx]
-    sqrts = psd_sqrt_batch(np.stack([v[endpoints] for v in stacks], axis=0))
-    xs = np.zeros((len(stacks), grid.size, d))
-    state = np.zeros((len(stacks), d))
-    diag_exponents = np.diagonal(fwd.A) if fwd.kind == "diagonal" else None
+    sqrts = psd_sqrt_batch(paths.values[:, endpoints])
+    n_paths = paths.values.shape[0]
+    xs = np.zeros((n_paths, grid.size, d))
+    state = np.zeros((n_paths, d))
     step_no = 0
     for g in range(1, grid.size):
         dt = dts[g - 1]
         if dt > 0.0:
             state = state + np.einsum("pij,j->pi", sqrts[:, step_no], increments[g - 1])
-            if diag_exponents is not None:
-                state = state * np.exp(diag_exponents * dt)
+            if fwd.kind == "diagonal":
+                state = state * np.exp(fwd.spectrum * dt)
             else:
-                state = state @ expm(dt * fwd.A).T
+                state = state @ expm(dt * skew_matrix(fwd)).T
             step_no += 1
         xs[:, g] = state
-    return xs, increments
+    return xs
 
 
 class TestPrecomputedSquareRoots:
     def test_given_stack_matches_computed(self):
         d, levels = 6, (2, 4)
-        exact, approx = jump_paths(d, levels, seed=61)
-        assert np.any(np.diff(exact.grid.times) == 0.0)
-        sqrts = psd_sqrt_batch(np.stack([exact.values] + [approx[n].values for n in levels]))
+        paths = jump_paths(d, levels, seed=61)
+        assert np.any(np.diff(paths.grid.times) == 0.0)
+        sqrts = psd_sqrt_batch(paths.values)
         q = geometric_noise(d)
         for fwd in semigroups(d):
-            own = simulate_forward_coupled(exact, approx, fwd, q, stream(61, 3, 0))
-            given = simulate_forward_coupled(exact, approx, fwd, q, stream(61, 3, 0), sqrts)
-            np.testing.assert_array_equal(given.values, own.values)
-            np.testing.assert_array_equal(given.increments, own.increments)
-            for n in levels:
-                np.testing.assert_array_equal(given.approx[n], own.approx[n])
+            own = simulate_forward_coupled(paths, fwd, q, stream(61, 3, 0))
+            given = simulate_forward_coupled(paths, fwd, q, stream(61, 3, 0), sqrts)
+            np.testing.assert_array_equal(given, own)
 
     def test_batched_noise_matches_per_step_loop(self):
         d, levels = 6, (2, 4)
-        exact, approx = jump_paths(d, levels, seed=62)
+        paths = jump_paths(d, levels, seed=62)
         q = geometric_noise(d)
         for fwd in semigroups(d):
-            path = simulate_forward_coupled(exact, approx, fwd, q, stream(62, 3, 0))
-            xs, increments = per_step_recursion(exact, approx, fwd, q, stream(62, 3, 0))
-            np.testing.assert_array_equal(path.increments, increments)
-            np.testing.assert_array_equal(path.values, xs[0])
-            for i, n in enumerate(levels, start=1):
-                np.testing.assert_array_equal(path.approx[n], xs[i])
+            xs = simulate_forward_coupled(paths, fwd, q, stream(62, 3, 0))
+            want = per_step_recursion(paths, fwd, q, stream(62, 3, 0))
+            assert xs.shape == (1 + len(levels), paths.grid.size, d)
+            np.testing.assert_array_equal(xs, want)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -303,13 +276,13 @@ class TestPrecomputedSquareRoots:
     def test_propagator_table_matches_per_step_calls(self, dts, d, seed):
         rng = np.random.default_rng(seed)
         dts = np.sort(dts)
-        diagonal = ForwardSemigroupSpec.diagonal(rng.uniform(-2.0, 1.0, d))
-        skew = ForwardSemigroupSpec(kind="skew", A=random_skew(rng, d))
+        diagonal = ForwardSemigroupSpec("diagonal", rng.uniform(-2.0, 1.0, d))
+        skew = random_skew(rng, d)
         for fwd, step in (
-            (diagonal, lambda dt: np.exp(np.diagonal(diagonal.A) * dt)),
-            (skew, lambda dt: expm(dt * skew.A)),
+            (diagonal, lambda dt: np.exp(diagonal.spectrum * dt)),
+            (skew, lambda dt: expm(dt * skew_matrix(skew))),
         ):
-            table = _propagator_table(fwd, dts)
+            table = fwd.propagators(dts)
             for u, dt in enumerate(dts):
                 want = step(dt)
                 assert np.array_equal(table[u], want)
@@ -317,13 +290,13 @@ class TestPrecomputedSquareRoots:
 
     def test_wrong_stack_shape_rejected(self):
         d = 4
-        exact, approx = jump_paths(d, (2,), seed=63)
-        full = psd_sqrt_batch(np.stack([exact.values, approx[2].values]))
+        paths = jump_paths(d, (2,), seed=63)
+        full = psd_sqrt_batch(paths.values)
         fwd = zero_semigroup(d)
         q = geometric_noise(d)
         for bad in (full[:1], full[:, 1:], full[..., :2, :2]):
             with pytest.raises(ValueError, match="square root stack"):
-                simulate_forward_coupled(exact, approx, fwd, q, stream(63, 3, 0), bad)
+                simulate_forward_coupled(paths, fwd, q, stream(63, 3, 0), bad)
 
 
 class TestIsometry:
@@ -332,30 +305,30 @@ class TestIsometry:
         d = 4
         q = geometric_noise(d)
         fwd = zero_semigroup(d)
-        exact, _ = constant_paths(np.eye(d), 1.0, 25, d)
+        paths = constant_paths(np.eye(d), 1.0, 25, d)
         sq = np.empty(1500)
         for rep in range(sq.size):
-            path = simulate_forward_coupled(exact, {}, fwd, q, stream(50, 3, rep))
-            sq[rep] = np.sum(path.values[-1] ** 2)
+            xs = simulate_forward_coupled(paths, fwd, q, stream(50, 3, rep))
+            sq[rep] = np.sum(xs[0, -1] ** 2)
         est, se = sq.mean(), sq.std(ddof=1) / np.sqrt(sq.size)
-        assert abs(est - q.trace_q) <= 3 * se
+        assert abs(est - q.sum()) <= 3 * se
 
     def test_skew_transport_preserves_isometry(self):
         # skew A is an isometry group, so the constant-volatility value is unchanged
         d = 4
         q = geometric_noise(d)
-        fwd = ForwardSemigroupSpec(kind="skew", A=random_skew(np.random.default_rng(7), d))
-        exact, _ = constant_paths(np.eye(d), 1.0, 25, d)
+        fwd = random_skew(np.random.default_rng(7), d)
+        paths = constant_paths(np.eye(d), 1.0, 25, d)
         sq = np.empty(1500)
         for rep in range(sq.size):
-            path = simulate_forward_coupled(exact, {}, fwd, q, stream(51, 3, rep))
-            sq[rep] = np.sum(path.values[-1] ** 2)
+            xs = simulate_forward_coupled(paths, fwd, q, stream(51, 3, rep))
+            sq[rep] = np.sum(xs[0, -1] ** 2)
         est, se = sq.mean(), sq.std(ddof=1) / np.sqrt(sq.size)
-        assert abs(est - q.trace_q) <= 3 * se
+        assert abs(est - q.sum()) <= 3 * se
 
     def test_scheme_expectation_formulas_agree_at_zero_drift(self):
         d = 3
-        q = geometric_noise(d).q
+        q = geometric_noise(d)
         v = np.array([1.0, 0.5, 0.25])
         a = np.zeros(d)
         assert scheme_second_moment(a, v, q, 1.0, 100) == pytest.approx(
@@ -364,22 +337,22 @@ class TestIsometry:
 
     def test_mc_matches_scheme_expectation_with_drift(self):
         d = 3
-        qspec = geometric_noise(d)
+        q = geometric_noise(d)
         a = np.array([-1.0, -0.5, 0.25])
         v0 = np.diag([1.0, 0.5, 0.25])
-        fwd = ForwardSemigroupSpec.diagonal(a)
-        exact, _ = constant_paths(v0, 1.0, 20, d)
-        target = scheme_second_moment(a, np.diagonal(v0), qspec.q, 1.0, 20)
+        fwd = ForwardSemigroupSpec("diagonal", a)
+        paths = constant_paths(v0, 1.0, 20, d)
+        target = scheme_second_moment(a, np.diagonal(v0), q, 1.0, 20)
         sq = np.empty(1500)
         for rep in range(sq.size):
-            path = simulate_forward_coupled(exact, {}, fwd, qspec, stream(52, 3, rep))
-            sq[rep] = np.sum(path.values[-1] ** 2)
+            xs = simulate_forward_coupled(paths, fwd, q, stream(52, 3, rep))
+            sq[rep] = np.sum(xs[0, -1] ** 2)
         est, se = sq.mean(), sq.std(ddof=1) / np.sqrt(sq.size)
         assert abs(est - target) <= 3 * se
 
     def test_euler_bias_halves_with_step(self):
         d = 3
-        q = geometric_noise(d).q
+        q = geometric_noise(d)
         a = np.array([-1.2, -0.6, 0.4])
         v = np.array([1.0, 0.5, 0.25])
         truth = exact_second_moment(a, v, q, 1.0)

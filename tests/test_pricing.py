@@ -3,46 +3,51 @@
 import numpy as np
 import pytest
 
+from opvol.experiments import default_scenario
 from opvol.forward import ForwardSemigroupSpec, simulate_forward_coupled
 from opvol.pricing import FunctionalSpec, PayoffSpec, mean_se, pricing_report
 from opvol.processes import CoupledJumpStream, PoissonClock, sample_clock, sample_jump_stream, stream
-from opvol.variance import GeneratorSpec, build_grid, karhunen_loeve_spectrum
+from opvol.variance import GeneratorSpec, VariancePath, build_grid, karhunen_loeve_spectrum
 from reference import corner, geometric_law, geometric_noise, variance_path
 
 
 def constant_paths(v0, horizon, m_points, d, levels=()):
+    """Jump-free coupled paths, the exact one first, then one per level."""
     spec = GeneratorSpec("sylvester", np.zeros(d))
     clock = PoissonClock.empty(rate=0.0, horizon=horizon)
     js = CoupledJumpStream(clock=clock, ys=np.empty((0, d)))
     grid = build_grid(horizon, m_points, np.empty(0))
-    exact = variance_path(v0, spec, js, grid)
-    approx = {n: variance_path(corner(v0, n), spec, js, grid, level=n) for n in levels}
-    return exact, approx
+    values = [variance_path(v0, spec, js, grid).values] + [
+        variance_path(corner(v0, n), spec, js, grid, level=n).values for n in levels
+    ]
+    return VariancePath(grid, np.stack(values))
 
 
 def gaussian_ensemble(d=4, reps=1500, m_points=25, seed=61, levels=()):
-    """A = 0, V = I: X(T) is exactly Gaussian with coordinate variances q_j T."""
+    """A = 0, V = I: X(T) is exactly Gaussian with coordinate variances q_j T.
+    Each replication is its (P, G, d) states, the exact path first."""
     q = geometric_noise(d)
-    fwd = ForwardSemigroupSpec.diagonal(np.zeros(d))
-    exact, approx = constant_paths(np.eye(d), 1.0, m_points, d, levels=levels)
+    fwd = ForwardSemigroupSpec("diagonal", np.zeros(d))
+    paths = constant_paths(np.eye(d), 1.0, m_points, d, levels=levels)
     return [
-        simulate_forward_coupled(exact, approx, fwd, q, stream(seed, 3, rep))
+        simulate_forward_coupled(paths, fwd, q, stream(seed, 3, rep))
         for rep in range(reps)
     ], q
 
 
-def payoffs(paths, functional, payoff, tau, level=None):
-    """Per-replication payoff p(<riesz, X(tau)>) of an ensemble."""
-    return payoff.evaluate(np.array([functional.apply(p.at_time(tau, level)) for p in paths]))
+def payoffs(paths, functional, payoff, path=0):
+    """Per-replication payoff p(<riesz, X(T)>) of an ensemble, on the exact
+    path (0) or the truncated one (1), at the horizon T."""
+    return payoff.evaluate(np.array([functional.apply(xs[path, -1]) for xs in paths]))
 
 
-def chain_report(paths, functional, payoff, tau, level, **cap):
+def chain_report(paths, functional, payoff, level, **cap):
     """pricing_report fed from forward paths, as the engine feeds it from replications."""
-    dist = np.array([np.linalg.norm(p.at_time(tau) - p.at_time(tau, level)) for p in paths])
+    dist = np.array([np.linalg.norm(xs[0, -1] - xs[1, -1]) for xs in paths])
     return pricing_report(
         level,
-        payoffs(paths, functional, payoff, tau),
-        payoffs(paths, functional, payoff, tau, level),
+        payoffs(paths, functional, payoff),
+        payoffs(paths, functional, payoff, 1),
         dist,
         payoff,
         functional,
@@ -55,15 +60,16 @@ def jump_ensemble(d=6, reps=400, level=3, seed=62):
     v0 = np.diag(0.5 ** np.arange(1, d + 1))
     v0n = corner(v0, level)
     q = geometric_noise(d)
-    fwd = ForwardSemigroupSpec.diagonal(np.zeros(d))
+    fwd = ForwardSemigroupSpec("diagonal", np.zeros(d))
     paths = []
     for rep in range(reps):
         clock = sample_clock(2.0, 1.0, stream(seed, 1, rep))
         js = sample_jump_stream(clock, geometric_law(d), stream(seed, 2, rep))
         grid = build_grid(1.0, 20, clock.times)
         exact = variance_path(v0, spec, js, grid)
-        approx = {level: variance_path(v0n, spec, js, grid, level=level)}
-        paths.append(simulate_forward_coupled(exact, approx, fwd, q, stream(seed, 3, rep)))
+        approx = variance_path(v0n, spec, js, grid, level=level)
+        coupled = VariancePath(grid, np.stack([exact.values, approx.values]))
+        paths.append(simulate_forward_coupled(coupled, fwd, q, stream(seed, 3, rep)))
     return paths
 
 
@@ -123,24 +129,24 @@ class TestFunctionals:
 class TestForwardPricing:
     def test_identity_payoff_centered(self):
         paths, q = gaussian_ensemble()
-        price, se = mean_se(payoffs(paths, FunctionalSpec.coordinate(0, 4), PayoffSpec.identity(), 1.0))
+        price, se = mean_se(payoffs(paths, FunctionalSpec.coordinate(0, 4), PayoffSpec.identity()))
         assert abs(price) <= 3 * se
 
     def test_half_normal_call(self):
         paths, q = gaussian_ensemble(reps=2500)
-        price, se = mean_se(payoffs(paths, FunctionalSpec.coordinate(0, 4), PayoffSpec.call(0.0), 1.0))
-        sigma = np.sqrt(q.q[0] * 1.0)
+        price, se = mean_se(payoffs(paths, FunctionalSpec.coordinate(0, 4), PayoffSpec.call(0.0)))
+        sigma = np.sqrt(q[0] * 1.0)
         assert abs(price - sigma / np.sqrt(2 * np.pi)) <= 3 * se
 
     def test_constant_payoff(self):
         paths, _ = gaussian_ensemble(reps=50)
-        price, se = mean_se(payoffs(paths, FunctionalSpec.coordinate(0, 4), PayoffSpec.constant(5.0), 1.0))
+        price, se = mean_se(payoffs(paths, FunctionalSpec.coordinate(0, 4), PayoffSpec.constant(5.0)))
         assert price == 5.0 and se == 0.0
 
     def test_off_grid_exercise_rejected(self):
-        paths, _ = gaussian_ensemble(reps=2)
-        with pytest.raises(ValueError):
-            payoffs(paths, FunctionalSpec.coordinate(0, 4), PayoffSpec.identity(), 1.0 / 3.0)
+        # the payoff is read at a grid point, so the scenario takes none other
+        with pytest.raises(ValueError, match="exercise_time"):
+            default_scenario().with_(m_points=25, exercise_time=1.0 / 3.0)
 
 
 class TestRobustnessChain:
@@ -148,7 +154,7 @@ class TestRobustnessChain:
         d = 4
         paths, _ = gaussian_ensemble(reps=200, levels=(d,))
         report = chain_report(
-            paths, FunctionalSpec.coordinate(0, d), PayoffSpec.call(0.0), 1.0, d, theorem_cap=0.0
+            paths, FunctionalSpec.coordinate(0, d), PayoffSpec.call(0.0), d, theorem_cap=0.0
         )
         assert report.price_diff == 0.0
         assert report.lipschitz_rhs == 0.0
@@ -157,8 +163,8 @@ class TestRobustnessChain:
     def test_coordinate_identity_chain(self):
         paths = jump_ensemble()
         fn = FunctionalSpec.coordinate(0, 6)
-        report = chain_report(paths, fn, PayoffSpec.identity(), 1.0, 3)
-        dx = np.array([p.at_time(1.0) - p.at_time(1.0, 3) for p in paths])
+        report = chain_report(paths, fn, PayoffSpec.identity(), 3)
+        dx = np.array([xs[0, -1] - xs[1, -1] for xs in paths])
         assert report.price_diff == pytest.approx(abs(dx[:, 0].mean()), rel=1e-12)
         assert report.lipschitz_rhs == pytest.approx(
             np.linalg.norm(dx, axis=1).mean(), rel=1e-12
@@ -169,7 +175,7 @@ class TestRobustnessChain:
     def test_zero_lipschitz(self):
         paths = jump_ensemble(reps=30)
         report = chain_report(
-            paths, FunctionalSpec.coordinate(0, 6), PayoffSpec.constant(7.0), 1.0, 3
+            paths, FunctionalSpec.coordinate(0, 6), PayoffSpec.constant(7.0), 3
         )
         assert report.price_diff == 0.0 and report.lipschitz_rhs == 0.0
         assert report.passed
@@ -178,14 +184,14 @@ class TestRobustnessChain:
         # payoff arrays that do not pair replication by replication
         paths = jump_ensemble(reps=3)
         fn, payoff = FunctionalSpec.coordinate(0, 6), PayoffSpec.identity()
-        exact = payoffs(paths, fn, payoff, 1.0)
+        exact = payoffs(paths, fn, payoff)
         with pytest.raises(ValueError):
             pricing_report(3, exact, exact[:2], np.zeros(3), payoff, fn)
 
     def test_call_chain_margin(self):
         paths = jump_ensemble()
         report = chain_report(
-            paths, FunctionalSpec.coordinate(0, 6), PayoffSpec.call(0.0), 1.0, 3
+            paths, FunctionalSpec.coordinate(0, 6), PayoffSpec.call(0.0), 3
         )
         assert report.chain_margin >= -3.0
         assert report.passed
@@ -194,8 +200,8 @@ class TestRobustnessChain:
         paths = jump_ensemble()
         payoff = PayoffSpec.call(0.0)
         fn = FunctionalSpec.coordinate(0, 6)
-        exact = payoffs(paths, fn, payoff, 1.0)
-        trunc = payoffs(paths, fn, payoff, 1.0, 3)
+        exact = payoffs(paths, fn, payoff)
+        trunc = payoffs(paths, fn, payoff, 1)
         coupled_var = np.var(exact - trunc, ddof=1)
         shuffled = np.random.default_rng(3).permutation(trunc)
         independent_var = np.var(exact - shuffled, ddof=1)

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from opvol.experiments import default_scenario
 from opvol.processes import (
     CoupledJumpStream,
     InvalidMoments,
     JumpLaw,
     PoissonClock,
-    QWienerSpec,
     cp_second_moment,
     cp_second_moment_bound,
     sample_clock,
@@ -178,16 +178,16 @@ class TestMoments:
 
 class TestWiener:
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QWienerSpec(q=np.array([0.5, -0.5]))
+        # the noise is its spectrum array; the scenario checks it on entry
+        with pytest.raises(ValueError, match="q_spectrum must be nonnegative"):
+            default_scenario().with_(q_spectrum=np.array([0.5, -0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]))
 
     def test_trace(self):
-        spec = geometric_noise(8)
-        assert spec.trace_q == pytest.approx(np.sum(0.5 ** np.arange(1, 9)), abs=1e-15)
+        q = geometric_noise(8)
+        assert q.sum() == pytest.approx(np.sum(0.5 ** np.arange(1, 9)), abs=1e-15)
 
     def test_zero_spectrum(self):
-        spec = QWienerSpec(q=np.zeros(4))
-        dB = sample_wiener_increments(spec, np.linspace(0.0, 1.0, 11), stream(0, 3, 0))
+        dB = sample_wiener_increments(np.zeros(4), np.linspace(0.0, 1.0, 11), stream(0, 3, 0))
         np.testing.assert_array_equal(dB, 0.0)
 
     def test_grid_validation(self):
@@ -207,7 +207,7 @@ class TestWiener:
         for j in range(4):
             v = draws[:, j] ** 2
             se = v.std(ddof=1) / np.sqrt(v.size)
-            assert abs(v.mean() - spec.q[j] * 0.25) <= 3 * se
+            assert abs(v.mean() - spec[j] * 0.25) <= 3 * se
 
     def test_increment_norm(self):
         # E|dB|^2 = dt * Tr(Q)
@@ -217,4 +217,4 @@ class TestWiener:
             [np.sum(sample_wiener_increments(spec, grid, stream(32, 3, r))[0] ** 2) for r in range(20000)]
         )
         se = sq.std(ddof=1) / np.sqrt(sq.size)
-        assert abs(sq.mean() - 0.5 * spec.trace_q) <= 3 * se
+        assert abs(sq.mean() - 0.5 * spec.sum()) <= 3 * se
