@@ -17,16 +17,25 @@ X - X^n isolates the truncation error.
 The square roots sqrt(V(t_m)) are taken from the caller when it already holds
 them (the experiment engine decomposes every grid slot once and reuses the
 stack); otherwise they are computed here, one batched decomposition for all
-paths.  The noise terms sqrt(V(t_m)) dB_m of every path and step are formed in
-one batched contraction, and only the transport by S(dt_m) runs step by step.
+paths.  The noise terms z_m = sqrt(V(t_m)) dB_m of every path and step are
+formed in one batched contraction.  The transport is a scan: with
+A = U diag(lam) U^H the recursion solves to
+
+    X(t_{k+1}) = U e^{lam t_{k+1}} sum_{j <= k} e^{-lam t_j} U^H z_j,
+
+one cumsum over each segment of steps whose left endpoints lie within
+1 / max|lam| of the segment's start, so no factor can overflow.  Zero
+exponents (all of them in the shipped configs) and one-step segments keep
+the step-by-step loop's bits; the diagonal kind's other exponents and the
+skew kind round differently, by a few ulps of the states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from .operators import psd_sqrt_batch
 from .processes import sample_wiener_increments
@@ -58,20 +67,23 @@ class ForwardSemigroupSpec:
         """Growth rate k of ||S(t)||_op <= e^{kt}."""
         return float(np.max(self.spectrum)) if self.kind == "diagonal" else 0.0
 
-    def propagators(self, dts: np.ndarray) -> np.ndarray:
-        """S(dt) for each step length in the 1-D array dts, in one call: the
-        multipliers exp(a dt), shape (U, d), for the diagonal kind, the
-        matrices shape (U, d, d) for the skew kind.  Row u holds the bits of
-        the call with dts[u] alone (scipy's expm solves a stack slice by
-        slice)."""
+    @cached_property
+    def modes(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(lam, U) with A = U diag(lam) U^H, taken once per semigroup.
+
+        The diagonal kind has lam = spectrum and U = I, returned as None.
+        The skew kind's A is real and skew-adjoint, so -iA is Hermitian:
+        lam = i w and U come from its eigh.
+        """
         if self.kind == "diagonal":
-            return np.exp(self.spectrum * dts[:, None])
+            return self.spectrum, None
         d = self.spectrum.size
         w = self.spectrum[: d - 1]
         A = np.zeros((d, d))
         A[np.arange(d - 1), np.arange(1, d)] = w
         A[np.arange(1, d), np.arange(d - 1)] = -w
-        return expm(dts[:, None, None] * A)
+        w, U = np.linalg.eigh(-1j * A)
+        return 1j * w, U
 
 
 def simulate_forward_coupled(
@@ -103,26 +115,58 @@ def simulate_forward_coupled(
 
     # one shared Wiener path: an increment per distinct time, which is one
     # per positive-length step, in order (jump-time slots add zero steps)
-    increments = sample_wiener_increments(q, grid.distinct_times, rng)
-    dts = np.diff(grid.times)
-    steps = dts > 0.0
+    times = grid.distinct_times
+    increments = sample_wiener_increments(q, times, rng)
+    steps = np.diff(grid.times) > 0.0
 
     # sqrt(V(t_m)) dB_m for every path and positive-length step at once
     noise = np.einsum("pkij,kj->pki", sqrts[:, np.flatnonzero(steps)], increments)
 
-    # transport over the positive-length steps: state = S(dt)(state + noise)
-    uniq, row = np.unique(dts[steps], return_inverse=True)
-    table = fwd.propagators(uniq)
-    diagonal = fwd.kind == "diagonal"
-    states = np.zeros((sqrts.shape[0], noise.shape[1] + 1, d))
-    state = states[:, 0]
-    for k, r in enumerate(row):
-        mult = table[r]
-        state = state + noise[:, k]
-        state = state * mult if diagonal else state @ mult.T
-        states[:, k + 1] = state
+    lam, U = fwd.modes
+    if U is None:
+        states = _transport(noise, times, lam)
+    else:
+        states = (_transport(noise @ U.conj(), times, lam) @ U.T).real
     # a zero-length jump slot repeats the state before it
     return states[:, np.concatenate(([0], np.cumsum(steps)))]
+
+
+def _transport(noise: np.ndarray, times: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """(P, K + 1, d) states X_0 = 0, ..., X_K of X_{k+1} = e^{lam dt_k} (X_k + z_k)
+    for the (P, K, d) noise z in the eigenbasis, on the K + 1 step endpoints
+    times.  Within a segment starting at step s the recursion is
+
+        X_{k+1} = e^{lam (t_{k+1} - t_s)} cumsum(X_s, e^{-lam (t_j - t_s)} z_j for s <= j <= k),
+
+    with the carried state X_s as the cumsum's first row."""
+    n_paths, n_steps, d = noise.shape
+    states = np.zeros((n_paths, n_steps + 1, d), dtype=noise.dtype)
+    states[:, 1:] = noise
+    span = float(np.max(np.abs(lam), initial=0.0))
+    if span == 0.0:
+        # every factor is 1.0: the cumsum from the zero row adds as the loop does
+        return np.cumsum(states, axis=1)
+    for s, e in _segments(times[:-1], span):
+        rel = (times[s : e + 1] - times[s])[:, None]
+        seg = states[:, s : e + 1]
+        seg[:, 1:] *= np.exp(-lam * rel[:-1])
+        np.cumsum(seg, axis=1, out=seg)
+        seg *= np.exp(lam * rel)
+    return states
+
+
+def _segments(left: np.ndarray, span: float):
+    """(start, end) step ranges whose left endpoints t_j share floor(span t_j),
+    so span (t_j - t_start) stays below 1.5 with the rounding of span t_j.
+    Past 2^52 that rounding reaches whole units, and every step is a segment
+    of its own, which repeats the loop's arithmetic."""
+    with np.errstate(over="ignore"):
+        r = span * left
+    if r[-1] < 2.0**52:
+        starts = np.flatnonzero(np.diff(np.floor(r), prepend=-1.0))
+    else:
+        starts = np.arange(left.size)
+    return zip(starts.tolist(), [*starts[1:].tolist(), left.size])
 
 
 def forward_sup_error(xs: np.ndarray) -> np.ndarray:

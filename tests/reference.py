@@ -4,7 +4,9 @@ variance_path runs one variance path through the engine's evolve_coupled,
 psd_sqrt takes one matrix through the engine's psd_sqrt_batch,
 default_generator_scenario is the reference scenario in generator mode,
 level_mask is the keep-set J_n of the engine's truncate_generator, and by_id
-picks a result's rows of one bound.  geometric_law and geometric_noise are
+picks a result's rows of one bound.  clock_times is the Poisson clock's
+gap-by-gap loop, which the engine's sample_clock runs as one cumsum per block
+of gaps.  geometric_law and geometric_noise are
 the jump law and noise spectrum with variances 2^-1, ..., 2^-d.  The others
 are built straight from the definitions: generator_matrix is the explicit
 d^2 x d^2 matrix of a generator on row-major vec(T), which the expm
@@ -47,6 +49,20 @@ def default_generator_scenario(replications=2000, master_seed=1729):
 def level_mask(n, d):
     """Keep-set J_n = {(j, k): j + k <= n} (1-based) as a (d, d) mask."""
     return truncate_generator(GeneratorSpec("sylvester", np.zeros(d)), n).mask
+
+
+def clock_times(rate, horizon, rng):
+    """Jump times of sample_clock, one exponential gap at a time, drawing
+    the same blocks of gaps from rng."""
+    times = []
+    t = 0.0
+    block = max(8, int(2 * rate * horizon) + 1)
+    while True:
+        for g in rng.exponential(scale=1.0 / rate, size=block):
+            t += g
+            if t > horizon:
+                return np.array(times)
+            times.append(t)
 
 
 def geometric_law(d):

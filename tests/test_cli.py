@@ -1,6 +1,10 @@
 """Tests for the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ from opvol.cli import (
     resolve_scenario,
 )
 from opvol.experiments import default_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, name="scenario.json", **overrides):
@@ -482,6 +488,40 @@ class TestDeterminismAcrossThreads:
         assert main(["verify", path, "--seed", "7", "--threads", "1", "--out-dir", str(out_a)]) == EXIT_PASS
         assert main(["verify", path, "--seed", "7", "--threads", "3", "--out-dir", str(out_b)]) == EXIT_PASS
         assert (out_a / "bounds.csv").read_bytes() == (out_b / "bounds.csv").read_bytes()
+
+    @pytest.mark.parametrize("extreme", [-1e4, -1e300])
+    def test_extreme_forward_exponents_verify_silently(self, tmp_path, capfd, extreme):
+        # coordinates that decay within a step beside drift-free ones: the
+        # transport stays finite and warns about nothing
+        spectrum = [0.0, extreme] * 4
+        path = write_config(tmp_path, replications=4, m_points=200, forward_spectrum=spectrum)
+        csvs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert main(["verify", path, "--threads", threads, "--out-dir", str(out)]) == EXIT_PASS
+            assert capfd.readouterr() == ("", "")
+            csvs.append((out / "bounds.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+
+class TestSetup:
+    @pytest.mark.parametrize("command", ["verify", "price", "converge"])
+    @pytest.mark.parametrize("truncation", ["jumps", "generator"])
+    def test_a_run_imports_nothing_after_setup(self, tmp_path, command, truncation):
+        # numpy loads some submodules on first use (numpy.random, numpy.ma);
+        # one first used inside the engine is paid by the first replication
+        path = write_config(tmp_path, replications=2, truncation=truncation)
+        script = (
+            "import sys\n"
+            "from opvol import cli\n"
+            "before = set(sys.modules)\n"
+            f"code = cli.main([{command!r}, {path!r}, '--threads', '1', '--out-dir', {str(tmp_path)!r}])\n"
+            "print(code, sorted(set(sys.modules) - before))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.stdout == "0 []\n", proc.stderr
 
 
 class TestParser:

@@ -1,5 +1,7 @@
 """Forward dynamics: semigroup constants, coupled Euler recursion, sup errors."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,9 +45,19 @@ def zero_semigroup(d):
 
 
 def semigroup(fwd, t):
-    """S(t) as a dense matrix, from the propagators the recursion uses."""
-    S = fwd.propagators(np.array([t]))[0]
-    return np.diag(S) if fwd.kind == "diagonal" else S
+    """S(t) as a dense matrix, straight from the definition: exp(t a) on the
+    diagonal, or expm(t A)."""
+    if fwd.kind == "diagonal":
+        return np.diag(np.exp(fwd.spectrum * t))
+    return expm(t * skew_matrix(fwd))
+
+
+def modes_semigroup(fwd, t):
+    """S(t) = U diag(e^{lam t}) U^H from the eigenbasis the scan uses."""
+    lam, U = fwd.modes
+    if U is None:
+        U = np.eye(lam.size)
+    return (U * np.exp(lam * t)) @ U.conj().T
 
 
 def stack(exact, approx):
@@ -96,7 +108,7 @@ class TestSemigroupSpec:
 
     def test_diagonal_operator(self):
         spec = ForwardSemigroupSpec("diagonal", [-2.0, 1.0])
-        np.testing.assert_allclose(semigroup(spec, 0.5), np.diag([np.exp(-1.0), np.exp(0.5)]))
+        np.testing.assert_allclose(modes_semigroup(spec, 0.5), np.diag([np.exp(-1.0), np.exp(0.5)]))
 
     def test_skew_isometry(self):
         rng = np.random.default_rng(1)
@@ -104,12 +116,13 @@ class TestSemigroupSpec:
         for _ in range(20):
             t = float(rng.uniform(0, 5))
             f = rng.standard_normal(6)
-            S = semigroup(spec, t)
+            S = modes_semigroup(spec, t)
             assert np.linalg.norm(S @ f) == pytest.approx(np.linalg.norm(f), abs=1e-10)
 
     def test_semigroup_law(self):
         spec = random_skew(np.random.default_rng(2), 4)
-        np.testing.assert_allclose(semigroup(spec, 0.7) @ semigroup(spec, 0.3), semigroup(spec, 1.0), atol=1e-12)
+        product = modes_semigroup(spec, 0.7) @ modes_semigroup(spec, 0.3)
+        np.testing.assert_allclose(product, modes_semigroup(spec, 1.0), atol=1e-12)
 
     def test_quasi_contraction_certificate(self):
         # ||S(t)||_op <= e^{kt} (c = 1) on random times for both kinds
@@ -120,7 +133,7 @@ class TestSemigroupSpec:
         ]
         for spec in specs:
             for t in rng.uniform(0, 3, size=10):
-                opn = np.linalg.svd(semigroup(spec, t), compute_uv=False)[0]
+                opn = np.linalg.svd(modes_semigroup(spec, t), compute_uv=False)[0]
                 assert opn <= np.exp(spec.k * t) * (1 + 1e-12)
 
 
@@ -214,6 +227,21 @@ def semigroups(d):
     ]
 
 
+# the scan against the per-step loop, relative to the largest state: the
+# nonzero exponents and the skew kind round differently from the loop, by a
+# few ulps of the states (2.5e-15 at most over 20 seeds at d <= 16)
+SCAN_RTOL = 1e-12
+
+
+def assert_matches_loop(xs, want, fwd):
+    """The diagonal kind's zero coordinates keep the loop's bits, signed zeros
+    included; every coordinate is within SCAN_RTOL of the loop."""
+    exact = fwd.spectrum == 0.0 if fwd.kind == "diagonal" else np.zeros(fwd.spectrum.size, bool)
+    np.testing.assert_array_equal(xs[..., exact], want[..., exact])
+    assert np.array_equal(np.signbit(xs[..., exact]), np.signbit(want[..., exact]))
+    assert np.max(np.abs(xs - want)) <= SCAN_RTOL * np.max(np.abs(want))
+
+
 def per_step_recursion(paths, fwd, q, rng):
     """The step-by-step Euler loop, one noise contraction per grid step, with
     the Wiener increments scattered to grid steps (zero at jump slots)."""
@@ -261,32 +289,66 @@ class TestPrecomputedSquareRoots:
         d, levels = 6, (2, 4)
         paths = jump_paths(d, levels, seed=62)
         q = geometric_noise(d)
-        for fwd in semigroups(d):
+        mixed = ForwardSemigroupSpec("diagonal", [0.0, -0.5, 0.0, 0.3, -0.0, -1.2])
+        for fwd in semigroups(d) + [zero_semigroup(d), mixed]:
             xs = simulate_forward_coupled(paths, fwd, q, stream(62, 3, 0))
             want = per_step_recursion(paths, fwd, q, stream(62, 3, 0))
             assert xs.shape == (1 + len(levels), paths.grid.size, d)
-            np.testing.assert_array_equal(xs, want)
+            assert_matches_loop(xs, want, fwd)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
-        dts=st.lists(st.floats(1e-6, 3.0), min_size=1, max_size=30, unique=True),
+        d=st.integers(1, 16),
+        n_paths=st.integers(1, 3),
+        m_points=st.integers(1, 40),
+        horizon=st.sampled_from([0.25, 1.0, 3.0]),
+        jumps=st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=12, unique=True),
+        kind=st.sampled_from(["zero", "mixed", "diagonal", "skew"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scan_matches_per_step_loop_on_random_grids(
+        self, d, n_paths, m_points, horizon, jumps, kind, seed
+    ):
+        rng = np.random.default_rng(seed)
+        grid = build_grid(horizon, m_points, np.sort(jumps) * horizon)
+        roots = rng.standard_normal((n_paths, grid.size, d, d))
+        paths = VariancePath(grid, roots @ np.swapaxes(roots, -1, -2) / d)
+        exponents = rng.uniform(-4.0, 1.0, d)
+        fwd = {
+            "zero": zero_semigroup(d),
+            "mixed": ForwardSemigroupSpec("diagonal", np.where(rng.random(d) < 0.5, 0.0, exponents)),
+            "diagonal": ForwardSemigroupSpec("diagonal", exponents),
+            "skew": random_skew(rng, d),
+        }[kind]
+        q = geometric_noise(d)
+        xs = simulate_forward_coupled(paths, fwd, q, stream(seed, 3, 0))
+        assert_matches_loop(xs, per_step_recursion(paths, fwd, q, stream(seed, 3, 0)), fwd)
+
+    @pytest.mark.parametrize("extreme", [-1e4, -1e300])
+    def test_extreme_exponents_stay_finite_without_warnings(self, extreme):
+        d = 6
+        paths = jump_paths(d, (2, 4), seed=64)
+        fwd = ForwardSemigroupSpec("diagonal", np.where(np.arange(d) % 2 == 0, 0.0, extreme))
+        q = geometric_noise(d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xs = simulate_forward_coupled(paths, fwd, q, stream(64, 3, 0))
+        assert np.all(np.isfinite(xs))
+        assert_matches_loop(xs, per_step_recursion(paths, fwd, q, stream(64, 3, 0)), fwd)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        t=st.floats(0.0, 3.0),
         d=st.integers(1, 8),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_propagator_table_matches_per_step_calls(self, dts, d, seed):
+    def test_modes_match_per_step_semigroup(self, t, d, seed):
+        # A = U diag(lam) U^H: U diag(e^{lam t}) U^H is S(t) from exp or expm
         rng = np.random.default_rng(seed)
-        dts = np.sort(dts)
-        diagonal = ForwardSemigroupSpec("diagonal", rng.uniform(-2.0, 1.0, d))
-        skew = random_skew(rng, d)
-        for fwd, step in (
-            (diagonal, lambda dt: np.exp(diagonal.spectrum * dt)),
-            (skew, lambda dt: expm(dt * skew_matrix(skew))),
-        ):
-            table = fwd.propagators(dts)
-            for u, dt in enumerate(dts):
-                want = step(dt)
-                assert np.array_equal(table[u], want)
-                assert np.array_equal(np.signbit(table[u]), np.signbit(want))
+        for fwd in (ForwardSemigroupSpec("diagonal", rng.uniform(-2.0, 1.0, d)), random_skew(rng, d)):
+            S = modes_semigroup(fwd, t)
+            np.testing.assert_allclose(S.real, semigroup(fwd, t), rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(S.imag, 0.0, atol=1e-12)
 
     def test_wrong_stack_shape_rejected(self):
         d = 4

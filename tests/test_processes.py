@@ -6,7 +6,6 @@ import pytest
 from opvol.experiments import default_scenario
 from opvol.processes import (
     CoupledJumpStream,
-    InvalidMoments,
     JumpLaw,
     PoissonClock,
     cp_second_moment,
@@ -16,7 +15,7 @@ from opvol.processes import (
     sample_wiener_increments,
     stream,
 )
-from reference import geometric_law, geometric_noise
+from reference import clock_times, geometric_law, geometric_noise
 
 
 class TestStreams:
@@ -34,6 +33,23 @@ class TestStreams:
         a = stream(7, 1, 0).standard_normal(5)
         b = stream(7, 1, 1).standard_normal(5)
         assert not np.allclose(a, b)
+
+
+def assert_clocks_match_loop(rate, horizon, reps):
+    """sample_clock gives the gap-by-gap loop's times, bit for bit, and
+    leaves the stream where the loop leaves it; returns how many clocks ran
+    past their first block of gaps."""
+    block = max(8, int(2 * rate * horizon) + 1)
+    spanned = 0
+    for rep in reps:
+        rng, ref = stream(13, 1, rep), stream(13, 1, rep)
+        clock = sample_clock(rate, horizon, rng)
+        want = clock_times(rate, horizon, ref)
+        assert clock.times.dtype == want.dtype and clock.times.shape == want.shape
+        assert np.array_equal(clock.times, want)
+        assert rng.random() == ref.random()
+        spanned += clock.count >= block
+    return spanned
 
 
 class TestClock:
@@ -63,6 +79,17 @@ class TestClock:
         counts = np.array([sample_clock(2.0, 3.0, stream(11, 1, r)).count for r in range(R)])
         se = counts.std(ddof=1) / np.sqrt(R)
         assert abs(counts.mean() - 6.0) <= 3 * se
+
+    @pytest.mark.parametrize("rate", [1.0, 3.7, 20.0, 500.0])
+    @pytest.mark.parametrize("horizon", [1.0, 1.7, 3.0])
+    def test_blocks_match_gap_by_gap_loop(self, rate, horizon):
+        assert_clocks_match_loop(rate, horizon, range(100))
+
+    @pytest.mark.parametrize("rate, horizon", [(3.7, 1.0), (1.0, 3.0)])
+    def test_clocks_past_the_first_block_match_the_loop(self, rate, horizon):
+        # the first block holds 8 gaps here, so a clock of 8 or more jumps
+        # carries its time into a second block
+        assert assert_clocks_match_loop(rate, horizon, range(1000)) >= 5
 
     def test_empty_constructor(self):
         clock = PoissonClock.empty(rate=0.0, horizon=1.0)
@@ -158,10 +185,6 @@ class TestMoments:
 
     def test_centered(self):
         assert cp_second_moment(2.0, 3.0, 5.0, 0.0) == pytest.approx(30.0, abs=1e-12)
-
-    def test_invalid_moments(self):
-        with pytest.raises(InvalidMoments):
-            cp_second_moment(1.0, 1.0, 1.0, 2.0)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
