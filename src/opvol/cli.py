@@ -24,6 +24,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+# argparse's gettext imports locale when it builds the first parser; imported
+# here, with the program, so that cli.main itself imports nothing
+import locale  # noqa: F401
 import os
 import sys
 from collections.abc import Mapping

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property, partial
 
@@ -50,7 +49,7 @@ from opvol.bounds import (
     combined_margin,
 )
 from opvol.forward import ForwardSemigroupSpec, forward_sup_error, simulate_forward_coupled
-from opvol.operators import NotPositiveSemidefinite, psd_sqrt_batch
+from opvol.operators import NotPositiveSemidefinite, closed_form_diagonal, psd_sqrt_batch, psd_sqrt_diagonal
 from opvol.pricing import FunctionalSpec, PayoffSpec, PricingReport, mean_se, pricing_report
 from opvol.processes import (
     PURPOSE_CLOCK,
@@ -447,43 +446,50 @@ def _jump_trace_norm_sq(dy2: np.ndarray, y2n: np.ndarray) -> np.ndarray:
 def _path_stats(scenario: CoupledScenario, rep: int, grid: TimeGrid,
                 vals: np.ndarray) -> dict:
     """Statistics of the coupled paths vals (exact first), (L,) arrays but
-    for pay_exact: sup errors, and in jumps mode square roots (one
-    psd_sqrt_batch call per path, the levels as block roots), the forward
-    run and payoffs.  Squares of sups are taken on the Python floats: numpy's
-    square of an array can round differently from the float's ** 2."""
+    for pay_exact: sup errors, and in jumps mode square roots, the forward
+    run and payoffs.
+
+    The grid splits at g1 (_closed_form_prefix).  The prefix [:g1] is taken
+    from its (P, g1, d) diagonals: psd_sqrt_diagonal for the roots and
+    _split_sups for the sups.  The suffix [g1:] goes to the dense kernels,
+    one psd_sqrt_batch call per path (the levels as block roots).  Every
+    statistic has the bits of the dense kernels run on the whole grid.
+    Squares of sups are taken on the Python floats: numpy's square of an
+    array can round differently from the float's ** 2."""
     levels = scenario.levels
     run = scenario._run
-    sup_hs, sup_op = [], []
-    for path in vals[1:]:
-        D = vals[0] - path
-        sup_hs.append(sup_norm_stack(D, "hs"))
-        sup_op.append(sup_norm_stack(D, "op"))
+    P, G, d = vals.shape[:3]
+    g1 = _closed_form_prefix(grid, vals)
+    head = np.diagonal(vals[:, :g1], axis1=-2, axis2=-1)
+    sup_hs, sup_op = _split_sups(head, vals[:, g1:])
     out: dict = {
-        "sup_hs": np.array(sup_hs),
-        "sup_sq_hs": np.array([s**2 for s in sup_hs]),
-        "sup_op": np.array(sup_op),
+        "sup_hs": sup_hs,
+        "sup_sq_hs": np.array([s**2 for s in sup_hs.tolist()]),
+        "sup_op": sup_op,
     }
     if scenario.truncation != "jumps":
         return out
 
     # the exact path is full; with a diagonal generator the level-n path is
     # blockdiag(n x n block, diagonal tail), which psd_sqrt_batch checks
-    sqrts = np.empty_like(vals)
+    sqrts = np.zeros_like(vals)
+    roots = np.empty_like(head)
     for p, n in enumerate((None, *levels)):
+        start = 0
         try:
-            sqrts[p] = psd_sqrt_batch(vals[p], block=n)
+            roots[p] = psd_sqrt_diagonal(head[p])
+            start = g1
+            if g1 < G:
+                sqrts[p, g1:] = psd_sqrt_batch(vals[p, g1:], block=n)
         except NotPositiveSemidefinite as exc:
             # name the matrix by (path, slot), as in the whole (P, G) stack
-            i = (p, *exc.index)
+            i = (p, start + exc.index[0])
             detail = str(exc).partition(" in batch: ")[2]
             raise NotPositiveSemidefinite(f"matrix {i} in batch: {detail}", index=i) from exc
-    sqrt_hs, sqrt_op = [], []
-    for root in sqrts[1:]:
-        dS = sqrts[0] - root
-        sqrt_hs.append(sup_norm_stack(dS, "hs"))
-        sqrt_op.append(sup_norm_stack(dS, "op"))
-    out["sqrt_sup_sq_op"] = np.array([s**2 for s in sqrt_op])
-    out["sqrt_sup_sq_hs"] = np.array([s**2 for s in sqrt_hs])
+    sqrts[:, :g1].reshape(P, g1, d * d)[..., :: d + 1] = roots
+    sqrt_hs, sqrt_op = _split_sups(roots, sqrts[:, g1:])
+    out["sqrt_sup_sq_op"] = np.array([s**2 for s in sqrt_op.tolist()])
+    out["sqrt_sup_sq_hs"] = np.array([s**2 for s in sqrt_hs.tolist()])
 
     xs = simulate_forward_coupled(
         VariancePath(grid, vals), run.forward, scenario.q_spectrum,
@@ -497,6 +503,45 @@ def _path_stats(scenario: CoupledScenario, rep: int, grid: TimeGrid,
     out["pay_trunc"] = np.array([payoff.evaluate(functional.apply(x)) for x in xtn])
     out["dx_tau"] = np.array([np.linalg.norm(xt - x) for x in xtn])
     return out
+
+
+def _closed_form_prefix(grid: TimeGrid, vals: np.ndarray) -> int:
+    """g1, the first grid slot at which some coupled path of vals is not
+    closed_form_diagonal.  With a diagonal V0 and generator every path stays
+    diagonal until the first jump, and the slots from the first post-jump
+    slot on are left to the dense kernels, so only the slots before it are
+    checked; g1 is at most that slot, or G without a jump."""
+    post = np.flatnonzero(grid.jump_index[1:] >= 0)
+    stop = int(post[0]) + 1 if post.size else grid.size
+    bad = np.flatnonzero(~np.all(closed_form_diagonal(vals[:, :stop]), axis=0))
+    return int(bad[0]) if bad.size else stop
+
+
+def _split_sups(head: np.ndarray, tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L,) HS and op sups over the grid of path 0 minus each other path, for
+    paths given as the (P, g1, d) diagonals of their closed-form prefix and
+    their (P, G - g1, d, d) suffix.
+
+    On the prefix a difference is diagonal with largest entry 0 or inside
+    LAPACK's range (closed_form_diagonal), so its op norm is that entry; its
+    squares, placed in zero matrices, are summed as sup_norm_stack sums
+    D * D.  The suffix goes to sup_norm_stack, and the two sups combine with
+    np.maximum, which keeps a NaN.  sqrt and max commute, so each sup has the
+    bits of sup_norm_stack on the whole grid."""
+    diff = head[0] - head[1:]
+    L, g1, d = diff.shape
+    sq = np.zeros((L, g1, d * d))
+    sq[..., :: d + 1] = diff * diff
+    hs = np.sqrt(np.max(np.sum(sq, axis=-1), axis=1, initial=0.0))
+    op = np.max(np.abs(diff), axis=(1, 2), initial=0.0)
+    if tail.shape[1] == 0:
+        return hs, op
+    tail_hs, tail_op = np.empty(L), np.empty(L)
+    for i, path in enumerate(tail[1:]):
+        D = tail[0] - path
+        tail_hs[i] = sup_norm_stack(D, "hs")
+        tail_op[i] = sup_norm_stack(D, "op")
+    return np.maximum(hs, tail_hs), np.maximum(op, tail_op)
 
 
 def _failure_message(exc: Exception, rep: int, levels: tuple[int, ...],
@@ -542,6 +587,9 @@ def _map_reps(scenario: CoupledScenario, workers: int) -> dict[str, np.ndarray]:
     if workers == 1:
         rows = [_rep_stats(scenario, r) for r in reps]
     else:
+        # imported here, so a serial run never loads the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, scenario.replications // (workers * 4))
             rows = list(pool.map(partial(_rep_stats, scenario), reps, chunksize=chunk))

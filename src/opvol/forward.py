@@ -15,7 +15,7 @@ variance paths are driven by one shared Wiener path so that the difference
 X - X^n isolates the truncation error.
 
 The square roots sqrt(V(t_m)) are taken from the caller when it already holds
-them (the experiment engine decomposes every grid slot once and reuses the
+them (the experiment engine takes every grid slot's root once and reuses the
 stack); otherwise they are computed here, one batched decomposition for all
 paths.  The noise terms z_m = sqrt(V(t_m)) dB_m of every path and step are
 formed in one batched contraction.  The transport is a scan: with
@@ -119,8 +119,12 @@ def simulate_forward_coupled(
     increments = sample_wiener_increments(q, times, rng)
     steps = np.diff(grid.times) > 0.0
 
-    # sqrt(V(t_m)) dB_m for every path and positive-length step at once
-    noise = np.einsum("pkij,kj->pki", sqrts[:, np.flatnonzero(steps)], increments)
+    # sqrt(V(t_m)) dB_m for every path and positive-length step at once; the
+    # contraction runs on every step of the root stack as it lies, a zero
+    # increment on each zero-length step, rather than on a gathered copy
+    dB = np.zeros((steps.size, d))
+    dB[steps] = increments
+    noise = np.einsum("pkij,kj->pki", sqrts[:, :-1], dB)[:, steps]
 
     lam, U = fwd.modes
     if U is None:

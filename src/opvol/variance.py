@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from opvol.operators import as_hilbert_vector, closed_form_diagonal
+from opvol.operators import as_hilbert_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,20 +316,17 @@ def _op_sup_symmetric(S: np.ndarray, top: np.ndarray) -> float:
     """max over slots of max |eigvalsh(S[g])| for a finite symmetric stack,
     with top[g] = max |S[g]|; equal to the full-stack max bit for bit.
 
-    Diagonal slots (closed_form_diagonal) need no solve: their eigvalsh is
-    their diagonal, so their op norm is top[g].  Every other slot gets the
-    upper bound ub = top * (tr X^8)^(1/8) >= |S|_op with X = S / top (scaled
-    so the powers neither underflow nor overflow).  The slot with the largest
-    ub is solved exactly, and then only the slots whose ub reaches that value
-    times _PRUNE_MARGIN are solved; the rest cannot hold the max.
+    An all-zero slot has op norm 0 and needs no solve.  Every other slot gets
+    the upper bound ub = top * (tr X^8)^(1/8) >= |S|_op with X = S / top
+    (scaled so the powers neither underflow nor overflow).  The slot with the
+    largest ub is solved exactly, and then only the slots whose ub reaches
+    that value times _PRUNE_MARGIN are solved; the rest cannot hold the max.
     """
     d = S.shape[-1]
     S, top = S.reshape(-1, d, d), top.reshape(-1)
-    diag = closed_form_diagonal(S)
-    best = float(np.max(top[diag], initial=0.0))
-    rest = np.flatnonzero(~diag)
+    rest = np.flatnonzero(top > 0.0)
     if rest.size == 0:
-        return best
+        return 0.0
     scale = top[rest]
     X = S[rest]
     X /= scale[:, None, None]
@@ -337,6 +334,6 @@ def _op_sup_symmetric(S: np.ndarray, top: np.ndarray) -> float:
     X = X @ X
     ub = scale * np.einsum("gij,gij->g", X, X) ** 0.125
     lead = rest[np.argmax(ub)]
-    best = max(best, float(np.max(np.abs(np.linalg.eigvalsh(S[lead])))))
+    best = float(np.max(np.abs(np.linalg.eigvalsh(S[lead]))))
     cand = rest[(ub >= best * _PRUNE_MARGIN) & (rest != lead)]
     return float(np.max(np.abs(np.linalg.eigvalsh(S[cand])), initial=best))

@@ -12,15 +12,19 @@ are built straight from the definitions: generator_matrix is the explicit
 d^2 x d^2 matrix of a generator on row-major vec(T), which the expm
 reference paths use; project is Pi T for a keep-mask; and corner is the
 compression that jump truncation applies, P T P with P the projection onto
-the first n coordinates.
+the first n coordinates.  path_stats is the engine's _path_stats without its
+closed-form prefix: every grid slot goes through the dense kernels.
 """
 
 import numpy as np
 
 from opvol.experiments import default_scenario
-from opvol.operators import psd_sqrt_batch
+from opvol.forward import forward_sup_error, simulate_forward_coupled
+from opvol.operators import NotPositiveSemidefinite, psd_sqrt_batch
+from opvol.processes import PURPOSE_WIENER, stream
 from opvol.processes import JumpLaw
-from opvol.variance import GeneratorSpec, VariancePath, evolve_coupled, make_stepper, truncate_generator
+from opvol.variance import (GeneratorSpec, VariancePath, evolve_coupled, make_stepper, sup_norm_stack,
+                            truncate_generator)
 
 
 def variance_path(v0, spec, stream, grid, level=None):
@@ -103,4 +107,50 @@ def corner(T, n):
     out = np.array(T, dtype=float)
     out[n:] = 0.0
     out[:, n:] = 0.0
+    return out
+
+
+def path_stats(scenario, rep, grid, vals):
+    """The statistics of experiments._path_stats with every grid slot through
+    the dense kernels: sup_norm_stack on each whole difference stack and one
+    psd_sqrt_batch call per whole path."""
+    levels = scenario.levels
+    run = scenario._run
+    sup_hs, sup_op = [], []
+    for path in vals[1:]:
+        D = vals[0] - path
+        sup_hs.append(sup_norm_stack(D, "hs"))
+        sup_op.append(sup_norm_stack(D, "op"))
+    out = {
+        "sup_hs": np.array(sup_hs),
+        "sup_sq_hs": np.array([s**2 for s in sup_hs]),
+        "sup_op": np.array(sup_op),
+    }
+    if scenario.truncation != "jumps":
+        return out
+    sqrts = np.empty_like(vals)
+    for p, n in enumerate((None, *levels)):
+        try:
+            sqrts[p] = psd_sqrt_batch(vals[p], block=n)
+        except NotPositiveSemidefinite as exc:
+            i = (p, *exc.index)
+            detail = str(exc).partition(" in batch: ")[2]
+            raise NotPositiveSemidefinite(f"matrix {i} in batch: {detail}", index=i) from exc
+    sqrt_hs, sqrt_op = [], []
+    for root in sqrts[1:]:
+        dS = sqrts[0] - root
+        sqrt_hs.append(sup_norm_stack(dS, "hs"))
+        sqrt_op.append(sup_norm_stack(dS, "op"))
+    out["sqrt_sup_sq_op"] = np.array([s**2 for s in sqrt_op])
+    out["sqrt_sup_sq_hs"] = np.array([s**2 for s in sqrt_hs])
+    xs = simulate_forward_coupled(
+        VariancePath(grid, vals), run.forward, scenario.q_spectrum,
+        stream(scenario.master_seed, PURPOSE_WIENER, rep), sqrts,
+    )
+    payoff, functional = run.payoff, run.functional
+    xt, *xtn = xs[:, np.searchsorted(grid.times, run.tau, side="right") - 1]
+    out["pay_exact"] = payoff.evaluate(functional.apply(xt))
+    out["fwd_sup_sq"] = forward_sup_error(xs)
+    out["pay_trunc"] = np.array([payoff.evaluate(functional.apply(x)) for x in xtn])
+    out["dx_tau"] = np.array([np.linalg.norm(xt - x) for x in xtn])
     return out

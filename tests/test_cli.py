@@ -523,6 +523,18 @@ class TestSetup:
                               text=True, timeout=120)
         assert proc.stdout == "0 []\n", proc.stderr
 
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # only a run with more than one worker imports the pool's modules
+        script = (
+            "import sys\n"
+            "import opvol.cli\n"
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.stdout == "[]\n", proc.stderr
+
 
 class TestParser:
     def test_subcommand_required(self):

@@ -3,6 +3,7 @@
 import math
 import pickle
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from opvol.experiments import (
     run_experiment,
 )
 from opvol.processes import PURPOSE_CLOCK, PURPOSE_JUMPS, sample_clock, sample_jump_stream, stream
-from reference import by_id, default_generator_scenario
+from reference import by_id, default_generator_scenario, path_stats
 
 
 def small_scenario(**changes):
@@ -139,7 +140,7 @@ class TestWorkerCount:
 
 class TestSquareRootsPerReplication:
     def count_decompositions(self, monkeypatch, scenario):
-        calls, sizes = [], []
+        calls, grids = [], []
         build_grid = experiments.build_grid
 
         def counting(owner):
@@ -153,27 +154,187 @@ class TestSquareRootsPerReplication:
 
         def recording_grid(*args):
             grid = build_grid(*args)
-            sizes.append(grid.size)
+            grids.append(grid)
             return grid
 
         counting(experiments)
         counting(forward)
         monkeypatch.setattr(experiments, "build_grid", recording_grid)
         experiments._rep_stats(scenario, 0)
-        return calls, sizes
+        return calls, grids
 
-    def test_jumps_mode_decomposes_every_slot_once(self, monkeypatch):
+    def test_jumps_mode_decomposes_every_slot_from_g1_once(self, monkeypatch):
         sc = small_scenario(rate=5.0)
-        calls, (size,) = self.count_decompositions(monkeypatch, sc)
-        assert size > sc.m_points + 1  # the replication has jump slots
-        # one call for the exact path (full solve), then one per level with
-        # that level as its block size
-        assert calls == [((size,), None)] + [((size,), n) for n in sc.levels]
+        calls, (grid,) = self.count_decompositions(monkeypatch, sc)
+        assert grid.size > sc.m_points + 1  # the replication has jump slots
+        # every path is diagonal up to the first jump, so g1 is the first
+        # post-jump slot; from g1 on, one call for the exact path (full
+        # solve), then one per level with that level as its block size
+        g1 = int(np.flatnonzero(grid.jump_index >= 0)[0])
+        assert 0 < g1 < grid.size
+        dense = (grid.size - g1,)
+        assert calls == [(dense, None)] + [(dense, n) for n in sc.levels]
+
+    def test_jump_free_replication_decomposes_nothing(self, monkeypatch):
+        # no jump: every slot is diagonal and takes the closed form
+        calls, _ = self.count_decompositions(monkeypatch, small_scenario(rate=0.0))
+        assert calls == []
 
     def test_generator_mode_decomposes_nothing(self, monkeypatch):
         sc = default_generator_scenario(replications=10, master_seed=5).with_(m_points=25)
         calls, _ = self.count_decompositions(monkeypatch, sc)
         assert calls == []
+
+
+class _Captured(Exception):
+    pass
+
+
+def path_inputs(scenario, rep):
+    """The grid and the coupled paths _rep_stats hands to _path_stats."""
+    got = []
+
+    def capture(sc, r, grid, vals):
+        got.append((grid, vals))
+        raise _Captured
+
+    with mock.patch.object(experiments, "_path_stats", capture), pytest.raises(_Captured):
+        experiments._rep_stats(scenario, rep)
+    return got[0]
+
+
+def stats_outcome(fn, scenario, rep, grid, vals):
+    """fn's statistics on a copy of vals, or the type and message of what it
+    raises, under _rep_stats's floating-point error state."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(scenario, rep, grid, vals.copy())
+    except (opvol.NotPositiveSemidefinite, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_split_matches_reference(scenario, rep, corrupt=None):
+    grid, vals = path_inputs(scenario, rep)
+    if corrupt is not None:
+        corrupt(vals)
+    got = stats_outcome(experiments._path_stats, scenario, rep, grid, vals)
+    want = stats_outcome(path_stats, scenario, rep, grid, vals)
+    if isinstance(want, tuple):
+        assert got == want
+        return grid
+    assert isinstance(got, dict) and got.keys() == want.keys()
+    for key in want:
+        a, b = np.asarray(got[key]), np.asarray(want[key])
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), key
+        assert np.array_equal(np.signbit(a), np.signbit(b)), key
+    return grid
+
+
+def split_scenario(d, truncation, truncate_v0, exponent, rate, m_points, zero_tail, seed):
+    geo = 0.5 ** np.arange(1, d + 1)
+    cap = d if truncation == "jumps" else 2 * d
+    levels = tuple(sorted({max(1, cap // 4), max(1, cap // 2), cap}))
+    gammas = geo.copy()
+    if zero_tail:
+        gammas[levels[0]:] = 0.0  # the first level keeps every jump whole
+    return default_scenario(replications=4, master_seed=seed, truncation=truncation).with_(
+        d=d, levels=levels, m_points=m_points, rate=rate, jump_gammas=gammas, q_spectrum=geo,
+        generator_spectrum=-experiments.karhunen_loeve_spectrum(d), forward_spectrum=np.zeros(d),
+        v0_diag=geo * 10.0**exponent, truncate_v0=truncate_v0,
+    )
+
+
+class TestClosedFormPrefix:
+    """_path_stats takes the slots before g1 from their diagonals and the rest
+    from the dense kernels; every statistic, failure message and index must
+    be what the dense kernels give on every slot (reference.path_stats)."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(1, 16),
+        truncation=st.sampled_from(["jumps", "generator"]),
+        truncate_v0=st.booleans(),
+        exponent=st.floats(-150.0, 150.0),
+        rate=st.sampled_from([0.0, 0.5, 3.0, 40.0]),
+        m_points=st.integers(1, 30),
+        zero_tail=st.booleans(),
+        seed=st.integers(0, 10**6),
+        rep=st.integers(0, 3),
+    )
+    @example(d=8, truncation="jumps", truncate_v0=False, exponent=0.0, rate=1.0, m_points=200,
+             zero_tail=False, seed=1729, rep=0)
+    @example(d=4, truncation="jumps", truncate_v0=True, exponent=-130.0, rate=0.0, m_points=10,
+             zero_tail=False, seed=1, rep=0)
+    @example(d=5, truncation="jumps", truncate_v0=False, exponent=0.0, rate=3.0, m_points=8,
+             zero_tail=True, seed=2, rep=1)
+    # V0 near 2**-480: the paths' largest entries lie inside LAPACK's range, but
+    # the differences of the generator paths fall below it, where eigvalsh
+    # rescales and rounds
+    @example(d=16, truncation="generator", truncate_v0=False, exponent=-144.5, rate=0.0, m_points=10,
+             zero_tail=False, seed=1, rep=0)
+    def test_split_matches_every_slot_dense(self, d, truncation, truncate_v0, exponent, rate,
+                                            m_points, zero_tail, seed, rep):
+        sc = split_scenario(d, truncation, truncate_v0, exponent, rate, m_points, zero_tail, seed)
+        assert_split_matches_reference(sc, rep)
+
+    def test_jump_free_and_first_step_jump_replications(self):
+        # scan for a replication without a jump and one whose first jump falls
+        # in the first step, so that g1 is G and 2
+        sc = split_scenario(8, "jumps", False, 0.0, 2.0, 10, False, 11)
+        firsts = set()
+        for rep in range(40):
+            grid = assert_split_matches_reference(sc, rep)
+            post = np.flatnonzero(grid.jump_index >= 0)
+            firsts.add(int(post[0]) if post.size else None)
+        assert None in firsts and 2 in firsts
+
+    def test_level_with_zero_difference(self):
+        # jumps zero past the first level and V0 kept whole: that level's path
+        # is the exact path, its differences all-zero slots
+        sc = split_scenario(8, "jumps", False, 0.0, 3.0, 12, True, 3)
+        for rep in range(4):
+            grid, vals = path_inputs(sc, rep)
+            assert np.array_equal(vals[0], vals[1])
+            assert_split_matches_reference(sc, rep)
+            assert experiments._path_stats(sc, rep, grid, vals)["sup_op"][0] == 0.0
+
+    def test_first_failing_path_is_named_first(self):
+        # path 0 fails after its first jump (the dense suffix) and path 2
+        # before it (the prefix): the failure names path 0, as one
+        # psd_sqrt_batch call per whole path, in path order, does
+        sc = split_scenario(8, "jumps", False, 0.0, 3.0, 12, False, 3)
+
+        def corrupt(vals):
+            g = int(np.flatnonzero(vals[0, :, 0, 1] != 0.0)[0])
+            vals[0, g, 5, 5] = -1.0
+            vals[2, g - 1, 0, 0] = -1.0
+
+        assert_split_matches_reference(sc, 0, corrupt)
+        grid, vals = path_inputs(sc, 0)
+        corrupt(vals)
+        exc_type, message = stats_outcome(experiments._path_stats, sc, 0, grid, vals)
+        assert exc_type is opvol.NotPositiveSemidefinite and message.startswith("matrix (0, ")
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(1, 16),
+        truncation=st.sampled_from(["jumps", "generator"]),
+        rate=st.sampled_from([0.0, 3.0]),
+        seed=st.integers(0, 10**6),
+        bad=st.sampled_from([-1.0, np.nan, np.inf, 1e300]),
+        where=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6)),
+    )
+    def test_failures_match_every_slot_dense(self, d, truncation, rate, seed, bad, where):
+        # one entry set at a (path, slot, diagonal or off-diagonal) position,
+        # mirrored to stay symmetric: the same statistics or the same failure
+        sc = split_scenario(d, truncation, False, 0.0, rate, 12, False, seed)
+
+        def corrupt(vals):
+            p, g, k = (w % n for w, n in zip(where, (vals.shape[0], vals.shape[1], d * d)))
+            i, j = divmod(k, d)
+            vals[p, g, i, j] = vals[p, g, j, i] = bad
+
+        assert_split_matches_reference(sc, 0, corrupt)
 
 
 def svd_trace_norms(ys, n):

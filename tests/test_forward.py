@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from opvol import forward
 from opvol.forward import ForwardSemigroupSpec, forward_sup_error, simulate_forward_coupled
 from opvol.operators import (
     NotPositiveSemidefinite,
@@ -359,6 +360,52 @@ class TestPrecomputedSquareRoots:
         for bad in (full[:1], full[:, 1:], full[..., :2, :2]):
             with pytest.raises(ValueError, match="square root stack"):
                 simulate_forward_coupled(paths, fwd, q, stream(63, 3, 0), bad)
+
+
+def gathered_forward(paths, fwd, q, rng, sqrts):
+    """simulate_forward_coupled with the noise contracted on a gathered copy
+    of the roots at the positive-length steps' left endpoints."""
+    grid = paths.grid
+    times = grid.distinct_times
+    increments = sample_wiener_increments(q, times, rng)
+    steps = np.diff(grid.times) > 0.0
+    noise = np.einsum("pkij,kj->pki", sqrts[:, np.flatnonzero(steps)], increments)
+    lam, U = fwd.modes
+    if U is None:
+        states = forward._transport(noise, times, lam)
+    else:
+        states = (forward._transport(noise @ U.conj(), times, lam) @ U.T).real
+    return states[:, np.concatenate(([0], np.cumsum(steps)))]
+
+
+class TestNoiseFromTheRootView:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(1, 16),
+        n_paths=st.integers(1, 5),
+        m_points=st.integers(1, 40),
+        jumps=st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=12, unique=True),
+        kind=st.sampled_from(["zero", "diagonal", "skew"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_gathered_copy(self, d, n_paths, m_points, jumps, kind, seed):
+        # a zero increment on each zero-length step leaves the contraction at
+        # the positive-length steps with the gathered copy's bits
+        rng = np.random.default_rng(seed)
+        grid = build_grid(1.0, m_points, np.sort(jumps))
+        roots = rng.standard_normal((n_paths, grid.size, d, d))
+        roots[rng.random(roots.shape) < 0.2] = rng.choice([0.0, -0.0])
+        paths = VariancePath(grid, roots @ np.swapaxes(roots, -1, -2))
+        fwd = {
+            "zero": zero_semigroup(d),
+            "diagonal": ForwardSemigroupSpec("diagonal", rng.uniform(-4.0, 1.0, d)),
+            "skew": random_skew(rng, d),
+        }[kind]
+        q = geometric_noise(d)
+        xs = simulate_forward_coupled(paths, fwd, q, stream(seed, 3, 0), roots)
+        want = gathered_forward(paths, fwd, q, stream(seed, 3, 0), roots)
+        assert np.array_equal(xs, want)
+        assert np.array_equal(np.signbit(xs), np.signbit(want))
 
 
 class TestIsometry:

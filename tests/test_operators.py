@@ -10,6 +10,7 @@ from opvol.operators import (
     as_hilbert_vector,
     closed_form_diagonal,
     psd_sqrt_batch,
+    psd_sqrt_diagonal,
 )
 from opvol.processes import CoupledJumpStream, PoissonClock
 from opvol.variance import GeneratorSpec, truncate_generator
@@ -164,8 +165,10 @@ def mixed_psd_stack(seed, d, kinds, exponent):
 
 
 class TestPsdSqrtDiagonalSlots:
-    """psd_sqrt_batch skips eigh on diagonal slots; its output must be what
-    eigh on every slot gives, signed zeros included."""
+    """Diagonal slots: psd_sqrt_batch solves them with eigh, and
+    psd_sqrt_diagonal takes the closed_form_diagonal ones from their
+    diagonals; both must give what eigh on every slot gives, signed zeros
+    included, and fail with the same message."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -205,10 +208,73 @@ class TestPsdSqrtDiagonalSlots:
         assert got.value.index == (1, 1)
 
     def test_scaled_or_non_finite_diagonals_go_to_eigh(self):
-        # LAPACK rescales outside [2**-485, 2**485], so those diagonals are not closed forms
-        Ts = np.stack([np.diag([2.0**-486, 0.0]), np.diag([2.0**486, 1.0]), np.diag([np.nan, 1.0]),
-                       np.diag([2.0**-485, 0.0]), np.diag([2.0**485, 1.0]), np.zeros((2, 2))])
-        assert closed_form_diagonal(Ts).tolist() == [False, False, False, True, True, True]
+        # a diagonal entry below 2**-433 or above 2**484 (LAPACK rescales
+        # differences or roots past [2**-485, 2**485]) or non-finite is not a
+        # closed form; neither is a nonzero off-diagonal entry, -0.0 is
+        Ts = np.stack([np.diag([2.0**-434, 0.0]), np.diag([2.0**485, 1.0]), np.diag([np.nan, 1.0]),
+                       np.diag([2.0**-433, 0.0]), np.diag([2.0**484, 1.0]), np.zeros((2, 2)),
+                       np.array([[1.0, 1e-300], [1e-300, 1.0]]), np.array([[1.0, -0.0], [-0.0, 1.0]]),
+                       np.diag([1.0, 2.0**-1074])])
+        assert closed_form_diagonal(Ts).tolist() == [False, False, False, True, True, True, False, True, False]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 16),
+        kinds=st.lists(st.sampled_from(["zero", "diagonal", "rank_one", "full"]), min_size=1, max_size=16),
+        exponent=st.floats(-150.0, 150.0),
+    )
+    def test_closed_form_roots_match_eigh(self, seed, d, kinds, exponent):
+        Ts = mixed_psd_stack(seed, d, kinds, exponent)
+        closed = closed_form_diagonal(Ts)
+        w = np.diagonal(Ts[closed], axis1=-2, axis2=-1)
+        try:
+            expected = _eigh_sqrt_batch(Ts[closed])
+        except NotPositiveSemidefinite as exc:
+            with pytest.raises(NotPositiveSemidefinite) as got:
+                psd_sqrt_diagonal(w)
+            assert str(got.value) == str(exc)
+            return
+        roots = np.zeros_like(Ts[closed])
+        roots.reshape(-1, d * d)[:, :: d + 1] = psd_sqrt_diagonal(w)
+        assert np.array_equal(roots, expected)
+        assert np.array_equal(np.signbit(roots), np.signbit(expected))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 16),
+        low=st.integers(-433, 484),
+        span=st.integers(0, 917),
+        signed=st.booleans(),
+    )
+    @example(seed=0, d=2, low=-433, span=0, signed=False)
+    @example(seed=1, d=2, low=484, span=0, signed=True)
+    def test_closed_form_differences_stay_in_lapack_range(self, seed, d, low, span, signed):
+        # entries 0 or of size in [2**-433, 2**484]: the difference of two such
+        # diagonals, and of their roots, has largest entry 0 or inside
+        # [2**-485, 2**485], where LAPACK returns a diagonal exactly
+        rng = np.random.default_rng(seed)
+        high = min(low + span, 484)
+
+        def draw():
+            x = np.ldexp(rng.uniform(1.0, 2.0, (64, d)), rng.integers(low, high + 1, (64, d)))
+            x = np.minimum(x, 2.0**484)
+            x[rng.random(x.shape) < 0.2] = 0.0
+            return x * rng.choice([-1.0, 1.0], x.shape) if signed else x
+
+        a, b = draw(), draw()
+        b[:8] = a[:8]  # a zero difference
+        # one ulp apart, away from zero: 2**-485 at the bottom of the range
+        b[8:16] = np.clip(np.nextafter(a[8:16], np.copysign(np.inf, a[8:16])), -(2.0**484), 2.0**484)
+        b[8:16][a[8:16] == 0.0] = 0.0
+        Ts = np.zeros((2, 64, d, d))
+        Ts.reshape(2, 64, d * d)[..., :: d + 1] = np.stack([a, b])
+        assert np.all(closed_form_diagonal(Ts))
+        roots = np.sqrt(np.sqrt(np.clip(np.stack([a, b]), 0.0, None))) ** 2
+        for diff in (a - b, roots[0] - roots[1]):
+            top = np.max(np.abs(diff), axis=-1)
+            assert np.all((top == 0.0) | ((top >= 2.0**-485) & (top <= 2.0**485)))
 
 
 def block_psd_stack(seed, d, n, slots, exponent, rank):

@@ -691,8 +691,9 @@ class TestPrunedOpSup:
         with np.errstate(all="ignore"):
             assert _outcome(sup_norm_stack, D, "op") == _outcome(_full_op_sup, D)
 
-    def test_diagonal_slots_take_the_closed_form(self, monkeypatch):
-        # a stack of diagonal slots and one rank-one slot solves the rank-one slot only
+    def test_zero_slots_take_no_solve(self, monkeypatch):
+        # an all-zero slot has op norm 0: it is neither scaled by its largest
+        # entry (0 / 0) nor solved; the diagonal slot is the one solve
         solved = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -700,9 +701,12 @@ class TestPrunedOpSup:
             solved.append(1 if a.ndim == 2 else a.shape[0])
             return eigvalsh(a)
 
-        D = np.stack([np.diag([0.5, -2.0, 1.0]), np.zeros((3, 3)), np.outer([1.0, 1.0, 0.0], [1.0, 1.0, 0.0])])
+        D = np.stack([np.zeros((3, 3)), np.diag([0.5, -2.0, 1.0]), np.zeros((3, 3))])
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        assert sup_norm_stack(D, "op") == 2.0
+        with np.errstate(all="raise"):
+            assert sup_norm_stack(D, "op") == 2.0
+            assert sum(solved) == 1
+            assert sup_norm_stack(np.zeros((4, 3, 3)), "op") == 0.0
         assert sum(solved) == 1
 
 
