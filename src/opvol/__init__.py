@@ -43,8 +43,6 @@ from opvol.processes import (
     PURPOSE_CLOCK,
     PURPOSE_JUMPS,
     PURPOSE_WIENER,
-    JumpLaw,
-    PoissonClock,
     cp_second_moment,
     cp_second_moment_bound,
     sample_clock,
@@ -74,14 +72,12 @@ __all__ = [
     "ForwardSemigroupSpec",
     "FunctionalSpec",
     "GeneratorSpec",
-    "JumpLaw",
     "NotPositiveSemidefinite",
     "PASS_MARGIN",
     "PURPOSE_CLOCK",
     "PURPOSE_JUMPS",
     "PURPOSE_WIENER",
     "PayoffSpec",
-    "PoissonClock",
     "PricingReport",
     "TimeGrid",
     "VariancePath",

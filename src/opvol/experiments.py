@@ -55,8 +55,6 @@ from opvol.processes import (
     PURPOSE_CLOCK,
     PURPOSE_JUMPS,
     PURPOSE_WIENER,
-    JumpLaw,
-    PoissonClock,
     cp_second_moment,
     cp_second_moment_bound,
     sample_clock,
@@ -186,9 +184,6 @@ class CoupledScenario:
     def forward_spec(self) -> ForwardSemigroupSpec:
         return ForwardSemigroupSpec(self.forward_kind, self.forward_spectrum)
 
-    def jump_law(self) -> JumpLaw:
-        return JumpLaw(gammas=self.jump_gammas)
-
     def v0(self) -> np.ndarray:
         return np.diag(self.v0_diag)
 
@@ -205,19 +200,8 @@ class CoupledScenario:
         return np.diag(diag)
 
     def payoff(self) -> PayoffSpec:
-        if self.payoff_kind == "call":
-            return PayoffSpec.call(self.payoff_strike)
-        if self.payoff_kind == "put":
-            return PayoffSpec.put(self.payoff_strike)
-        if self.payoff_kind == "identity":
-            return PayoffSpec.identity()
-        if self.payoff_kind == "constant":
-            # payoff_strike doubles as the constant value here
-            return PayoffSpec.constant(self.payoff_strike)
-        raise ValueError(f"unknown payoff kind {self.payoff_kind!r}")
-
-    def functional(self) -> FunctionalSpec:
-        return FunctionalSpec.coordinate(self.functional_coordinate, self.d)
+        # payoff_strike doubles as the value of a constant payoff
+        return PayoffSpec(self.payoff_kind, self.payoff_strike)
 
     def with_(self, **changes) -> "CoupledScenario":
         return replace(self, **changes)
@@ -249,9 +233,9 @@ class CoupledScenario:
         steps = round(self.exercise_time / (self.horizon / self.m_points))
         tau = np.linspace(0.0, self.horizon, self.m_points + 1)[steps]
         return _RunConstants(
-            steppers=steppers, v0s=v0s, jump_law=self.jump_law(),
+            steppers=steppers, v0s=v0s, jump_sd=np.sqrt(self.jump_gammas),
             forward=self.forward_spec(), payoff=self.payoff(),
-            functional=self.functional(), tau=tau,
+            functional=FunctionalSpec(self.functional_coordinate), tau=tau,
         )
 
 
@@ -260,12 +244,14 @@ class _RunConstants:
     """What a replication needs from its scenario beyond the random draws.
 
     steppers and v0s hold the exact path first, then one entry per level;
-    tau is the exercise time as a point of every replication's grid.
+    jump_sd holds the coordinate standard deviations sqrt(jump_gammas) of a
+    jump vector; tau is the exercise time as a point of every replication's
+    grid.
     """
 
     steppers: list[Stepper]
     v0s: np.ndarray
-    jump_law: JumpLaw
+    jump_sd: np.ndarray
     forward: ForwardSemigroupSpec
     payoff: PayoffSpec
     functional: FunctionalSpec
@@ -314,10 +300,6 @@ class ExperimentResult:
     scenario: CoupledScenario
     reports: tuple[BoundReport, ...]
     pricing: tuple[PricingReport, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.reports) and all(p.passed for p in self.pricing)
 
 
 @dataclass(frozen=True)
@@ -383,14 +365,11 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     run = scenario._run
     mode = scenario.truncation
 
-    if scenario.rate > 0:
-        clock = sample_clock(scenario.rate, T, stream(seed, PURPOSE_CLOCK, rep))
-    else:
-        clock = PoissonClock.empty(0.0, T)
-    js = sample_jump_stream(clock, run.jump_law, stream(seed, PURPOSE_JUMPS, rep))
-    grid = build_grid(T, scenario.m_points, clock.times)
+    times = sample_clock(scenario.rate, T, stream(seed, PURPOSE_CLOCK, rep))
+    js = sample_jump_stream(times.size, run.jump_sd, stream(seed, PURPOSE_JUMPS, rep))
+    grid = build_grid(T, scenario.m_points, times)
 
-    out: dict = {"n_jumps": float(clock.count)}
+    out: dict = {"n_jumps": float(times.size)}
 
     # jump moments: X = Y (x) Y is rank one, so |X|_HS = |X|_tr = |Y|^2
     y2 = np.sum(js.ys**2, axis=1)
@@ -400,9 +379,10 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     out["x_sum_tensor"] = js.jumps.sum(axis=0)
     out["l2_total"] = float(np.sum(out["x_sum_tensor"] ** 2))
     if mode == "jumps":
+        yn, approx = _level_jumps(js.ys, levels)
         # one row per level, one column per jump; each row sum has the bits
         # of the same sum over that level alone
-        y2n = np.sum(np.stack([js.ys_at_level(n) for n in levels]) ** 2, axis=2)
+        y2n = np.sum(yn**2, axis=2)
         dy2 = y2 - y2n  # |Y - Y^n|^2: the dropped coordinates are orthogonal
         out["sum_dy2"] = np.sum(dy2, axis=1)
         out["sum_dy4"] = np.sum(dy2**2, axis=1)
@@ -414,7 +394,6 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
         tr_sq = _jump_trace_norm_sq(dy2, y2n)
         out["sum_dx_tr"] = np.sum(np.sqrt(tr_sq), axis=1)
         out["sum_dx_tr_sq"] = np.sum(tr_sq, axis=1)
-        approx = np.stack([js.approx_jumps(n) for n in levels])
         # L - L^n is piecewise constant, so its sup sits at a jump time
         prefix = np.cumsum(js.jumps - approx, axis=1)
         out["cpp_sup_sq"] = np.max(np.sum(prefix**2, axis=(2, 3)), axis=1, initial=0.0)
@@ -429,6 +408,14 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     except (NotPositiveSemidefinite, np.linalg.LinAlgError) as exc:
         raise type(exc)(_failure_message(exc, rep, levels, grid, vals)) from exc
     return out
+
+
+def _level_jumps(ys: np.ndarray, levels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The (L, N, d) jump vectors Y^n of every level n, each Y with its
+    coordinates from n on zeroed, and their (L, N, d, d) tensor squares
+    X^n = Y^n (x) Y^n."""
+    yn = np.where(np.arange(ys.shape[1]) < np.array(levels)[:, None, None], ys, 0.0)
+    return yn, np.einsum("lij,lik->lijk", yn, yn)
 
 
 def _jump_trace_norm_sq(dy2: np.ndarray, y2n: np.ndarray) -> np.ndarray:
@@ -495,13 +482,15 @@ def _path_stats(scenario: CoupledScenario, rep: int, grid: TimeGrid,
         VariancePath(grid, vals), run.forward, scenario.q_spectrum,
         stream(scenario.master_seed, PURPOSE_WIENER, rep), sqrts,
     )
-    payoff, functional = run.payoff, run.functional
-    # X is continuous, so the last slot at the exercise time will do
-    xt, *xtn = xs[:, np.searchsorted(grid.times, run.tau, side="right") - 1]
-    out["pay_exact"] = payoff.evaluate(functional.apply(xt))
+    # X is continuous, so the last slot at the exercise time will do.  It is
+    # copied: an identity payoff is a view of its argument, and a statistic
+    # must not keep all of xs alive
+    x_tau = xs[:, np.searchsorted(grid.times, run.tau, side="right") - 1].copy()
+    pay = run.payoff.evaluate(run.functional.apply(x_tau))
+    out["pay_exact"] = pay[0]
     out["fwd_sup_sq"] = forward_sup_error(xs)
-    out["pay_trunc"] = np.array([payoff.evaluate(functional.apply(x)) for x in xtn])
-    out["dx_tau"] = np.array([np.linalg.norm(xt - x) for x in xtn])
+    out["pay_trunc"] = pay[1:]
+    out["dx_tau"] = np.array([np.linalg.norm(x_tau[0] - x) for x in x_tau[1:]])
     return out
 
 
@@ -727,8 +716,7 @@ def _reduce_jumps(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> Experi
     fwd_const = bound_forward(BoundInputs(
         k=scenario.forward_spec().k, trace_q=float(scenario.q_spectrum.sum()), horizon=T,
     ))
-    payoff = scenario.payoff()
-    functional = scenario.functional()
+    payoff, functional = scenario._run.payoff, scenario._run.functional
     counts = s["n_jumps"]
 
     reports, m4, m2 = _moment_rows(scenario, s)

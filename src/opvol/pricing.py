@@ -1,24 +1,23 @@
 """Option prices on forwards, with robustness certificates against the
 truncated model.
 
-Prices are undiscounted expectations P = E[p(<D, X(tau)>)] of a Lipschitz
-payoff p (call, put, identity or constant) applied to a continuous linear
-functional of the state at a fixed exercise time; the functional is given by
-its Riesz vector D.  Robustness reports compare the coupled price gap
-|P - P^n| against its Lipschitz certificate and an optional model-level cap.
+Prices are undiscounted expectations P = E[p(X_j(tau))] of a Lipschitz payoff
+p (call, put, identity or constant) applied to one coordinate of the state at
+a fixed exercise time.  Robustness reports compare the coupled price gap
+|P - P^n| against its Lipschitz certificate and a model-level cap.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import PASS_MARGIN, bound_pricing, combined_margin
-from .operators import as_hilbert_vector
 
-PAYOFF_KINDS = ("call", "put", "identity", "constant")
+# each payoff kind's Lipschitz constant
+PAYOFF_LIPSCHITZ = {"call": 1.0, "put": 1.0, "identity": 1.0, "constant": 0.0}
 
 
 @dataclass(frozen=True)
@@ -30,30 +29,15 @@ class PayoffSpec:
     """
 
     kind: str
-    lipschitz: float
     strike: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in PAYOFF_KINDS:
+        if self.kind not in PAYOFF_LIPSCHITZ:
             raise ValueError(f"unknown payoff kind {self.kind!r}")
-        if self.lipschitz < 0.0:
-            raise ValueError("Lipschitz constant must be nonnegative")
 
-    @classmethod
-    def call(cls, strike: float = 0.0) -> "PayoffSpec":
-        return cls(kind="call", lipschitz=1.0, strike=strike)
-
-    @classmethod
-    def put(cls, strike: float = 0.0) -> "PayoffSpec":
-        return cls(kind="put", lipschitz=1.0, strike=strike)
-
-    @classmethod
-    def identity(cls) -> "PayoffSpec":
-        return cls(kind="identity", lipschitz=1.0)
-
-    @classmethod
-    def constant(cls, value: float) -> "PayoffSpec":
-        return cls(kind="constant", lipschitz=0.0, strike=value)
+    @property
+    def lipschitz(self) -> float:
+        return PAYOFF_LIPSCHITZ[self.kind]
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -66,31 +50,17 @@ class PayoffSpec:
         return np.full_like(x, self.strike)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FunctionalSpec:
-    """Continuous linear functional on the state space, given by its Riesz
-    vector; it acts by the inner product, and its operator norm is the
-    vector's norm."""
+    """The coordinate functional x -> x_j on the state space; its Riesz
+    vector is e_j, so its operator norm is 1."""
 
-    riesz: np.ndarray
-    op_norm: float = field(init=False)
+    j: int
+    op_norm = 1.0
 
-    def __post_init__(self) -> None:
-        riesz = as_hilbert_vector(self.riesz)
-        object.__setattr__(self, "riesz", riesz)
-        object.__setattr__(self, "op_norm", float(np.linalg.norm(riesz)))
-
-    @classmethod
-    def coordinate(cls, j: int, dim: int) -> "FunctionalSpec":
-        riesz = np.zeros(dim)
-        riesz[j] = 1.0
-        return cls(riesz=riesz)
-
-    def apply(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.riesz.shape:
-            raise ValueError("functional and argument dimensions disagree")
-        return float(np.sum(self.riesz * x))
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Coordinate j of each state in a (..., d) stack."""
+        return x[..., self.j]
 
 
 def mean_se(x: np.ndarray) -> tuple[float, float]:
@@ -106,9 +76,10 @@ def mean_se(x: np.ndarray) -> tuple[float, float]:
 class PricingReport:
     """Coupled price gap against its Lipschitz certificate and a model cap.
 
-    ``chain_margin`` certifies |P - P^n| <= K ||D|| E|dX(tau)| and
-    ``cap_margin`` certifies the latter against the supplied cap; margins
-    are in combined-stderr units with the -3 pass convention.
+    ``chain_margin`` certifies |P - P^n| <= K ||f|| E|dX(tau)| for the
+    functional f, and ``cap_margin`` certifies the latter against the
+    supplied cap; margins are in combined-stderr units with the -3 pass
+    convention.
     """
 
     level: int
@@ -120,8 +91,8 @@ class PricingReport:
     price_diff_se: float
     lipschitz_rhs: float
     lipschitz_rhs_se: float
-    theorem_cap: float = np.inf
-    theorem_cap_se: float = 0.0
+    theorem_cap: float
+    theorem_cap_se: float
 
     @property
     def chain_margin(self) -> float:
@@ -131,8 +102,6 @@ class PricingReport:
 
     @property
     def cap_margin(self) -> float:
-        if np.isinf(self.theorem_cap):
-            return np.inf
         return combined_margin(
             self.lipschitz_rhs, self.lipschitz_rhs_se, self.theorem_cap, self.theorem_cap_se
         )
@@ -149,8 +118,8 @@ def pricing_report(
     dist: np.ndarray,
     payoff: PayoffSpec,
     functional: FunctionalSpec,
-    theorem_cap: float = np.inf,
-    theorem_cap_se: float = 0.0,
+    theorem_cap: float,
+    theorem_cap_se: float,
 ) -> PricingReport:
     """Assemble the pricing robustness chain for one truncation level.
 

@@ -3,17 +3,21 @@
 variance_path runs one variance path through the engine's evolve_coupled,
 psd_sqrt takes one matrix through the engine's psd_sqrt_batch,
 default_generator_scenario is the reference scenario in generator mode,
-level_mask is the keep-set J_n of the engine's truncate_generator, and by_id
-picks a result's rows of one bound.  clock_times is the Poisson clock's
-gap-by-gap loop, which the engine's sample_clock runs as one cumsum per block
-of gaps.  geometric_law and geometric_noise are
-the jump law and noise spectrum with variances 2^-1, ..., 2^-d.  The others
-are built straight from the definitions: generator_matrix is the explicit
-d^2 x d^2 matrix of a generator on row-major vec(T), which the expm
-reference paths use; project is Pi T for a keep-mask; and corner is the
+level_mask is the keep-set J_n of the engine's truncate_generator, by_id
+picks a result's rows of one bound, and all_passed tells whether every row
+of a result passed.  clock_times is the Poisson clock's gap-by-gap loop,
+which the engine's sample_clock runs as one cumsum per block of gaps.
+geometric_sd holds the jump vector's coordinate standard deviations and
+geometric_noise the noise spectrum, for variances 2^-1, ..., 2^-d.  The
+others are built straight from the definitions: generator_matrix is the
+explicit d^2 x d^2 matrix of a generator on row-major vec(T), which the expm
+reference paths use; project is Pi T for a keep-mask; corner is the
 compression that jump truncation applies, P T P with P the projection onto
-the first n coordinates.  path_stats is the engine's _path_stats without its
-closed-form prefix: every grid slot goes through the dense kernels.
+the first n coordinates; and ys_at_level and approx_jumps truncate jump
+vectors one level at a time by copy-and-zero, where the engine's
+_level_jumps masks every level at once.  path_stats is the engine's
+_path_stats without its closed-form prefix: every grid slot goes through the
+dense kernels.
 """
 
 import numpy as np
@@ -22,7 +26,6 @@ from opvol.experiments import default_scenario
 from opvol.forward import forward_sup_error, simulate_forward_coupled
 from opvol.operators import NotPositiveSemidefinite, psd_sqrt_batch
 from opvol.processes import PURPOSE_WIENER, stream
-from opvol.processes import JumpLaw
 from opvol.variance import (GeneratorSpec, VariancePath, evolve_coupled, make_stepper, sup_norm_stack,
                             truncate_generator)
 
@@ -30,9 +33,9 @@ from opvol.variance import (GeneratorSpec, VariancePath, evolve_coupled, make_st
 def variance_path(v0, spec, stream, grid, level=None):
     """Path of V (level None) or of the level-n approximant V^n, driven by
     the stream's exact or truncated jumps; the grid must hold every jump
-    time of the stream's clock."""
+    time, one per row of stream.ys."""
     v0 = np.asarray(v0, dtype=float)
-    jumps = stream.jumps if level is None else stream.approx_jumps(level)
+    jumps = stream.jumps if level is None else approx_jumps(stream.ys, level)
     values = evolve_coupled(v0[None], [make_stepper(spec)], [jumps], grid)[0]
     return VariancePath(grid=grid, values=values)
 
@@ -69,12 +72,30 @@ def clock_times(rate, horizon, rng):
             times.append(t)
 
 
-def geometric_law(d):
-    return JumpLaw(gammas=0.5 ** np.arange(1, d + 1))
+def geometric_sd(d):
+    return np.sqrt(0.5 ** np.arange(1, d + 1))
+
+
+def ys_at_level(ys, n):
+    """The jump vectors with every coordinate from n on zeroed."""
+    out = np.array(ys, dtype=float)
+    out[:, n:] = 0.0
+    return out
+
+
+def approx_jumps(ys, n):
+    """(N, d, d) stack of X^n = Y^n (x) Y^n."""
+    yn = ys_at_level(ys, n)
+    return np.einsum("ij,ik->ijk", yn, yn)
 
 
 def geometric_noise(d):
     return 0.5 ** np.arange(1, d + 1)
+
+
+def all_passed(result):
+    """Whether every bound row and every pricing row of a result passed."""
+    return all(r.passed for r in result.reports) and all(p.passed for p in result.pricing)
 
 
 def by_id(result, bound_id):

@@ -25,9 +25,9 @@ from opvol.processes import (
     PURPOSE_JUMPS,
     PURPOSE_WIENER,
     CoupledJumpStream,
-    PoissonClock,
     cp_second_moment,
     sample_clock,
+    sample_jump_stream,
     stream,
 )
 from opvol.variance import (
@@ -42,7 +42,7 @@ from opvol.variance import (
 from reference import (
     default_generator_scenario,
     generator_matrix,
-    geometric_law,
+    geometric_sd,
     geometric_noise,
     level_mask,
     project,
@@ -87,7 +87,7 @@ def gaussian_ensemble():
     grid."""
     d, horizon, m_points, reps = 8, 1.0, 200, 1600
     gen = GeneratorSpec("sylvester", np.zeros(d))
-    js = CoupledJumpStream(clock=PoissonClock.empty(rate=0.0, horizon=horizon), ys=np.empty((0, d)))
+    js = CoupledJumpStream(ys=np.empty((0, d)))
     grid = build_grid(horizon, m_points, np.empty(0))
     vpath = variance_path(np.eye(d), gen, js, grid)
     stacked = VariancePath(grid, vpath.values[None])
@@ -170,20 +170,20 @@ def test_criterion_03_eigensystem_and_tail_identity():
 def test_criterion_04_compound_poisson_moment_formula():
     start = time.perf_counter()
     rate, horizon, reps, seed = 2.0, 1.0, 20000, 44
-    law = geometric_law(8)
+    sd = geometric_sd(8)
     l2 = np.zeros(reps)
     for rep in range(reps):
-        clock = sample_clock(rate, horizon, stream(seed, PURPOSE_CLOCK, rep))
-        if clock.count == 0:
+        times = sample_clock(rate, horizon, stream(seed, PURPOSE_CLOCK, rep))
+        if times.size == 0:
             continue
-        ys = law.draw(stream(seed, PURPOSE_JUMPS, rep), clock.count)
+        ys = sample_jump_stream(times.size, sd, stream(seed, PURPOSE_JUMPS, rep)).ys
         gram = ys @ ys.T
         l2[rep] = float(np.sum(gram * gram))
     mc = float(l2.mean())
     mc_se = float(l2.std(ddof=1) / math.sqrt(reps))
 
     # jump moments from a disjoint stream of plain draws, never from the sums
-    ys = law.draw(stream(seed, PURPOSE_MOMENTS, 0), reps)
+    ys = sample_jump_stream(reps, sd, stream(seed, PURPOSE_MOMENTS, 0)).ys
     y2 = np.sum(ys * ys, axis=1)
     m2 = float(np.mean(y2**2))
     m2_se = float(np.std(y2**2, ddof=1) / math.sqrt(reps))
@@ -295,9 +295,9 @@ def test_criterion_10_pricing_chain_and_half_normal(jump_run, gaussian_ensemble)
     worst_chain = min(min(p.chain_margin, p.cap_margin) for p in result.pricing)
 
     paths, q, horizon = gaussian_ensemble
-    first = FunctionalSpec.coordinate(0, 8)
+    first = FunctionalSpec(0)
     price, se = mean_se(
-        PayoffSpec.call(0.0).evaluate(np.array([first.apply(p[-1]) for p in paths]))
+        PayoffSpec("call", 0.0).evaluate(np.array([first.apply(p[-1]) for p in paths]))
     )
     sigma = math.sqrt(q[0] * horizon)
     target = sigma / math.sqrt(2.0 * math.pi)

@@ -1,6 +1,8 @@
 """Tests for the command line front end."""
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +21,7 @@ from opvol.cli import (
     main,
     resolve_scenario,
 )
-from opvol.experiments import default_scenario
+from opvol.experiments import CoupledScenario, default_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,6 +31,17 @@ def write_config(tmp_path, name="scenario.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def assert_same_scenario(got, want):
+    """Every CoupledScenario field of got equals want's, of the same type,
+    and arrays and floats bit for bit."""
+    for field in dataclasses.fields(CoupledScenario):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert type(a) is type(b), field.name
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape, field.name
+        assert a.tobytes() == b.tobytes(), field.name
 
 
 class TestConfigLoading:
@@ -78,17 +91,32 @@ class TestConfigLoading:
             resolve_scenario(path, None)
 
     def test_shipped_default_matches_preset(self):
-        sc = resolve_scenario("configs/default.json", None)
-        ref = default_scenario()
-        assert sc.levels == ref.levels
-        assert sc.master_seed == ref.master_seed
-        assert np.array_equal(sc.generator_spectrum, ref.generator_spectrum)
-        assert np.array_equal(sc.jump_gammas, ref.jump_gammas)
-        assert sc.truncation == "jumps"
+        sc = resolve_scenario(str(ROOT / "configs" / "default.json"), None)
+        assert_same_scenario(sc, default_scenario())
 
     def test_shipped_generator_config(self):
-        sc = resolve_scenario("configs/generator.json", None)
-        assert sc.truncation == "generator"
+        sc = resolve_scenario(str(ROOT / "configs" / "generator.json"), None)
+        assert_same_scenario(sc, default_scenario(truncation="generator"))
+
+    @pytest.mark.parametrize("variant", ["default", "generator", "skew-truncate-v0"])
+    def test_fields_round_trip_through_json(self, tmp_path, variant):
+        sc = {
+            "default": default_scenario(),
+            "generator": default_scenario(truncation="generator"),
+            "skew-truncate-v0": default_scenario().with_(
+                levels=(1, 3, 8), forward_kind="skew",
+                forward_spectrum=np.array([0.3, -1.5, 2.0, 0.0, 1e-300, 7.25, 0.1, -0.0]),
+                truncate_v0=True, payoff_kind="put", payoff_strike=0.1,
+                functional_coordinate=5, master_seed=2**40 + 3,
+            ),
+        }[variant]
+        doc = {}
+        for field in dataclasses.fields(CoupledScenario):
+            value = getattr(sc, field.name)
+            doc[field.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert_same_scenario(resolve_scenario(str(path), None), sc)
 
 
 class TestSeedPrecedence:
@@ -449,7 +477,7 @@ class TestPriceCommand:
         from opvol.pricing import PricingReport
 
         rows = (
-            PricingReport(2, 1.0, 0.1, 0.5, 0.1, 0.5, 0.0, 0.25, 0.0),
+            PricingReport(2, 1.0, 0.1, 0.5, 0.1, 0.5, 0.0, 0.25, 0.0, math.inf, 0.0),
             PricingReport(4, 1.0, 0.1, 0.9, 0.1, 0.125, 0.0, 0.25, 0.0, 1.0, 0.0),
         )
         result = ExperimentResult(default_scenario(), (), rows)

@@ -16,14 +16,13 @@ from opvol.operators import (
 )
 from opvol.processes import (
     CoupledJumpStream,
-    PoissonClock,
     sample_clock,
     sample_jump_stream,
     sample_wiener_increments,
     stream,
 )
 from opvol.variance import GeneratorSpec, VariancePath, build_grid, karhunen_loeve_spectrum
-from reference import corner, geometric_law, geometric_noise, psd_sqrt, variance_path
+from reference import corner, geometric_noise, geometric_sd, psd_sqrt, variance_path
 
 
 def random_skew(rng, d):
@@ -70,8 +69,7 @@ def constant_paths(v0, horizon, m_points, d, levels=()):
     """Jump-free variance paths: V stays at v0, V^n stays at the projection;
     the exact path first, then one per level."""
     spec = GeneratorSpec("sylvester", np.zeros(d))
-    clock = PoissonClock.empty(rate=0.0, horizon=horizon)
-    js = CoupledJumpStream(clock=clock, ys=np.empty((0, d)))
+    js = CoupledJumpStream(ys=np.empty((0, d)))
     grid = build_grid(horizon, m_points, np.empty(0))
     exact = variance_path(v0, spec, js, grid)
     return stack(exact, {n: variance_path(corner(v0, n), spec, js, grid, level=n) for n in levels})
@@ -182,12 +180,12 @@ class TestSimulation:
         # adding a level never resamples the driver: bit-identical paths
         d = 6
         spec = GeneratorSpec("sylvester", -karhunen_loeve_spectrum(d))
-        clock = sample_clock(2.0, 1.0, stream(46, 1, 0))
+        times = sample_clock(2.0, 1.0, stream(46, 1, 0))
         v0 = np.diag(0.5 ** np.arange(1, d + 1))
 
         def run(levels):
-            js = sample_jump_stream(clock, geometric_law(d), stream(46, 2, 0))
-            grid = build_grid(1.0, 20, clock.times)
+            js = sample_jump_stream(times.size, geometric_sd(d), stream(46, 2, 0))
+            grid = build_grid(1.0, 20, times)
             exact = variance_path(v0, spec, js, grid)
             approx = {n: variance_path(corner(v0, n), spec, js, grid, level=n) for n in levels}
             fwd = ForwardSemigroupSpec("diagonal", np.full(d, -0.3))
@@ -212,10 +210,10 @@ def jump_paths(d, levels, seed):
     """Coupled variance paths on a grid with jump slots (zero-length steps),
     the exact path first."""
     spec = GeneratorSpec("sylvester", -karhunen_loeve_spectrum(d))
-    clock = sample_clock(6.0, 1.0, stream(seed, 1, 0))
-    assert clock.count > 0
-    js = sample_jump_stream(clock, geometric_law(d), stream(seed, 2, 0))
-    grid = build_grid(1.0, 20, clock.times)
+    times = sample_clock(6.0, 1.0, stream(seed, 1, 0))
+    assert times.size > 0
+    js = sample_jump_stream(times.size, geometric_sd(d), stream(seed, 2, 0))
+    grid = build_grid(1.0, 20, times)
     v0 = np.diag(0.5 ** np.arange(1, d + 1))
     exact = variance_path(v0, spec, js, grid)
     return stack(exact, {n: variance_path(corner(v0, n), spec, js, grid, level=n) for n in levels})

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from opvol.experiments import _level_jumps
 from opvol.operators import (
     NotPositiveSemidefinite,
     as_hilbert_vector,
@@ -12,7 +13,7 @@ from opvol.operators import (
     psd_sqrt_batch,
     psd_sqrt_diagonal,
 )
-from opvol.processes import CoupledJumpStream, PoissonClock
+from opvol.processes import CoupledJumpStream
 from opvol.variance import GeneratorSpec, truncate_generator
 from reference import corner, level_mask, project, psd_sqrt
 
@@ -484,10 +485,10 @@ class TestProjections:
         # the level-n jump Y^n (x) Y^n is the corner of Y (x) Y
         rng = np.random.default_rng(22)
         ys = rng.standard_normal((3, 5))
-        clock = PoissonClock(rate=1.0, horizon=1.0, times=np.array([0.2, 0.5, 0.9]))
-        js = CoupledJumpStream(clock=clock, ys=ys)
-        for n in range(1, 6):
-            np.testing.assert_array_equal(js.approx_jumps(n), [corner(X, n) for X in js.jumps])
+        js = CoupledJumpStream(ys=ys)
+        levels = tuple(range(1, 6))
+        for n, approx in zip(levels, _level_jumps(ys, levels)[1]):
+            np.testing.assert_array_equal(approx, [corner(X, n) for X in js.jumps])
 
     def test_corner_at_capacity_is_full(self):
         # at n = d the corner keeps every entry, as the full triangle level does

@@ -6,16 +6,15 @@ import pytest
 from opvol.experiments import default_scenario
 from opvol.forward import ForwardSemigroupSpec, simulate_forward_coupled
 from opvol.pricing import FunctionalSpec, PayoffSpec, mean_se, pricing_report
-from opvol.processes import CoupledJumpStream, PoissonClock, sample_clock, sample_jump_stream, stream
+from opvol.processes import CoupledJumpStream, sample_clock, sample_jump_stream, stream
 from opvol.variance import GeneratorSpec, VariancePath, build_grid, karhunen_loeve_spectrum
-from reference import corner, geometric_law, geometric_noise, variance_path
+from reference import corner, geometric_noise, geometric_sd, variance_path
 
 
 def constant_paths(v0, horizon, m_points, d, levels=()):
     """Jump-free coupled paths, the exact one first, then one per level."""
     spec = GeneratorSpec("sylvester", np.zeros(d))
-    clock = PoissonClock.empty(rate=0.0, horizon=horizon)
-    js = CoupledJumpStream(clock=clock, ys=np.empty((0, d)))
+    js = CoupledJumpStream(ys=np.empty((0, d)))
     grid = build_grid(horizon, m_points, np.empty(0))
     values = [variance_path(v0, spec, js, grid).values] + [
         variance_path(corner(v0, n), spec, js, grid, level=n).values for n in levels
@@ -36,13 +35,14 @@ def gaussian_ensemble(d=4, reps=1500, m_points=25, seed=61, levels=()):
 
 
 def payoffs(paths, functional, payoff, path=0):
-    """Per-replication payoff p(<riesz, X(T)>) of an ensemble, on the exact
+    """Per-replication payoff p(X_j(T)) of an ensemble, on the exact
     path (0) or the truncated one (1), at the horizon T."""
     return payoff.evaluate(np.array([functional.apply(xs[path, -1]) for xs in paths]))
 
 
-def chain_report(paths, functional, payoff, level, **cap):
-    """pricing_report fed from forward paths, as the engine feeds it from replications."""
+def chain_report(paths, functional, payoff, level, theorem_cap=np.inf):
+    """pricing_report fed from forward paths, as the engine feeds it from
+    replications, with an exact cap (infinite unless given)."""
     dist = np.array([np.linalg.norm(xs[0, -1] - xs[1, -1]) for xs in paths])
     return pricing_report(
         level,
@@ -51,7 +51,8 @@ def chain_report(paths, functional, payoff, level, **cap):
         dist,
         payoff,
         functional,
-        **cap,
+        theorem_cap,
+        0.0,
     )
 
 
@@ -63,9 +64,9 @@ def jump_ensemble(d=6, reps=400, level=3, seed=62):
     fwd = ForwardSemigroupSpec("diagonal", np.zeros(d))
     paths = []
     for rep in range(reps):
-        clock = sample_clock(2.0, 1.0, stream(seed, 1, rep))
-        js = sample_jump_stream(clock, geometric_law(d), stream(seed, 2, rep))
-        grid = build_grid(1.0, 20, clock.times)
+        times = sample_clock(2.0, 1.0, stream(seed, 1, rep))
+        js = sample_jump_stream(times.size, geometric_sd(d), stream(seed, 2, rep))
+        grid = build_grid(1.0, 20, times)
         exact = variance_path(v0, spec, js, grid)
         approx = variance_path(v0n, spec, js, grid, level=level)
         coupled = VariancePath(grid, np.stack([exact.values, approx.values]))
@@ -75,26 +76,27 @@ def jump_ensemble(d=6, reps=400, level=3, seed=62):
 
 class TestPayoffs:
     def test_kinds(self):
-        assert PayoffSpec.call(1.0).evaluate(np.array([0.5, 2.0])).tolist() == [0.0, 1.0]
-        assert PayoffSpec.put(1.0).evaluate(np.array([0.5, 2.0])).tolist() == [0.5, 0.0]
-        assert PayoffSpec.identity().evaluate(np.array([-2.0])).tolist() == [-2.0]
-        assert PayoffSpec.constant(5.0).evaluate(np.array([1.0, 9.0])).tolist() == [5.0, 5.0]
+        assert PayoffSpec("call", 1.0).evaluate(np.array([0.5, 2.0])).tolist() == [0.0, 1.0]
+        assert PayoffSpec("put", 1.0).evaluate(np.array([0.5, 2.0])).tolist() == [0.5, 0.0]
+        assert PayoffSpec("identity").evaluate(np.array([-2.0])).tolist() == [-2.0]
+        assert PayoffSpec("constant", 5.0).evaluate(np.array([1.0, 9.0])).tolist() == [5.0, 5.0]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PayoffSpec(kind="barrier", lipschitz=1.0)
-        with pytest.raises(ValueError):
-            PayoffSpec(kind="call", lipschitz=-1.0)
-        with pytest.raises(ValueError):
-            PayoffSpec(kind="custom", lipschitz=1.0)
+        for kind in ("barrier", "custom", "Call"):
+            with pytest.raises(ValueError, match="unknown payoff kind"):
+                PayoffSpec(kind)
+
+    def test_lipschitz_follows_the_kind(self):
+        assert [PayoffSpec(kind, 2.0).lipschitz for kind in ("call", "put", "identity")] == [1.0] * 3
+        assert PayoffSpec("constant", 2.0).lipschitz == 0.0
 
     def test_lipschitz_spot_check(self):
         rng = np.random.default_rng(0)
         payoffs = [
-            PayoffSpec.call(0.7),
-            PayoffSpec.put(-0.3),
-            PayoffSpec.identity(),
-            PayoffSpec.constant(5.0),
+            PayoffSpec("call", 0.7),
+            PayoffSpec("put", -0.3),
+            PayoffSpec("identity"),
+            PayoffSpec("constant", 5.0),
         ]
         x, y = rng.standard_normal((2, 500))
         for p in payoffs:
@@ -104,43 +106,49 @@ class TestPayoffs:
 
 class TestFunctionals:
     def test_norm_matches_riesz(self):
-        rng = np.random.default_rng(1)
-        v = rng.standard_normal(8)
-        assert FunctionalSpec(riesz=v).op_norm == pytest.approx(np.linalg.norm(v), abs=1e-12)
+        # the Riesz vector of coordinate j is e_j
+        for j in range(8):
+            assert FunctionalSpec(j).op_norm == np.linalg.norm(np.eye(8)[j])
 
     def test_apply_is_inner_product(self):
-        rng = np.random.default_rng(2)
-        v, x = rng.standard_normal((2, 6))
-        assert FunctionalSpec(riesz=v).apply(x) == pytest.approx(float(v @ x), rel=1e-14)
+        x = np.random.default_rng(2).standard_normal(6)
+        for j in range(6):
+            assert FunctionalSpec(j).apply(x) == np.eye(6)[j] @ x
+
+    def test_apply_on_a_stack_is_row_by_row(self):
+        xs = np.random.default_rng(3).standard_normal((5, 6))
+        xs[1, 2] = -0.0
+        for j in range(6):
+            got = FunctionalSpec(j).apply(xs)
+            want = np.array([x[j] for x in xs])
+            assert got.shape == (5,) and got.tobytes() == want.tobytes()
 
     def test_presets(self):
-        e1 = FunctionalSpec.coordinate(0, 4)
+        e1 = FunctionalSpec(0)
         assert e1.apply(np.array([3.0, 1.0, 1.0, 1.0])) == 3.0
         assert e1.op_norm == 1.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            FunctionalSpec(riesz=np.ones(3)).apply(np.ones(4))
-        # the representative is a vector of the state space, not a matrix
-        with pytest.raises(ValueError):
-            FunctionalSpec(riesz=np.eye(3))
+        # a coordinate outside the state space; the scenario rejects it on entry
+        with pytest.raises(IndexError):
+            FunctionalSpec(4).apply(np.ones(4))
 
 
 class TestForwardPricing:
     def test_identity_payoff_centered(self):
         paths, q = gaussian_ensemble()
-        price, se = mean_se(payoffs(paths, FunctionalSpec.coordinate(0, 4), PayoffSpec.identity()))
+        price, se = mean_se(payoffs(paths, FunctionalSpec(0), PayoffSpec("identity")))
         assert abs(price) <= 3 * se
 
     def test_half_normal_call(self):
         paths, q = gaussian_ensemble(reps=2500)
-        price, se = mean_se(payoffs(paths, FunctionalSpec.coordinate(0, 4), PayoffSpec.call(0.0)))
+        price, se = mean_se(payoffs(paths, FunctionalSpec(0), PayoffSpec("call", 0.0)))
         sigma = np.sqrt(q[0] * 1.0)
         assert abs(price - sigma / np.sqrt(2 * np.pi)) <= 3 * se
 
     def test_constant_payoff(self):
         paths, _ = gaussian_ensemble(reps=50)
-        price, se = mean_se(payoffs(paths, FunctionalSpec.coordinate(0, 4), PayoffSpec.constant(5.0)))
+        price, se = mean_se(payoffs(paths, FunctionalSpec(0), PayoffSpec("constant", 5.0)))
         assert price == 5.0 and se == 0.0
 
     def test_off_grid_exercise_rejected(self):
@@ -153,17 +161,15 @@ class TestRobustnessChain:
     def test_no_truncation_all_zero(self):
         d = 4
         paths, _ = gaussian_ensemble(reps=200, levels=(d,))
-        report = chain_report(
-            paths, FunctionalSpec.coordinate(0, d), PayoffSpec.call(0.0), d, theorem_cap=0.0
-        )
+        report = chain_report(paths, FunctionalSpec(0), PayoffSpec("call", 0.0), d, theorem_cap=0.0)
         assert report.price_diff == 0.0
         assert report.lipschitz_rhs == 0.0
         assert report.passed
 
     def test_coordinate_identity_chain(self):
         paths = jump_ensemble()
-        fn = FunctionalSpec.coordinate(0, 6)
-        report = chain_report(paths, fn, PayoffSpec.identity(), 3)
+        fn = FunctionalSpec(0)
+        report = chain_report(paths, fn, PayoffSpec("identity"), 3)
         dx = np.array([xs[0, -1] - xs[1, -1] for xs in paths])
         assert report.price_diff == pytest.approx(abs(dx[:, 0].mean()), rel=1e-12)
         assert report.lipschitz_rhs == pytest.approx(
@@ -175,7 +181,7 @@ class TestRobustnessChain:
     def test_zero_lipschitz(self):
         paths = jump_ensemble(reps=30)
         report = chain_report(
-            paths, FunctionalSpec.coordinate(0, 6), PayoffSpec.constant(7.0), 3
+            paths, FunctionalSpec(0), PayoffSpec("constant", 7.0), 3
         )
         assert report.price_diff == 0.0 and report.lipschitz_rhs == 0.0
         assert report.passed
@@ -183,23 +189,23 @@ class TestRobustnessChain:
     def test_uncoupled_level_rejected(self):
         # payoff arrays that do not pair replication by replication
         paths = jump_ensemble(reps=3)
-        fn, payoff = FunctionalSpec.coordinate(0, 6), PayoffSpec.identity()
+        fn, payoff = FunctionalSpec(0), PayoffSpec("identity")
         exact = payoffs(paths, fn, payoff)
         with pytest.raises(ValueError):
-            pricing_report(3, exact, exact[:2], np.zeros(3), payoff, fn)
+            pricing_report(3, exact, exact[:2], np.zeros(3), payoff, fn, np.inf, 0.0)
 
     def test_call_chain_margin(self):
         paths = jump_ensemble()
         report = chain_report(
-            paths, FunctionalSpec.coordinate(0, 6), PayoffSpec.call(0.0), 3
+            paths, FunctionalSpec(0), PayoffSpec("call", 0.0), 3
         )
         assert report.chain_margin >= -3.0
         assert report.passed
 
     def test_common_noise_shrinks_difference_variance(self):
         paths = jump_ensemble()
-        payoff = PayoffSpec.call(0.0)
-        fn = FunctionalSpec.coordinate(0, 6)
+        payoff = PayoffSpec("call", 0.0)
+        fn = FunctionalSpec(0)
         exact = payoffs(paths, fn, payoff)
         trunc = payoffs(paths, fn, payoff, 1)
         coupled_var = np.var(exact - trunc, ddof=1)

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opvol.experiments import default_scenario
+from opvol.experiments import _level_jumps, default_scenario
 from opvol.processes import (
     CoupledJumpStream,
-    JumpLaw,
-    PoissonClock,
     cp_second_moment,
     cp_second_moment_bound,
     sample_clock,
@@ -15,7 +15,7 @@ from opvol.processes import (
     sample_wiener_increments,
     stream,
 )
-from reference import clock_times, geometric_law, geometric_noise
+from reference import approx_jumps, clock_times, geometric_noise, geometric_sd, ys_at_level
 
 
 class TestStreams:
@@ -43,12 +43,12 @@ def assert_clocks_match_loop(rate, horizon, reps):
     spanned = 0
     for rep in reps:
         rng, ref = stream(13, 1, rep), stream(13, 1, rep)
-        clock = sample_clock(rate, horizon, rng)
+        times = sample_clock(rate, horizon, rng)
         want = clock_times(rate, horizon, ref)
-        assert clock.times.dtype == want.dtype and clock.times.shape == want.shape
-        assert np.array_equal(clock.times, want)
+        assert times.dtype == want.dtype and times.shape == want.shape
+        assert np.array_equal(times, want)
         assert rng.random() == ref.random()
-        spanned += clock.count >= block
+        spanned += times.size >= block
     return spanned
 
 
@@ -56,27 +56,33 @@ class TestClock:
     def test_invalid_args(self):
         rng = stream(0, 1, 0)
         with pytest.raises(ValueError):
-            sample_clock(0.0, 1.0, rng)
+            sample_clock(-1.0, 1.0, rng)
         with pytest.raises(ValueError):
             sample_clock(1.0, 0.0, rng)
 
+    def test_zero_rate_gives_no_jumps(self):
+        rng, ref = stream(0, 1, 0), stream(0, 1, 0)
+        times = sample_clock(0.0, 1.0, rng)
+        assert times.dtype == np.float64 and times.shape == (0,)
+        assert rng.random() == ref.random()  # nothing was drawn
+
     def test_times_in_range(self):
         for rep in range(50):
-            clock = sample_clock(3.0, 2.0, stream(1, 1, rep))
-            if clock.count:
-                assert clock.times[0] > 0
-                assert clock.times[-1] <= 2.0
-                assert np.all(np.diff(clock.times) > 0)
+            times = sample_clock(3.0, 2.0, stream(1, 1, rep))
+            if times.size:
+                assert times[0] > 0
+                assert times[-1] <= 2.0
+                assert np.all(np.diff(times) > 0)
 
     def test_determinism(self):
         c1 = sample_clock(2.0, 3.0, stream(5, 1, 9))
         c2 = sample_clock(2.0, 3.0, stream(5, 1, 9))
-        np.testing.assert_array_equal(c1.times, c2.times)
+        np.testing.assert_array_equal(c1, c2)
 
     def test_mean_count(self):
         # Poisson mean: lambda*T = 6 over 20000 replications
         R = 20000
-        counts = np.array([sample_clock(2.0, 3.0, stream(11, 1, r)).count for r in range(R)])
+        counts = np.array([sample_clock(2.0, 3.0, stream(11, 1, r)).size for r in range(R)])
         se = counts.std(ddof=1) / np.sqrt(R)
         assert abs(counts.mean() - 6.0) <= 3 * se
 
@@ -91,69 +97,81 @@ class TestClock:
         # carries its time into a second block
         assert assert_clocks_match_loop(rate, horizon, range(1000)) >= 5
 
-    def test_empty_constructor(self):
-        clock = PoissonClock.empty(rate=0.0, horizon=1.0)
-        assert clock.count == 0
-
-    def test_rejects_bad_times(self):
-        with pytest.raises(ValueError):
-            PoissonClock(rate=1.0, horizon=1.0, times=np.array([0.5, 0.4]))
-        with pytest.raises(ValueError):
-            PoissonClock(rate=1.0, horizon=1.0, times=np.array([0.5, 1.4]))
-
 
 class TestJumps:
     def test_deterministic_direction(self):
         # Y = e1 gives X = X^n = e1 (x) e1 at every level
-        clock = PoissonClock(rate=1.0, horizon=1.0, times=np.array([0.5]))
-        js = CoupledJumpStream(clock=clock, ys=np.array([[1.0, 0.0, 0.0]]))
+        js = CoupledJumpStream(ys=np.array([[1.0, 0.0, 0.0]]))
         expected = np.zeros((3, 3))
         expected[0, 0] = 1.0
         np.testing.assert_array_equal(js.jumps[0], expected)
-        for n in (1, 2, 3):
-            np.testing.assert_array_equal(js.approx_jumps(n)[0], expected)
+        for approx in _level_jumps(js.ys, (1, 2, 3))[1]:
+            np.testing.assert_array_equal(approx[0], expected)
 
     def test_full_level_exact(self):
-        clock = PoissonClock(rate=1.0, horizon=1.0, times=np.array([0.5]))
-        js = sample_jump_stream(clock, geometric_law(8), stream(0, 2, 1))
-        np.testing.assert_array_equal(js.approx_jumps(8), js.jumps)
+        js = sample_jump_stream(1, geometric_sd(8), stream(0, 2, 1))
+        yn, approx = _level_jumps(js.ys, (8,))
+        np.testing.assert_array_equal(yn[0], js.ys)
+        np.testing.assert_array_equal(approx[0], js.jumps)
 
     def test_jumps_are_psd_rank_one(self):
-        law = geometric_law(8)
-        clock = PoissonClock(rate=1.0, horizon=1.0, times=np.linspace(0.05, 1.0, 20))
-        js = sample_jump_stream(clock, law, stream(3, 2, 0))
-        for X, X2, X4 in zip(js.jumps, js.approx_jumps(2), js.approx_jumps(4)):
+        js = sample_jump_stream(20, geometric_sd(8), stream(3, 2, 0))
+        _, (X2s, X4s) = _level_jumps(js.ys, (2, 4))
+        for X, X2, X4 in zip(js.jumps, X2s, X4s):
             for M in (X, X2, X4):
                 w = np.linalg.eigvalsh(M)
                 assert w[0] >= -1e-12
                 assert np.sum(w > 1e-12 * max(w[-1], 1.0)) <= 1
 
     def test_negative_spectrum_rejected(self):
-        with pytest.raises(ValueError):
-            JumpLaw(gammas=np.array([0.5, -0.1]))
+        # the scenario is the jump spectrum's only validator
+        gammas = np.full(8, 0.5)
+        gammas[1] = -0.1
+        with pytest.raises(ValueError, match="jump_gammas must be nonnegative"):
+            default_scenario().with_(jump_gammas=gammas)
 
     def test_law_needs_exactly_one_source(self):
         # the spectrum is the law's only source, and it must be a sequence
-        with pytest.raises(ValueError):
-            JumpLaw(gammas=None)
-        with pytest.raises(ValueError):
-            JumpLaw(gammas=np.ones((2, 2)))
+        with pytest.raises(ValueError, match="jump_gammas must have shape"):
+            default_scenario().with_(jump_gammas=None)
+        with pytest.raises(ValueError, match="jump_gammas must have shape"):
+            default_scenario().with_(jump_gammas=np.ones((8, 8)))
 
     def test_stream_coupling(self):
-        clock = PoissonClock(rate=1.0, horizon=1.0, times=np.array([0.2, 0.7, 0.9]))
-        js = sample_jump_stream(clock, geometric_law(8), stream(1, 2, 0))
+        js = sample_jump_stream(3, geometric_sd(8), stream(1, 2, 0))
+        (X2,) = _level_jumps(js.ys, (2,))[1]
+        assert js.ys.shape == (3, 8)
         assert js.jumps.shape == (3, 8, 8)
-        assert js.approx_jumps(2).shape == (3, 8, 8)
+        assert X2.shape == (3, 8, 8)
         # truncation zeroes every entry with a coordinate beyond the level
-        np.testing.assert_array_equal(js.approx_jumps(2)[:, 2:, :], 0.0)
-        np.testing.assert_array_equal(js.approx_jumps(2)[:, :, 2:], 0.0)
-        np.testing.assert_array_equal(js.approx_jumps(2)[:, :2, :2], js.jumps[:, :2, :2])
+        np.testing.assert_array_equal(X2[:, 2:, :], 0.0)
+        np.testing.assert_array_equal(X2[:, :, 2:], 0.0)
+        np.testing.assert_array_equal(X2[:, :2, :2], js.jumps[:, :2, :2])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(1, 16),
+        count=st.integers(0, 30),
+        data=st.data(),
+    )
+    def test_level_jumps_match_copy_and_zero(self, d, count, data):
+        # all levels at once, bit for bit as one copy-and-zero per level;
+        # signed zeros among the coordinates check the sign bits too
+        levels = tuple(sorted(data.draw(st.sets(st.integers(1, d), min_size=1), label="levels")))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        ys = rng.standard_normal((count, d))
+        zeros = rng.random((count, d)) < 0.2
+        ys[zeros] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(zeros)))
+        yn, approx = _level_jumps(ys, levels)
+        want_yn = np.stack([ys_at_level(ys, n) for n in levels])
+        want_approx = np.stack([approx_jumps(ys, n) for n in levels])
+        for got, want in ((yn, want_yn), (approx, want_approx)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_truncation_error_moment_bound(self):
         # E||X - X^n||_hs^2 <= 4 sqrt(E|Y|^4 E|Y-Y^n|^4), both sides from the same draws
-        law = geometric_law(8)
-        rng = stream(21, 2, 0)
-        ys = law.draw(rng, 20000)
+        ys = sample_jump_stream(20000, geometric_sd(8), stream(21, 2, 0)).ys
         n = 3
         yn = ys.copy()
         yn[:, n:] = 0.0
@@ -166,8 +184,7 @@ class TestJumps:
 
     def test_tensor_identity_for_truncation(self):
         # the rank-one difference norm identity used above, on one draw
-        rng = stream(22, 2, 0)
-        y = geometric_law(8).draw(rng, 1)[0]
+        y = sample_jump_stream(1, geometric_sd(8), stream(22, 2, 0)).ys[0]
         yn = y.copy()
         yn[3:] = 0.0
         D = np.outer(y, y) - np.outer(yn, yn)

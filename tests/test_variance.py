@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from opvol import variance
 from opvol.operators import psd_sqrt_batch
-from opvol.processes import CoupledJumpStream, PoissonClock, sample_clock, sample_jump_stream, stream
+from opvol.processes import CoupledJumpStream, sample_clock, sample_jump_stream, stream
 from opvol.variance import (
     GeneratorSpec,
     build_grid,
@@ -20,7 +20,7 @@ from opvol.variance import (
     sup_norm_stack,
     truncate_generator,
 )
-from reference import corner, generator_matrix, geometric_law, level_mask, project, variance_path
+from reference import approx_jumps, corner, generator_matrix, geometric_sd, level_mask, project, variance_path
 
 
 def _apply_generator(spec, T):
@@ -39,23 +39,20 @@ def _apply_generator(spec, T):
 
 
 def empty_stream(d=4):
-    clock = PoissonClock.empty(rate=0.0, horizon=1.0)
-    return CoupledJumpStream(clock=clock, ys=np.empty((0, d)))
+    return CoupledJumpStream(ys=np.empty((0, d)))
 
 
-def one_jump_stream(y, t=0.4):
-    y = np.asarray(y, dtype=float)
-    clock = PoissonClock(rate=1.0, horizon=1.0, times=np.array([t]))
-    return CoupledJumpStream(clock=clock, ys=y[None])
+def one_jump_stream(y):
+    return CoupledJumpStream(ys=np.asarray(y, dtype=float)[None])
 
 
-def direct_path_values(v0, spec, jump_stream, grid, level=None):
+def direct_path_values(v0, spec, jump_stream, jt, grid, level=None):
     """Independent route: V(t) = e^{Kt} vec(V0) + sum e^{K(t-T_i)} vec(X_i)
-    with the explicit vec-space generator matrix."""
+    with the explicit vec-space generator matrix, for the stream's jumps at
+    the times jt."""
     K = generator_matrix(spec)
     d = v0.shape[0]
-    jumps = jump_stream.jumps if level is None else jump_stream.approx_jumps(level)
-    jt = jump_stream.clock.times
+    jumps = jump_stream.jumps if level is None else approx_jumps(jump_stream.ys, level)
     out = np.empty((grid.size, d, d))
     for g in range(grid.size):
         t = grid.times[g]
@@ -335,9 +332,9 @@ class TestEvolution:
         d = 3
         spec = GeneratorSpec("sylvester", np.full(d, a / 2))
         y = np.array([1.0, 0.5, 0.25])
-        js = one_jump_stream(y, t=0.4)
+        js = one_jump_stream(y)
         v0 = np.diag([1.0, 0.5, 0.2])
-        grid = build_grid(1.0, 10, js.clock.times)
+        grid = build_grid(1.0, 10, np.array([0.4]))
         path = variance_path(v0, spec, js, grid)
         X1 = np.outer(y, y)
         for g in range(grid.size):
@@ -351,8 +348,8 @@ class TestEvolution:
     def test_left_limit_excludes_jump(self):
         spec = GeneratorSpec("sylvester", np.zeros(2))
         y = np.array([1.0, 1.0])
-        js = one_jump_stream(y, t=0.5)
-        grid = build_grid(1.0, 2, js.clock.times)
+        js = one_jump_stream(y)
+        grid = build_grid(1.0, 2, np.array([0.5]))
         path = variance_path(np.zeros((2, 2)), spec, js, grid)
         idx = np.flatnonzero(grid.times == 0.5)
         np.testing.assert_array_equal(path.values[idx[0]], 0.0)
@@ -360,7 +357,7 @@ class TestEvolution:
 
     def test_missing_jump_times_rejected(self):
         spec = GeneratorSpec("sylvester", np.zeros(2))
-        js = one_jump_stream(np.ones(2), t=0.5)
+        js = one_jump_stream(np.ones(2))
         grid = build_grid(1.0, 4, np.empty(0))
         with pytest.raises(ValueError, match="missing jump times"):
             variance_path(np.eye(2), spec, js, grid)
@@ -380,13 +377,13 @@ class TestEvolution:
     def test_dual_route_against_direct_formula(self, make_spec):
         spec = make_spec()
         rng = stream(17, 2, 0)
-        clock = sample_clock(3.0, 1.0, stream(17, 1, 0))
-        js = sample_jump_stream(clock, geometric_law(4), rng)
+        times = sample_clock(3.0, 1.0, stream(17, 1, 0))
+        js = sample_jump_stream(times.size, geometric_sd(4), rng)
         A = np.random.default_rng(10).standard_normal((4, 4))
         v0 = A @ A.T / 4
-        grid = build_grid(1.0, 6, clock.times)
+        grid = build_grid(1.0, 6, times)
         path = variance_path(v0, spec, js, grid)
-        expected = direct_path_values(v0, spec, js, grid)
+        expected = direct_path_values(v0, spec, js, times, grid)
         np.testing.assert_allclose(path.values, expected, rtol=1e-9, atol=1e-12)
 
     def test_coupled_mix_matches_single_paths(self):
@@ -401,12 +398,12 @@ class TestEvolution:
             GeneratorSpec("sandwich", rng.uniform(-1.0, 1.0, d)),
             GeneratorSpec("sandwich", rng.uniform(-1.0, 1.0, d), mask=level_mask(5, d)),
         ]
-        clock = sample_clock(3.0, 1.0, stream(42, 1, 0))
-        js = sample_jump_stream(clock, geometric_law(d), stream(42, 2, 0))
-        assert clock.count > 0
-        grid = build_grid(1.0, 12, clock.times)
+        times = sample_clock(3.0, 1.0, stream(42, 1, 0))
+        js = sample_jump_stream(times.size, geometric_sd(d), stream(42, 2, 0))
+        assert times.size > 0
+        grid = build_grid(1.0, 12, times)
         v0s = np.stack([np.diag(rng.uniform(0.1, 1.0, d)) for _ in specs])
-        jump_stacks = [js.jumps, js.approx_jumps(2), js.jumps, js.approx_jumps(2)]
+        jump_stacks = [js.jumps, approx_jumps(js.ys, 2), js.jumps, approx_jumps(js.ys, 2)]
         levels = [None, 2, None, 2]
         vals = evolve_coupled(v0s, [make_stepper(s) for s in specs], jump_stacks, grid)
         for p, (spec, level) in enumerate(zip(specs, levels)):
@@ -487,20 +484,20 @@ class TestEvolution:
 
     def test_approx_path_uses_truncated_jumps(self):
         spec = GeneratorSpec("sylvester", np.zeros(4))
-        clock = sample_clock(2.0, 1.0, stream(18, 1, 0))
-        js = sample_jump_stream(clock, geometric_law(4), stream(18, 2, 0))
-        grid = build_grid(1.0, 4, clock.times)
+        times = sample_clock(2.0, 1.0, stream(18, 1, 0))
+        js = sample_jump_stream(times.size, geometric_sd(4), stream(18, 2, 0))
+        grid = build_grid(1.0, 4, times)
         path_n = variance_path(np.zeros((4, 4)), spec, js, grid, level=2)
-        expected = direct_path_values(np.zeros((4, 4)), spec, js, grid, level=2)
+        expected = direct_path_values(np.zeros((4, 4)), spec, js, times, grid, level=2)
         np.testing.assert_allclose(path_n.values, expected, rtol=1e-9, atol=1e-14)
 
 
 class TestSupError:
     def test_identical_paths(self):
         spec = GeneratorSpec("sylvester", -karhunen_loeve_spectrum(4))
-        clock = sample_clock(2.0, 1.0, stream(19, 1, 0))
-        js = sample_jump_stream(clock, geometric_law(4), stream(19, 2, 0))
-        grid = build_grid(1.0, 5, clock.times)
+        times = sample_clock(2.0, 1.0, stream(19, 1, 0))
+        js = sample_jump_stream(times.size, geometric_sd(4), stream(19, 2, 0))
+        grid = build_grid(1.0, 5, times)
         v0 = np.diag([1.0, 0.5, 0.25, 0.125])
         a = variance_path(v0, spec, js, grid)
         b = variance_path(v0, spec, js, grid, level=4)
@@ -510,12 +507,12 @@ class TestSupError:
         # c = 0, V0^n = V0: the error path is 0 then X1 - X1^n, so the sup is its norm
         spec = GeneratorSpec("sylvester", np.zeros(4))
         y = np.array([1.0, 0.7, 0.4, 0.2])
-        js = one_jump_stream(y, t=0.3)
-        grid = build_grid(1.0, 4, js.clock.times)
+        js = one_jump_stream(y)
+        grid = build_grid(1.0, 4, np.array([0.3]))
         v0 = np.eye(4)
         full = variance_path(v0, spec, js, grid)
         approx = variance_path(v0, spec, js, grid, level=2)
-        D = js.jumps[0] - js.approx_jumps(2)[0]
+        D = js.jumps[0] - approx_jumps(js.ys, 2)[0]
         for mode in ("hs", "op", "trace"):
             sup = _sup_norm(full.values - approx.values, mode)
             assert sup == pytest.approx(np.linalg.norm(D, _ORDER[mode]), rel=1e-12)
@@ -527,12 +524,12 @@ class TestSupError:
         v0 = np.diag(0.5 ** np.arange(1, 9))
         v0n = corner(v0, 4)
         for rep in range(50):
-            clock = sample_clock(1.0, 1.0, stream(23, 1, rep))
-            js = sample_jump_stream(clock, geometric_law(8), stream(23, 2, rep))
-            grid = build_grid(1.0, 20, clock.times)
+            times = sample_clock(1.0, 1.0, stream(23, 1, rep))
+            js = sample_jump_stream(times.size, geometric_sd(8), stream(23, 2, rep))
+            grid = build_grid(1.0, 20, times)
             full = variance_path(v0, spec, js, grid)
             approx_vals = variance_path(v0n, spec, js, grid, level=4)
-            diffs = js.jumps - js.approx_jumps(4)
+            diffs = js.jumps - approx_jumps(js.ys, 4)
             for mode in ("hs", "op", "trace"):
                 lhs = _sup_norm(full.values - approx_vals.values, mode)
                 order = _ORDER[mode]
@@ -716,9 +713,9 @@ class TestPositivity:
         spec = GeneratorSpec("sylvester", -karhunen_loeve_spectrum(6))
         v0 = np.diag(0.5 ** np.arange(1, 7))
         for rep in range(20):
-            clock = sample_clock(2.0, 1.0, stream(31, 1, rep))
-            js = sample_jump_stream(clock, geometric_law(6), stream(31, 2, rep))
-            grid = build_grid(1.0, 10, clock.times)
+            times = sample_clock(2.0, 1.0, stream(31, 1, rep))
+            js = sample_jump_stream(times.size, geometric_sd(6), stream(31, 2, rep))
+            grid = build_grid(1.0, 10, times)
             for level in (None, 3):
                 v00 = v0 if level is None else corner(v0, 3)
                 path = variance_path(v00, spec, js, grid, level=level)
