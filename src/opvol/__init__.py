@@ -60,7 +60,6 @@ from opvol.variance import (
     generator_gap_op_norm,
     karhunen_loeve_spectrum,
     make_stepper,
-    sup_norm_stack,
     truncate_generator,
 )
 
@@ -109,7 +108,6 @@ __all__ = [
     "sample_wiener_increments",
     "simulate_forward_coupled",
     "stream",
-    "sup_norm_stack",
     "truncate_generator",
 ]
 

@@ -470,9 +470,7 @@ def _path_stats(scenario: CoupledScenario, rep: int, grid: TimeGrid,
                 sqrts[p, g1:] = psd_sqrt_batch(vals[p, g1:], block=n)
         except NotPositiveSemidefinite as exc:
             # name the matrix by (path, slot), as in the whole (P, G) stack
-            i = (p, start + exc.index[0])
-            detail = str(exc).partition(" in batch: ")[2]
-            raise NotPositiveSemidefinite(f"matrix {i} in batch: {detail}", index=i) from exc
+            raise NotPositiveSemidefinite.at((p, start + exc.index[0]), exc.detail) from exc
     sqrts[:, :g1].reshape(P, g1, d * d)[..., :: d + 1] = roots
     sqrt_hs, sqrt_op = _split_sups(roots, sqrts[:, g1:])
     out["sqrt_sup_sq_op"] = np.array([s**2 for s in sqrt_op.tolist()])
@@ -617,8 +615,8 @@ def _require_finite_rows(rows) -> None:
 
 def _check_growth(scenario: CoupledScenario) -> None:
     """Raise the bounds' ValueError for a growth factor that overflows, as the
-    reducers would, before the statistics are checked: an overflowing
-    constant is the cause to name, and its paths often overflow too.
+    reducers would, before any replication runs: an overflowing constant is
+    the cause to name, and its paths often overflow too.
     e^{2 T |c|} (generator) and e^{2 k T} (forward transport, jumps mode) are
     the largest factors the reducers take."""
     T = scenario.horizon
@@ -844,8 +842,8 @@ def run_experiment(scenario: CoupledScenario, workers: int = 1) -> ExperimentRes
     Deterministic given scenario.master_seed; the worker count only changes
     wall time, never results.
     """
-    s = _map_reps(scenario, workers)
     _check_growth(scenario)
+    s = _map_reps(scenario, workers)
     _require_finite(scenario, s)
     reduce = _reduce_jumps if scenario.truncation == "jumps" else _reduce_generator
     result = reduce(scenario, s)

@@ -28,12 +28,20 @@ _EXACT_MAX = 2.0**484
 class NotPositiveSemidefinite(ValueError):
     """Raised when a matrix required to be PSD has an eigenvalue below -tol_psd.
 
-    index is the position of that matrix in the batch, () for a single matrix.
+    index is the position of that matrix in the batch, () for a single
+    matrix, and detail names the eigenvalue and the tolerance it fell below.
     """
 
-    def __init__(self, message: str, index: tuple[int, ...] = ()):
+    def __init__(self, message: str, index: tuple[int, ...] = (), detail: str = ""):
         super().__init__(message)
         self.index = tuple(int(k) for k in index)
+        self.detail = detail
+
+    @classmethod
+    def at(cls, index: tuple[int, ...], detail: str) -> NotPositiveSemidefinite:
+        """The failure of the matrix at index: "matrix {index} in batch: {detail}"."""
+        index = tuple(int(k) for k in index)
+        return cls(f"matrix {index} in batch: {detail}", index, detail)
 
 
 def as_hilbert_vector(coeffs) -> np.ndarray:
@@ -99,10 +107,7 @@ def _require_psd(spectra: np.ndarray) -> None:
     bad = wmin < -tol
     if np.any(bad):
         i = tuple(int(k) for k in np.unravel_index(int(np.argmax(bad)), bad.shape))
-        raise NotPositiveSemidefinite(
-            f"matrix {i} in batch: eigenvalue {wmin[i]:.6e} below -tol_psd = {-tol[i]:.6e}",
-            index=i,
-        )
+        raise NotPositiveSemidefinite.at(i, f"eigenvalue {wmin[i]:.6e} below -tol_psd = {-tol[i]:.6e}")
 
 
 def psd_sqrt_diagonal(w: np.ndarray) -> np.ndarray:

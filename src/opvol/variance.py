@@ -274,37 +274,22 @@ def sup_norm_stack(D: np.ndarray, mode: str) -> float:
     """max over the first axis of norm(D[g], mode) for a stack of matrices,
     mode "hs" or "op".
 
-    In op mode a finite symmetric stack solves only the slots that can hold
-    the max (_op_sup_symmetric); the result is the same to the last bit.  A
-    float stack equal to its transpose bit for bit, with max |D| <= _HALF_MAX,
-    is its own symmetrisation (D + D^T) / 2 bit for bit, so it goes there
-    without the asymmetry, scale and symmetrisation sweeps.
+    Op mode takes a symmetric stack, as every difference of variance paths
+    or of their square roots is, and solves only the slots that can hold the
+    max (_op_sup_symmetric).  A NaN or inf anywhere raises LinAlgError
+    before any solve; a stack not equal to its transpose raises ValueError.
     """
     if mode == "hs":
         return float(np.sqrt(np.max(np.sum(D * D, axis=(-2, -1)))))
     if mode != "op":
         raise ValueError(f"unknown norm mode {mode!r}")
-    if D.dtype == np.float64:
-        bits = D.view(np.int64)
-        if np.array_equal(bits, np.swapaxes(bits, -2, -1)):
-            top = np.max(np.abs(D), axis=(-2, -1))
-            if np.max(top) <= _HALF_MAX:  # False on NaN
-                return _op_sup_symmetric(D, top)
-    asym = np.max(np.abs(D - np.swapaxes(D, -2, -1)))
-    scale = max(float(np.max(np.abs(D))), 1.0)
-    if asym <= 1e-10 * scale:
-        S = (D + np.swapaxes(D, -2, -1)) / 2.0
-        top = np.max(np.abs(S), axis=(-2, -1))
-        if np.all(np.isfinite(top)):
-            return _op_sup_symmetric(S, top)
-        s = np.abs(np.linalg.eigvalsh(S))
-    else:
-        s = np.linalg.svd(D, compute_uv=False)
-    return float(np.max(s))
+    top = np.max(np.abs(D), axis=(-2, -1))
+    if not np.isfinite(np.max(top)):
+        raise np.linalg.LinAlgError("NaN or inf in the stack")
+    if not np.array_equal(D, np.swapaxes(D, -2, -1)):
+        raise ValueError("op mode needs a symmetric stack")
+    return _op_sup_symmetric(D, top)
 
-
-# below this, x + x does not overflow, so (x + x) / 2 is x
-_HALF_MAX = float(np.finfo(float).max) / 2.0
 
 # a slot whose certified upper bound falls below this fraction of an exact op
 # norm cannot hold the sup: eigvalsh and the bound each carry a relative

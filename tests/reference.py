@@ -154,9 +154,7 @@ def path_stats(scenario, rep, grid, vals):
         try:
             sqrts[p] = psd_sqrt_batch(vals[p], block=n)
         except NotPositiveSemidefinite as exc:
-            i = (p, *exc.index)
-            detail = str(exc).partition(" in batch: ")[2]
-            raise NotPositiveSemidefinite(f"matrix {i} in batch: {detail}", index=i) from exc
+            raise NotPositiveSemidefinite.at((p, *exc.index), exc.detail) from exc
     sqrt_hs, sqrt_op = [], []
     for root in sqrts[1:]:
         dS = sqrts[0] - root

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from opvol import experiments
 from opvol.cli import (
     EXIT_ERROR,
     EXIT_FAIL,
@@ -24,6 +25,12 @@ from opvol.cli import (
 from opvol.experiments import CoupledScenario, default_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+# a valid config whose growth factors are finite but whose exact variance
+# path overflows: V0 = 1e308 I grows as e^{2 t}
+OVERFLOWING_PATH = {"v0_diag": [1e308] * 8, "generator_spectrum": [1.0] * 8, "rate": 0.0,
+                    "replications": 4, "m_points": 20}
 
 
 def write_config(tmp_path, name="scenario.json", **overrides):
@@ -230,16 +237,17 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_numerical_failure_exits_one_naming_the_slot(self, tmp_path, capsys, threads):
-        # V(t) = V0 e^{1600 t} overflows to inf first at t = 0.5, slot 5 of the jump-free grid
-        path = write_config(tmp_path, replications=4, rate=0.0, generator_spectrum=[800.0] * 8)
+        # V(t) = V0 e^{2 t} with V0 = 1e308 I overflows to inf first at
+        # t = 0.3, slot 6 of the jump-free grid; the growth factors are finite
+        path = write_config(tmp_path, **OVERFLOWING_PATH)
         with np.errstate(all="ignore"):
             code = main(["verify", path, "--threads", threads, "--out-dir", str(tmp_path)])
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         line = [ln for ln in err.splitlines() if ln.startswith("error: ")]
         assert line == [
-            "error: numerical failure in replication 0, exact path, grid slot 5 (t = 0.5), "
-            "first non-finite value: SVD did not converge"
+            "error: numerical failure in replication 0, exact path, grid slot 6 (t = 0.3), "
+            "first non-finite value: NaN or inf in the stack"
         ]
         assert not (tmp_path / "bounds.csv").exists()
 
@@ -247,14 +255,30 @@ class TestVerifyCommand:
     def test_numerical_failure_prints_one_line_and_no_warnings(self, tmp_path, capfd, threads):
         # capfd sees the worker processes' stderr too: numpy's overflow and
         # invalid-value warnings from the replications must not reach it
-        doc = {"generator_spectrum": [800.0] * 8, "replications": 4, "m_points": 20}
         path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(OVERFLOWING_PATH))
+        code = main(["verify", str(path), "--threads", threads, "--out-dir", str(tmp_path)])
+        assert code == EXIT_ERROR
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith("error: numerical failure in replication 0, exact path, grid slot 6 ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not (tmp_path / "bounds.csv").exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_infinite_jump_entry_leaves_stdout_silent(self, tmp_path, capfd, threads):
+        # jump coordinates of variance 1e308 give tensor entries that overflow
+        # to inf: the op sup rejects the stack before any LAPACK call, which
+        # would print its argument errors to stdout
+        doc = {"truncation": "jumps", "jump_gammas": [1.0] * 5 + [1e308] * 3, "replications": 4,
+               "m_points": 20, "rate": 3.0}
+        path = tmp_path / "inf_jump.json"
         path.write_text(json.dumps(doc))
         code = main(["verify", str(path), "--threads", threads, "--out-dir", str(tmp_path)])
         assert code == EXIT_ERROR
         out, err = capfd.readouterr()
         assert out == ""
-        assert err.startswith("error: numerical failure in replication 0, exact path, grid slot ")
+        assert err.startswith("error: numerical failure in replication 1, exact path, grid slot 5 (t = ")
         assert err.count("\n") == 1 and err.endswith("\n")
         assert not (tmp_path / "bounds.csv").exists()
 
@@ -276,15 +300,21 @@ class TestVerifyCommand:
         "overrides, field",
         [
             ({"truncation": "generator", "generator_spectrum": [184.0] * 8}, "generator_spectrum"),
+            # its paths overflow too, in the first replication; the constant is still the cause named
+            ({"truncation": "generator", "generator_spectrum": [360.0] * 8, "rate": 3.0}, "generator_spectrum"),
             ({"truncation": "jumps", "generator_spectrum": [184.0] * 8}, "generator_spectrum"),
             ({"truncation": "jumps", "forward_spectrum": [400.0] * 8}, "forward_spectrum"),
         ],
-        ids=["generator", "jumps", "forward"],
+        ids=["generator", "generator_paths_overflow", "jumps", "forward"],
     )
-    def test_overflowing_growth_factor_exits_one(self, tmp_path, capsys, overrides, field):
-        # every replication finishes; the bound constant e^{2 T ||c||} (or
-        # e^{2 k T}) would overflow, and that is one line naming the fields
-        path = write_config(tmp_path, rate=0.0, replications=4, m_points=20, **overrides)
+    def test_overflowing_growth_factor_exits_one(self, tmp_path, capsys, monkeypatch, overrides, field):
+        # the bound constant e^{2 T ||c||} (or e^{2 k T}) would overflow: that
+        # is checked before any replication runs, and is one line naming the fields
+        def no_replication(scenario, rep):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(experiments, "_rep_stats", no_replication)
+        path = write_config(tmp_path, **{"rate": 0.0, "replications": 4, "m_points": 20, **overrides})
         code = main(["verify", path, "--threads", "1", "--out-dir", str(tmp_path)])
         assert code == EXIT_ERROR
         err = capsys.readouterr().err

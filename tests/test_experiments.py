@@ -336,6 +336,41 @@ class TestClosedFormPrefix:
         assert_split_matches_reference(sc, 0, corrupt)
 
 
+class TestSupNormStacks:
+    """sup_norm_stack's op mode takes symmetric stacks only: every difference
+    stack the engine hands it must equal its transpose bit for bit."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(1, 16),
+        truncation=st.sampled_from(["jumps", "generator"]),
+        generator_kind=st.sampled_from(["sandwich", "sylvester"]),
+        forward_kind=st.sampled_from(["diagonal", "skew"]),
+        truncate_v0=st.booleans(),
+        rate=st.floats(0.0, 20.0),
+        seed=st.integers(0, 10**6),
+        rep=st.integers(0, 3),
+    )
+    def test_engine_stacks_are_bit_symmetric(self, d, truncation, generator_kind, forward_kind,
+                                             truncate_v0, rate, seed, rep):
+        sc = split_scenario(d, truncation, truncate_v0, 0.0, rate, 12, False, seed).with_(
+            generator_kind=generator_kind, forward_kind=forward_kind,
+            forward_spectrum=0.5 ** np.arange(1, d + 1),
+        )
+        stacks = []
+        sup_norm_stack = experiments.sup_norm_stack
+
+        def recording(D, mode):
+            stacks.append(D.copy())
+            return sup_norm_stack(D, mode)
+
+        with mock.patch.object(experiments, "sup_norm_stack", recording):
+            experiments._rep_stats(sc, rep)
+        for D in stacks:
+            bits = D.view(np.int64)
+            assert np.array_equal(bits, np.swapaxes(bits, -2, -1))
+
+
 def svd_trace_norms(ys, n):
     """Reference: the singular values of each Y (x) Y - Y^n (x) Y^n, summed."""
     yn = ys.copy()
