@@ -405,8 +405,12 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     vals = evolve_coupled(run.v0s, run.steppers, jump_stacks, grid)
     try:
         out.update(_path_stats(scenario, rep, grid, vals))
-    except (NotPositiveSemidefinite, np.linalg.LinAlgError) as exc:
-        raise type(exc)(_failure_message(exc, rep, levels, grid, vals)) from exc
+    except NotPositiveSemidefinite as exc:
+        # keeps the (path, slot) index and the detail next to the message
+        message = _failure_message(exc, rep, levels, grid, vals)
+        raise NotPositiveSemidefinite(message, exc.index, exc.detail) from exc
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(_failure_message(exc, rep, levels, grid, vals)) from exc
     return out
 
 

@@ -302,10 +302,21 @@ def _op_sup_symmetric(S: np.ndarray, top: np.ndarray) -> float:
     with top[g] = max |S[g]|; equal to the full-stack max bit for bit.
 
     An all-zero slot has op norm 0 and needs no solve.  Every other slot gets
-    the upper bound ub = top * (tr X^8)^(1/8) >= |S|_op with X = S / top
-    (scaled so the powers neither underflow nor overflow).  The slot with the
-    largest ub is solved exactly, and then only the slots whose ub reaches
-    that value times _PRUNE_MARGIN are solved; the rest cannot hold the max.
+    the upper bound ub = top * (tr X^8)^(1/8) >= |S|_op with X = S / top,
+    and the slot with the largest ub is solved exactly.  A slot whose ub
+    falls below that value times _PRUNE_MARGIN cannot hold the max and is
+    dropped.  The survivors' X^4 is squared again for the sharper bound
+    top * (tr X^16)^(1/16), and once more for (tr X^32)^(1/32), each tested
+    against the same value, until two or fewer survive; only the final
+    survivors are solved.  For symmetric X with eigenvalue sizes
+    l1 >= l2 >= ..., tr X^2p = |X^p|_HS^2 overestimates l1^2p by the factor
+    1 + (l2 / l1)^2p + ..., so each squaring drops more of the slots that
+    are near the max but not tied with it.
+
+    X has entries at most 1 and op norm in [1, d], so tr X^2p lies in
+    [1, d^(2p+1)] whatever the scale of S; a power whose bound could
+    overflow is not taken.  k squarings give the bound a relative rounding
+    error of about k d eps, far below the 1e-10 margin.
     """
     d = S.shape[-1]
     S, top = S.reshape(-1, d, d), top.reshape(-1)
@@ -320,5 +331,13 @@ def _op_sup_symmetric(S: np.ndarray, top: np.ndarray) -> float:
     ub = scale * np.einsum("gij,gij->g", X, X) ** 0.125
     lead = rest[np.argmax(ub)]
     best = float(np.max(np.abs(np.linalg.eigvalsh(S[lead]))))
-    cand = rest[(ub >= best * _PRUNE_MARGIN) & (rest != lead)]
+    keep = (ub >= best * _PRUNE_MARGIN) & (rest != lead)
+    for power in (16, 32):
+        if np.count_nonzero(keep) <= 2 or d ** (power + 1) > np.finfo(float).max:
+            break
+        rest, scale, X = rest[keep], scale[keep], X[keep]
+        X = X @ X
+        ub = scale * np.einsum("gij,gij->g", X, X) ** (1.0 / power)
+        keep = ub >= best * _PRUNE_MARGIN
+    cand = rest[keep]
     return float(np.max(np.abs(np.linalg.eigvalsh(S[cand])), initial=best))

@@ -370,6 +370,21 @@ class TestSupNormStacks:
             bits = D.view(np.int64)
             assert np.array_equal(bits, np.swapaxes(bits, -2, -1))
 
+    def test_op_sups_solve_few_matrices(self):
+        # the matrices eigvalsh receives over a fixed run of the default
+        # scenario: 5,049 with the tr X^8 bound alone, 587 with the squared
+        # bounds on the slots that survive it (variance._op_sup_symmetric)
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            solved.append(1 if a.ndim == 2 else len(a))
+            return eigvalsh(a)
+
+        with mock.patch.object(np.linalg, "eigvalsh", counting):
+            experiments.run_experiment(default_scenario(replications=24, master_seed=1729))
+        assert sum(solved) <= 600
+
 
 def svd_trace_norms(ys, n):
     """Reference: the singular values of each Y (x) Y - Y^n (x) Y^n, summed."""
@@ -514,6 +529,11 @@ class TestNumericalFailure:
             f"numerical failure in replication 3, level 4 path, grid slot 1 (t = {grid.times[1]:.6g}, left limit): "
             "matrix (2, 1) in batch: eigenvalue -1.000000e+00 below -tol_psd = -2.000000e-09"
         )
+        assert exc.index == (2, 1)
+        assert exc.detail == "eigenvalue -1.000000e+00 below -tol_psd = -2.000000e-09"
+        # the index and detail cross a worker process's pickle too
+        copy = pickle.loads(pickle.dumps(exc))
+        assert (str(copy), copy.index, copy.detail) == (str(exc), exc.index, exc.detail)
 
     def test_non_finite_value_names_the_earliest_slot(self, monkeypatch):
         sc = small_scenario(rate=5.0)
@@ -550,6 +570,9 @@ class TestNumericalFailure:
             f"numerical failure in replication 3, level 2 path, grid slot {g} (t = {grid.times[g]:.6g}): "
             f"matrix (1, {g}) in batch: eigenvalue -5.000000e-01 below -tol_psd = -"
         )
+        assert exc.index == (1, g)
+        assert exc.detail.startswith("eigenvalue -5.000000e-01 below -tol_psd = -")
+        assert str(exc).endswith(f"matrix (1, {g}) in batch: {exc.detail}")
 
     def test_generator_mode_names_the_slot_too(self, monkeypatch):
         sc = default_generator_scenario(replications=10, master_seed=5).with_(m_points=25)

@@ -14,7 +14,7 @@ from opvol.operators import (
     psd_sqrt_diagonal,
 )
 from opvol.processes import CoupledJumpStream
-from opvol.variance import GeneratorSpec, truncate_generator
+from opvol.variance import GeneratorSpec, sup_norm_stack, truncate_generator
 from reference import corner, level_mask, project, psd_sqrt
 
 
@@ -541,3 +541,60 @@ class TestDeterministicInequalities:
             for k in range(1, 7):
                 Ak, Bk = Ak @ A, Bk @ B
                 assert np.linalg.norm(Ak - Bk, 2) <= k * base ** (k - 1) * diff + 1e-12
+
+
+def psd_pairs(seed, d, pairs, kind, gap, exponent):
+    """(pairs, d, d) stacks A and B of PSD G G^T, each G of a random rank in
+    0..d (rank-deficient mostly); kind "near" makes B (G + gap H)(G + gap H)^T
+    for A's G and a random H of A's rank, kind "apart" draws B on its own.
+    Both are scaled by 10**exponent."""
+    rng = np.random.default_rng(seed)
+    A, B = np.zeros((2, pairs, d, d))
+    for k in range(pairs):
+        G = rng.standard_normal((d, int(rng.integers(0, d + 1))))
+        if kind == "near":
+            F = G + gap * rng.standard_normal(G.shape)
+        else:
+            F = rng.standard_normal((d, int(rng.integers(0, d + 1))))
+        A[k], B[k] = G @ G.T, F @ F.T
+    return A * 10.0**exponent, B * 10.0**exponent
+
+
+class TestSquareRootInequalities:
+    """The paper's square-root approximation results on random PSD pairs,
+    through the engine's kernels: psd_sqrt_batch for the roots and the pruned
+    sup_norm_stack for the norms.
+
+        ||sqrt A - sqrt B||_HS^2 <= ||A - B||_tr   (Powers-Stormer)
+        ||sqrt A - sqrt B||_op   <= ||A - B||_op^(1/2)
+
+    Rounding tolerance: eigh is backward stable, so each computed root is the
+    exact root of a matrix within about d eps s of A or B in op norm (s the
+    larger op norm of the pair), and by the second inequality itself it lies
+    within tol = sqrt(64 d eps s) of the exact root; the roots' product adds
+    only d eps sqrt(s).  The op side may exceed its bound by 2 tol and the HS
+    side (the root of the left-hand side) by 2 sqrt(d) tol.  A gap of 1e-6 on
+    unit matrices puts sqrt ||A - B|| near 1e-3, far above tol (about 1e-6).
+    """
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 16), pairs=st.integers(1, 6),
+           kind=st.sampled_from(["near", "apart"]), gap=st.sampled_from([1e-12, 1e-6, 1e-3, 0.3]),
+           exponent=st.floats(-6.0, 6.0))
+    @example(seed=0, d=16, pairs=6, kind="near", gap=1e-6, exponent=0.0)
+    @example(seed=1, d=1, pairs=3, kind="apart", gap=0.3, exponent=0.0)
+    def test_root_differences_obey_the_inequalities(self, seed, d, pairs, kind, gap, exponent):
+        A, B = psd_pairs(seed, d, pairs, kind, gap, exponent)
+        dS = psd_sqrt_batch(A) - psd_sqrt_batch(B)
+        dA = A - B
+        s = np.maximum(np.linalg.norm(A, 2, axis=(-2, -1)), np.linalg.norm(B, 2, axis=(-2, -1)))
+        tol = np.sqrt(64 * d * np.finfo(float).eps * s)
+        for k in range(pairs):
+            root_op = sup_norm_stack(dS[k : k + 1], "op")
+            root_hs = sup_norm_stack(dS[k : k + 1], "hs")
+            assert root_op <= np.sqrt(sup_norm_stack(dA[k : k + 1], "op")) + 2 * tol[k]
+            trace = float(np.sum(np.abs(np.linalg.eigvalsh(dA[k]))))
+            assert root_hs <= np.sqrt(trace) + 2 * np.sqrt(d) * tol[k]
+        # over the whole stack, through the pruned sup: sup of the roots'
+        # op norms against the root of the sup of the differences'
+        assert sup_norm_stack(dS, "op") <= np.sqrt(sup_norm_stack(dA, "op")) + 2 * np.max(tol)

@@ -1,5 +1,7 @@
 """Variance process: generators, eigensystems, exact evolution, sup errors."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -557,7 +559,7 @@ def _full_op_sup(D):
     return float(np.max(np.abs(np.linalg.eigvalsh(D))))
 
 
-SLOT_KINDS = ("zero", "diagonal", "rank_one", "full", "flat", "near_copy")
+SLOT_KINDS = ("zero", "diagonal", "rank_one", "full", "flat", "near_copy", "decay")
 
 
 def slot_stack(seed, d, kinds, exponent, spread, psd=False):
@@ -567,11 +569,19 @@ def slot_stack(seed, d, kinds, exponent, spread, psd=False):
     full is A + A^T (indefinite) or, with psd, A A^T; flat has every |eigenvalue|
     near its op norm, so its trace bound is loose where a rank-one slot's is
     tight, and a small spread makes the bound order differ from the op-norm
-    order; a near_copy repeats the previous slot to within 1e-12.
+    order; a near_copy repeats the previous slot to within 1e-12.  A decay
+    slot is E D[g - 1] E for one diagonal E within 1e-4 below 1 per stack,
+    so a run of them is E^k D E^k, the engine's slowly decaying differences
+    with their many near-ties.
     """
     rng = np.random.default_rng(seed)
+    E = 1.0 - np.random.default_rng([seed, 1]).uniform(0.0, 1e-4, d)
     D = np.zeros((len(kinds), d, d))
     for g, kind in enumerate(kinds):
+        if kind == "decay":
+            if g > 0:
+                D[g] = np.outer(E, E) * D[g - 1]  # E_j E_k is symmetric bit for bit
+            continue
         if kind == "diagonal":
             diag = rng.standard_normal(d)
             M = np.diag(np.abs(diag) if psd else diag)
@@ -617,6 +627,8 @@ class TestPrunedOpSup:
     @example(seed=3, d=16, kinds=["zero", "diagonal", "rank_one", "full"], exponent=150.0, spread=0.5)
     @example(seed=4, d=4, kinds=["rank_one"] + ["near_copy"] * 10, exponent=3.0, spread=0.0)
     @example(seed=6, d=8, kinds=["flat", "rank_one"] * 4, exponent=0.0, spread=1e-6)
+    @example(seed=8, d=8, kinds=["full"] + ["decay"] * 40, exponent=0.0, spread=0.0)
+    @example(seed=9, d=16, kinds=(["flat"] + ["decay"] * 7) * 3, exponent=-3.0, spread=1e-9)
     def test_symmetric_stacks_match_full_solve(self, seed, d, kinds, exponent, spread):
         D = slot_stack(seed, d, kinds, exponent, spread)
         assert sup_norm_stack(D, "op") == _full_op_sup(D)
@@ -655,6 +667,37 @@ class TestPrunedOpSup:
             mp.setattr(np.linalg, "svd", no_solve)
             with pytest.raises(np.linalg.LinAlgError, match="^NaN or inf in the stack$"):
                 sup_norm_stack(D, "op")
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 16),
+           head=st.sampled_from(["diagonal", "rank_one", "full", "flat"]), slots=st.integers(1, 60),
+           lag=st.sampled_from([1e-9, 1e-6, 1e-3, 0.1]), psd=st.booleans())
+    @example(seed=10, d=8, head="full", slots=60, lag=1e-3, psd=True)
+    def test_slowly_decaying_stacks_match_full_solve(self, seed, d, head, slots, lag, psd):
+        # E^g D_0 E^g: every slot's bound is near the head's.  A last flat
+        # slot a factor 1 - lag below the head has the looser tr X^8 bound
+        # and is solved first, so the head, which holds the max, is found
+        # only if it survives every squared stage
+        D = slot_stack(seed, d, [head] + ["decay"] * slots + ["flat"], 0.0, 0.0, psd=psd)
+        D[-1] *= 1.0 - lag
+        assert sup_norm_stack(D, "op") == _full_op_sup(D)
+
+    @pytest.mark.parametrize("size", [np.finfo(float).max / 2, 1e-300])
+    @pytest.mark.parametrize("seed", [12, 13])
+    def test_flat_stacks_at_extreme_scales_match_full_solve(self, size, seed):
+        # d = 64, op norms up to size: the rank-one slot holds the max, but
+        # every flat slot's tr X^8 bound is looser by up to 64^(1/8), so
+        # they reach the X^16 and X^32 stages with it.  X = S / max|S| has
+        # op norm in [1, d], so no power overflows or underflows whatever
+        # the scale of S
+        D = slot_stack(seed, 64, ["rank_one"] + ["flat"] * 6 + ["near_copy", "decay"], 0.0, 0.05)
+        D[0] *= 1.1
+        D *= size / 1.1 / 1.05
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+            warnings.simplefilter("error")
+            got = sup_norm_stack(D, "op")
+        assert np.isfinite(got)
+        assert got == _full_op_sup(D) == float(np.max(np.abs(np.linalg.eigvalsh(D[0]))))
 
     @pytest.mark.parametrize("bump", [-1, 0, 1])
     @pytest.mark.parametrize("kinds", [["full", "rank_one"], ["diagonal", "zero", "full"]])
