@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property, partial
 
@@ -207,9 +208,11 @@ class CoupledScenario:
         return replace(self, **changes)
 
     def __getstate__(self) -> dict:
-        # a pickled scenario leaves its run constants behind; the copy rebuilds them
+        # a pickled scenario leaves its run constants and its jump-free
+        # paths (_jump_free_part) behind; the copy rebuilds them
         state = dict(self.__dict__)
         state.pop("_run", None)
+        state.pop("_jump_free", None)
         return state
 
     @cached_property
@@ -354,6 +357,13 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     sum_dx_tr come from the rank-two closed form (_jump_trace_norm_sq) on
     the squared norms, with no SVD.
 
+    The paths' statistics come from _path_stats: _variance_stats (sups and,
+    in jumps mode, square roots) and _forward_stats (forward run and
+    payoffs, jumps mode only).  A replication without jumps has the grid,
+    paths and _variance_stats of every other one, so it takes those the
+    first of them computed for this scenario object (_jump_free_part); its
+    own draws still drive its _forward_stats.
+
     Overflow and invalid-value warnings are silenced.  A non-finite value
     that makes a decomposition raise is reported by the one-line failure
     message, which names its slot; one that raises nothing (a finite path
@@ -367,7 +377,6 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
 
     times = sample_clock(scenario.rate, T, stream(seed, PURPOSE_CLOCK, rep))
     js = sample_jump_stream(times.size, run.jump_sd, stream(seed, PURPOSE_JUMPS, rep))
-    grid = build_grid(T, scenario.m_points, times)
 
     out: dict = {"n_jumps": float(times.size)}
 
@@ -401,17 +410,44 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     else:
         jump_stacks = [js.jumps] * (len(levels) + 1)
 
-    # coupled variance paths: slot 0 exact, slot i the i-th level
-    vals = evolve_coupled(run.v0s, run.steppers, jump_stacks, grid)
-    try:
-        out.update(_path_stats(scenario, rep, grid, vals))
-    except NotPositiveSemidefinite as exc:
-        # keeps the (path, slot) index and the detail next to the message
-        message = _failure_message(exc, rep, levels, grid, vals)
-        raise NotPositiveSemidefinite(message, exc.index, exc.detail) from exc
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(_failure_message(exc, rep, levels, grid, vals)) from exc
+    if times.size:
+        # coupled variance paths: slot 0 exact, slot i the i-th level
+        grid = build_grid(T, scenario.m_points, times)
+        vals = evolve_coupled(run.v0s, run.steppers, jump_stacks, grid)
+        with _failures_named(rep, levels, grid, vals):
+            out.update(_path_stats(scenario, rep, grid, vals))
+        return out
+    grid, vals, stats, sqrts = _jump_free_part(scenario, rep, times, jump_stacks)
+    out.update(stats)
+    if sqrts is not None:
+        with _failures_named(rep, levels, grid, vals):
+            out.update(_forward_stats(scenario, rep, grid, vals, sqrts))
     return out
+
+
+def _jump_free_part(scenario: CoupledScenario, rep: int, times: np.ndarray,
+                    jump_stacks: list[np.ndarray]) -> tuple:
+    """(grid, vals, stats, sqrts) of a replication without jumps: its grid,
+    coupled paths, their _variance_stats and, in jumps mode, their square
+    roots (else None).  These are the same in every such replication, so the
+    first one, rep, computes them once per scenario object and keeps them
+    read-only in its _jump_free entry (never pickled); each replication gets
+    copies of the statistics.  A failure leaves no entry behind."""
+    kept = scenario.__dict__.get("_jump_free")
+    if kept is None:
+        run = scenario._run
+        grid = build_grid(scenario.horizon, scenario.m_points, times)
+        vals = evolve_coupled(run.v0s, run.steppers, jump_stacks, grid)
+        with _failures_named(rep, scenario.levels, grid, vals):
+            stats, sqrts = _variance_stats(scenario, grid, vals)
+        for a in (grid.times, grid.is_left, grid.jump_index, grid.right_slots,
+                  grid.distinct_times, vals, *stats.values()):
+            a.setflags(write=False)
+        if sqrts is not None:
+            sqrts.setflags(write=False)
+        kept = scenario.__dict__["_jump_free"] = (grid, vals, stats, sqrts)
+    grid, vals, stats, sqrts = kept
+    return grid, vals, {key: v.copy() for key, v in stats.items()}, sqrts
 
 
 def _level_jumps(ys: np.ndarray, levels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -436,9 +472,20 @@ def _jump_trace_norm_sq(dy2: np.ndarray, y2n: np.ndarray) -> np.ndarray:
 
 def _path_stats(scenario: CoupledScenario, rep: int, grid: TimeGrid,
                 vals: np.ndarray) -> dict:
-    """Statistics of the coupled paths vals (exact first), (L,) arrays but
-    for pay_exact: sup errors, and in jumps mode square roots, the forward
-    run and payoffs.
+    """Statistics of the coupled paths vals (exact first), in _rep_stats's
+    key order: _variance_stats and, in jumps mode, _forward_stats on their
+    square roots."""
+    out, sqrts = _variance_stats(scenario, grid, vals)
+    if sqrts is not None:
+        out.update(_forward_stats(scenario, rep, grid, vals, sqrts))
+    return out
+
+
+def _variance_stats(scenario: CoupledScenario, grid: TimeGrid,
+                    vals: np.ndarray) -> tuple[dict, np.ndarray | None]:
+    """The (L,) sup errors of the coupled paths vals (exact first) and, in
+    jumps mode, those of their square roots, with the (P, G, d, d) roots
+    (None in generator mode).
 
     The grid splits at g1 (_closed_form_prefix).  The prefix [:g1] is taken
     from its (P, g1, d) diagonals: psd_sqrt_diagonal for the roots and
@@ -448,7 +495,6 @@ def _path_stats(scenario: CoupledScenario, rep: int, grid: TimeGrid,
     Squares of sups are taken on the Python floats: numpy's square of an
     array can round differently from the float's ** 2."""
     levels = scenario.levels
-    run = scenario._run
     P, G, d = vals.shape[:3]
     g1 = _closed_form_prefix(grid, vals)
     head = np.diagonal(vals[:, :g1], axis1=-2, axis2=-1)
@@ -459,7 +505,7 @@ def _path_stats(scenario: CoupledScenario, rep: int, grid: TimeGrid,
         "sup_op": sup_op,
     }
     if scenario.truncation != "jumps":
-        return out
+        return out, None
 
     # the exact path is full; with a diagonal generator the level-n path is
     # blockdiag(n x n block, diagonal tail), which psd_sqrt_batch checks
@@ -479,7 +525,16 @@ def _path_stats(scenario: CoupledScenario, rep: int, grid: TimeGrid,
     sqrt_hs, sqrt_op = _split_sups(roots, sqrts[:, g1:])
     out["sqrt_sup_sq_op"] = np.array([s**2 for s in sqrt_op.tolist()])
     out["sqrt_sup_sq_hs"] = np.array([s**2 for s in sqrt_hs.tolist()])
+    return out, sqrts
 
+
+def _forward_stats(scenario: CoupledScenario, rep: int, grid: TimeGrid,
+                   vals: np.ndarray, sqrts: np.ndarray) -> dict:
+    """Forward run and payoff statistics of one replication (jumps mode):
+    pay_exact, and (L,) fwd_sup_sq, pay_trunc and dx_tau, driven by the
+    replication's own Wiener increments on the paths vals with roots sqrts,
+    which are only read."""
+    run = scenario._run
     xs = simulate_forward_coupled(
         VariancePath(grid, vals), run.forward, scenario.q_spectrum,
         stream(scenario.master_seed, PURPOSE_WIENER, rep), sqrts,
@@ -489,11 +544,12 @@ def _path_stats(scenario: CoupledScenario, rep: int, grid: TimeGrid,
     # must not keep all of xs alive
     x_tau = xs[:, np.searchsorted(grid.times, run.tau, side="right") - 1].copy()
     pay = run.payoff.evaluate(run.functional.apply(x_tau))
-    out["pay_exact"] = pay[0]
-    out["fwd_sup_sq"] = forward_sup_error(xs)
-    out["pay_trunc"] = pay[1:]
-    out["dx_tau"] = np.array([np.linalg.norm(x_tau[0] - x) for x in x_tau[1:]])
-    return out
+    return {
+        "pay_exact": pay[0],
+        "fwd_sup_sq": forward_sup_error(xs),
+        "pay_trunc": pay[1:],
+        "dx_tau": np.array([np.linalg.norm(x_tau[0] - x) for x in x_tau[1:]]),
+    }
 
 
 def _closed_form_prefix(grid: TimeGrid, vals: np.ndarray) -> int:
@@ -533,6 +589,20 @@ def _split_sups(head: np.ndarray, tail: np.ndarray) -> tuple[np.ndarray, np.ndar
         tail_hs[i] = sup_norm_stack(D, "hs")
         tail_op[i] = sup_norm_stack(D, "op")
     return np.maximum(hs, tail_hs), np.maximum(op, tail_op)
+
+
+@contextmanager
+def _failures_named(rep: int, levels: tuple[int, ...], grid: TimeGrid, vals: np.ndarray):
+    """Re-raise a numerical failure inside the block, in replication rep on
+    its grid and paths vals, with _failure_message's one line; a
+    NotPositiveSemidefinite keeps its index and detail."""
+    try:
+        yield
+    except NotPositiveSemidefinite as exc:
+        message = _failure_message(exc, rep, levels, grid, vals)
+        raise NotPositiveSemidefinite(message, exc.index, exc.detail) from exc
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(_failure_message(exc, rep, levels, grid, vals)) from exc
 
 
 def _failure_message(exc: Exception, rep: int, levels: tuple[int, ...],

@@ -308,7 +308,8 @@ def _op_sup_symmetric(S: np.ndarray, top: np.ndarray) -> float:
     dropped.  The survivors' X^4 is squared again for the sharper bound
     top * (tr X^16)^(1/16), and once more for (tr X^32)^(1/32), each tested
     against the same value, until two or fewer survive; only the final
-    survivors are solved.  For symmetric X with eigenvalue sizes
+    survivors are solved, so a stack where the lead alone survives takes one
+    solve.  For symmetric X with eigenvalue sizes
     l1 >= l2 >= ..., tr X^2p = |X^p|_HS^2 overestimates l1^2p by the factor
     1 + (l2 / l1)^2p + ..., so each squaring drops more of the slots that
     are near the max but not tied with it.
@@ -324,8 +325,8 @@ def _op_sup_symmetric(S: np.ndarray, top: np.ndarray) -> float:
     if rest.size == 0:
         return 0.0
     scale = top[rest]
-    X = S[rest]
-    X /= scale[:, None, None]
+    # with no all-zero slot, S itself is divided: no gathered copy
+    X = (S if rest.size == top.size else S[rest]) / scale[:, None, None]
     X = X @ X
     X = X @ X
     ub = scale * np.einsum("gij,gij->g", X, X) ** 0.125
@@ -340,4 +341,6 @@ def _op_sup_symmetric(S: np.ndarray, top: np.ndarray) -> float:
         ub = scale * np.einsum("gij,gij->g", X, X) ** (1.0 / power)
         keep = ub >= best * _PRUNE_MARGIN
     cand = rest[keep]
+    if cand.size == 0:
+        return best
     return float(np.max(np.abs(np.linalg.eigvalsh(S[cand])), initial=best))

@@ -190,14 +190,16 @@ class _Captured(Exception):
 
 
 def path_inputs(scenario, rep):
-    """The grid and the coupled paths _rep_stats hands to _path_stats."""
+    """The grid and the coupled paths _rep_stats hands to _variance_stats,
+    the first half of _path_stats.  A replication without jumps hands them
+    over only if the scenario object holds no jump-free paths yet."""
     got = []
 
-    def capture(sc, r, grid, vals):
+    def capture(sc, grid, vals):
         got.append((grid, vals))
         raise _Captured
 
-    with mock.patch.object(experiments, "_path_stats", capture), pytest.raises(_Captured):
+    with mock.patch.object(experiments, "_variance_stats", capture), pytest.raises(_Captured):
         experiments._rep_stats(scenario, rep)
     return got[0]
 
@@ -483,18 +485,76 @@ class TestRunConstants:
         sc = small_scenario(rate=5.0)
         warm = [experiments._rep_stats(sc, rep) for rep in (0, 1)]
         cold = experiments._rep_stats(sc.with_(), 1)
-        assert warm[1].keys() == cold.keys()
-        for key in cold:
-            assert np.array_equal(warm[1][key], cold[key])
+        assert_same_bits(warm[1], cold)
+        # at rate 1 about a third of the replications have no jump; the first
+        # of them computes the jump-free paths, the later ones reuse them
+        for truncation, n_sups in (("jumps", 5), ("generator", 3)):
+            sc = small_scenario(truncation=truncation, rate=1.0, replications=40)
+            reps = range(sc.replications)
+            cold = [experiments._rep_stats(sc.with_(), rep) for rep in reps]
+            free = [rep for rep in reps if cold[rep]["n_jumps"] == 0.0]
+            assert 2 <= len(free) < sc.replications
+            warm = [experiments._rep_stats(sc, rep) for rep in reps]
+            assert "_jump_free" in sc.__dict__
+            for rep in reps:
+                assert_same_bits(warm[rep], cold[rep])
+            # the paths' sups are the same in every jump-free replication
+            first, later = warm[free[0]], warm[free[-1]]
+            sups = [key for key in first if key.startswith(("sup_", "sqrt_sup_"))]
+            assert len(sups) == n_sups
+            assert_same_bits({key: first[key] for key in sups}, {key: later[key] for key in sups})
+            # each pool chunk unpickles its own copy of the scenario and
+            # computes its own jump-free paths
+            for workers in (1, 2):
+                cols = experiments._map_reps(sc.with_(), workers)
+                for rep in reps:
+                    assert_same_bits({key: col[rep] for key, col in cols.items()}, cold[rep])
 
     def test_pickled_scenario_leaves_the_cache_behind(self):
-        sc = small_scenario()
-        sc._run
-        assert "_run" in sc.__dict__
+        sc = small_scenario(rate=0.0)
+        experiments._rep_stats(sc, 0)
+        assert "_run" in sc.__dict__ and "_jump_free" in sc.__dict__
         copy = pickle.loads(pickle.dumps(sc))
-        assert "_run" not in copy.__dict__ and "_run" in sc.__dict__
+        assert "_run" not in copy.__dict__ and "_jump_free" not in copy.__dict__
+        assert "_run" in sc.__dict__ and "_jump_free" in sc.__dict__
         assert np.array_equal(copy._run.v0s, sc._run.v0s)
         assert np.array_equal(copy.generator_spectrum, sc.generator_spectrum)
+        assert_same_bits(experiments._rep_stats(copy, 1), experiments._rep_stats(sc, 1))
+        grid, vals, stats, sqrts = sc.__dict__["_jump_free"]
+        for a in (grid.times, grid.is_left, grid.jump_index, grid.distinct_times, vals, sqrts,
+                  *stats.values()):
+            assert not a.flags.writeable
+
+    def test_jump_free_paths_evolved_once_per_run(self, monkeypatch):
+        # one evolve_coupled call per replication with a jump, and one for
+        # all of the jump-free replications together
+        sc = default_scenario(replications=24, master_seed=1729)
+        jumpy = sum(
+            sample_clock(sc.rate, sc.horizon, stream(sc.master_seed, PURPOSE_CLOCK, rep)).size > 0
+            for rep in range(sc.replications)
+        )
+        assert 0 < jumpy < sc.replications
+        calls = []
+        evolve = experiments.evolve_coupled
+
+        def counting(*args):
+            calls.append(1)
+            return evolve(*args)
+
+        monkeypatch.setattr(experiments, "evolve_coupled", counting)
+        experiments.run_experiment(sc)
+        assert len(calls) == jumpy + 1
+
+
+def assert_same_bits(got, want):
+    """Two statistics dicts with the same keys in the same order, and every
+    value of the same dtype, shape and bits, signbits and NaN payloads
+    included."""
+    assert list(got) == list(want)
+    for key in want:
+        a, b = np.asarray(got[key]), np.asarray(want[key])
+        assert a.dtype == b.dtype and a.shape == b.shape, key
+        assert a.tobytes() == b.tobytes(), key
 
 
 class TestNumericalFailure:
@@ -534,6 +594,28 @@ class TestNumericalFailure:
         # the index and detail cross a worker process's pickle too
         copy = pickle.loads(pickle.dumps(exc))
         assert (str(copy), copy.index, copy.detail) == (str(exc), exc.index, exc.detail)
+
+    def test_negative_diagonal_in_the_jump_free_paths(self, monkeypatch):
+        # at rate 0 every replication is jump-free: replication 3 computes
+        # the paths every other would reuse, and its failure keeps none
+        sc = small_scenario(rate=0.0)
+
+        def corrupt(vals):
+            vals[2, 1] = np.diag(np.r_[-1.0, np.ones(7)])
+
+        exc, grid = self.run_with(monkeypatch, sc, corrupt)
+        detail = "eigenvalue -1.000000e+00 below -tol_psd = -2.000000e-09"
+        assert isinstance(exc, opvol.NotPositiveSemidefinite)
+        assert str(exc) == (
+            f"numerical failure in replication 3, level 4 path, grid slot 1 (t = {grid.times[1]:.6g}): "
+            f"matrix (2, 1) in batch: {detail}"
+        )
+        assert (exc.index, exc.detail) == ((2, 1), detail)
+        assert "_jump_free" not in sc.__dict__
+        # the next jump-free replication computes the paths again, and names itself
+        with pytest.raises(opvol.NotPositiveSemidefinite, match="^numerical failure in replication 5, "):
+            experiments._rep_stats(sc, 5)
+        assert "_jump_free" not in sc.__dict__
 
     def test_non_finite_value_names_the_earliest_slot(self, monkeypatch):
         sc = small_scenario(rate=5.0)

@@ -757,6 +757,28 @@ class TestPrunedOpSup:
             assert sup_norm_stack(np.zeros((4, 3, 3)), "op") == 0.0
         assert sum(solved) == 1
 
+    @pytest.mark.parametrize("zero_slot", [False, True])
+    def test_lone_surviving_lead_takes_one_call(self, monkeypatch, zero_slot):
+        # every slot but the lead has a bound far below the lead's op norm:
+        # the lead's solve is the only eigvalsh call, with no second call on
+        # an empty stack of candidates
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        A = slot_stack(14, 6, ["full"], 0.0, 0.0)[0]
+        D = np.stack([A, 0.5 * A, 0.25 * A, np.diag(np.full(6, 0.1))])
+        if zero_slot:
+            D[2] = 0.0
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        got = sup_norm_stack(D, "op")
+        assert calls == [(6, 6)]
+        monkeypatch.undo()
+        assert got == _full_op_sup(D)
+
 
 class TestPositivity:
     def test_simulated_paths_stay_psd(self):
