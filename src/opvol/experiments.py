@@ -83,9 +83,10 @@ TRUNCATION_MODES = ("jumps", "generator")
 # scenario is rejected: every jump adds two grid slots to every coupled path
 MAX_EXPECTED_JUMPS = 1e4
 
-# m_points above which a scenario is rejected: every step is a grid slot that
-# every coupled path stores as a d x d matrix
-MAX_GRID_STEPS = 10**6
+# bytes a replication's coupled path stack may take: every path (exact and one
+# per level) stores each grid slot, m_points + 1 base points and two per
+# expected jump, as a d x d float64 matrix, and the square roots take as much
+MAX_PATH_STACK_BYTES = 256 * 2**20
 
 
 # --- scenario ----------------------------------------------------------------
@@ -141,16 +142,21 @@ class CoupledScenario:
             raise ValueError("horizon must be positive")
         if self.m_points < 1:
             raise ValueError("need at least one time step")
-        if self.m_points > MAX_GRID_STEPS:
-            raise ValueError(
-                f"m_points = {self.m_points} exceeds {MAX_GRID_STEPS}; lower m_points"
-            )
         if self.rate < 0:
             raise ValueError("jump rate must be nonnegative")
         if self.rate * self.horizon > MAX_EXPECTED_JUMPS:
             raise ValueError(
                 f"rate * horizon = {self.rate * self.horizon:.6g} expected jumps per "
                 f"replication exceeds {MAX_EXPECTED_JUMPS:.0f}; lower rate or horizon"
+            )
+        # integer arithmetic: m_points and d may be too large for a float
+        slots = self.m_points + 1 + math.ceil(2 * self.rate * self.horizon)
+        stack = (len(self.levels) + 1) * slots * self.d * self.d * 8
+        if stack > MAX_PATH_STACK_BYTES:
+            raise ValueError(
+                f"the coupled paths of d = {self.d}, m_points = {self.m_points} and levels "
+                f"{list(self.levels)} take {(stack - 1) // 2**20 + 1} MiB per replication, above "
+                f"{MAX_PATH_STACK_BYTES // 2**20} MiB; lower d, m_points or the number of levels"
             )
         for name in ("jump_gammas", "q_spectrum", "generator_spectrum", "forward_spectrum", "v0_diag"):
             arr = np.asarray(getattr(self, name), dtype=float)
@@ -169,47 +175,20 @@ class CoupledScenario:
         if not (0 < self.exercise_time <= self.horizon and 1 <= round(steps)
                 and abs(steps - round(steps)) <= 1e-9):
             raise ValueError("exercise_time must sit on the uniform grid in (0, horizon]")
-        # constructor smoke checks: fail fast on bad kinds
-        self.generator_spec()
-        self.forward_spec()
-        self.payoff()
-
-    # model factories ---------------------------------------------------------
-
-    def generator_spec(self) -> GeneratorSpec:
-        return GeneratorSpec(self.generator_kind, self.generator_spectrum)
+        # fail fast on a bad kind; _run builds these models for the run
+        GeneratorSpec(self.generator_kind, self.generator_spectrum)
+        ForwardSemigroupSpec(self.forward_kind, self.forward_spectrum)
+        PayoffSpec(self.payoff_kind, self.payoff_strike)
 
     def truncated_generator_spec(self, n: int) -> GeneratorSpec:
-        return truncate_generator(self.generator_spec(), n)
-
-    def forward_spec(self) -> ForwardSemigroupSpec:
-        return ForwardSemigroupSpec(self.forward_kind, self.forward_spectrum)
-
-    def v0(self) -> np.ndarray:
-        return np.diag(self.v0_diag)
-
-    def v0_at_level(self, n: int) -> np.ndarray:
-        """Initial state of the level-n approximant.
-
-        Jump truncation optionally truncates V0 to the same coordinate block
-        (truncate_v0); generator compression always keeps V0 exact.
-        """
-        if self.truncation == "generator" or not self.truncate_v0:
-            return self.v0()
-        diag = self.v0_diag.copy()
-        diag[n:] = 0.0
-        return np.diag(diag)
-
-    def payoff(self) -> PayoffSpec:
-        # payoff_strike doubles as the value of a constant payoff
-        return PayoffSpec(self.payoff_kind, self.payoff_strike)
+        return truncate_generator(self._run.generator, n)
 
     def with_(self, **changes) -> "CoupledScenario":
         return replace(self, **changes)
 
     def __getstate__(self) -> dict:
         # a pickled scenario leaves its run constants and its jump-free
-        # paths (_jump_free_part) behind; the copy rebuilds them
+        # paths (_rep_stats) behind; the copy rebuilds them
         state = dict(self.__dict__)
         state.pop("_run", None)
         state.pop("_jump_free", None)
@@ -217,41 +196,50 @@ class CoupledScenario:
 
     @cached_property
     def _run(self) -> "_RunConstants":
-        """The models every replication uses, built once per scenario object
-        on first use.  They are not pickled: a worker pool unpickles one copy
-        of the scenario per chunk of replications, and each copy builds its
-        own."""
-        gen = self.generator_spec()
+        """The models every replication and reduction use, built once per
+        scenario object on first use.  They are not pickled: a worker pool
+        unpickles one copy of the scenario per chunk of replications, and
+        each copy builds its own."""
+        gen = GeneratorSpec(self.generator_kind, self.generator_spectrum)
         if self.truncation == "jumps":
             # the truncated paths keep the exact generator: one shared stepper
             steppers = [make_stepper(gen)] * (len(self.levels) + 1)
         else:
             steppers = [make_stepper(gen)] + [
-                make_stepper(self.truncated_generator_spec(n)) for n in self.levels
+                make_stepper(truncate_generator(gen, n)) for n in self.levels
             ]
-        v0s = np.stack([self.v0()] + [self.v0_at_level(n) for n in self.levels])
+        # V0 of the exact path and of each level: jump truncation optionally
+        # truncates it to the level's coordinate block (truncate_v0),
+        # generator compression always keeps it exact
+        truncated = self.truncation == "jumps" and self.truncate_v0
+        kept = [self.d] + [n if truncated else self.d for n in self.levels]
+        v0s = np.stack([np.diag(np.where(np.arange(self.d) < n, self.v0_diag, 0.0)) for n in kept])
         v0s.setflags(write=False)
         # the uniform grid point nearest exercise_time, with the bits
         # build_grid gives it
         steps = round(self.exercise_time / (self.horizon / self.m_points))
         tau = np.linspace(0.0, self.horizon, self.m_points + 1)[steps]
         return _RunConstants(
-            steppers=steppers, v0s=v0s, jump_sd=np.sqrt(self.jump_gammas),
-            forward=self.forward_spec(), payoff=self.payoff(),
+            generator=gen, steppers=steppers, v0s=v0s, jump_sd=np.sqrt(self.jump_gammas),
+            forward=ForwardSemigroupSpec(self.forward_kind, self.forward_spectrum),
+            # payoff_strike doubles as the value of a constant payoff
+            payoff=PayoffSpec(self.payoff_kind, self.payoff_strike),
             functional=FunctionalSpec(self.functional_coordinate), tau=tau,
         )
 
 
 @dataclass(frozen=True, eq=False)
 class _RunConstants:
-    """What a replication needs from its scenario beyond the random draws.
+    """What a replication and the reductions need from their scenario beyond
+    the random draws.
 
-    steppers and v0s hold the exact path first, then one entry per level;
-    jump_sd holds the coordinate standard deviations sqrt(jump_gammas) of a
-    jump vector; tau is the exercise time as a point of every replication's
-    grid.
+    generator is the exact generator; steppers and v0s hold the exact path
+    first, then one entry per level; jump_sd holds the coordinate standard
+    deviations sqrt(jump_gammas) of a jump vector; tau is the exercise time
+    as a point of every replication's grid.
     """
 
+    generator: GeneratorSpec
     steppers: list[Stepper]
     v0s: np.ndarray
     jump_sd: np.ndarray
@@ -269,8 +257,9 @@ class BoundReport:
     """One inequality at one truncation level.
 
     level 0 marks rows that do not depend on a truncation level (the compound
-    Poisson moment identity rows).  A zero combined standard error yields an
-    infinite margin whose sign is the sign of rhs - lhs, with ties passing.
+    Poisson moment identity rows).  The margin is rhs - lhs in combined
+    standard errors; a zero combined standard error yields an infinite
+    margin whose sign is the sign of rhs - lhs, with ties passing.
     """
 
     bound_id: str
@@ -279,28 +268,18 @@ class BoundReport:
     lhs_se: float
     rhs: float
     rhs_se: float
-    margin: float
-    passed: bool
 
-    def __post_init__(self):
-        if self.passed != (self.margin >= PASS_MARGIN):
-            raise ValueError("pass flag inconsistent with the margin")
+    @property
+    def margin(self) -> float:
+        return combined_margin(self.lhs, self.lhs_se, self.rhs, self.rhs_se)
 
-
-def make_report(bound_id: str, level: int, lhs: float, lhs_se: float,
-                rhs: float, rhs_se: float = 0.0) -> BoundReport:
-    margin = combined_margin(lhs, lhs_se, rhs, rhs_se)
-    return BoundReport(
-        bound_id=bound_id, level=level,
-        lhs=float(lhs), lhs_se=float(lhs_se),
-        rhs=float(rhs), rhs_se=float(rhs_se),
-        margin=margin, passed=margin >= PASS_MARGIN,
-    )
+    @property
+    def passed(self) -> bool:
+        return self.margin >= PASS_MARGIN
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    scenario: CoupledScenario
     reports: tuple[BoundReport, ...]
     pricing: tuple[PricingReport, ...]
 
@@ -321,7 +300,6 @@ class ConvergenceStudy:
     one plus three combined standard errors.
     """
 
-    scenario: CoupledScenario
     rows: tuple[ConvergenceRow, ...]
     monotone: dict[str, bool] = field(default_factory=dict)
 
@@ -357,12 +335,12 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     sum_dx_tr come from the rank-two closed form (_jump_trace_norm_sq) on
     the squared norms, with no SVD.
 
-    The paths' statistics come from _path_stats: _variance_stats (sups and,
-    in jumps mode, square roots) and _forward_stats (forward run and
-    payoffs, jumps mode only).  A replication without jumps has the grid,
-    paths and _variance_stats of every other one, so it takes those the
-    first of them computed for this scenario object (_jump_free_part); its
-    own draws still drive its _forward_stats.
+    Every replication draws its clock and jumps.  It then builds its grid
+    and coupled paths (build_grid, evolve_coupled) and their sups and, in
+    jumps mode, square roots (_variance_stats), or, without a jump, takes
+    those the first jump-free replication kept for this scenario object.
+    Last, in jumps mode, its own Wiener increments drive _forward_stats
+    (forward run and payoffs) on those paths and roots.
 
     Overflow and invalid-value warnings are silenced.  A non-finite value
     that makes a decomposition raise is reported by the one-line failure
@@ -410,44 +388,28 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     else:
         jump_stacks = [js.jumps] * (len(levels) + 1)
 
-    if times.size:
+    # a replication without jumps has the grid, coupled paths, sups and
+    # roots of every other one: the first of them keeps its own, read-only,
+    # in the scenario object's _jump_free entry (never pickled)
+    kept = None if times.size else scenario.__dict__.get("_jump_free")
+    if kept is None:
         # coupled variance paths: slot 0 exact, slot i the i-th level
         grid = build_grid(T, scenario.m_points, times)
         vals = evolve_coupled(run.v0s, run.steppers, jump_stacks, grid)
         with _failures_named(rep, levels, grid, vals):
-            out.update(_path_stats(scenario, rep, grid, vals))
-        return out
-    grid, vals, stats, sqrts = _jump_free_part(scenario, rep, times, jump_stacks)
-    out.update(stats)
+            stats, sqrts = _variance_stats(scenario, grid, vals)
+        kept = grid, vals, stats, sqrts
+        if not times.size:
+            for a in (grid.times, grid.is_left, grid.jump_index, vals, sqrts, *stats.values()):
+                if a is not None:
+                    a.setflags(write=False)
+            scenario.__dict__["_jump_free"] = kept
+    grid, vals, stats, sqrts = kept
+    out.update((key, v.copy()) for key, v in stats.items())
     if sqrts is not None:
         with _failures_named(rep, levels, grid, vals):
             out.update(_forward_stats(scenario, rep, grid, vals, sqrts))
     return out
-
-
-def _jump_free_part(scenario: CoupledScenario, rep: int, times: np.ndarray,
-                    jump_stacks: list[np.ndarray]) -> tuple:
-    """(grid, vals, stats, sqrts) of a replication without jumps: its grid,
-    coupled paths, their _variance_stats and, in jumps mode, their square
-    roots (else None).  These are the same in every such replication, so the
-    first one, rep, computes them once per scenario object and keeps them
-    read-only in its _jump_free entry (never pickled); each replication gets
-    copies of the statistics.  A failure leaves no entry behind."""
-    kept = scenario.__dict__.get("_jump_free")
-    if kept is None:
-        run = scenario._run
-        grid = build_grid(scenario.horizon, scenario.m_points, times)
-        vals = evolve_coupled(run.v0s, run.steppers, jump_stacks, grid)
-        with _failures_named(rep, scenario.levels, grid, vals):
-            stats, sqrts = _variance_stats(scenario, grid, vals)
-        for a in (grid.times, grid.is_left, grid.jump_index, grid.right_slots,
-                  grid.distinct_times, vals, *stats.values()):
-            a.setflags(write=False)
-        if sqrts is not None:
-            sqrts.setflags(write=False)
-        kept = scenario.__dict__["_jump_free"] = (grid, vals, stats, sqrts)
-    grid, vals, stats, sqrts = kept
-    return grid, vals, {key: v.copy() for key, v in stats.items()}, sqrts
 
 
 def _level_jumps(ys: np.ndarray, levels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -468,17 +430,6 @@ def _jump_trace_norm_sq(dy2: np.ndarray, y2n: np.ndarray) -> np.ndarray:
     norm is their difference, sqrt(dy2 (dy2 + 4 y2n)).
     """
     return dy2 * (dy2 + 4.0 * y2n)
-
-
-def _path_stats(scenario: CoupledScenario, rep: int, grid: TimeGrid,
-                vals: np.ndarray) -> dict:
-    """Statistics of the coupled paths vals (exact first), in _rep_stats's
-    key order: _variance_stats and, in jumps mode, _forward_stats on their
-    square roots."""
-    out, sqrts = _variance_stats(scenario, grid, vals)
-    if sqrts is not None:
-        out.update(_forward_stats(scenario, rep, grid, vals, sqrts))
-    return out
 
 
 def _variance_stats(scenario: CoupledScenario, grid: TimeGrid,
@@ -693,11 +644,10 @@ def _check_growth(scenario: CoupledScenario) -> None:
     the cause to name, and its paths often overflow too.
     e^{2 T |c|} (generator) and e^{2 k T} (forward transport, jumps mode) are
     the largest factors the reducers take."""
-    T = scenario.horizon
-    bound_variance_jumps(BoundInputs(horizon=T, rate=scenario.rate,
-                                     gen_norm=scenario.generator_spec().op_norm))
+    T, run = scenario.horizon, scenario._run
+    bound_variance_jumps(BoundInputs(horizon=T, rate=scenario.rate, gen_norm=run.generator.op_norm))
     if scenario.truncation == "jumps":
-        bound_forward(BoundInputs(k=scenario.forward_spec().k, horizon=T))
+        bound_forward(BoundInputs(k=run.forward.k, horizon=T))
 
 
 # --- reduction helpers -------------------------------------------------------
@@ -769,26 +719,26 @@ def _moment_rows(scenario: CoupledScenario, s: dict[str, np.ndarray]):
     coarse = cp_second_moment_bound(lam, T, m4[0])
     coarse_se = lam * T * (1.0 + lam * T) * m4[1]
     rows = [
-        make_report("cpp_moment_upper", 0, lhs, lhs_se, ident, ident_se),
-        make_report("cpp_moment_lower", 0, ident, ident_se, lhs, lhs_se),
-        make_report("cpp_moment_bound", 0, lhs, lhs_se, coarse, coarse_se),
+        BoundReport("cpp_moment_upper", 0, lhs, lhs_se, ident, ident_se),
+        BoundReport("cpp_moment_lower", 0, ident, ident_se, lhs, lhs_se),
+        BoundReport("cpp_moment_bound", 0, lhs, lhs_se, coarse, coarse_se),
     ]
     return rows, m4, m2
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _reduce_jumps(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> ExperimentResult:
-    lam, T = scenario.rate, scenario.horizon
-    gn = scenario.generator_spec().op_norm
+    lam, T, run = scenario.rate, scenario.horizon, scenario._run
+    gn = run.generator.op_norm
     base = BoundInputs(horizon=T, rate=lam, gen_norm=gn)
     c0, c1 = bound_variance_jumps(base)
     _, c1_sharp = bound_variance_jumps(base, sharp=True)
     cpp_const = bound_cpp_diff(base)
     sqrt_hs_factor = bound_sqrt(base)
     fwd_const = bound_forward(BoundInputs(
-        k=scenario.forward_spec().k, trace_q=float(scenario.q_spectrum.sum()), horizon=T,
+        k=run.forward.k, trace_q=float(scenario.q_spectrum.sum()), horizon=T,
     ))
-    payoff, functional = scenario._run.payoff, scenario._run.functional
+    payoff, functional = run.payoff, run.functional
     counts = s["n_jumps"]
 
     reports, m4, m2 = _moment_rows(scenario, s)
@@ -796,7 +746,7 @@ def _reduce_jumps(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> Experi
 
     for i, n in enumerate(scenario.levels):
         col = {key: v[:, i] for key, v in s.items() if v.ndim == 2}  # level n of each (R, L)
-        dv0 = scenario.v0() - scenario.v0_at_level(n)
+        dv0 = run.v0s[0] - run.v0s[i + 1]
         dv0_hs = float(np.linalg.norm(dv0))
         dv0_sq = dv0_hs**2
 
@@ -807,16 +757,16 @@ def _reduce_jumps(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> Experi
         dy2 = _pooled_moment(col["sum_dy2"], col["sum_dy4"], counts)
         dy4 = _pooled_moment(col["sum_dy4"], col["sum_dy8"], counts)
 
-        reports.append(make_report(
+        reports.append(BoundReport(
             "variance_jumps", n, sup_sq, sup_sq_se,
             c0 * dv0_sq + c1 * dx_sq[0], c1 * dx_sq[1],
         ))
-        reports.append(make_report(
+        reports.append(BoundReport(
             "variance_jumps_sharp", n, sup_sq, sup_sq_se,
             c0 * dv0_sq + c1_sharp * dx_sq[0], c1_sharp * dx_sq[1],
         ))
         cpp_sup, cpp_sup_se = mean_se(col["cpp_sup_sq"])
-        reports.append(make_report(
+        reports.append(BoundReport(
             "cpp_diff", n, cpp_sup, cpp_sup_se,
             cpp_const * dx_sq[0], cpp_const * dx_sq[1],
         ))
@@ -824,17 +774,17 @@ def _reduce_jumps(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> Experi
         slack = col["sup_hs"] - np.array([
             bound_pathwise(gn, T, dv0_hs, x) for x in col["sum_dx_hs"].tolist()
         ])
-        reports.append(make_report(
+        reports.append(BoundReport(
             "variance_pathwise", n, float(np.max(slack)), 0.0, 0.0, 0.0,
         ))
 
         tensor_rhs = bound_tensor_jump(m4[0], dy4[0])
-        reports.append(make_report(
+        reports.append(BoundReport(
             "jump_tensor_sq", n, dx_sq[0], dx_sq[1],
             tensor_rhs, _product_root_se(m4[0], m4[1], dy4[0], dy4[1], 4.0),
         ))
         trace_rhs = bound_tensor_jump_trace(m2[0], dy2[0])
-        reports.append(make_report(
+        reports.append(BoundReport(
             "jump_tensor_trace", n, dx_tr[0], dx_tr[1],
             trace_rhs, _product_root_se(m2[0], m2[1], dy2[0], dy2[1], 2.0),
         ))
@@ -843,18 +793,18 @@ def _reduce_jumps(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> Experi
         sup_op, sup_op_se = mean_se(col["sup_op"])
         # the op-norm comparison is constant-free: its right side is the
         # variance error E[sup||V - V^n||_op] itself
-        reports.append(make_report("sqrt_op", n, sqrt_op, sqrt_op_se, sup_op, sup_op_se))
+        reports.append(BoundReport("sqrt_op", n, sqrt_op, sqrt_op_se, sup_op, sup_op_se))
         if dv0_sq == 0.0:
             # the trace-route square root certificate assumes the approximant
             # starts from the exact initial state
             sqrt_hs, sqrt_hs_se = mean_se(col["sqrt_sup_sq_hs"])
-            reports.append(make_report(
+            reports.append(BoundReport(
                 "sqrt_jumps_k1", n, sqrt_hs, sqrt_hs_se,
                 sqrt_hs_factor * dx_tr[0], sqrt_hs_factor * dx_tr[1],
             ))
 
         fwd_sup, fwd_sup_se = mean_se(col["fwd_sup_sq"])
-        reports.append(make_report(
+        reports.append(BoundReport(
             "forward_noise", n, fwd_sup, fwd_sup_se,
             fwd_const * sup_hs, fwd_const * sup_hs_se,
         ))
@@ -870,14 +820,14 @@ def _reduce_jumps(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> Experi
             payoff, functional, cap, cap_se,
         ))
 
-    return ExperimentResult(scenario=scenario, reports=tuple(reports), pricing=tuple(pricing))
+    return ExperimentResult(reports=tuple(reports), pricing=tuple(pricing))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _reduce_generator(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> ExperimentResult:
-    lam, T = scenario.rate, scenario.horizon
-    gn = scenario.generator_spec().op_norm
-    v0_sq = float(np.linalg.norm(scenario.v0())) ** 2
+    lam, T, run = scenario.rate, scenario.horizon, scenario._run
+    gn = run.generator.op_norm
+    v0_sq = float(np.linalg.norm(run.v0s[0])) ** 2
 
     reports, m4, m2 = _moment_rows(scenario, s)
 
@@ -900,14 +850,14 @@ def _reduce_generator(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> Ex
             m2sq_se = 2.0 * m2[0] * m2[1]
             d_m2 = (fn(inputs.with_(jump_mean_sq=m2[0] ** 2 + m2sq_se)) - fn(inputs)) * factor
             sup_sq, sup_sq_se = mean_se(s["sup_sq_hs"][:, i])
-            reports.append(make_report(
+            reports.append(BoundReport(
                 bound_id, n, sup_sq, sup_sq_se, rhs, math.hypot(d_m4, d_m2),
             ))
-        reports.append(make_report(
+        reports.append(BoundReport(
             "generator_gap_tail", n, gap, 0.0, math.sqrt(2.0 * tail_sq), 0.0,
         ))
 
-    return ExperimentResult(scenario=scenario, reports=tuple(reports), pricing=())
+    return ExperimentResult(reports=tuple(reports), pricing=())
 
 
 def run_experiment(scenario: CoupledScenario, workers: int = 1) -> ExperimentResult:
@@ -981,14 +931,13 @@ def convergence_study(scenario: CoupledScenario, workers: int = 1) -> Convergenc
             for a, b in zip(series, series[1:])
         )
         monotone[bound_id] = ok
-    return ConvergenceStudy(scenario=scenario, rows=tuple(rows), monotone=monotone)
+    return ConvergenceStudy(rows=tuple(rows), monotone=monotone)
 
 
 # --- presets -----------------------------------------------------------------
 
 
-def default_scenario(replications: int = 2000, master_seed: int = 1729,
-                     truncation: str = "jumps") -> CoupledScenario:
+def default_scenario() -> CoupledScenario:
     """Reference eight-dimensional experiment: geometric jump and noise
     spectra, mean-reverting generator from the Brownian covariance spectrum,
     drift-free forward transport, an at-the-money call on the first forward
@@ -1008,11 +957,11 @@ def default_scenario(replications: int = 2000, master_seed: int = 1729,
         forward_kind="diagonal",
         forward_spectrum=np.zeros(d),
         v0_diag=geo,
-        truncation=truncation,
+        truncation="jumps",
         payoff_kind="call",
         payoff_strike=0.0,
         functional_coordinate=0,
         exercise_time=1.0,
-        replications=replications,
-        master_seed=master_seed,
+        replications=2000,
+        master_seed=1729,
     )

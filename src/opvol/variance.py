@@ -148,14 +148,10 @@ class TimeGrid:
     def size(self) -> int:
         return int(self.times.size)
 
-    @cached_property
-    def right_slots(self) -> np.ndarray:
-        """Indices of the RCLL (right-value) entry at each distinct time."""
-        return np.flatnonzero(~self.is_left)
-
-    @cached_property
+    @property
     def distinct_times(self) -> np.ndarray:
-        return self.times[self.right_slots]
+        """Each distinct time once, at its RCLL (right-value) slot."""
+        return self.times[~self.is_left]
 
 
 def build_grid(horizon: float, m_points: int, jump_times: np.ndarray) -> TimeGrid:

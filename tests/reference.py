@@ -15,14 +15,16 @@ reference paths use; project is Pi T for a keep-mask; corner is the
 compression that jump truncation applies, P T P with P the projection onto
 the first n coordinates; and ys_at_level and approx_jumps truncate jump
 vectors one level at a time by copy-and-zero, where the engine's
-_level_jumps masks every level at once.  path_stats is the engine's
-_path_stats without its closed-form prefix: every grid slot goes through the
-dense kernels.
+_level_jumps masks every level at once.  engine_path_stats gives the
+statistics the engine's _rep_stats takes from given coupled paths
+(_variance_stats, then _forward_stats in jumps mode), and path_stats the
+same without the closed-form prefix: every grid slot goes through the dense
+kernels.
 """
 
 import numpy as np
 
-from opvol.experiments import default_scenario
+from opvol.experiments import _forward_stats, _variance_stats, default_scenario
 from opvol.forward import forward_sup_error, simulate_forward_coupled
 from opvol.operators import NotPositiveSemidefinite, psd_sqrt_batch
 from opvol.processes import PURPOSE_WIENER, stream
@@ -49,8 +51,8 @@ def psd_sqrt(T):
 
 
 def default_generator_scenario(replications=2000, master_seed=1729):
-    return default_scenario(replications=replications, master_seed=master_seed,
-                            truncation="generator")
+    return default_scenario().with_(replications=replications, master_seed=master_seed,
+                                    truncation="generator")
 
 
 def level_mask(n, d):
@@ -131,9 +133,19 @@ def corner(T, n):
     return out
 
 
+def engine_path_stats(scenario, rep, grid, vals):
+    """The statistics of the coupled paths vals (exact first) in replication
+    rep, in _rep_stats's key order, through the engine's own
+    _variance_stats and, in jumps mode, _forward_stats on its square roots."""
+    out, sqrts = _variance_stats(scenario, grid, vals)
+    if sqrts is not None:
+        out.update(_forward_stats(scenario, rep, grid, vals, sqrts))
+    return out
+
+
 def path_stats(scenario, rep, grid, vals):
-    """The statistics of experiments._path_stats with every grid slot through
-    the dense kernels: sup_norm_stack on each whole difference stack and one
+    """The statistics of engine_path_stats with every grid slot through the
+    dense kernels: sup_norm_stack on each whole difference stack and one
     psd_sqrt_batch call per whole path."""
     levels = scenario.levels
     run = scenario._run

@@ -205,7 +205,7 @@ def test_criterion_05_pathwise_bound(jump_run):
     result, _ = jump_run
     rows = [r for r in result.reports if r.bound_id == "variance_pathwise"]
     worst = max(r.lhs for r in rows)
-    reps = result.scenario.replications
+    reps = default_scenario().replications
     ok = len(rows) == 3 and worst <= 0.0 and all(r.passed for r in rows)
     report(5, ok, f"worst pathwise slack {worst:.3e} across {reps} replications x {len(rows)} levels")
 
@@ -231,8 +231,8 @@ def test_criterion_06_variance_second_moment_bound(jump_run):
 def test_criterion_07_generator_compression(generator_run):
     result = generator_run
     worst = min(r.margin for r in result.reports)
-    scenario = result.scenario
-    spec = scenario.generator_spec()
+    scenario = default_generator_scenario()
+    spec = GeneratorSpec(scenario.generator_kind, scenario.generator_spectrum)
     det_slack = -np.inf
     for n in scenario.levels:
         trunc = truncate_generator(spec, n)

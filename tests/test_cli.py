@@ -6,10 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from opvol import experiments
 from opvol.cli import (
@@ -103,13 +107,13 @@ class TestConfigLoading:
 
     def test_shipped_generator_config(self):
         sc = resolve_scenario(str(ROOT / "configs" / "generator.json"), None)
-        assert_same_scenario(sc, default_scenario(truncation="generator"))
+        assert_same_scenario(sc, default_scenario().with_(truncation="generator"))
 
     @pytest.mark.parametrize("variant", ["default", "generator", "skew-truncate-v0"])
     def test_fields_round_trip_through_json(self, tmp_path, variant):
         sc = {
             "default": default_scenario(),
-            "generator": default_scenario(truncation="generator"),
+            "generator": default_scenario().with_(truncation="generator"),
             "skew-truncate-v0": default_scenario().with_(
                 levels=(1, 3, 8), forward_kind="skew",
                 forward_spectrum=np.array([0.3, -1.5, 2.0, 0.0, 1e-300, 7.25, 0.1, -0.0]),
@@ -232,7 +236,10 @@ class TestVerifyCommand:
         path = write_config(tmp_path, m_points=10**6 + 1)
         code = main(["verify", path, "--threads", "1", "--out-dir", str(tmp_path)])
         assert code == EXIT_ERROR
-        assert capsys.readouterr().err == "error: m_points = 1000001 exceeds 1000000; lower m_points\n"
+        assert capsys.readouterr().err == (
+            "error: the coupled paths of d = 8, m_points = 1000001 and levels [2, 4, 6] take "
+            "1954 MiB per replication, above 256 MiB; lower d, m_points or the number of levels\n"
+        )
         assert not (tmp_path / "bounds.csv").exists()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -409,11 +416,9 @@ class TestVerifyCommand:
 
     def test_bound_failure_exits_two(self, tmp_path, monkeypatch, capsys):
         import opvol.cli as cli_mod
-        from opvol.experiments import ExperimentResult, make_report
+        from opvol.experiments import BoundReport, ExperimentResult
 
-        failing = ExperimentResult(
-            default_scenario(), (make_report("x", 1, 1.0, 0.0, 0.0, 0.0),), ()
-        )
+        failing = ExperimentResult((BoundReport("x", 1, 1.0, 0.0, 0.0, 0.0),), ())
         monkeypatch.setattr(cli_mod, "run_experiment", lambda scenario, workers=1: failing)
         code = main(["verify", "--out-dir", str(tmp_path)])
         assert code == EXIT_FAIL
@@ -425,14 +430,14 @@ class TestVerifyCommand:
 
     def test_bound_failure_lists_only_failing_rows(self, tmp_path, monkeypatch, capsys):
         import opvol.cli as cli_mod
-        from opvol.experiments import ExperimentResult, make_report
+        from opvol.experiments import BoundReport, ExperimentResult
 
         reports = (
-            make_report("variance_jumps", 2, 2.0, 0.25, 0.5, 0.0),
-            make_report("variance_jumps", 4, 0.25, 0.25, 0.5, 0.0),
-            make_report("sqrt_op", 6, 0.75, 0.0625, 0.5, 0.0),
+            BoundReport("variance_jumps", 2, 2.0, 0.25, 0.5, 0.0),
+            BoundReport("variance_jumps", 4, 0.25, 0.25, 0.5, 0.0),
+            BoundReport("sqrt_op", 6, 0.75, 0.0625, 0.5, 0.0),
         )
-        result = ExperimentResult(default_scenario(), reports, ())
+        result = ExperimentResult(reports, ())
         monkeypatch.setattr(cli_mod, "run_experiment", lambda scenario, workers=1: result)
         assert main(["verify", "--out-dir", str(tmp_path)]) == EXIT_FAIL
         out, err = capsys.readouterr()
@@ -468,9 +473,7 @@ class TestConvergeCommand:
             ConvergenceRow(4, "variance_sup_sq", 0.5, 0.0),
             ConvergenceRow(4, "forward_sup_sq", 2.0, 0.125),
         )
-        study = ConvergenceStudy(
-            default_scenario(), rows, {"variance_sup_sq": True, "forward_sup_sq": False}
-        )
+        study = ConvergenceStudy(rows, {"variance_sup_sq": True, "forward_sup_sq": False})
         monkeypatch.setattr(cli_mod, "convergence_study", lambda scenario, workers=1: study)
         assert main(["converge", "--out-dir", str(tmp_path)]) == EXIT_FAIL
         assert len((tmp_path / "convergence.csv").read_text().strip().split("\n")) == 5
@@ -510,7 +513,7 @@ class TestPriceCommand:
             PricingReport(2, 1.0, 0.1, 0.5, 0.1, 0.5, 0.0, 0.25, 0.0, math.inf, 0.0),
             PricingReport(4, 1.0, 0.1, 0.9, 0.1, 0.125, 0.0, 0.25, 0.0, 1.0, 0.0),
         )
-        result = ExperimentResult(default_scenario(), (), rows)
+        result = ExperimentResult((), rows)
         monkeypatch.setattr(cli_mod, "run_experiment", lambda scenario, workers=1: result)
         assert main(["price", "--out-dir", str(tmp_path)]) == EXIT_FAIL
         lines = (tmp_path / "pricing.csv").read_text().strip().split("\n")[1:]
@@ -602,3 +605,80 @@ class TestParser:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["plot"])
+
+
+# JSON values for the scenario document fuzz: each field's in-range values,
+# then wrong types, the NaN and +-Infinity literals json.load accepts,
+# numbers out of range and bad kinds.  Valid documents stay cheap:
+# replications, m_points and rate * horizon are small whenever they pass
+# validation.
+_JUNK = st.sampled_from([None, True, "1", [], {}, [1.0]])
+_NUMBER = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0, 1, -1, 1e-300, 1e300, -1e300, 10**30, math.nan, math.inf, -math.inf]),
+)
+_INT = st.one_of(st.integers(-3, 20), st.sampled_from([10**30, -(10**30), 2.5, math.nan, math.inf]))
+
+
+def _field(valid, bad=_NUMBER):
+    return st.one_of(valid, bad, _JUNK)
+
+
+def _array(valid):
+    return _field(st.lists(valid, min_size=8, max_size=8), st.lists(_NUMBER, max_size=9))
+
+
+_FUZZ_FIELDS = {
+    "d": _field(st.integers(1, 9), _INT),
+    "levels": _field(st.lists(st.integers(1, 16), min_size=1, max_size=4, unique=True).map(sorted),
+                     st.one_of(st.lists(_INT, max_size=4), _INT)),
+    "horizon": _field(st.floats(0.1, 4.0)),
+    "m_points": _field(st.integers(1, 12), st.sampled_from([0, -1, 10**6 + 1, 10**30, 2.5, math.nan])),
+    "rate": _field(st.floats(0.0, 5.0), st.sampled_from([-1.0, 1e300, math.nan, math.inf])),
+    "jump_gammas": _array(st.floats(0.0, 2.0)),
+    "q_spectrum": _array(st.floats(0.0, 2.0)),
+    "generator_kind": _field(st.sampled_from(["sandwich", "sylvester"]), st.just("nonlinear")),
+    "generator_spectrum": _array(st.floats(-2.0, 2.0)),
+    "forward_kind": _field(st.sampled_from(["diagonal", "skew"]), st.just("general")),
+    "forward_spectrum": _array(st.floats(-2.0, 2.0)),
+    "v0_diag": _array(st.floats(0.0, 2.0)),
+    "truncation": _field(st.sampled_from(["jumps", "generator"]), st.just("spectral")),
+    "payoff_kind": _field(st.sampled_from(["call", "put", "identity", "constant"]), st.just("digital")),
+    "payoff_strike": _field(st.floats(-2.0, 2.0)),
+    "functional_coordinate": _field(st.integers(0, 7), _INT),
+    "exercise_time": _field(st.sampled_from([0.25, 0.5, 1.0, 1.0 / 3.0])),
+    "replications": _field(st.integers(2, 3), st.sampled_from([-1, 0, 1, 2.5, math.nan])),
+    "master_seed": _field(st.integers(0, 2**64), st.sampled_from([-1, 10**30, 2.5])),
+    "truncate_v0": _field(st.booleans(), st.sampled_from([0, 1])),
+}
+
+
+class TestScenarioDocumentFuzz:
+    """No scenario document reaches a traceback, a warning or stdout: every
+    run exits 0, 1 or 2 and writes only "error:" and "fail:" lines."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        command=st.sampled_from(["verify", "converge", "price"]),
+        # up to three fields off the reference scenario, so that most
+        # documents get past the type checks to the semantic ones
+        fields=st.lists(st.sampled_from(sorted(_FUZZ_FIELDS)), max_size=3, unique=True).flatmap(
+            lambda names: st.fixed_dictionaries({name: _FUZZ_FIELDS[name] for name in names})
+        ),
+    )
+    def test_every_document_exits_cleanly(self, capfd, command, fields):
+        # replications and m_points stay small in every document
+        doc = {"replications": 2, "m_points": 4, **fields}
+        capfd.readouterr()
+        with tempfile.TemporaryDirectory() as out_dir, warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            path = os.path.join(out_dir, "scenario.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            code = main([command, path, "--threads", "1", "--out-dir", out_dir])
+        out, err = capfd.readouterr()
+        assert code in (EXIT_PASS, EXIT_ERROR, EXIT_FAIL), (code, err)
+        assert out == ""
+        assert all(line.startswith(("error: ", "fail: ")) for line in err.splitlines()), err
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)], [str(w.message) for w in seen]

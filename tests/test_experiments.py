@@ -18,15 +18,14 @@ from opvol.experiments import (
     CoupledScenario,
     convergence_study,
     default_scenario,
-    make_report,
     run_experiment,
 )
 from opvol.processes import PURPOSE_CLOCK, PURPOSE_JUMPS, sample_clock, sample_jump_stream, stream
-from reference import all_passed, by_id, default_generator_scenario, path_stats
+from reference import all_passed, by_id, default_generator_scenario, engine_path_stats, path_stats
 
 
 def small_scenario(**changes):
-    base = default_scenario(replications=40, master_seed=5)
+    base = default_scenario().with_(replications=40, master_seed=5)
     return base.with_(**{"m_points": 25, **changes})
 
 
@@ -67,7 +66,7 @@ class TestScenarioValidation:
             small_scenario(jump_gammas=-np.ones(8))
         # generator and forward spectra may be negative (mean reversion)
         sc = small_scenario(generator_spectrum=-np.ones(8))
-        assert sc.generator_spec().op_norm > 0
+        assert sc._run.generator.op_norm > 0
 
     def test_replication_floor(self):
         with pytest.raises(ValueError, match="two replications"):
@@ -101,12 +100,22 @@ class TestScenarioValidation:
             small_scenario(m_points=0)
 
     def test_grid_steps_capped(self):
-        # validation only: no grid of this size is ever built
-        cap = experiments.MAX_GRID_STEPS
-        assert cap == 10**6
-        assert small_scenario(m_points=cap).m_points == cap
-        with pytest.raises(ValueError, match=f"^m_points = {cap + 1} exceeds {cap}; lower m_points$"):
-            small_scenario(m_points=cap + 1)
+        # validation only: no stack of this size is ever built.  Four 8 x 8
+        # paths take 2 KiB per grid slot, and the cap leaves 2**17 slots:
+        # m_points + 1 base points and two per expected jump (rate 1)
+        assert experiments.MAX_PATH_STACK_BYTES == 256 * 2**20
+        assert small_scenario(m_points=2**17 - 3).m_points == 2**17 - 3
+        with pytest.raises(ValueError, match=(
+            r"^the coupled paths of d = 8, m_points = 131070 and levels \[2, 4, 6\] take 257 MiB "
+            r"per replication, above 256 MiB; lower d, m_points or the number of levels$"
+        )):
+            small_scenario(m_points=2**17 - 2)
+        # 10**6 steps would take a 2 GB stack, and as much again for the roots
+        with pytest.raises(ValueError, match=r"m_points = 1000000 and levels \[2, 4, 6\] take 1954 MiB"):
+            small_scenario(m_points=10**6)
+        # a dimension too large is named before any array field is read
+        with pytest.raises(ValueError, match=r"^the coupled paths of d = 1000000, m_points = 25 "):
+            small_scenario(d=10**6)
 
     def test_non_finite_numbers_name_the_field(self):
         for name in ("horizon", "rate", "payoff_strike", "exercise_time"):
@@ -190,9 +199,9 @@ class _Captured(Exception):
 
 
 def path_inputs(scenario, rep):
-    """The grid and the coupled paths _rep_stats hands to _variance_stats,
-    the first half of _path_stats.  A replication without jumps hands them
-    over only if the scenario object holds no jump-free paths yet."""
+    """The grid and the coupled paths _rep_stats hands to _variance_stats.
+    A replication without jumps hands them over only if the scenario object
+    holds no jump-free paths yet."""
     got = []
 
     def capture(sc, grid, vals):
@@ -218,7 +227,7 @@ def assert_split_matches_reference(scenario, rep, corrupt=None):
     grid, vals = path_inputs(scenario, rep)
     if corrupt is not None:
         corrupt(vals)
-    got = stats_outcome(experiments._path_stats, scenario, rep, grid, vals)
+    got = stats_outcome(engine_path_stats, scenario, rep, grid, vals)
     want = stats_outcome(path_stats, scenario, rep, grid, vals)
     if isinstance(want, tuple):
         assert got == want
@@ -238,7 +247,8 @@ def split_scenario(d, truncation, truncate_v0, exponent, rate, m_points, zero_ta
     gammas = geo.copy()
     if zero_tail:
         gammas[levels[0]:] = 0.0  # the first level keeps every jump whole
-    return default_scenario(replications=4, master_seed=seed, truncation=truncation).with_(
+    return default_scenario().with_(
+        replications=4, master_seed=seed, truncation=truncation,
         d=d, levels=levels, m_points=m_points, rate=rate, jump_gammas=gammas, q_spectrum=geo,
         generator_spectrum=-experiments.karhunen_loeve_spectrum(d), forward_spectrum=np.zeros(d),
         v0_diag=geo * 10.0**exponent, truncate_v0=truncate_v0,
@@ -246,9 +256,9 @@ def split_scenario(d, truncation, truncate_v0, exponent, rate, m_points, zero_ta
 
 
 class TestClosedFormPrefix:
-    """_path_stats takes the slots before g1 from their diagonals and the rest
-    from the dense kernels; every statistic, failure message and index must
-    be what the dense kernels give on every slot (reference.path_stats)."""
+    """_variance_stats takes the slots before g1 from their diagonals and the
+    rest from the dense kernels; every statistic, failure message and index
+    must be what the dense kernels give on every slot (reference.path_stats)."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
@@ -297,7 +307,7 @@ class TestClosedFormPrefix:
             grid, vals = path_inputs(sc, rep)
             assert np.array_equal(vals[0], vals[1])
             assert_split_matches_reference(sc, rep)
-            assert experiments._path_stats(sc, rep, grid, vals)["sup_op"][0] == 0.0
+            assert engine_path_stats(sc, rep, grid, vals)["sup_op"][0] == 0.0
 
     def test_first_failing_path_is_named_first(self):
         # path 0 fails after its first jump (the dense suffix) and path 2
@@ -313,7 +323,7 @@ class TestClosedFormPrefix:
         assert_split_matches_reference(sc, 0, corrupt)
         grid, vals = path_inputs(sc, 0)
         corrupt(vals)
-        exc_type, message = stats_outcome(experiments._path_stats, sc, 0, grid, vals)
+        exc_type, message = stats_outcome(engine_path_stats, sc, 0, grid, vals)
         assert exc_type is opvol.NotPositiveSemidefinite and message.startswith("matrix (0, ")
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -384,7 +394,7 @@ class TestSupNormStacks:
             return eigvalsh(a)
 
         with mock.patch.object(np.linalg, "eigvalsh", counting):
-            experiments.run_experiment(default_scenario(replications=24, master_seed=1729))
+            experiments.run_experiment(default_scenario().with_(replications=24))
         assert sum(solved) <= 600
 
 
@@ -521,14 +531,13 @@ class TestRunConstants:
         assert np.array_equal(copy.generator_spectrum, sc.generator_spectrum)
         assert_same_bits(experiments._rep_stats(copy, 1), experiments._rep_stats(sc, 1))
         grid, vals, stats, sqrts = sc.__dict__["_jump_free"]
-        for a in (grid.times, grid.is_left, grid.jump_index, grid.distinct_times, vals, sqrts,
-                  *stats.values()):
+        for a in (grid.times, grid.is_left, grid.jump_index, vals, sqrts, *stats.values()):
             assert not a.flags.writeable
 
     def test_jump_free_paths_evolved_once_per_run(self, monkeypatch):
         # one evolve_coupled call per replication with a jump, and one for
         # all of the jump-free replications together
-        sc = default_scenario(replications=24, master_seed=1729)
+        sc = default_scenario().with_(replications=24)
         jumpy = sum(
             sample_clock(sc.rate, sc.horizon, stream(sc.master_seed, PURPOSE_CLOCK, rep)).size > 0
             for rep in range(sc.replications)
@@ -714,21 +723,17 @@ class TestNonFiniteStatistics:
 
 class TestReports:
     def test_tie_passes_with_infinite_margin(self):
-        r = make_report("x", 1, 0.0, 0.0, 0.0, 0.0)
+        r = BoundReport("x", 1, 0.0, 0.0, 0.0, 0.0)
         assert r.margin == math.inf and r.passed
 
     def test_deterministic_violation_fails(self):
-        r = make_report("x", 1, 1.0, 0.0, 0.5, 0.0)
+        r = BoundReport("x", 1, 1.0, 0.0, 0.5, 0.0)
         assert r.margin == -math.inf and not r.passed
 
     def test_margin_in_stderr_units(self):
-        r = make_report("x", 1, 1.0, 0.3, 2.0, 0.4)
+        r = BoundReport("x", 1, 1.0, 0.3, 2.0, 0.4)
         assert r.margin == pytest.approx(1.0 / 0.5)
         assert r.passed
-
-    def test_inconsistent_flag_rejected(self):
-        with pytest.raises(ValueError, match="pass flag"):
-            BoundReport("x", 1, 1.0, 0.0, 0.5, 0.0, -math.inf, True)
 
 
 class TestJumpTruncationExperiment:
@@ -864,7 +869,8 @@ class TestConvergenceStudy:
             convergence_study(small_scenario(levels=(2, 4)))
 
     def test_jump_mode_series(self):
-        cs = convergence_study(small_scenario(replications=80))
+        sc = small_scenario(replications=80)
+        cs = convergence_study(sc)
         assert cs.passed
         ids = {r.bound_id for r in cs.rows}
         assert ids == {
@@ -876,7 +882,6 @@ class TestConvergenceStudy:
             assert mc.level == oracle.level
             assert oracle.stderr == 0.0
             assert abs(mc.estimate - oracle.estimate) <= 3.0 * mc.stderr
-        sc = cs.scenario
         for row in cs.series("y_tail_expected"):
             assert row.estimate == pytest.approx(
                 0.5**row.level - 0.5**sc.d, rel=1e-12

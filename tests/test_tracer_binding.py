@@ -3,8 +3,9 @@
 perfbench/child.py wraps engine functions by attribute name (for example
 ``opvol.experiments.evolve_coupled``) and records one span per call.  A
 renamed or no longer called function would otherwise break only traced
-benchmark runs, so each case runs one tiny traced ``verify`` in a subprocess
-and checks its exit code and the span names it recorded.
+benchmark runs, so each case runs one tiny traced ``verify`` or ``converge``
+(the jumps-burst-d16 workload's command, through convergence_study) in a
+subprocess and checks its exit code and the span names it recorded.
 """
 
 import json
@@ -27,20 +28,37 @@ JUMPS_ONLY = {
 }
 
 
+def traced_span_names(tmp_path, command, scenario):
+    """The span names of one traced CLI run of command on the scenario
+    document, which must exit 0."""
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(scenario))
+    record = tmp_path / "record.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), str(record), "1", "--",
+         command, str(config), "--threads", "1", "--out-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {span[0] for span in json.loads(record.read_text())["spans"]}
+
+
 @pytest.mark.parametrize(
     "truncation, expected",
     [("jumps", COMMON | JUMPS_ONLY), ("generator", COMMON)],
 )
 def test_traced_verify_records_every_layer(tmp_path, truncation, expected):
-    config = tmp_path / "scenario.json"
-    config.write_text(json.dumps({"truncation": truncation, "replications": 4, "m_points": 20}))
-    record = tmp_path / "record.json"
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "child.py"), str(record), "1", "--",
-         "verify", str(config), "--threads", "1", "--out-dir", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    names = {span[0] for span in json.loads(record.read_text())["spans"]}
+    names = traced_span_names(
+        tmp_path, "verify", {"truncation": truncation, "replications": 4, "m_points": 20})
+    assert expected <= names, sorted(expected - names)
+
+
+def test_traced_converge_records_every_layer(tmp_path):
+    # the burst's shape in small: skew forward semigroup, V0 truncated too
+    names = traced_span_names(tmp_path, "converge", {
+        "forward_kind": "skew", "forward_spectrum": [1.0] * 8, "truncate_v0": True,
+        "levels": [2, 4, 6], "rate": 3.0, "replications": 4, "m_points": 20,
+    })
+    expected = COMMON | JUMPS_ONLY
     assert expected <= names, sorted(expected - names)
