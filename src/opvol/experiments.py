@@ -50,7 +50,7 @@ from opvol.bounds import (
     combined_margin,
 )
 from opvol.forward import ForwardSemigroupSpec, forward_sup_error, simulate_forward_coupled
-from opvol.operators import NotPositiveSemidefinite, closed_form_diagonal, psd_sqrt_batch, psd_sqrt_diagonal
+from opvol.operators import NotPositiveSemidefinite, psd_sqrt_batch
 from opvol.pricing import FunctionalSpec, PayoffSpec, PricingReport, mean_se, pricing_report
 from opvol.processes import (
     PURPOSE_CLOCK,
@@ -87,6 +87,11 @@ MAX_EXPECTED_JUMPS = 1e4
 # per level) stores each grid slot, m_points + 1 base points and two per
 # expected jump, as a d x d float64 matrix, and the square roots take as much
 MAX_PATH_STACK_BYTES = 256 * 2**20
+
+# bytes the statistics table may take: _map_reps holds every replication's
+# row until it stacks the columns, each row the d x d jump sum x_sum_tensor,
+# 17 values per level and 6 others (jumps mode, the larger), all float64
+MAX_STATS_TABLE_BYTES = 256 * 2**20
 
 
 # --- scenario ----------------------------------------------------------------
@@ -157,6 +162,13 @@ class CoupledScenario:
                 f"the coupled paths of d = {self.d}, m_points = {self.m_points} and levels "
                 f"{list(self.levels)} take {(stack - 1) // 2**20 + 1} MiB per replication, above "
                 f"{MAX_PATH_STACK_BYTES // 2**20} MiB; lower d, m_points or the number of levels"
+            )
+        table = self.replications * (self.d * self.d + 17 * len(self.levels) + 6) * 8
+        if table > MAX_STATS_TABLE_BYTES:
+            raise ValueError(
+                f"the statistics of replications = {self.replications} and d = {self.d} take "
+                f"{(table - 1) // 2**20 + 1} MiB, above {MAX_STATS_TABLE_BYTES // 2**20} MiB; "
+                "lower replications or d"
             )
         for name in ("jump_gammas", "q_spectrum", "generator_spectrum", "forward_spectrum", "v0_diag"):
             arr = np.asarray(getattr(self, name), dtype=float)
@@ -339,8 +351,12 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     and coupled paths (build_grid, evolve_coupled) and their sups and, in
     jumps mode, square roots (_variance_stats), or, without a jump, takes
     those the first jump-free replication kept for this scenario object.
-    Last, in jumps mode, its own Wiener increments drive _forward_stats
-    (forward run and payoffs) on those paths and roots.
+    Until its first left-limit slot a replication with a jump has the
+    jump-free paths bit for bit (the same linspace times, per-dt factors
+    and multiply order), so once that copy exists the roots of those slots
+    are taken from it and only the later ones are decomposed.  Last, in
+    jumps mode, its own Wiener increments drive _forward_stats (forward run
+    and payoffs) on those paths and roots.
 
     Overflow and invalid-value warnings are silenced.  A non-finite value
     that makes a decomposition raise is reported by the one-line failure
@@ -391,13 +407,18 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     # a replication without jumps has the grid, coupled paths, sups and
     # roots of every other one: the first of them keeps its own, read-only,
     # in the scenario object's _jump_free entry (never pickled)
-    kept = None if times.size else scenario.__dict__.get("_jump_free")
+    free = scenario.__dict__.get("_jump_free")
+    kept = None if times.size else free
     if kept is None:
         # coupled variance paths: slot 0 exact, slot i the i-th level
         grid = build_grid(T, scenario.m_points, times)
         vals = evolve_coupled(run.v0s, run.steppers, jump_stacks, grid)
+        # the slots before the first left limit are the jump-free ones
+        head = None
+        if free is not None and free[3] is not None:
+            head = free[3][:, : int(np.argmax(grid.is_left))]
         with _failures_named(rep, levels, grid, vals):
-            stats, sqrts = _variance_stats(scenario, grid, vals)
+            stats, sqrts = _variance_stats(scenario, vals, head)
         kept = grid, vals, stats, sqrts
         if not times.size:
             for a in (grid.times, grid.is_left, grid.jump_index, vals, sqrts, *stats.values()):
@@ -432,24 +453,20 @@ def _jump_trace_norm_sq(dy2: np.ndarray, y2n: np.ndarray) -> np.ndarray:
     return dy2 * (dy2 + 4.0 * y2n)
 
 
-def _variance_stats(scenario: CoupledScenario, grid: TimeGrid,
-                    vals: np.ndarray) -> tuple[dict, np.ndarray | None]:
+def _variance_stats(scenario: CoupledScenario, vals: np.ndarray,
+                    head: np.ndarray | None) -> tuple[dict, np.ndarray | None]:
     """The (L,) sup errors of the coupled paths vals (exact first) and, in
     jumps mode, those of their square roots, with the (P, G, d, d) roots
     (None in generator mode).
 
-    The grid splits at g1 (_closed_form_prefix).  The prefix [:g1] is taken
-    from its (P, g1, d) diagonals: psd_sqrt_diagonal for the roots and
-    _split_sups for the sups.  The suffix [g1:] goes to the dense kernels,
-    one psd_sqrt_batch call per path (the levels as block roots).  Every
-    statistic has the bits of the dense kernels run on the whole grid.
-    Squares of sups are taken on the Python floats: numpy's square of an
-    array can round differently from the float's ** 2."""
-    levels = scenario.levels
-    P, G, d = vals.shape[:3]
-    g1 = _closed_form_prefix(grid, vals)
-    head = np.diagonal(vals[:, :g1], axis1=-2, axis2=-1)
-    sup_hs, sup_op = _split_sups(head, vals[:, g1:])
+    Every sup is sup_norm_stack's on a whole difference stack (_sups), and
+    every root psd_sqrt_batch's, one call per path (the levels as block
+    roots).  head, None or (P, k, d, d), holds the roots of the first k
+    slots of every path, as those calls gave them; only the slots from k on
+    are then decomposed, and a failure still names its (path, slot) in the whole
+    stack.  Squares of sups are taken on the Python floats: numpy's square
+    of an array can round differently from the float's ** 2."""
+    sup_hs, sup_op = _sups(vals)
     out: dict = {
         "sup_hs": sup_hs,
         "sup_sq_hs": np.array([s**2 for s in sup_hs.tolist()]),
@@ -460,23 +477,32 @@ def _variance_stats(scenario: CoupledScenario, grid: TimeGrid,
 
     # the exact path is full; with a diagonal generator the level-n path is
     # blockdiag(n x n block, diagonal tail), which psd_sqrt_batch checks
-    sqrts = np.zeros_like(vals)
-    roots = np.empty_like(head)
-    for p, n in enumerate((None, *levels)):
-        start = 0
+    sqrts = np.empty_like(vals)
+    k = 0
+    if head is not None:
+        k = head.shape[1]
+        sqrts[:, :k] = head
+    for p, n in enumerate((None, *scenario.levels)):
         try:
-            roots[p] = psd_sqrt_diagonal(head[p])
-            start = g1
-            if g1 < G:
-                sqrts[p, g1:] = psd_sqrt_batch(vals[p, g1:], block=n)
+            sqrts[p, k:] = psd_sqrt_batch(vals[p, k:], block=n)
         except NotPositiveSemidefinite as exc:
             # name the matrix by (path, slot), as in the whole (P, G) stack
-            raise NotPositiveSemidefinite.at((p, start + exc.index[0]), exc.detail) from exc
-    sqrts[:, :g1].reshape(P, g1, d * d)[..., :: d + 1] = roots
-    sqrt_hs, sqrt_op = _split_sups(roots, sqrts[:, g1:])
+            raise NotPositiveSemidefinite.at((p, k + exc.index[0]), exc.detail) from exc
+    sqrt_hs, sqrt_op = _sups(sqrts)
     out["sqrt_sup_sq_op"] = np.array([s**2 for s in sqrt_op.tolist()])
     out["sqrt_sup_sq_hs"] = np.array([s**2 for s in sqrt_hs.tolist()])
     return out, sqrts
+
+
+def _sups(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L,) HS and op sups over the grid of path 0 minus each other path of
+    a (P, G, d, d) stack."""
+    hs, op = np.empty(len(stack) - 1), np.empty(len(stack) - 1)
+    for i, path in enumerate(stack[1:]):
+        D = stack[0] - path
+        hs[i] = sup_norm_stack(D, "hs")
+        op[i] = sup_norm_stack(D, "op")
+    return hs, op
 
 
 def _forward_stats(scenario: CoupledScenario, rep: int, grid: TimeGrid,
@@ -501,45 +527,6 @@ def _forward_stats(scenario: CoupledScenario, rep: int, grid: TimeGrid,
         "pay_trunc": pay[1:],
         "dx_tau": np.array([np.linalg.norm(x_tau[0] - x) for x in x_tau[1:]]),
     }
-
-
-def _closed_form_prefix(grid: TimeGrid, vals: np.ndarray) -> int:
-    """g1, the first grid slot at which some coupled path of vals is not
-    closed_form_diagonal.  With a diagonal V0 and generator every path stays
-    diagonal until the first jump, and the slots from the first post-jump
-    slot on are left to the dense kernels, so only the slots before it are
-    checked; g1 is at most that slot, or G without a jump."""
-    post = np.flatnonzero(grid.jump_index[1:] >= 0)
-    stop = int(post[0]) + 1 if post.size else grid.size
-    bad = np.flatnonzero(~np.all(closed_form_diagonal(vals[:, :stop]), axis=0))
-    return int(bad[0]) if bad.size else stop
-
-
-def _split_sups(head: np.ndarray, tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(L,) HS and op sups over the grid of path 0 minus each other path, for
-    paths given as the (P, g1, d) diagonals of their closed-form prefix and
-    their (P, G - g1, d, d) suffix.
-
-    On the prefix a difference is diagonal with largest entry 0 or inside
-    LAPACK's range (closed_form_diagonal), so its op norm is that entry; its
-    squares, placed in zero matrices, are summed as sup_norm_stack sums
-    D * D.  The suffix goes to sup_norm_stack, and the two sups combine with
-    np.maximum, which keeps a NaN.  sqrt and max commute, so each sup has the
-    bits of sup_norm_stack on the whole grid."""
-    diff = head[0] - head[1:]
-    L, g1, d = diff.shape
-    sq = np.zeros((L, g1, d * d))
-    sq[..., :: d + 1] = diff * diff
-    hs = np.sqrt(np.max(np.sum(sq, axis=-1), axis=1, initial=0.0))
-    op = np.max(np.abs(diff), axis=(1, 2), initial=0.0)
-    if tail.shape[1] == 0:
-        return hs, op
-    tail_hs, tail_op = np.empty(L), np.empty(L)
-    for i, path in enumerate(tail[1:]):
-        D = tail[0] - path
-        tail_hs[i] = sup_norm_stack(D, "hs")
-        tail_op[i] = sup_norm_stack(D, "op")
-    return np.maximum(hs, tail_hs), np.maximum(op, tail_op)
 
 
 @contextmanager

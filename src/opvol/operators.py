@@ -11,19 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# LAPACK's symmetric eigensolvers (dsyevd) rescale a matrix whose largest
-# entry lies outside [2**-485, 2**485], and the rescaling rounds; inside that
-# range a diagonal matrix comes back exactly, its diagonal as the eigenvalues
-# and a permutation matrix as the eigenvectors.  A diagonal entry that is 0 or
-# of size in [_EXACT_MIN, _EXACT_MAX] = [2**-433, 2**484] is a whole multiple
-# of 2**-485 (the spacing of doubles at 2**-433), and so is the difference of
-# two of them, rounded; its root sqrt(sqrt(x))**2 is at least 2**-217, a
-# multiple of 2**-269.  So a matrix whose diagonal entries all lie there, any
-# leading block of it, its root, and the difference of two such matrices or
-# of their roots each have largest entry 0 or inside LAPACK's range.
-_EXACT_MIN = 2.0**-433
-_EXACT_MAX = 2.0**484
-
 
 class NotPositiveSemidefinite(ValueError):
     """Raised when a matrix required to be PSD has an eigenvalue below -tol_psd.
@@ -59,26 +46,6 @@ def tol_psd(op_norm):
     return 1e-9 * (1.0 + op_norm)
 
 
-def closed_form_diagonal(Ts: np.ndarray) -> np.ndarray:
-    """Mask over the leading axes of a (..., d, d) stack: True where the matrix
-    is diagonal (every off-diagonal entry is zero) and every diagonal entry is
-    0 or of size in [_EXACT_MIN, _EXACT_MAX].
-
-    On such matrices, on their leading blocks and on the differences of two
-    of them or of their roots, LAPACK's eigh and eigvalsh return the sorted
-    diagonal and a permutation matrix exactly, so their square roots
-    (psd_sqrt_diagonal) and norms are known without calling them.  NaN and
-    infinite entries fall outside the mask.
-    """
-    d = Ts.shape[-1]
-    flat = Ts.reshape(*Ts.shape[:-2], d * d)
-    off = flat != 0.0
-    off[..., :: d + 1] = False
-    size = np.abs(flat[..., :: d + 1])
-    in_range = (size == 0.0) | ((size >= _EXACT_MIN) & (size <= _EXACT_MAX))
-    return ~np.any(off, axis=-1) & np.all(in_range, axis=-1)
-
-
 def _quarter_root(w: np.ndarray) -> np.ndarray:
     """sqrt(sqrt(max(w, 0))); clip turns -0.0 into +0.0, so every entry and
     every product of two entries is +0 or more."""
@@ -108,20 +75,6 @@ def _require_psd(spectra: np.ndarray) -> None:
     if np.any(bad):
         i = tuple(int(k) for k in np.unravel_index(int(np.argmax(bad)), bad.shape))
         raise NotPositiveSemidefinite.at(i, f"eigenvalue {wmin[i]:.6e} below -tol_psd = {-tol[i]:.6e}")
-
-
-def psd_sqrt_diagonal(w: np.ndarray) -> np.ndarray:
-    """Diagonals sqrt(sqrt(clip(w, 0)))**2 of the PSD square roots of the
-    diagonal matrices whose diagonals are the rows of w, (..., d), with the
-    tolerance check and failure of psd_sqrt_batch.
-
-    For matrices that closed_form_diagonal accepts this is psd_sqrt_batch's
-    diagonal bit for bit: eigh returns their diagonal and a permutation
-    matrix, and the M M^T product then squares each quarter root.
-    """
-    _require_psd(w)
-    q = _quarter_root(w)
-    return q * q
 
 
 def psd_sqrt_batch(Ts: np.ndarray, block: int | None = None) -> np.ndarray:

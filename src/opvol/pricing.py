@@ -85,8 +85,6 @@ class PricingReport:
     level: int
     price: float
     price_se: float
-    price_trunc: float
-    price_trunc_se: float
     price_diff: float
     price_diff_se: float
     lipschitz_rhs: float
@@ -133,14 +131,11 @@ def pricing_report(
         raise ValueError(f"ensemble is not coupled replication by replication at level {level}")
     gap, gap_se = mean_se(pay_exact - pay_trunc)
     price, price_se = mean_se(pay_exact)
-    price_trunc, price_trunc_se = mean_se(pay_trunc)
     e_abs, e_abs_se = mean_se(dist)
     return PricingReport(
         level=level,
         price=price,
         price_se=price_se,
-        price_trunc=price_trunc,
-        price_trunc_se=price_trunc_se,
         price_diff=abs(gap),
         price_diff_se=gap_se,
         lipschitz_rhs=bound_pricing(payoff.lipschitz, functional.op_norm, e_abs),

@@ -242,6 +242,16 @@ class TestVerifyCommand:
         )
         assert not (tmp_path / "bounds.csv").exists()
 
+    def test_huge_statistics_table_exits_one(self, tmp_path, capsys):
+        path = write_config(tmp_path, replications=10**9)
+        code = main(["verify", path, "--threads", "1", "--out-dir", str(tmp_path)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: the statistics of replications = 1000000000 and d = 8 take 923157 MiB, "
+            "above 256 MiB; lower replications or d\n"
+        )
+        assert not (tmp_path / "bounds.csv").exists()
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_numerical_failure_exits_one_naming_the_slot(self, tmp_path, capsys, threads):
         # V(t) = V0 e^{2 t} with V0 = 1e308 I overflows to inf first at
@@ -510,8 +520,8 @@ class TestPriceCommand:
         from opvol.pricing import PricingReport
 
         rows = (
-            PricingReport(2, 1.0, 0.1, 0.5, 0.1, 0.5, 0.0, 0.25, 0.0, math.inf, 0.0),
-            PricingReport(4, 1.0, 0.1, 0.9, 0.1, 0.125, 0.0, 0.25, 0.0, 1.0, 0.0),
+            PricingReport(2, 1.0, 0.1, 0.5, 0.0, 0.25, 0.0, math.inf, 0.0),
+            PricingReport(4, 1.0, 0.1, 0.125, 0.0, 0.25, 0.0, 1.0, 0.0),
         )
         result = ExperimentResult((), rows)
         monkeypatch.setattr(cli_mod, "run_experiment", lambda scenario, workers=1: result)

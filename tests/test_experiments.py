@@ -20,6 +20,7 @@ from opvol.experiments import (
     default_scenario,
     run_experiment,
 )
+from opvol.operators import psd_sqrt_batch
 from opvol.processes import PURPOSE_CLOCK, PURPOSE_JUMPS, sample_clock, sample_jump_stream, stream
 from reference import all_passed, by_id, default_generator_scenario, engine_path_stats, path_stats
 
@@ -117,6 +118,22 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=r"^the coupled paths of d = 1000000, m_points = 25 "):
             small_scenario(d=10**6)
 
+    def test_statistics_table_capped(self):
+        # validation only: no table of this size is ever built.  A row of the
+        # reference scenario takes (64 + 17 * 3 + 6) * 8 = 968 bytes
+        assert experiments.MAX_STATS_TABLE_BYTES == 256 * 2**20
+        assert small_scenario(replications=277309).replications == 277309
+        with pytest.raises(ValueError, match=(
+            r"^the statistics of replications = 277310 and d = 8 take 257 MiB, above 256 MiB; "
+            r"lower replications or d$"
+        )):
+            small_scenario(replications=277310)
+        with pytest.raises(ValueError, match=r"^the statistics of replications = 1000000000 and d = 8 "):
+            small_scenario(replications=10**9)
+        # its paths take 64 MB, under their cap; its table 16 GB at R = 2000
+        with pytest.raises(ValueError, match=r"^the statistics of replications = 2000 and d = 1000 take 15260 MiB"):
+            small_scenario(d=1000, m_points=1, levels=(1,), replications=2000)
+
     def test_non_finite_numbers_name_the_field(self):
         for name in ("horizon", "rate", "payoff_strike", "exercise_time"):
             for value in (math.nan, math.inf, -math.inf):
@@ -147,7 +164,10 @@ class TestWorkerCount:
 
 
 class TestSquareRootsPerReplication:
-    def count_decompositions(self, monkeypatch, scenario):
+    def count_decompositions(self, scenario, reps):
+        """Run the replications reps, in order, on the scenario object; per
+        replication, the (stack shape, block) of every psd_sqrt_batch call
+        and the grid it built (None if it took the jump-free copy)."""
         calls, grids = [], []
         build_grid = experiments.build_grid
 
@@ -155,43 +175,69 @@ class TestSquareRootsPerReplication:
             inner = owner.psd_sqrt_batch
 
             def psd_sqrt_batch(Ts, block=None):
-                calls.append((Ts.shape[:-2], block))
+                calls[-1].append((Ts.shape[:-2], block))
                 return inner(Ts, block=block)
 
-            monkeypatch.setattr(owner, "psd_sqrt_batch", psd_sqrt_batch)
+            return mock.patch.object(owner, "psd_sqrt_batch", psd_sqrt_batch)
 
         def recording_grid(*args):
-            grid = build_grid(*args)
-            grids.append(grid)
-            return grid
+            grids[-1] = build_grid(*args)
+            return grids[-1]
 
-        counting(experiments)
-        counting(forward)
-        monkeypatch.setattr(experiments, "build_grid", recording_grid)
-        experiments._rep_stats(scenario, 0)
+        with counting(experiments), counting(forward), \
+                mock.patch.object(experiments, "build_grid", recording_grid):
+            for rep in reps:
+                calls.append([])
+                grids.append(None)
+                experiments._rep_stats(scenario, rep)
         return calls, grids
 
-    def test_jumps_mode_decomposes_every_slot_from_g1_once(self, monkeypatch):
-        sc = small_scenario(rate=5.0)
-        calls, (grid,) = self.count_decompositions(monkeypatch, sc)
+    @staticmethod
+    def every_path(scenario, slots):
+        # one call for the exact path (full solve), then one per level with
+        # that level as its block size
+        return [((slots,), None)] + [((slots,), n) for n in scenario.levels]
+
+    def test_jump_replication_reuses_jump_free_roots(self):
+        sc = small_scenario(rate=1.0)
+        firsts = [first_left_limit(sc, rep) for rep in range(40)]
+        free, jumpy = firsts.index(None), next(r for r, k in enumerate(firsts) if k)
+        # cold: every slot of every path
+        (cold,), (grid,) = self.count_decompositions(sc.with_(), [jumpy])
         assert grid.size > sc.m_points + 1  # the replication has jump slots
-        # every path is diagonal up to the first jump, so g1 is the first
-        # post-jump slot; from g1 on, one call for the exact path (full
-        # solve), then one per level with that level as its block size
-        g1 = int(np.flatnonzero(grid.jump_index >= 0)[0])
-        assert 0 < g1 < grid.size
-        dense = (grid.size - g1,)
-        assert calls == [(dense, None)] + [(dense, n) for n in sc.levels]
+        assert cold == self.every_path(sc, grid.size)
+        # warm: the jump-free replication decomposes its own slots, and the
+        # slots before the first left limit are its slots, so the jump
+        # replication decomposes only those from its first left limit on
+        (first, warm), (_, grid) = self.count_decompositions(sc, [free, jumpy])
+        k = int(np.argmax(grid.is_left))
+        assert 0 < k == firsts[jumpy] < grid.size
+        assert first == self.every_path(sc, sc.m_points + 1)
+        assert warm == self.every_path(sc, grid.size - k)
 
-    def test_jump_free_replication_decomposes_nothing(self, monkeypatch):
-        # no jump: every slot is diagonal and takes the closed form
-        calls, _ = self.count_decompositions(monkeypatch, small_scenario(rate=0.0))
-        assert calls == []
+    def test_jump_free_paths_decomposed_once(self):
+        sc = small_scenario(rate=0.0)
+        calls, grids = self.count_decompositions(sc, [0, 1, 2])
+        assert grids[1:] == [None, None]
+        assert calls == [self.every_path(sc, sc.m_points + 1), [], []]
+        # once per scenario object
+        calls, _ = self.count_decompositions(sc.with_(), [3])
+        assert calls == [self.every_path(sc, sc.m_points + 1)]
 
-    def test_generator_mode_decomposes_nothing(self, monkeypatch):
+    def test_generator_mode_decomposes_nothing(self):
         sc = default_generator_scenario(replications=10, master_seed=5).with_(m_points=25)
-        calls, _ = self.count_decompositions(monkeypatch, sc)
-        assert calls == []
+        calls, _ = self.count_decompositions(sc, [0, 1])
+        assert calls == [[], []]
+
+
+def first_left_limit(scenario, rep):
+    """The grid slot of replication rep's first left limit, the number of
+    uniform grid points before its first jump, or None without a jump."""
+    times = sample_clock(scenario.rate, scenario.horizon, stream(scenario.master_seed, PURPOSE_CLOCK, rep))
+    if not times.size:
+        return None
+    base = np.linspace(0.0, scenario.horizon, scenario.m_points + 1)
+    return int(np.searchsorted(base, times[0]))
 
 
 class _Captured(Exception):
@@ -199,44 +245,63 @@ class _Captured(Exception):
 
 
 def path_inputs(scenario, rep):
-    """The grid and the coupled paths _rep_stats hands to _variance_stats.
-    A replication without jumps hands them over only if the scenario object
-    holds no jump-free paths yet."""
+    """The grid and the coupled paths replication rep evolves in _rep_stats.
+    A replication without jumps evolves them only if the scenario object
+    holds no jump-free copy yet."""
     got = []
+    evolve = experiments.evolve_coupled
 
-    def capture(sc, grid, vals):
-        got.append((grid, vals))
+    def capture(v0s, steppers, jump_stacks, grid):
+        got.append((grid, evolve(v0s, steppers, jump_stacks, grid)))
         raise _Captured
 
-    with mock.patch.object(experiments, "_variance_stats", capture), pytest.raises(_Captured):
+    with mock.patch.object(experiments, "evolve_coupled", capture), pytest.raises(_Captured):
         experiments._rep_stats(scenario, rep)
     return got[0]
 
 
-def stats_outcome(fn, scenario, rep, grid, vals):
+def head_roots(scenario, vals, k):
+    """The roots of the first k slots of every path of vals, from one
+    psd_sqrt_batch call per whole path: what the jump-free copy holds."""
+    return np.stack([psd_sqrt_batch(path, block=n)[:k] for path, n in zip(vals, (None, *scenario.levels))])
+
+
+def stats_outcome(fn, scenario, rep, grid, vals, *args):
     """fn's statistics on a copy of vals, or the type and message of what it
     raises, under _rep_stats's floating-point error state."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return fn(scenario, rep, grid, vals.copy())
+            return fn(scenario, rep, grid, vals.copy(), *args)
     except (opvol.NotPositiveSemidefinite, np.linalg.LinAlgError) as exc:
         return type(exc), str(exc)
 
 
 def assert_split_matches_reference(scenario, rep, corrupt=None):
+    """_variance_stats, then _forward_stats, on replication rep's paths,
+    after corrupt(vals) if given, must give reference.path_stats's
+    statistics bit for bit, or its failure: once with every slot decomposed
+    and, in jumps mode when the first k slots are left clean, once with
+    their roots given (head_roots of the clean paths).  k is the first
+    left-limit slot, where _rep_stats splits, or half a jump-free grid."""
     grid, vals = path_inputs(scenario, rep)
+    k = int(np.argmax(grid.is_left)) if np.any(grid.is_left) else grid.size // 2
+    clean = vals.copy()
     if corrupt is not None:
         corrupt(vals)
-    got = stats_outcome(engine_path_stats, scenario, rep, grid, vals)
+    heads = [None]
+    if scenario.truncation == "jumps" and vals[:, :k].tobytes() == clean[:, :k].tobytes():
+        heads.append(head_roots(scenario, clean, k))
     want = stats_outcome(path_stats, scenario, rep, grid, vals)
-    if isinstance(want, tuple):
-        assert got == want
-        return grid
-    assert isinstance(got, dict) and got.keys() == want.keys()
-    for key in want:
-        a, b = np.asarray(got[key]), np.asarray(want[key])
-        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), key
-        assert np.array_equal(np.signbit(a), np.signbit(b)), key
+    for head in heads:
+        got = stats_outcome(engine_path_stats, scenario, rep, grid, vals, head)
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        assert isinstance(got, dict) and got.keys() == want.keys()
+        for key in want:
+            a, b = np.asarray(got[key]), np.asarray(want[key])
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), key
+            assert np.array_equal(np.signbit(a), np.signbit(b)), key
     return grid
 
 
@@ -255,10 +320,12 @@ def split_scenario(d, truncation, truncate_v0, exponent, rate, m_points, zero_ta
     )
 
 
-class TestClosedFormPrefix:
-    """_variance_stats takes the slots before g1 from their diagonals and the
-    rest from the dense kernels; every statistic, failure message and index
-    must be what the dense kernels give on every slot (reference.path_stats)."""
+class TestVarianceStats:
+    """_variance_stats takes every sup from sup_norm_stack on whole
+    difference stacks and every root from psd_sqrt_batch, or, for the first
+    k slots, from the head roots it is given; every statistic, failure
+    message and index must be what reference.path_stats, which decomposes
+    every slot, gives."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
@@ -278,9 +345,8 @@ class TestClosedFormPrefix:
              zero_tail=False, seed=1, rep=0)
     @example(d=5, truncation="jumps", truncate_v0=False, exponent=0.0, rate=3.0, m_points=8,
              zero_tail=True, seed=2, rep=1)
-    # V0 near 2**-480: the paths' largest entries lie inside LAPACK's range, but
-    # the differences of the generator paths fall below it, where eigvalsh
-    # rescales and rounds
+    # V0 near 2**-480: the differences of the generator paths fall below
+    # 2**-485, where eigvalsh rescales and rounds
     @example(d=16, truncation="generator", truncate_v0=False, exponent=-144.5, rate=0.0, m_points=10,
              zero_tail=False, seed=1, rep=0)
     def test_split_matches_every_slot_dense(self, d, truncation, truncate_v0, exponent, rate,
@@ -290,14 +356,15 @@ class TestClosedFormPrefix:
 
     def test_jump_free_and_first_step_jump_replications(self):
         # scan for a replication without a jump and one whose first jump falls
-        # in the first step, so that g1 is G and 2
+        # in the first step, so that one slot has given roots
         sc = split_scenario(8, "jumps", False, 0.0, 2.0, 10, False, 11)
         firsts = set()
         for rep in range(40):
             grid = assert_split_matches_reference(sc, rep)
-            post = np.flatnonzero(grid.jump_index >= 0)
-            firsts.add(int(post[0]) if post.size else None)
-        assert None in firsts and 2 in firsts
+            firsts.add(first_left_limit(sc, rep))
+            if np.any(grid.is_left):
+                assert int(np.argmax(grid.is_left)) == first_left_limit(sc, rep)
+        assert None in firsts and 1 in firsts
 
     def test_level_with_zero_difference(self):
         # jumps zero past the first level and V0 kept whole: that level's path
@@ -310,9 +377,9 @@ class TestClosedFormPrefix:
             assert engine_path_stats(sc, rep, grid, vals)["sup_op"][0] == 0.0
 
     def test_first_failing_path_is_named_first(self):
-        # path 0 fails after its first jump (the dense suffix) and path 2
-        # before it (the prefix): the failure names path 0, as one
-        # psd_sqrt_batch call per whole path, in path order, does
+        # path 0 fails at the first post-jump slot and path 2 at the left
+        # limit before it: the failure names path 0, as one psd_sqrt_batch
+        # call per path, in path order, does, with or without head roots
         sc = split_scenario(8, "jumps", False, 0.0, 3.0, 12, False, 3)
 
         def corrupt(vals):
@@ -322,9 +389,12 @@ class TestClosedFormPrefix:
 
         assert_split_matches_reference(sc, 0, corrupt)
         grid, vals = path_inputs(sc, 0)
+        k = int(np.argmax(grid.is_left))
+        head = head_roots(sc, vals, k)
         corrupt(vals)
-        exc_type, message = stats_outcome(engine_path_stats, sc, 0, grid, vals)
-        assert exc_type is opvol.NotPositiveSemidefinite and message.startswith("matrix (0, ")
+        for given in (None, head):
+            exc_type, message = stats_outcome(engine_path_stats, sc, 0, grid, vals, given)
+            assert exc_type is opvol.NotPositiveSemidefinite and message.startswith("matrix (0, ")
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -519,6 +589,41 @@ class TestRunConstants:
                 cols = experiments._map_reps(sc.with_(), workers)
                 for rep in reps:
                     assert_same_bits({key: col[rep] for key, col in cols.items()}, cold[rep])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(1, 16),
+        truncation=st.sampled_from(["jumps", "generator"]),
+        truncate_v0=st.booleans(),
+        generator_kind=st.sampled_from(["sandwich", "sylvester"]),
+        forward_kind=st.sampled_from(["diagonal", "skew"]),
+        rate=st.sampled_from([0.5, 1.0, 3.0]),
+        m_points=st.integers(1, 30),
+        seed=st.integers(0, 10**6),
+    )
+    # one uniform step: every first jump falls in it, one slot is copied
+    @example(d=16, truncation="jumps", truncate_v0=True, generator_kind="sandwich",
+             forward_kind="skew", rate=3.0, m_points=1, seed=7)
+    @example(d=8, truncation="jumps", truncate_v0=False, generator_kind="sylvester",
+             forward_kind="diagonal", rate=1.0, m_points=30, seed=1729)
+    def test_warm_objects_match_cold_ones(self, d, truncation, truncate_v0, generator_kind,
+                                          forward_kind, rate, m_points, seed):
+        # a replication with a jump on an object holding the jump-free copy
+        # takes the roots of its slots before the first left limit from it:
+        # every key must keep the bits of a run on a new object
+        sc = split_scenario(d, truncation, truncate_v0, 0.0, rate, m_points, False, seed).with_(
+            generator_kind=generator_kind, forward_kind=forward_kind,
+            forward_spectrum=0.5 ** np.arange(1, d + 1),
+        )
+        firsts = [first_left_limit(sc, rep) for rep in range(200)]
+        free = firsts.index(None)
+        jumpy = [rep for rep, k in enumerate(firsts) if k is not None]
+        reps = [free, *jumpy[:4]]
+        if 1 in firsts:
+            reps.append(firsts.index(1))  # a jump in the first step
+        for rep in reps:
+            assert_same_bits(experiments._rep_stats(sc, rep), experiments._rep_stats(sc.with_(), rep))
+        assert "_jump_free" in sc.__dict__
 
     def test_pickled_scenario_leaves_the_cache_behind(self):
         sc = small_scenario(rate=0.0)
