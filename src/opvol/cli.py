@@ -30,6 +30,7 @@ import locale  # noqa: F401
 import os
 import sys
 from collections.abc import Mapping
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -48,7 +49,8 @@ EXIT_FAIL = 2
 
 
 class ConfigError(ValueError):
-    """Malformed or inconsistent scenario configuration."""
+    """Malformed or inconsistent scenario configuration, or an --out-dir
+    that cannot be written."""
 
 
 # --- config loading ----------------------------------------------------------
@@ -150,6 +152,16 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+@contextmanager
+def _writing(out_dir: str):
+    """Re-raise an OSError from making or writing out_dir as one
+    ConfigError line."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out-dir {out_dir}: {exc}") from exc
+
+
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -198,7 +210,8 @@ def _print_failures(lines: list[str]) -> None:
 
 def cmd_verify(scenario: CoupledScenario, out_dir: str, threads: int) -> int:
     result = run_experiment(scenario, workers=threads)
-    write_bounds_csv(result, os.path.join(out_dir, "bounds.csv"))
+    with _writing(out_dir):
+        write_bounds_csv(result, os.path.join(out_dir, "bounds.csv"))
     failed = [r for r in result.reports if not r.passed]
     _print_failures([
         f"{r.bound_id} level {r.level} margin {_fmt(r.margin)} lhs {_fmt(r.lhs)} rhs {_fmt(r.rhs)}"
@@ -209,7 +222,8 @@ def cmd_verify(scenario: CoupledScenario, out_dir: str, threads: int) -> int:
 
 def cmd_converge(scenario: CoupledScenario, out_dir: str, threads: int) -> int:
     study = convergence_study(scenario, workers=threads)
-    write_convergence_csv(study, os.path.join(out_dir, "convergence.csv"))
+    with _writing(out_dir):
+        write_convergence_csv(study, os.path.join(out_dir, "convergence.csv"))
     _print_failures([
         f"{bound_id} not weakly decreasing: " + ", ".join(
             f"level {r.level} {_fmt(r.estimate)} +- {_fmt(r.stderr)}" for r in study.series(bound_id)
@@ -222,7 +236,8 @@ def cmd_converge(scenario: CoupledScenario, out_dir: str, threads: int) -> int:
 
 def cmd_price(scenario: CoupledScenario, out_dir: str, threads: int) -> int:
     result = run_experiment(scenario, workers=threads)
-    write_pricing_csv(result, os.path.join(out_dir, "pricing.csv"))
+    with _writing(out_dir):
+        write_pricing_csv(result, os.path.join(out_dir, "pricing.csv"))
     failed = [p for p in result.pricing if not p.passed]
     _print_failures([
         f"pricing level {p.level} chain_margin {_fmt(p.chain_margin)} price_diff {_fmt(p.price_diff)} "
@@ -267,7 +282,8 @@ def main(argv: list[str] | None = None) -> int:
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
     try:
         scenario = resolve_scenario(args.config, args.seed)
-        os.makedirs(args.out_dir, exist_ok=True)
+        with _writing(args.out_dir):
+            os.makedirs(args.out_dir, exist_ok=True)
         return _COMMANDS[args.command](scenario, args.out_dir, threads)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -67,6 +67,7 @@ from opvol.variance import (
     Stepper,
     TimeGrid,
     VariancePath,
+    _slot_norms,
     build_grid,
     eigen_tail_sup_sq,
     evolve_coupled,
@@ -350,13 +351,15 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     Every replication draws its clock and jumps.  It then builds its grid
     and coupled paths (build_grid, evolve_coupled) and their sups and, in
     jumps mode, square roots (_variance_stats), or, without a jump, takes
-    those the first jump-free replication kept for this scenario object.
-    Until its first left-limit slot a replication with a jump has the
-    jump-free paths bit for bit (the same linspace times, per-dt factors
-    and multiply order), so once that copy exists the roots of those slots
-    are taken from it and only the later ones are decomposed.  Last, in
-    jumps mode, its own Wiener increments drive _forward_stats (forward run
-    and payoffs) on those paths and roots.
+    those the first jump-free replication kept for this scenario object,
+    together with the running maxima of the per-slot norms of its
+    difference stacks (_running_sups).  Until its first left-limit slot k a
+    replication with a jump has the jump-free paths bit for bit (the same
+    linspace times, per-dt factors and multiply order), so once that copy
+    exists the roots of those slots and the running maxima up to slot k - 1
+    are taken from it: only the slots from k on are decomposed and swept
+    for sups.  Last, in jumps mode, its own Wiener increments drive
+    _forward_stats (forward run and payoffs) on those paths and roots.
 
     Overflow and invalid-value warnings are silenced.  A non-finite value
     that makes a decomposition raise is reported by the one-line failure
@@ -404,28 +407,33 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     else:
         jump_stacks = [js.jumps] * (len(levels) + 1)
 
-    # a replication without jumps has the grid, coupled paths, sups and
-    # roots of every other one: the first of them keeps its own, read-only,
-    # in the scenario object's _jump_free entry (never pickled)
+    # a replication without jumps has the grid, coupled paths, sups, roots
+    # and running maxima of every other one: the first of them keeps its
+    # own, read-only, in the scenario object's _jump_free entry (never
+    # pickled)
     free = scenario.__dict__.get("_jump_free")
     kept = None if times.size else free
     if kept is None:
         # coupled variance paths: slot 0 exact, slot i the i-th level
         grid = build_grid(T, scenario.m_points, times)
         vals = evolve_coupled(run.v0s, run.steppers, jump_stacks, grid)
-        # the slots before the first left limit are the jump-free ones
-        head = None
-        if free is not None and free[3] is not None:
-            head = free[3][:, : int(np.argmax(grid.is_left))]
+        # the k slots before the first left limit are the jump-free ones
+        k = int(np.argmax(grid.is_left))
+        head = maxima = None
+        if free is not None and k:
+            head = None if free[3] is None else free[3][:, :k]
+            maxima = free[4][..., :k]
         with _failures_named(rep, levels, grid, vals):
-            stats, sqrts = _variance_stats(scenario, vals, head)
-        kept = grid, vals, stats, sqrts
+            stats, sqrts = _variance_stats(scenario, vals, head, maxima)
+            if not times.size:
+                maxima = np.stack([_running_sups(s) for s in (vals, sqrts) if s is not None])
+        kept = grid, vals, stats, sqrts, maxima
         if not times.size:
-            for a in (grid.times, grid.is_left, grid.jump_index, vals, sqrts, *stats.values()):
+            for a in (grid.times, grid.is_left, grid.jump_index, vals, sqrts, maxima, *stats.values()):
                 if a is not None:
                     a.setflags(write=False)
             scenario.__dict__["_jump_free"] = kept
-    grid, vals, stats, sqrts = kept
+    grid, vals, stats, sqrts, _ = kept
     out.update((key, v.copy()) for key, v in stats.items())
     if sqrts is not None:
         with _failures_named(rep, levels, grid, vals):
@@ -453,20 +461,25 @@ def _jump_trace_norm_sq(dy2: np.ndarray, y2n: np.ndarray) -> np.ndarray:
     return dy2 * (dy2 + 4.0 * y2n)
 
 
-def _variance_stats(scenario: CoupledScenario, vals: np.ndarray,
-                    head: np.ndarray | None) -> tuple[dict, np.ndarray | None]:
+def _variance_stats(scenario: CoupledScenario, vals: np.ndarray, head: np.ndarray | None,
+                    maxima: np.ndarray | None) -> tuple[dict, np.ndarray | None]:
     """The (L,) sup errors of the coupled paths vals (exact first) and, in
     jumps mode, those of their square roots, with the (P, G, d, d) roots
     (None in generator mode).
 
-    Every sup is sup_norm_stack's on a whole difference stack (_sups), and
-    every root psd_sqrt_batch's, one call per path (the levels as block
-    roots).  head, None or (P, k, d, d), holds the roots of the first k
-    slots of every path, as those calls gave them; only the slots from k on
-    are then decomposed, and a failure still names its (path, slot) in the whole
-    stack.  Squares of sups are taken on the Python floats: numpy's square
-    of an array can round differently from the float's ** 2."""
-    sup_hs, sup_op = _sups(vals)
+    Every sup is sup_norm_stack's on a difference stack (_sups), and every
+    root psd_sqrt_batch's, one call per path (the levels as block roots).
+    What those calls gave for the first k slots can come given, as
+    _rep_stats takes it from the jump-free copy; only the slots from k on
+    are then decomposed and swept.  head, None or (P, k, d, d), holds the
+    roots of those slots of every path, and a failure still names its
+    (path, slot) in the whole stack.  maxima, None or (S, 2, L, k), holds
+    the _running_sups of those slots for the S difference stacks: of vals
+    and, in jumps mode, of the roots.  Squares of sups are taken on the
+    Python floats: numpy's square of an array can round differently from
+    the float's ** 2."""
+    prefix = (None, None) if maxima is None else (*maxima, None)
+    sup_hs, sup_op = _sups(vals, prefix[0])
     out: dict = {
         "sup_hs": sup_hs,
         "sup_sq_hs": np.array([s**2 for s in sup_hs.tolist()]),
@@ -488,21 +501,42 @@ def _variance_stats(scenario: CoupledScenario, vals: np.ndarray,
         except NotPositiveSemidefinite as exc:
             # name the matrix by (path, slot), as in the whole (P, G) stack
             raise NotPositiveSemidefinite.at((p, k + exc.index[0]), exc.detail) from exc
-    sqrt_hs, sqrt_op = _sups(sqrts)
+    sqrt_hs, sqrt_op = _sups(sqrts, prefix[1])
     out["sqrt_sup_sq_op"] = np.array([s**2 for s in sqrt_op.tolist()])
     out["sqrt_sup_sq_hs"] = np.array([s**2 for s in sqrt_hs.tolist()])
     return out, sqrts
 
 
-def _sups(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sups(stack: np.ndarray, maxima: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """(L,) HS and op sups over the grid of path 0 minus each other path of
-    a (P, G, d, d) stack."""
+    a (P, G, d, d) stack.
+
+    maxima, None or the (2, L, k) _running_sups of the stack's first k
+    slots, leaves only the slots from k on to sup_norm_stack, and each sup
+    is the larger of that and the running max at slot k - 1.  max is exact,
+    so the sups keep the bits of the whole-stack call."""
+    k = 0 if maxima is None else maxima.shape[-1]
     hs, op = np.empty(len(stack) - 1), np.empty(len(stack) - 1)
     for i, path in enumerate(stack[1:]):
-        D = stack[0] - path
+        D = stack[0, k:] - path[k:]
         hs[i] = sup_norm_stack(D, "hs")
         op[i] = sup_norm_stack(D, "op")
+    if k:
+        np.maximum(hs, maxima[0, :, -1], out=hs)
+        np.maximum(op, maxima[1, :, -1], out=op)
     return hs, op
+
+
+def _running_sups(stack: np.ndarray) -> np.ndarray:
+    """(2, L, G) running maxima over the grid of the per-slot HS and op
+    norms of path 0 minus each other path of a (P, G, d, d) stack, whose
+    last column is _sups's."""
+    out = np.empty((2, len(stack) - 1, stack.shape[1]))
+    for i, path in enumerate(stack[1:]):
+        D = stack[0] - path
+        for m, mode in enumerate(("hs", "op")):
+            np.maximum.accumulate(_slot_norms(D, mode), out=out[m, i])
+    return out
 
 
 def _forward_stats(scenario: CoupledScenario, rep: int, grid: TimeGrid,

@@ -276,7 +276,7 @@ def sup_norm_stack(D: np.ndarray, mode: str) -> float:
     before any solve; a stack not equal to its transpose raises ValueError.
     """
     if mode == "hs":
-        return float(np.sqrt(np.max(np.sum(D * D, axis=(-2, -1)))))
+        return float(np.max(_slot_norms(D, "hs")))
     if mode != "op":
         raise ValueError(f"unknown norm mode {mode!r}")
     top = np.max(np.abs(D), axis=(-2, -1))
@@ -285,6 +285,25 @@ def sup_norm_stack(D: np.ndarray, mode: str) -> float:
     if not np.array_equal(D, np.swapaxes(D, -2, -1)):
         raise ValueError("op mode needs a symmetric stack")
     return _op_sup_symmetric(D, top)
+
+
+def _slot_norms(D: np.ndarray, mode: str) -> np.ndarray:
+    """norm(D[g], mode) for every slot g of a (G, d, d) stack, mode "hs" or
+    "op" (which takes a finite symmetric stack): the values whose max
+    sup_norm_stack takes.  An all-zero slot has op norm 0 and needs no
+    solve."""
+    if mode == "hs":
+        return np.sqrt(np.sum(D * D, axis=(-2, -1)))
+    norms = np.zeros(len(D))
+    live = np.flatnonzero(np.any(D != 0.0, axis=(-2, -1)))
+    norms[live] = _op_norms(D[live])
+    return norms
+
+
+def _op_norms(S: np.ndarray) -> np.ndarray:
+    """max |eigvalsh(S[g])| for every matrix of a finite symmetric stack:
+    the one place an op norm is solved."""
+    return np.max(np.abs(np.linalg.eigvalsh(S)), axis=-1)
 
 
 # a slot whose certified upper bound falls below this fraction of an exact op
@@ -327,7 +346,7 @@ def _op_sup_symmetric(S: np.ndarray, top: np.ndarray) -> float:
     X = X @ X
     ub = scale * np.einsum("gij,gij->g", X, X) ** 0.125
     lead = rest[np.argmax(ub)]
-    best = float(np.max(np.abs(np.linalg.eigvalsh(S[lead]))))
+    best = float(_op_norms(S[lead]))
     keep = (ub >= best * _PRUNE_MARGIN) & (rest != lead)
     for power in (16, 32):
         if np.count_nonzero(keep) <= 2 or d ** (power + 1) > np.finfo(float).max:
@@ -339,4 +358,4 @@ def _op_sup_symmetric(S: np.ndarray, top: np.ndarray) -> float:
     cand = rest[keep]
     if cand.size == 0:
         return best
-    return float(np.max(np.abs(np.linalg.eigvalsh(S[cand])), initial=best))
+    return float(np.max(_op_norms(S[cand]), initial=best))

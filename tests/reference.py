@@ -18,8 +18,9 @@ vectors one level at a time by copy-and-zero, where the engine's
 _level_jumps masks every level at once.  engine_path_stats gives the
 statistics the engine's _rep_stats takes from given coupled paths
 (_variance_stats, then _forward_stats in jumps mode), and path_stats the
-same with every root decomposed, where the engine may take the roots of a
-replication's first slots from the jump-free replication.
+same with every root decomposed and every sup swept over the whole grid,
+where the engine may take the roots of a replication's first slots, and the
+running maxima of their norms, from the jump-free replication.
 """
 
 import numpy as np
@@ -133,21 +134,23 @@ def corner(T, n):
     return out
 
 
-def engine_path_stats(scenario, rep, grid, vals, head=None):
+def engine_path_stats(scenario, rep, grid, vals, head=None, maxima=None):
     """The statistics of the coupled paths vals (exact first) in replication
     rep, in _rep_stats's key order, through the engine's own
-    _variance_stats (with the roots head of the first slots, if given) and,
-    in jumps mode, _forward_stats on its square roots."""
-    out, sqrts = _variance_stats(scenario, vals, head)
+    _variance_stats (with the roots head and the running maxima maxima of
+    the first slots, if given) and, in jumps mode, _forward_stats on its
+    square roots."""
+    out, sqrts = _variance_stats(scenario, vals, head, maxima)
     if sqrts is not None:
         out.update(_forward_stats(scenario, rep, grid, vals, sqrts))
     return out
 
 
 def path_stats(scenario, rep, grid, vals):
-    """The statistics of engine_path_stats without head roots, from the
-    definitions: every sup from sup_norm_stack on a whole difference stack,
-    every root from one psd_sqrt_batch call per whole path."""
+    """The statistics of engine_path_stats without head roots or maxima,
+    from the definitions: every sup from sup_norm_stack on a whole
+    difference stack, every root from one psd_sqrt_batch call per whole
+    path."""
     levels = scenario.levels
     run = scenario._run
     sup_hs, sup_op = [], []

@@ -385,6 +385,43 @@ class TestVerifyCommand:
         name = "pricing.csv" if command == "price" else "bounds.csv"
         assert (tmp_path / name).read_bytes() == (tmp_path / "exact" / name).read_bytes()
 
+    def test_out_dir_that_is_a_file_exits_one(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = main(["verify", write_config(tmp_path), "--out-dir", str(taken)])
+        assert code == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cannot write --out-dir {taken}: [Errno 17] File exists: '{taken}'\n"
+
+    @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
+                        reason="permission bits do not stop root")
+    def test_read_only_out_dir_exits_one(self, tmp_path, capsys):
+        # the directory exists, so only the CSV write after the run fails
+        out_dir = tmp_path / "read-only"
+        out_dir.mkdir()
+        out_dir.chmod(0o500)
+        try:
+            code = main(["verify", write_config(tmp_path), "--out-dir", str(out_dir)])
+        finally:
+            out_dir.chmod(0o700)
+        assert code == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        target = out_dir / "bounds.csv"
+        assert err == f"error: cannot write --out-dir {out_dir}: [Errno 13] Permission denied: '{target}'\n"
+        assert not target.exists()
+
+    def test_csv_path_taken_by_a_directory_exits_one(self, tmp_path, capsys):
+        # the CSV write fails after the run whoever runs it
+        (tmp_path / "bounds.csv").mkdir()
+        code = main(["verify", write_config(tmp_path), "--out-dir", str(tmp_path)])
+        assert code == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        target = tmp_path / "bounds.csv"
+        assert err == f"error: cannot write --out-dir {tmp_path}: [Errno 21] Is a directory: '{target}'\n"
+
     def test_threads_below_one_exits_one(self, tmp_path, capsys):
         path = write_config(tmp_path)
         for value in ("0", "-5"):

@@ -266,6 +266,13 @@ def head_roots(scenario, vals, k):
     return np.stack([psd_sqrt_batch(path, block=n)[:k] for path, n in zip(vals, (None, *scenario.levels))])
 
 
+def head_maxima(vals, head, k):
+    """The running maxima (_running_sups) of the first k slots of vals and,
+    given their roots head, of those: what the jump-free copy holds."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.stack([experiments._running_sups(s[:, :k]) for s in (vals, head) if s is not None])
+
+
 def stats_outcome(fn, scenario, rep, grid, vals, *args):
     """fn's statistics on a copy of vals, or the type and message of what it
     raises, under _rep_stats's floating-point error state."""
@@ -280,20 +287,23 @@ def assert_split_matches_reference(scenario, rep, corrupt=None):
     """_variance_stats, then _forward_stats, on replication rep's paths,
     after corrupt(vals) if given, must give reference.path_stats's
     statistics bit for bit, or its failure: once with every slot decomposed
-    and, in jumps mode when the first k slots are left clean, once with
-    their roots given (head_roots of the clean paths).  k is the first
-    left-limit slot, where _rep_stats splits, or half a jump-free grid."""
+    and every sup swept whole and, when the first k slots are left clean,
+    once with their roots (jumps mode) and the running maxima of their
+    norms given (head_roots and head_maxima of the clean paths).  k is the
+    first left-limit slot, where _rep_stats splits, or half a jump-free
+    grid."""
     grid, vals = path_inputs(scenario, rep)
     k = int(np.argmax(grid.is_left)) if np.any(grid.is_left) else grid.size // 2
     clean = vals.copy()
     if corrupt is not None:
         corrupt(vals)
-    heads = [None]
-    if scenario.truncation == "jumps" and vals[:, :k].tobytes() == clean[:, :k].tobytes():
-        heads.append(head_roots(scenario, clean, k))
+    heads = [(None, None)]
+    if k and vals[:, :k].tobytes() == clean[:, :k].tobytes():
+        head = head_roots(scenario, clean, k) if scenario.truncation == "jumps" else None
+        heads.append((head, head_maxima(clean, head, k)))
     want = stats_outcome(path_stats, scenario, rep, grid, vals)
-    for head in heads:
-        got = stats_outcome(engine_path_stats, scenario, rep, grid, vals, head)
+    for head, maxima in heads:
+        got = stats_outcome(engine_path_stats, scenario, rep, grid, vals, head, maxima)
         if isinstance(want, tuple):
             assert got == want
             continue
@@ -323,9 +333,10 @@ def split_scenario(d, truncation, truncate_v0, exponent, rate, m_points, zero_ta
 class TestVarianceStats:
     """_variance_stats takes every sup from sup_norm_stack on whole
     difference stacks and every root from psd_sqrt_batch, or, for the first
-    k slots, from the head roots it is given; every statistic, failure
-    message and index must be what reference.path_stats, which decomposes
-    every slot, gives."""
+    k slots, the roots and the running maxima of the norms it is given;
+    every statistic, failure message and index must be what
+    reference.path_stats, which decomposes every slot and sweeps every
+    stack whole, gives."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
@@ -466,6 +477,82 @@ class TestSupNormStacks:
         with mock.patch.object(np.linalg, "eigvalsh", counting):
             experiments.run_experiment(default_scenario().with_(replications=24))
         assert sum(solved) <= 600
+
+
+class TestPreJumpSups:
+    """A replication with a jump, on a scenario object that holds the
+    jump-free copy, takes the sups of its slots before the first left limit
+    from the copy's running maxima and hands sup_norm_stack only the slots
+    from there on; every statistic keeps the bits of a cold object."""
+
+    @staticmethod
+    def handed(scenario, rep):
+        """Replication rep's statistics and the (slots, mode, result) of
+        every sup_norm_stack call it made, in call order."""
+        calls = []
+        sup_norm_stack = experiments.sup_norm_stack
+
+        def recording(D, mode):
+            calls.append((len(D), mode, sup_norm_stack(D, mode)))
+            return calls[-1][2]
+
+        with mock.patch.object(experiments, "sup_norm_stack", recording):
+            return experiments._rep_stats(scenario, rep), calls
+
+    @staticmethod
+    def warm_and_cold(scenario):
+        """A jump replication's k (first left-limit slot), grid size, and
+        its statistics and sup_norm_stack calls warm (after a jump-free one
+        on the object) and cold."""
+        firsts = [first_left_limit(scenario, rep) for rep in range(200)]
+        free, jumpy = firsts.index(None), next(r for r, k in enumerate(firsts) if k)
+        grid, _ = path_inputs(scenario.with_(), jumpy)
+        experiments._rep_stats(scenario, free)
+        warm, cold = TestPreJumpSups.handed(scenario, jumpy), TestPreJumpSups.handed(scenario.with_(), jumpy)
+        assert_same_bits(warm[0], cold[0])
+        return firsts[jumpy], grid.size, warm, cold
+
+    @pytest.mark.parametrize("truncation, stacks", [("jumps", 2), ("generator", 1)])
+    def test_warm_replication_sweeps_only_the_slots_from_the_first_jump(self, truncation, stacks):
+        sc = small_scenario(truncation=truncation, rate=1.0)
+        k, size, (_, warm), (_, cold) = self.warm_and_cold(sc)
+        assert 0 < k < size
+        per_stack = len(sc.levels) * stacks
+        assert [(n, mode) for n, mode, _ in cold] == [(size, "hs"), (size, "op")] * per_stack
+        assert [(n, mode) for n, mode, _ in warm] == [(size - k, "hs"), (size - k, "op")] * per_stack
+        # the copy's running maxima end in its own sups
+        _, _, stats, _, maxima = sc.__dict__["_jump_free"]
+        assert maxima.shape == (stacks, 2, len(sc.levels), sc.m_points + 1)
+        assert maxima[0, 0, :, -1].tobytes() == stats["sup_hs"].tobytes()
+        assert maxima[0, 1, :, -1].tobytes() == stats["sup_op"].tobytes()
+        if stacks == 2:
+            for m, key in enumerate(("sqrt_sup_sq_hs", "sqrt_sup_sq_op")):
+                assert [s**2 for s in maxima[1, m, :, -1].tolist()] == stats[key].tolist()
+
+    def prefix_and_suffix(self, scenario):
+        """Per (stack, mode, level), the running max at the last slot before
+        the first jump and the warm sup_norm_stack result after it."""
+        k, _, (_, warm), _ = self.warm_and_cold(scenario)
+        prefix = scenario.__dict__["_jump_free"][4][..., k - 1]
+        suffix = np.array([r for _, _, r in warm]).reshape(len(prefix), len(scenario.levels), 2)
+        return prefix, np.swapaxes(suffix, 1, 2)
+
+    def test_sup_strictly_before_the_first_jump(self):
+        # V0 truncated and jumps zero past the first level: below the full
+        # level the differences are e^{ct} (V0 - V0^n) and its roots, largest
+        # at t = 0 and decaying, and the jumps do not touch them
+        sc = split_scenario(8, "jumps", True, 0.0, 3.0, 12, True, 3)
+        prefix, suffix = self.prefix_and_suffix(sc)
+        assert np.all(prefix[..., :-1] > suffix[..., :-1])
+
+    def test_sup_strictly_after_the_first_jump(self):
+        # V0 kept whole: every path is the exact one until the first jump, so
+        # the running maxima are 0 and, below the full level, the sups come
+        # from the slots after it
+        sc = split_scenario(8, "jumps", False, 0.0, 3.0, 12, False, 3)
+        prefix, suffix = self.prefix_and_suffix(sc)
+        assert np.all(prefix == 0.0)
+        assert np.all(suffix[..., :-1] > 0.0)
 
 
 def svd_trace_norms(ys, n):
@@ -635,9 +722,14 @@ class TestRunConstants:
         assert np.array_equal(copy._run.v0s, sc._run.v0s)
         assert np.array_equal(copy.generator_spectrum, sc.generator_spectrum)
         assert_same_bits(experiments._rep_stats(copy, 1), experiments._rep_stats(sc, 1))
-        grid, vals, stats, sqrts = sc.__dict__["_jump_free"]
-        for a in (grid.times, grid.is_left, grid.jump_index, vals, sqrts, *stats.values()):
+        grid, vals, stats, sqrts, maxima = sc.__dict__["_jump_free"]
+        for a in (grid.times, grid.is_left, grid.jump_index, vals, sqrts, maxima, *stats.values()):
             assert not a.flags.writeable
+        # the running maxima of both difference stacks, (2, L, G) each, stay
+        # behind too: the copy builds its own, with the same bits
+        assert maxima.shape == (2, 2, len(sc.levels), sc.m_points + 1)
+        rebuilt = copy.__dict__["_jump_free"][4]
+        assert rebuilt is not maxima and rebuilt.tobytes() == maxima.tobytes()
 
     def test_jump_free_paths_evolved_once_per_run(self, monkeypatch):
         # one evolve_coupled call per replication with a jump, and one for
@@ -694,7 +786,7 @@ class TestNumericalFailure:
         sc = small_scenario(rate=5.0)
 
         def corrupt(vals):
-            # level 4 is path 2; slot 1 is diagonal, so it takes the closed form
+            # level 4 is path 2; slot 1 is the left limit of the first jump
             vals[2, 1] = np.diag(np.r_[-1.0, np.ones(7)])
 
         exc, grid = self.run_with(monkeypatch, sc, corrupt)

@@ -1,12 +1,14 @@
 """Every LAPACK decomposition in the program runs in one of three places.
 
-A square root comes from operators.psd_sqrt_batch, an op-norm sup from
-variance._op_sup_symmetric, and the skew forward semigroup's eigenbasis from
-forward.ForwardSemigroupSpec.modes.  A second route to any of them (a closed
-form that must match LAPACK bit for bit, say) would have to be kept in step
-with these by hand, so this test walks src/opvol's syntax trees and names
-every other function that reads eigh, eigvalsh, eig or svd, as a bare name,
-as an attribute or as an import.
+A square root comes from operators.psd_sqrt_batch, an op norm from
+variance._op_norms (for the op-norm sup's lead and surviving slots, and for
+the per-slot norms behind the jump-free copy's running maxima), and the skew
+forward semigroup's eigenbasis from forward.ForwardSemigroupSpec.modes.  A
+second route to any of them (a closed form that must match LAPACK bit for
+bit, say) would have to be kept in step with these by hand, so this test
+walks src/opvol's syntax trees and names every other function that reads
+eigh, eigvalsh, eig or svd, as a bare name, as an attribute or as an
+import.
 """
 
 import ast
@@ -18,7 +20,7 @@ DECOMPOSITIONS = {"eigh", "eigvalsh", "eig", "svd"}
 
 ALLOWED = {
     "operators.psd_sqrt_batch",
-    "variance._op_sup_symmetric",
+    "variance._op_norms",
     "forward.ForwardSemigroupSpec.modes",
 }
 

@@ -5,7 +5,10 @@ perfbench/child.py wraps engine functions by attribute name (for example
 renamed or no longer called function would otherwise break only traced
 benchmark runs, so each case runs one tiny traced ``verify`` or ``converge``
 (the jumps-burst-d16 workload's command, through convergence_study) in a
-subprocess and checks its exit code and the span names it recorded.
+subprocess and checks its exit code and the span names it recorded.  The
+verify cases start with a jump-free replication, so the replications with a
+jump after it hand sup_norm_stack only the slots from their first jump on,
+and the tracer's work counter must see those calls too.
 """
 
 import json
@@ -28,9 +31,10 @@ JUMPS_ONLY = {
 }
 
 
-def traced_span_names(tmp_path, command, scenario):
-    """The span names of one traced CLI run of command on the scenario
-    document, which must exit 0."""
+def traced_spans(tmp_path, command, scenario):
+    """The spans [name, start, end, parent, replication, count] of one
+    traced CLI run of command on the scenario document, which must exit
+    0."""
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(scenario))
     record = tmp_path / "record.json"
@@ -41,7 +45,11 @@ def traced_span_names(tmp_path, command, scenario):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return {span[0] for span in json.loads(record.read_text())["spans"]}
+    return json.loads(record.read_text())["spans"]
+
+
+def traced_span_names(tmp_path, command, scenario):
+    return {span[0] for span in traced_spans(tmp_path, command, scenario)}
 
 
 @pytest.mark.parametrize(
@@ -49,9 +57,22 @@ def traced_span_names(tmp_path, command, scenario):
     [("jumps", COMMON | JUMPS_ONLY), ("generator", COMMON)],
 )
 def test_traced_verify_records_every_layer(tmp_path, truncation, expected):
-    names = traced_span_names(
-        tmp_path, "verify", {"truncation": truncation, "replications": 4, "m_points": 20})
+    # at seed 13 replication 0 draws no jump and replications 1 to 3 do
+    spans = traced_spans(tmp_path, "verify", {
+        "truncation": truncation, "replications": 4, "m_points": 20, "master_seed": 13})
+    names = {span[0] for span in spans}
     assert expected <= names, sorted(expected - names)
+    # per replication, its grid size and the matrices counted per op sup
+    grid = {span[4]: span[5] for span in spans if span[0] == "variance.grid"}
+    op = {}
+    for name, _, _, _, rep, count in spans:
+        if name == "variance.sup_norm" and count:
+            op.setdefault(rep, set()).add(count)
+    assert sorted(grid) == [0, 1, 2, 3]
+    assert op[0] == {grid[0]} == {21}
+    for rep in (1, 2, 3):
+        (slots,) = op[rep]
+        assert 0 < slots < grid[rep]
 
 
 def test_traced_converge_records_every_layer(tmp_path):
