@@ -162,6 +162,19 @@ def _writing(out_dir: str):
         raise ConfigError(f"cannot write --out-dir {out_dir}: {exc}") from exc
 
 
+def _probe(out_dir: str, name: str) -> str:
+    """Make out_dir and return its CSV name's path, opened for appending before
+    the run so that a bad path fails first; a file the probe made is removed."""
+    path = os.path.join(out_dir, name)
+    with _writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
+        made = not os.path.exists(path)
+        open(path, "a").close()
+        if made:
+            os.remove(path)
+    return path
+
+
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -209,9 +222,10 @@ def _print_failures(lines: list[str]) -> None:
 
 
 def cmd_verify(scenario: CoupledScenario, out_dir: str, threads: int) -> int:
+    path = _probe(out_dir, "bounds.csv")
     result = run_experiment(scenario, workers=threads)
     with _writing(out_dir):
-        write_bounds_csv(result, os.path.join(out_dir, "bounds.csv"))
+        write_bounds_csv(result, path)
     failed = [r for r in result.reports if not r.passed]
     _print_failures([
         f"{r.bound_id} level {r.level} margin {_fmt(r.margin)} lhs {_fmt(r.lhs)} rhs {_fmt(r.rhs)}"
@@ -221,9 +235,10 @@ def cmd_verify(scenario: CoupledScenario, out_dir: str, threads: int) -> int:
 
 
 def cmd_converge(scenario: CoupledScenario, out_dir: str, threads: int) -> int:
+    path = _probe(out_dir, "convergence.csv")
     study = convergence_study(scenario, workers=threads)
     with _writing(out_dir):
-        write_convergence_csv(study, os.path.join(out_dir, "convergence.csv"))
+        write_convergence_csv(study, path)
     _print_failures([
         f"{bound_id} not weakly decreasing: " + ", ".join(
             f"level {r.level} {_fmt(r.estimate)} +- {_fmt(r.stderr)}" for r in study.series(bound_id)
@@ -235,9 +250,10 @@ def cmd_converge(scenario: CoupledScenario, out_dir: str, threads: int) -> int:
 
 
 def cmd_price(scenario: CoupledScenario, out_dir: str, threads: int) -> int:
+    path = _probe(out_dir, "pricing.csv")
     result = run_experiment(scenario, workers=threads)
     with _writing(out_dir):
-        write_pricing_csv(result, os.path.join(out_dir, "pricing.csv"))
+        write_pricing_csv(result, path)
     failed = [p for p in result.pricing if not p.passed]
     _print_failures([
         f"pricing level {p.level} chain_margin {_fmt(p.chain_margin)} price_diff {_fmt(p.price_diff)} "
@@ -282,8 +298,6 @@ def main(argv: list[str] | None = None) -> int:
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
     try:
         scenario = resolve_scenario(args.config, args.seed)
-        with _writing(args.out_dir):
-            os.makedirs(args.out_dir, exist_ok=True)
         return _COMMANDS[args.command](scenario, args.out_dir, threads)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -348,18 +348,16 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     sum_dx_tr come from the rank-two closed form (_jump_trace_norm_sq) on
     the squared norms, with no SVD.
 
-    Every replication draws its clock and jumps.  It then builds its grid
-    and coupled paths (build_grid, evolve_coupled) and their sups and, in
-    jumps mode, square roots (_variance_stats), or, without a jump, takes
-    those the first jump-free replication kept for this scenario object,
-    together with the running maxima of the per-slot norms of its
-    difference stacks (_running_sups).  Until its first left-limit slot k a
-    replication with a jump has the jump-free paths bit for bit (the same
-    linspace times, per-dt factors and multiply order), so once that copy
-    exists the roots of those slots and the running maxima up to slot k - 1
-    are taken from it: only the slots from k on are decomposed and swept
-    for sups.  Last, in jumps mode, its own Wiener increments drive
-    _forward_stats (forward run and payoffs) on those paths and roots.
+    Every replication draws its clock and jumps, builds its grid and
+    coupled paths (build_grid, evolve_coupled), takes their sups and, in
+    jumps mode, square roots (_variance_stats) and runs _forward_stats
+    (forward run and payoffs) on them with its own Wiener increments.
+    Until its first left-limit slot k, or on the whole grid (k = G) without
+    a jump, its paths are the jump-free ones bit for bit (the same linspace
+    times, per-dt factors and multiply order).  Once the first jump-free
+    replication has kept its own, the roots and running maxima
+    (_running_sups) of those k slots, and at k = G the grid and paths, come
+    from that copy: only the slots from k on are decomposed and swept.
 
     Overflow and invalid-value warnings are silenced.  A non-finite value
     that makes a decomposition raise is reported by the one-line failure
@@ -407,36 +405,29 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     else:
         jump_stacks = [js.jumps] * (len(levels) + 1)
 
-    # a replication without jumps has the grid, coupled paths, sups, roots
-    # and running maxima of every other one: the first of them keeps its
-    # own, read-only, in the scenario object's _jump_free entry (never
-    # pickled)
+    # the first jump-free replication keeps its grid, coupled paths, roots
+    # and running maxima, read-only, in the scenario's _jump_free entry
     free = scenario.__dict__.get("_jump_free")
-    kept = None if times.size else free
-    if kept is None:
+    if free is not None and not times.size:
+        grid, vals = free[:2]
+    else:
         # coupled variance paths: slot 0 exact, slot i the i-th level
         grid = build_grid(T, scenario.m_points, times)
         vals = evolve_coupled(run.v0s, run.steppers, jump_stacks, grid)
-        # the k slots before the first left limit are the jump-free ones
-        k = int(np.argmax(grid.is_left))
-        head = maxima = None
-        if free is not None and k:
-            head = None if free[3] is None else free[3][:, :k]
-            maxima = free[4][..., :k]
-        with _failures_named(rep, levels, grid, vals):
-            stats, sqrts = _variance_stats(scenario, vals, head, maxima)
-            if not times.size:
-                maxima = np.stack([_running_sups(s) for s in (vals, sqrts) if s is not None])
-        kept = grid, vals, stats, sqrts, maxima
-        if not times.size:
-            for a in (grid.times, grid.is_left, grid.jump_index, vals, sqrts, maxima, *stats.values()):
+    # the jump-free slots: those before the first left limit, or all of them
+    k = 0 if free is None else int(np.argmax(grid.is_left)) if times.size else grid.size
+    head = free[2][:, :k] if k and free[2] is not None else None
+    maxima = free[3][..., :k] if k else None
+    with _failures_named(rep, levels, grid, vals):
+        stats, sqrts = _variance_stats(scenario, vals, head, maxima)
+        out.update(stats)
+        if free is None and not times.size:
+            maxima = np.stack([_running_sups(s) for s in (vals, sqrts) if s is not None])
+            for a in (grid.times, grid.is_left, grid.jump_index, vals, sqrts, maxima):
                 if a is not None:
                     a.setflags(write=False)
-            scenario.__dict__["_jump_free"] = kept
-    grid, vals, stats, sqrts, _ = kept
-    out.update((key, v.copy()) for key, v in stats.items())
-    if sqrts is not None:
-        with _failures_named(rep, levels, grid, vals):
+            scenario.__dict__["_jump_free"] = grid, vals, sqrts, maxima
+        if sqrts is not None:
             out.update(_forward_stats(scenario, rep, grid, vals, sqrts))
     return out
 
@@ -471,13 +462,14 @@ def _variance_stats(scenario: CoupledScenario, vals: np.ndarray, head: np.ndarra
     root psd_sqrt_batch's, one call per path (the levels as block roots).
     What those calls gave for the first k slots can come given, as
     _rep_stats takes it from the jump-free copy; only the slots from k on
-    are then decomposed and swept.  head, None or (P, k, d, d), holds the
-    roots of those slots of every path, and a failure still names its
-    (path, slot) in the whole stack.  maxima, None or (S, 2, L, k), holds
-    the _running_sups of those slots for the S difference stacks: of vals
-    and, in jumps mode, of the roots.  Squares of sups are taken on the
-    Python floats: numpy's square of an array can round differently from
-    the float's ** 2."""
+    are then decomposed and swept (none for the whole grid, whose head is
+    returned as the roots).  head, None or (P, k, d, d), holds the roots of
+    those slots of every path, and a failure still names its (path, slot)
+    in the whole stack.  maxima, None or (S, 2, L, k), holds the
+    _running_sups of those slots for the S difference stacks: of vals and,
+    in jumps mode, of the roots.  Squares of sups are taken on the Python
+    floats: numpy's square of an array can round differently from the
+    float's ** 2."""
     prefix = (None, None) if maxima is None else (*maxima, None)
     sup_hs, sup_op = _sups(vals, prefix[0])
     out: dict = {
@@ -490,17 +482,19 @@ def _variance_stats(scenario: CoupledScenario, vals: np.ndarray, head: np.ndarra
 
     # the exact path is full; with a diagonal generator the level-n path is
     # blockdiag(n x n block, diagonal tail), which psd_sqrt_batch checks
-    sqrts = np.empty_like(vals)
-    k = 0
-    if head is not None:
-        k = head.shape[1]
-        sqrts[:, :k] = head
-    for p, n in enumerate((None, *scenario.levels)):
-        try:
-            sqrts[p, k:] = psd_sqrt_batch(vals[p, k:], block=n)
-        except NotPositiveSemidefinite as exc:
-            # name the matrix by (path, slot), as in the whole (P, G) stack
-            raise NotPositiveSemidefinite.at((p, k + exc.index[0]), exc.detail) from exc
+    k = 0 if head is None else head.shape[1]
+    if k == vals.shape[1]:
+        sqrts = head
+    else:
+        sqrts = np.empty_like(vals)
+        if k:
+            sqrts[:, :k] = head
+        for p, n in enumerate((None, *scenario.levels)):
+            try:
+                sqrts[p, k:] = psd_sqrt_batch(vals[p, k:], block=n)
+            except NotPositiveSemidefinite as exc:
+                # name the matrix by (path, slot), as in the whole (P, G) stack
+                raise NotPositiveSemidefinite.at((p, k + exc.index[0]), exc.detail) from exc
     sqrt_hs, sqrt_op = _sups(sqrts, prefix[1])
     out["sqrt_sup_sq_op"] = np.array([s**2 for s in sqrt_op.tolist()])
     out["sqrt_sup_sq_hs"] = np.array([s**2 for s in sqrt_hs.tolist()])
@@ -513,9 +507,11 @@ def _sups(stack: np.ndarray, maxima: np.ndarray | None) -> tuple[np.ndarray, np.
 
     maxima, None or the (2, L, k) _running_sups of the stack's first k
     slots, leaves only the slots from k on to sup_norm_stack, and each sup
-    is the larger of that and the running max at slot k - 1.  max is exact,
-    so the sups keep the bits of the whole-stack call."""
+    is the larger of that and the running max at slot k - 1 (that alone
+    for k = G).  max is exact, so the sups keep the whole-stack call's bits."""
     k = 0 if maxima is None else maxima.shape[-1]
+    if k == stack.shape[1]:
+        return maxima[0, :, -1].copy(), maxima[1, :, -1].copy()
     hs, op = np.empty(len(stack) - 1), np.empty(len(stack) - 1)
     for i, path in enumerate(stack[1:]):
         D = stack[0, k:] - path[k:]

@@ -19,8 +19,9 @@ _level_jumps masks every level at once.  engine_path_stats gives the
 statistics the engine's _rep_stats takes from given coupled paths
 (_variance_stats, then _forward_stats in jumps mode), and path_stats the
 same with every root decomposed and every sup swept over the whole grid,
-where the engine may take the roots of a replication's first slots, and the
-running maxima of their norms, from the jump-free replication.
+where the engine may take the roots of a replication's first k slots, and
+the running maxima of their norms, from the jump-free replication (all of
+them, k = G, for a later jump-free replication).
 """
 
 import numpy as np

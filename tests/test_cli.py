@@ -397,7 +397,7 @@ class TestVerifyCommand:
     @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
                         reason="permission bits do not stop root")
     def test_read_only_out_dir_exits_one(self, tmp_path, capsys):
-        # the directory exists, so only the CSV write after the run fails
+        # the directory exists, so only the CSV probe before the run fails
         out_dir = tmp_path / "read-only"
         out_dir.mkdir()
         out_dir.chmod(0o500)
@@ -412,8 +412,14 @@ class TestVerifyCommand:
         assert err == f"error: cannot write --out-dir {out_dir}: [Errno 13] Permission denied: '{target}'\n"
         assert not target.exists()
 
-    def test_csv_path_taken_by_a_directory_exits_one(self, tmp_path, capsys):
-        # the CSV write fails after the run whoever runs it
+    def test_csv_path_taken_by_a_directory_exits_one(self, tmp_path, capsys, monkeypatch):
+        # the CSV probe fails before the run whoever runs it
+        import opvol.cli as cli_mod
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("the run started before the CSV path was probed")
+
+        monkeypatch.setattr(cli_mod, "run_experiment", unreached)
         (tmp_path / "bounds.csv").mkdir()
         code = main(["verify", write_config(tmp_path), "--out-dir", str(tmp_path)])
         assert code == EXIT_ERROR
@@ -509,6 +515,16 @@ class TestConvergeCommand:
         code = main(["converge", path, "--out-dir", str(tmp_path)])
         assert code == EXIT_ERROR
         assert "three levels" in capsys.readouterr().err
+
+    def test_failed_run_keeps_an_existing_csv(self, tmp_path, capsys):
+        # the probe opens the CSV for appending: an earlier run's file is
+        # neither truncated nor removed when this run fails
+        csv = tmp_path / "convergence.csv"
+        csv.write_text("level,bound_id,estimate,stderr\n2,variance_sup_sq,1,0\n")
+        code = main(["converge", write_config(tmp_path, levels=[4]), "--out-dir", str(tmp_path)])
+        assert code == EXIT_ERROR
+        assert "three levels" in capsys.readouterr().err
+        assert csv.read_text() == "level,bound_id,estimate,stderr\n2,variance_sup_sq,1,0\n"
 
     def test_non_monotone_series_exits_two_naming_it(self, tmp_path, monkeypatch, capsys):
         import opvol.cli as cli_mod

@@ -220,6 +220,9 @@ class TestSquareRootsPerReplication:
         calls, grids = self.count_decompositions(sc, [0, 1, 2])
         assert grids[1:] == [None, None]
         assert calls == [self.every_path(sc, sc.m_points + 1), [], []]
+        # nor swept: their sups are the copy's running maxima
+        _, swept = TestPreJumpSups.handed(sc, 3)
+        assert swept == []
         # once per scenario object
         calls, _ = self.count_decompositions(sc.with_(), [3])
         assert calls == [self.every_path(sc, sc.m_points + 1)]
@@ -503,25 +506,25 @@ class TestPreJumpSups:
     def warm_and_cold(scenario):
         """A jump replication's k (first left-limit slot), grid size, and
         its statistics and sup_norm_stack calls warm (after a jump-free one
-        on the object) and cold."""
+        on the object) and cold, and the jump-free one's statistics."""
         firsts = [first_left_limit(scenario, rep) for rep in range(200)]
         free, jumpy = firsts.index(None), next(r for r, k in enumerate(firsts) if k)
         grid, _ = path_inputs(scenario.with_(), jumpy)
-        experiments._rep_stats(scenario, free)
+        free_stats = experiments._rep_stats(scenario, free)
         warm, cold = TestPreJumpSups.handed(scenario, jumpy), TestPreJumpSups.handed(scenario.with_(), jumpy)
         assert_same_bits(warm[0], cold[0])
-        return firsts[jumpy], grid.size, warm, cold
+        return firsts[jumpy], grid.size, warm, cold, free_stats
 
     @pytest.mark.parametrize("truncation, stacks", [("jumps", 2), ("generator", 1)])
     def test_warm_replication_sweeps_only_the_slots_from_the_first_jump(self, truncation, stacks):
         sc = small_scenario(truncation=truncation, rate=1.0)
-        k, size, (_, warm), (_, cold) = self.warm_and_cold(sc)
+        k, size, (_, warm), (_, cold), stats = self.warm_and_cold(sc)
         assert 0 < k < size
         per_stack = len(sc.levels) * stacks
         assert [(n, mode) for n, mode, _ in cold] == [(size, "hs"), (size, "op")] * per_stack
         assert [(n, mode) for n, mode, _ in warm] == [(size - k, "hs"), (size - k, "op")] * per_stack
-        # the copy's running maxima end in its own sups
-        _, _, stats, _, maxima = sc.__dict__["_jump_free"]
+        # the copy's running maxima end in the jump-free replication's sups
+        maxima = sc.__dict__["_jump_free"][3]
         assert maxima.shape == (stacks, 2, len(sc.levels), sc.m_points + 1)
         assert maxima[0, 0, :, -1].tobytes() == stats["sup_hs"].tobytes()
         assert maxima[0, 1, :, -1].tobytes() == stats["sup_op"].tobytes()
@@ -532,8 +535,8 @@ class TestPreJumpSups:
     def prefix_and_suffix(self, scenario):
         """Per (stack, mode, level), the running max at the last slot before
         the first jump and the warm sup_norm_stack result after it."""
-        k, _, (_, warm), _ = self.warm_and_cold(scenario)
-        prefix = scenario.__dict__["_jump_free"][4][..., k - 1]
+        k, _, (_, warm), _, _ = self.warm_and_cold(scenario)
+        prefix = scenario.__dict__["_jump_free"][3][..., k - 1]
         suffix = np.array([r for _, _, r in warm]).reshape(len(prefix), len(scenario.levels), 2)
         return prefix, np.swapaxes(suffix, 1, 2)
 
@@ -722,13 +725,13 @@ class TestRunConstants:
         assert np.array_equal(copy._run.v0s, sc._run.v0s)
         assert np.array_equal(copy.generator_spectrum, sc.generator_spectrum)
         assert_same_bits(experiments._rep_stats(copy, 1), experiments._rep_stats(sc, 1))
-        grid, vals, stats, sqrts, maxima = sc.__dict__["_jump_free"]
-        for a in (grid.times, grid.is_left, grid.jump_index, vals, sqrts, maxima, *stats.values()):
+        grid, vals, sqrts, maxima = sc.__dict__["_jump_free"]
+        for a in (grid.times, grid.is_left, grid.jump_index, vals, sqrts, maxima):
             assert not a.flags.writeable
         # the running maxima of both difference stacks, (2, L, G) each, stay
         # behind too: the copy builds its own, with the same bits
         assert maxima.shape == (2, 2, len(sc.levels), sc.m_points + 1)
-        rebuilt = copy.__dict__["_jump_free"][4]
+        rebuilt = copy.__dict__["_jump_free"][3]
         assert rebuilt is not maxima and rebuilt.tobytes() == maxima.tobytes()
 
     def test_jump_free_paths_evolved_once_per_run(self, monkeypatch):

@@ -8,7 +8,8 @@ benchmark runs, so each case runs one tiny traced ``verify`` or ``converge``
 subprocess and checks its exit code and the span names it recorded.  The
 verify cases start with a jump-free replication, so the replications with a
 jump after it hand sup_norm_stack only the slots from their first jump on,
-and the tracer's work counter must see those calls too.
+and the tracer's work counter must see those calls too; a later jump-free
+replication takes everything from the first and records no layer span.
 """
 
 import json
@@ -57,9 +58,9 @@ def traced_span_names(tmp_path, command, scenario):
     [("jumps", COMMON | JUMPS_ONLY), ("generator", COMMON)],
 )
 def test_traced_verify_records_every_layer(tmp_path, truncation, expected):
-    # at seed 13 replication 0 draws no jump and replications 1 to 3 do
+    # at seed 13 replications 0 and 8 draw no jump and replications 1 to 7 do
     spans = traced_spans(tmp_path, "verify", {
-        "truncation": truncation, "replications": 4, "m_points": 20, "master_seed": 13})
+        "truncation": truncation, "replications": 9, "m_points": 20, "master_seed": 13})
     names = {span[0] for span in spans}
     assert expected <= names, sorted(expected - names)
     # per replication, its grid size and the matrices counted per op sup
@@ -68,11 +69,15 @@ def test_traced_verify_records_every_layer(tmp_path, truncation, expected):
     for name, _, _, _, rep, count in spans:
         if name == "variance.sup_norm" and count:
             op.setdefault(rep, set()).add(count)
-    assert sorted(grid) == [0, 1, 2, 3]
+    assert sorted(grid) == [0, 1, 2, 3, 4, 5, 6, 7]
     assert op[0] == {grid[0]} == {21}
-    for rep in (1, 2, 3):
+    for rep in range(1, 8):
         (slots,) = op[rep]
         assert 0 < slots < grid[rep]
+    # replication 8 builds, evolves, decomposes and sweeps nothing
+    assert 8 in {span[4] for span in spans if span[0] == "experiments.rep"}
+    layers = {"variance.grid", "variance.evolve", "variance.sup_norm", "operators.psd_sqrt"}
+    assert not [span for span in spans if span[4] == 8 and span[0] in layers]
 
 
 def test_traced_converge_records_every_layer(tmp_path):
