@@ -84,9 +84,10 @@ TRUNCATION_MODES = ("jumps", "generator")
 # scenario is rejected: every jump adds two grid slots to every coupled path
 MAX_EXPECTED_JUMPS = 1e4
 
-# bytes a replication's coupled path stack may take: every path (exact and one
-# per level) stores each grid slot, m_points + 1 base points and two per
-# expected jump, as a d x d float64 matrix, and the square roots take as much
+# bytes a replication's root stack may take: the roots of every path (exact
+# and one per level) at each grid slot, m_points + 1 base points and two per
+# expected jump, as d x d float64 matrices; the evolved path, its reference
+# path and one difference stack take three paths' worth more
 MAX_PATH_STACK_BYTES = 256 * 2**20
 
 # bytes the statistics table may take: _map_reps holds every replication's
@@ -214,13 +215,14 @@ class CoupledScenario:
         unpickles one copy of the scenario per chunk of replications, and
         each copy builds its own."""
         gen = GeneratorSpec(self.generator_kind, self.generator_spectrum)
+        # the entries (j, k) each level keeps: jump truncation keeps the
+        # leading n x n block, generator compression the index set J_n
         if self.truncation == "jumps":
-            # the truncated paths keep the exact generator: one shared stepper
-            steppers = [make_stepper(gen)] * (len(self.levels) + 1)
+            block = np.arange(self.d) < np.array(self.levels)[:, None]
+            keeps = block[:, :, None] & block[:, None, :]
         else:
-            steppers = [make_stepper(gen)] + [
-                make_stepper(truncate_generator(gen, n)) for n in self.levels
-            ]
+            keeps = np.stack([truncate_generator(gen, n).mask for n in self.levels])
+        keeps.setflags(write=False)
         # V0 of the exact path and of each level: jump truncation optionally
         # truncates it to the level's coordinate block (truncate_v0),
         # generator compression always keeps it exact
@@ -233,7 +235,8 @@ class CoupledScenario:
         steps = round(self.exercise_time / (self.horizon / self.m_points))
         tau = np.linspace(0.0, self.horizon, self.m_points + 1)[steps]
         return _RunConstants(
-            generator=gen, steppers=steppers, v0s=v0s, jump_sd=np.sqrt(self.jump_gammas),
+            generator=gen, stepper=make_stepper(gen), v0s=v0s, keeps=keeps,
+            jump_sd=np.sqrt(self.jump_gammas),
             forward=ForwardSemigroupSpec(self.forward_kind, self.forward_spectrum),
             # payoff_strike doubles as the value of a constant payoff
             payoff=PayoffSpec(self.payoff_kind, self.payoff_strike),
@@ -246,15 +249,18 @@ class _RunConstants:
     """What a replication and the reductions need from their scenario beyond
     the random draws.
 
-    generator is the exact generator; steppers and v0s hold the exact path
-    first, then one entry per level; jump_sd holds the coordinate standard
-    deviations sqrt(jump_gammas) of a jump vector; tau is the exercise time
-    as a point of every replication's grid.
+    generator is the exact generator and stepper its semigroup; v0s holds
+    the initial state of the exact path first, then one per level; keeps
+    holds the (L, d, d) keep-mask of each level, the entries where its path
+    is the exact path; jump_sd holds the coordinate standard deviations
+    sqrt(jump_gammas) of a jump vector; tau is the exercise time as a point
+    of every replication's grid.
     """
 
     generator: GeneratorSpec
-    steppers: list[Stepper]
+    stepper: Stepper
     v0s: np.ndarray
+    keeps: np.ndarray
     jump_sd: np.ndarray
     forward: ForwardSemigroupSpec
     payoff: PayoffSpec
@@ -348,21 +354,26 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     sum_dx_tr come from the rank-two closed form (_jump_trace_norm_sq) on
     the squared norms, with no SVD.
 
-    Every replication draws its clock and jumps, builds its grid and
-    coupled paths (build_grid, evolve_coupled), takes their sups and, in
-    jumps mode, square roots (_variance_stats) and runs _forward_stats
-    (forward run and payoffs) on them with its own Wiener increments.
-    Until its first left-limit slot k, or on the whole grid (k = G) without
-    a jump, its paths are the jump-free ones bit for bit (the same linspace
-    times, per-dt factors and multiply order).  Once the first jump-free
-    replication has kept its own, the roots and running maxima
-    (_running_sups) of those k slots, and at k = G the grid and paths, come
-    from that copy: only the slots from k on are decomposed and swept.
+    The generator acts entry by entry and a truncation keeps a set of
+    entries, so each level's path is the exact path V on the entries its
+    level keeps (run.keeps) and one reference path R off them
+    (_reference_path).  Every replication draws its clock and jumps, builds
+    its grid and evolves V and R (build_grid, evolve_coupled), takes the
+    sups of the level differences and, in jumps mode, the square roots
+    (_variance_stats) and runs _forward_stats (forward run and payoffs) on
+    them with its own Wiener increments.  Until its first left-limit slot
+    k, or on the whole grid (k = G) without a jump, its paths are the
+    jump-free ones bit for bit (the same linspace times, per-dt factors and
+    multiply order).  Once the first jump-free replication has kept its
+    own, the roots and running maxima (_running_sups) of those k slots, and
+    at k = G the grid and paths, come from that copy: only the slots from k
+    on are decomposed and swept.
 
     Overflow and invalid-value warnings are silenced.  A non-finite value
-    that makes a decomposition raise is reported by the one-line failure
-    message, which names its slot; one that raises nothing (a finite path
-    whose squared entries overflow in the HS sup, say) shows only as an
+    in a path (_differences checks V whole, every sweep its difference), or
+    one that makes a decomposition raise, is reported by the one-line
+    failure message, which names its slot; one that raises nothing (a finite
+    path whose squared entries overflow in the HS sup, say) shows only as an
     infinite statistic.
     """
     T, seed = scenario.horizon, scenario.master_seed
@@ -383,7 +394,7 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
     out["x_sum_tensor"] = js.jumps.sum(axis=0)
     out["l2_total"] = float(np.sum(out["x_sum_tensor"] ** 2))
     if mode == "jumps":
-        yn, approx = _level_jumps(js.ys, levels)
+        yn = _level_jumps(js.ys, levels)
         # one row per level, one column per jump; each row sum has the bits
         # of the same sum over that level alone
         y2n = np.sum(yn**2, axis=2)
@@ -398,46 +409,45 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
         tr_sq = _jump_trace_norm_sq(dy2, y2n)
         out["sum_dx_tr"] = np.sum(np.sqrt(tr_sq), axis=1)
         out["sum_dx_tr_sq"] = np.sum(tr_sq, axis=1)
-        # L - L^n is piecewise constant, so its sup sits at a jump time
-        prefix = np.cumsum(js.jumps - approx, axis=1)
+        # L - L^n is piecewise constant, so its sup sits at a jump time; X^n
+        # is X on the level's block and zero off it
+        prefix = np.where(run.keeps[:, None], 0.0, np.cumsum(js.jumps, axis=0))
         out["cpp_sup_sq"] = np.max(np.sum(prefix**2, axis=(2, 3)), axis=1, initial=0.0)
-        jump_stacks = [js.jumps, *approx]
-    else:
-        jump_stacks = [js.jumps] * (len(levels) + 1)
 
-    # the first jump-free replication keeps its grid, coupled paths, roots
-    # and running maxima, read-only, in the scenario's _jump_free entry
+    # the first jump-free replication keeps its grid, paths, roots and
+    # running maxima, read-only, in the scenario's _jump_free entry
     free = scenario.__dict__.get("_jump_free")
     if free is not None and not times.size:
-        grid, vals = free[:2]
+        grid, V, R = free[:3]
     else:
-        # coupled variance paths: slot 0 exact, slot i the i-th level
         grid = build_grid(T, scenario.m_points, times)
-        vals = evolve_coupled(run.v0s, run.steppers, jump_stacks, grid)
+        V, W = evolve_coupled(run.v0s[0], run.stepper, js.jumps, grid)
+        R = _reference_path(scenario, grid, W, js.jumps)
     # the jump-free slots: those before the first left limit, or all of them
     k = 0 if free is None else int(np.argmax(grid.is_left)) if times.size else grid.size
-    head = free[2][:, :k] if k and free[2] is not None else None
-    maxima = free[3][..., :k] if k else None
-    with _failures_named(rep, levels, grid, vals):
-        stats, sqrts = _variance_stats(scenario, vals, head, maxima)
+    head = free[3][:, :k] if k and free[3] is not None else None
+    maxima = free[4][..., :k] if k else None
+    with _failures_named(rep, levels, run.keeps[0], grid, V, R):
+        stats, sqrts = _variance_stats(scenario, V, R, head, maxima)
         out.update(stats)
         if free is None and not times.size:
-            maxima = np.stack([_running_sups(s) for s in (vals, sqrts) if s is not None])
-            for a in (grid.times, grid.is_left, grid.jump_index, vals, sqrts, maxima):
+            stacks = [_differences(run.keeps, V, R)]
+            if sqrts is not None:
+                stacks.append(sqrts[0] - s for s in sqrts[1:])
+            maxima = np.stack([_running_sups(diffs) for diffs in stacks])
+            for a in (grid.times, grid.is_left, grid.jump_index, V, R, sqrts, maxima):
                 if a is not None:
                     a.setflags(write=False)
-            scenario.__dict__["_jump_free"] = grid, vals, sqrts, maxima
+            scenario.__dict__["_jump_free"] = grid, V, R, sqrts, maxima
         if sqrts is not None:
-            out.update(_forward_stats(scenario, rep, grid, vals, sqrts))
+            out.update(_forward_stats(scenario, rep, grid, V, sqrts))
     return out
 
 
-def _level_jumps(ys: np.ndarray, levels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _level_jumps(ys: np.ndarray, levels: tuple[int, ...]) -> np.ndarray:
     """The (L, N, d) jump vectors Y^n of every level n, each Y with its
-    coordinates from n on zeroed, and their (L, N, d, d) tensor squares
-    X^n = Y^n (x) Y^n."""
-    yn = np.where(np.arange(ys.shape[1]) < np.array(levels)[:, None, None], ys, 0.0)
-    return yn, np.einsum("lij,lik->lijk", yn, yn)
+    coordinates from n on zeroed."""
+    return np.where(np.arange(ys.shape[1]) < np.array(levels)[:, None, None], ys, 0.0)
 
 
 def _jump_trace_norm_sq(dy2: np.ndarray, y2n: np.ndarray) -> np.ndarray:
@@ -452,26 +462,70 @@ def _jump_trace_norm_sq(dy2: np.ndarray, y2n: np.ndarray) -> np.ndarray:
     return dy2 * (dy2 + 4.0 * y2n)
 
 
-def _variance_stats(scenario: CoupledScenario, vals: np.ndarray, head: np.ndarray | None,
-                    maxima: np.ndarray | None) -> tuple[dict, np.ndarray | None]:
-    """The (L,) sup errors of the coupled paths vals (exact first) and, in
-    jumps mode, those of their square roots, with the (P, G, d, d) roots
-    (None in generator mode).
+def _reference_path(scenario: CoupledScenario, grid: TimeGrid, W: np.ndarray,
+                    jumps: np.ndarray) -> np.ndarray:
+    """The (G, d, d) path R that every level path equals off the entries its
+    level keeps.
 
-    Every sup is sup_norm_stack's on a difference stack (_sups), and every
-    root psd_sqrt_batch's, one call per path (the levels as block roots).
+    In jumps mode a level keeps its n x n block, and off it only V0 is
+    left: R is the jump-free diagonal path diag(W) (evolve_coupled), or zero
+    with truncate_v0.  In generator mode the dropped entries do not move
+    between jumps: R is U = V0 + the jumps so far, added one at a time, in
+    order, as the compressed semigroup's factors of ones leave them.
+    """
+    G, d = grid.size, W.shape[1]
+    if scenario.truncation == "jumps":
+        R = np.zeros((G, d, d))
+        if not scenario.truncate_v0:
+            R.reshape(G, d * d)[:, :: d + 1] = W
+        return R
+    U = np.cumsum(np.concatenate((scenario._run.v0s[:1], jumps)), axis=0)
+    # the jumps at or before each slot
+    return U[np.maximum.accumulate(grid.jump_index) + 1]
+
+
+def _differences(keeps: np.ndarray, V: np.ndarray, R: np.ndarray):
+    """The differences V - V^n of the level paths, one (G, d, d) stack per
+    keep-mask, lazily: where(keep, 0, V - R) from one V - R.  A level path
+    is V where it keeps an entry and R elsewhere, so its difference is zero
+    on the kept entries and V - R off them.
+
+    A NaN or inf in V raises LinAlgError at once, as sup_norm_stack does on
+    a non-finite difference: on a kept entry, V - V would be NaN, and the
+    mask would hide it.  R counts only off the kept entries, where the
+    sweep's own check sees it."""
+    if not np.isfinite(V).all():
+        raise np.linalg.LinAlgError("NaN or inf in the stack")
+    VR = V - R
+    return (np.where(keep, 0.0, VR) for keep in keeps)
+
+
+def _variance_stats(scenario: CoupledScenario, V: np.ndarray, R: np.ndarray,
+                    head: np.ndarray | None, maxima: np.ndarray | None) -> tuple[dict, np.ndarray | None]:
+    """The (L,) sup errors of the level paths, each the (G, d, d) exact path
+    V on the entries its level keeps and the reference path R off them, and,
+    in jumps mode, those of their square roots, with the (P, G, d, d) root
+    stack, exact path first (None in generator mode).
+
+    Every sup is sup_norm_stack's on a level's difference stack (_sups,
+    _differences), and every root psd_sqrt_batch's, one call per path: the
+    exact path's whole, and a level's as blockdiag(V's leading n x n block,
+    R's diagonal tail), which a jumps-mode level path is by construction.
     What those calls gave for the first k slots can come given, as
     _rep_stats takes it from the jump-free copy; only the slots from k on
     are then decomposed and swept (none for the whole grid, whose head is
     returned as the roots).  head, None or (P, k, d, d), holds the roots of
     those slots of every path, and a failure still names its (path, slot)
     in the whole stack.  maxima, None or (S, 2, L, k), holds the
-    _running_sups of those slots for the S difference stacks: of vals and,
-    in jumps mode, of the roots.  Squares of sups are taken on the Python
-    floats: numpy's square of an array can round differently from the
-    float's ** 2."""
+    _running_sups of those slots for the S difference stacks: of the paths
+    and, in jumps mode, of the roots.  Squares of sups are taken on the
+    Python floats: numpy's square of an array can round differently from
+    the float's ** 2."""
+    keeps = scenario._run.keeps
+    k = 0 if maxima is None else maxima.shape[-1]
+    whole = k == len(V)
     prefix = (None, None) if maxima is None else (*maxima, None)
-    sup_hs, sup_op = _sups(vals, prefix[0])
+    sup_hs, sup_op = _sups(None if whole else _differences(keeps, V[k:], R[k:]), prefix[0])
     out: dict = {
         "sup_hs": sup_hs,
         "sup_sq_hs": np.array([s**2 for s in sup_hs.tolist()]),
@@ -480,70 +534,61 @@ def _variance_stats(scenario: CoupledScenario, vals: np.ndarray, head: np.ndarra
     if scenario.truncation != "jumps":
         return out, None
 
-    # the exact path is full; with a diagonal generator the level-n path is
-    # blockdiag(n x n block, diagonal tail), which psd_sqrt_batch checks
-    k = 0 if head is None else head.shape[1]
-    if k == vals.shape[1]:
+    if whole:
         sqrts = head
     else:
-        sqrts = np.empty_like(vals)
+        sqrts = np.empty((len(keeps) + 1, *V.shape))
         if k:
             sqrts[:, :k] = head
-        for p, n in enumerate((None, *scenario.levels)):
+        tail = np.diagonal(R[k:], axis1=1, axis2=2)
+        for p, n in enumerate((V.shape[-1], *scenario.levels)):
             try:
-                sqrts[p, k:] = psd_sqrt_batch(vals[p, k:], block=n)
+                sqrts[p, k:] = psd_sqrt_batch(V[k:, :n, :n], tail[:, n:])
             except NotPositiveSemidefinite as exc:
                 # name the matrix by (path, slot), as in the whole (P, G) stack
                 raise NotPositiveSemidefinite.at((p, k + exc.index[0]), exc.detail) from exc
-    sqrt_hs, sqrt_op = _sups(sqrts, prefix[1])
+    sqrt_hs, sqrt_op = _sups(None if whole else (sqrts[0, k:] - s[k:] for s in sqrts[1:]), prefix[1])
     out["sqrt_sup_sq_op"] = np.array([s**2 for s in sqrt_op.tolist()])
     out["sqrt_sup_sq_hs"] = np.array([s**2 for s in sqrt_hs.tolist()])
     return out, sqrts
 
 
-def _sups(stack: np.ndarray, maxima: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """(L,) HS and op sups over the grid of path 0 minus each other path of
-    a (P, G, d, d) stack.
+def _sups(diffs, maxima: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """(L,) HS and op sups over the grid of the level differences diffs, an
+    iterable of one (G - k, d, d) stack per level: one sup_norm_stack call
+    each, both sups from one sweep.
 
-    maxima, None or the (2, L, k) _running_sups of the stack's first k
-    slots, leaves only the slots from k on to sup_norm_stack, and each sup
-    is the larger of that and the running max at slot k - 1 (that alone
-    for k = G).  max is exact, so the sups keep the whole-stack call's bits."""
-    k = 0 if maxima is None else maxima.shape[-1]
-    if k == stack.shape[1]:
+    maxima, None or the (2, L, k) _running_sups of the first k slots, means
+    the stacks hold only the slots from k on, and each sup is the larger of
+    sup_norm_stack's and the running max at slot k - 1 (that alone, with
+    diffs None, for k = G).  max is exact, so the sups keep the whole-stack
+    call's bits."""
+    if diffs is None:
         return maxima[0, :, -1].copy(), maxima[1, :, -1].copy()
-    hs, op = np.empty(len(stack) - 1), np.empty(len(stack) - 1)
-    for i, path in enumerate(stack[1:]):
-        D = stack[0, k:] - path[k:]
-        hs[i] = sup_norm_stack(D, "hs")
-        op[i] = sup_norm_stack(D, "op")
-    if k:
+    hs, op = np.array([sup_norm_stack(D, "both") for D in diffs]).T.copy()
+    if maxima is not None:
         np.maximum(hs, maxima[0, :, -1], out=hs)
         np.maximum(op, maxima[1, :, -1], out=op)
     return hs, op
 
 
-def _running_sups(stack: np.ndarray) -> np.ndarray:
+def _running_sups(diffs) -> np.ndarray:
     """(2, L, G) running maxima over the grid of the per-slot HS and op
-    norms of path 0 minus each other path of a (P, G, d, d) stack, whose
-    last column is _sups's."""
-    out = np.empty((2, len(stack) - 1, stack.shape[1]))
-    for i, path in enumerate(stack[1:]):
-        D = stack[0] - path
-        for m, mode in enumerate(("hs", "op")):
-            np.maximum.accumulate(_slot_norms(D, mode), out=out[m, i])
-    return out
+    norms of the level differences diffs, an iterable of one (G, d, d)
+    stack per level, whose last column is _sups's."""
+    norms = np.array([[_slot_norms(D, mode) for mode in ("hs", "op")] for D in diffs])
+    return np.maximum.accumulate(np.swapaxes(norms, 0, 1), axis=-1)
 
 
 def _forward_stats(scenario: CoupledScenario, rep: int, grid: TimeGrid,
-                   vals: np.ndarray, sqrts: np.ndarray) -> dict:
+                   V: np.ndarray, sqrts: np.ndarray) -> dict:
     """Forward run and payoff statistics of one replication (jumps mode):
     pay_exact, and (L,) fwd_sup_sq, pay_trunc and dx_tau, driven by the
-    replication's own Wiener increments on the paths vals with roots sqrts,
-    which are only read."""
+    replication's own Wiener increments on the exact path V and the root
+    stack sqrts of every path, which are only read."""
     run = scenario._run
     xs = simulate_forward_coupled(
-        VariancePath(grid, vals), run.forward, scenario.q_spectrum,
+        VariancePath(grid, V), run.forward, scenario.q_spectrum,
         stream(scenario.master_seed, PURPOSE_WIENER, rep), sqrts,
     )
     # X is continuous, so the last slot at the exercise time will do.  It is
@@ -560,36 +605,40 @@ def _forward_stats(scenario: CoupledScenario, rep: int, grid: TimeGrid,
 
 
 @contextmanager
-def _failures_named(rep: int, levels: tuple[int, ...], grid: TimeGrid, vals: np.ndarray):
+def _failures_named(rep: int, levels: tuple[int, ...], keep: np.ndarray, grid: TimeGrid,
+                    V: np.ndarray, R: np.ndarray):
     """Re-raise a numerical failure inside the block, in replication rep on
-    its grid and paths vals, with _failure_message's one line; a
-    NotPositiveSemidefinite keeps its index and detail."""
+    its grid, exact path V and reference path R, with _failure_message's
+    one line; a NotPositiveSemidefinite keeps its index and detail."""
     try:
         yield
     except NotPositiveSemidefinite as exc:
-        message = _failure_message(exc, rep, levels, grid, vals)
+        message = _failure_message(exc, rep, levels, keep, grid, V, R)
         raise NotPositiveSemidefinite(message, exc.index, exc.detail) from exc
     except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(_failure_message(exc, rep, levels, grid, vals)) from exc
+        raise np.linalg.LinAlgError(_failure_message(exc, rep, levels, keep, grid, V, R)) from exc
 
 
-def _failure_message(exc: Exception, rep: int, levels: tuple[int, ...],
-                     grid: TimeGrid, vals: np.ndarray) -> str:
+def _failure_message(exc: Exception, rep: int, levels: tuple[int, ...], keep: np.ndarray,
+                     grid: TimeGrid, V: np.ndarray, R: np.ndarray) -> str:
     """One line naming the replication, path and grid slot a numerical
     failure came from.
 
     A NotPositiveSemidefinite from the square roots carries its (path, slot)
-    index; otherwise the slot is the earliest one holding a non-finite value,
-    the usual cause of a LAPACK failure.
+    index; otherwise the slot is the earliest one holding a non-finite value
+    in some path, the usual cause of a LAPACK failure: in V (the exact
+    path, and every level path on the entries it keeps) or in R off the
+    entries the first level keeps (its path, which keeps the fewest).
     """
     where = f"numerical failure in replication {rep}"
     index, cause = getattr(exc, "index", ()), ""
     if len(index) != 2:
-        bad = ~np.all(np.isfinite(vals), axis=(-2, -1))  # (paths, slots)
+        exact = ~np.all(np.isfinite(V), axis=(-2, -1))
+        bad = exact | ~np.all(np.isfinite(R) | keep, axis=(-2, -1))
         if not np.any(bad):
             return f"{where}, no single grid slot identified: {exc}"
-        g = int(np.flatnonzero(np.any(bad, axis=0))[0])
-        index, cause = (int(np.argmax(bad[:, g])), g), ", first non-finite value"
+        g = int(np.argmax(bad))
+        index, cause = (0 if exact[g] else 1, g), ", first non-finite value"
     p, g = index
     path = "exact path" if p == 0 else f"level {levels[p - 1]} path"
     side = ", left limit" if grid.is_left[g] else ""

@@ -15,10 +15,11 @@ variance paths are driven by one shared Wiener path so that the difference
 X - X^n isolates the truncation error.
 
 The square roots sqrt(V(t_m)) are taken from the caller when it already holds
-them (the experiment engine takes every grid slot's root once and reuses the
-stack); otherwise they are computed here, one batched decomposition for all
-paths.  The noise terms z_m = sqrt(V(t_m)) dB_m of every path and step are
-formed in one batched contraction.  The transport is a scan: with
+them (the experiment engine evolves only the exact path, takes every level's
+root from its blocks and passes the whole root stack); otherwise they are
+computed here, one batched decomposition for all paths.  The noise terms
+z_m = sqrt(V(t_m)) dB_m of every path and step are formed in one batched
+contraction.  The transport is a scan: with
 A = U diag(lam) U^H the recursion solves to
 
     X(t_{k+1}) = U e^{lam t_{k+1}} sum_{j <= k} e^{-lam t_j} U^H z_j,
@@ -96,11 +97,13 @@ def simulate_forward_coupled(
     """Run the left-endpoint Euler recursion for X and every X^n.
 
     paths.values is the (P, G, d, d) stack of coupled variance paths on
-    paths.grid, the exact path first; q is the noise spectrum.  Returns the
-    (P, G, d) states: every trajectory consumes the identical Wiener
-    increments.  ``sqrts`` is the stack of square roots of paths.values;
-    when omitted it is computed with one batched decomposition.  Only the
-    left endpoints of the positive-length steps are read.
+    paths.grid, the exact path first, or the (G, d, d) exact path alone; q
+    is the noise spectrum.  sqrts is the (P, G, d, d) stack of the paths'
+    square roots, exact first: required with the exact path alone, and
+    computed with one batched decomposition when omitted with a stack.
+    Returns the (P, G, d) states: every trajectory consumes the identical
+    Wiener increments.  Only the left endpoints of the positive-length
+    steps are read.
     """
     grid = paths.grid
     d = paths.values.shape[-1]
@@ -108,10 +111,9 @@ def simulate_forward_coupled(
         raise ValueError("dimension mismatch between variance, semigroup, and noise")
     if sqrts is None:
         sqrts = psd_sqrt_batch(paths.values)
-    elif sqrts.shape != paths.values.shape:
-        raise ValueError(
-            f"square root stack has shape {sqrts.shape}, expected {paths.values.shape}"
-        )
+    want = paths.values.shape if paths.values.ndim == 4 else (len(sqrts), *paths.values.shape)
+    if sqrts.shape != want:
+        raise ValueError(f"square root stack has shape {sqrts.shape}, expected {want}")
 
     # one shared Wiener path: an increment per distinct time, which is one
     # per positive-length step, in order (jump-time slots add zero steps)

@@ -52,20 +52,6 @@ def _quarter_root(w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sqrt(np.clip(w, 0.0, None)))
 
 
-def _block_diagonal(Ts: np.ndarray, n: int) -> bool:
-    """True when every matrix of the (..., d, d) stack is zero outside its
-    leading n x n block and its tail diagonal, and that diagonal is finite.
-    One exact sweep: a NaN (from 0 * inf, say) or any other nonzero entry
-    makes it False."""
-    d = Ts.shape[-1]
-    outside = Ts != 0.0
-    outside[..., :n, :n] = False
-    # flat entry i (d + 1) is (i, i): the tail diagonal starts at i = n
-    outside.reshape(*Ts.shape[:-2], d * d)[..., n * (d + 1) :: d + 1] = False
-    tail = np.diagonal(Ts, axis1=-2, axis2=-1)[..., n:]
-    return not np.any(outside) and bool(np.all(np.isfinite(tail)))
-
-
 def _require_psd(spectra: np.ndarray) -> None:
     """Raise NotPositiveSemidefinite naming the first matrix whose spectrum,
     a row of the (..., d) spectra, has an eigenvalue below -tol_psd."""
@@ -77,36 +63,33 @@ def _require_psd(spectra: np.ndarray) -> None:
         raise NotPositiveSemidefinite.at(i, f"eigenvalue {wmin[i]:.6e} below -tol_psd = {-tol[i]:.6e}")
 
 
-def psd_sqrt_batch(Ts: np.ndarray, block: int | None = None) -> np.ndarray:
+def psd_sqrt_batch(Ts: np.ndarray, tail: np.ndarray | None = None) -> np.ndarray:
     """Unique PSD square root of each matrix along the leading axes of a
-    symmetric PSD (..., d, d) stack.
+    symmetric PSD (..., n, n) stack or, given the (..., m) tail, of each
+    blockdiag(T, diag(tail)), (..., n + m, n + m).
 
     Eigenvalues in [-tol_psd, 0) are treated as arithmetic noise and clamped
     to zero; a slot with an eigenvalue below -tol_psd raises
     NotPositiveSemidefinite naming the first such slot.
 
-    Each root is M M^T with M = U diag(w^(1/4)) from the eigendecomposition
-    U diag(w) U^T; numpy's matmul hands a product of a matrix with its own
-    transpose to BLAS syrk and mirrors the triangle, so the root is
-    symmetric bit for bit.
-
-    With block = n < d, a stack whose entries are all zero outside the
-    leading n x n block and the (finite) tail diagonal, checked exactly
-    (_block_diagonal), takes blockdiag(sqrt(B), sqrt(tail)): eigh runs on the
-    n x n blocks B only, and the tail root is sqrt(sqrt(clip(tail, 0)))**2,
-    what eigh and the product give a diagonal.  The tolerance comes from the
-    whole matrix's spectrum, the block's eigenvalues and the tail together.
-    Any other stack, or block None or at least d, takes the full solve.
+    Each root of T is M M^T with M = U diag(w^(1/4)) from the
+    eigendecomposition U diag(w) U^T; numpy's matmul hands a product of a
+    matrix with its own transpose to BLAS syrk and mirrors the triangle, so
+    the root is symmetric bit for bit.  The tail's root is
+    sqrt(sqrt(clip(tail, 0)))**2, what eigh and the product give a
+    diagonal, so eigh runs on the n x n blocks only; the tolerance comes
+    from the whole matrix's spectrum, the eigenvalues of T and the tail
+    together.
     """
     Ts = np.asarray(Ts, dtype=float)
-    d = Ts.shape[-1]
-    n = d if block is None or block >= d or not _block_diagonal(Ts, block) else block
-    tail = np.diagonal(Ts, axis1=-2, axis2=-1)[..., n:]
-    w, U = np.linalg.eigh(Ts[..., :n, :n])
+    n = Ts.shape[-1]
+    tail = np.zeros((*Ts.shape[:-2], 0)) if tail is None else np.asarray(tail, dtype=float)
+    d = n + tail.shape[-1]
+    w, U = np.linalg.eigh(Ts)
     _require_psd(np.concatenate((w, tail), axis=-1))
     M = U * _quarter_root(w)[..., None, :]
     del U  # the output below is allocated after the eigenvectors are freed
-    out = np.zeros_like(Ts)
+    out = np.zeros((*Ts.shape[:-2], d, d))
     q = _quarter_root(tail)
     out.reshape(*Ts.shape[:-2], d * d)[..., n * (d + 1) :: d + 1] = q * q
     out[..., :n, :n] = M @ np.swapaxes(M, -2, -1)

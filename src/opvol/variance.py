@@ -20,6 +20,7 @@ outside the kept index set; truncate_generator keeps J_n = {j + k <= n}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -188,87 +189,91 @@ class VariancePath:
     values: np.ndarray
 
 
-# When to take the cumulative product.  Timed on 54 diagonal cases (P d^2 from
-# 144 to 1,280 entries per slot, 0 to 40 jumps on a 200-step grid; 2-vCPU
-# x86-64, numpy 2.4.6), np.multiply.accumulate costs about 4 ns per entry and
-# slot plus 22 ns per entry and segment, and the slot-by-slot loop about 1.2 us
-# per slot plus 1.8 ns per entry and slot.  The two cross where
-# P d^2 (G + 10 J) = 460 G for G slots and J jumps: measured near 460 entries
-# per slot with no jump, 400 with 5 and 256 with 20, so four d = 8 paths with
-# a jump or two take the cumulative product and five d = 16 paths the loop.
-# This rule came within 0.6 % of the faster route in every case; P d^2 <= 512
-# alone was up to 66 % slower.
+# When to take the cumulative product.  Timed for one path on 54 cases (d^2 = 64
+# and 256 entries per slot, 0 to 40 jumps on a 200-step grid, best of 25;
+# 2-vCPU x86-64, numpy 2.4.6), np.multiply.accumulate costs about 2 ns per
+# entry and slot plus 15 ns per entry and segment between jumps, and the
+# slot-by-slot loop about 0.4 us per slot plus 0.3 ns per entry and slot.  The
+# two cross where d^2 (G + 10 J) = 230 G for G slots and J jumps: every d = 8
+# case took the cumulative product (1.3 to 2.2 times faster than the loop),
+# and every d = 16 case the loop (1.1 to 1.4 times faster).
 _SEGMENT_SLOTS = 10
-_LOOP_SLOT_ENTRIES = 460
+_LOOP_SLOT_ENTRIES = 230
 
 
 def evolve_coupled(
-    v0s: np.ndarray,
-    steppers: list[Stepper],
-    jump_stacks: list[np.ndarray],
+    v0: np.ndarray,
+    stepper: Stepper,
+    jumps: np.ndarray,
     grid: TimeGrid,
-) -> np.ndarray:
-    """Propagate several coupled paths over one grid; returns (P, G, d, d).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Propagate one variance path over a grid: the (G, d, d) path from v0
+    with the (N, d, d) jump tensors, one per jump slot of the grid, and the
+    (G, d) diagonal of the jump-free path e^{ct} diag(v0) on the same grid.
 
-    Paths share the clock; each path has its own initial value, stepper, and
-    jump tensors (aligned index-by-index across paths, one per jump slot of
-    the grid).  Each distinct stepper object (paths may share one) builds its
-    factors for all distinct positive step lengths in one call.  When the
-    cost rule above favours it, the per-step factors are written into the
-    output and each segment between jumps is one cumulative product along the
-    slot axis, which multiplies in the same order as a step-by-step loop; a
-    zero-length step takes a factor of ones, and x * 1.0 is x.  Otherwise the
-    paths advance slot by slot.
+    The stepper builds its factors for all distinct positive step lengths
+    in one call, and both paths multiply them in the order of a
+    step-by-step loop: the jump-free diagonal is one cumulative product
+    along the slot axis.  When the cost rule above favours it, the per-step
+    factors are written into the output and each segment between jumps is
+    one cumulative product along the slot axis; a zero-length step takes a
+    factor of ones, and x * 1.0 is x.  Otherwise the path advances slot by
+    slot.  A truncated path is this path on the entries its truncation
+    keeps: the generator acts entry by entry, so the entries it keeps see
+    the same factors and jumps, in the same order.
     """
-    P, d = v0s.shape[0], v0s.shape[-1]
+    d = v0.shape[-1]
     G = grid.size
     jidx = grid.jump_index
-    jumps = np.stack(jump_stacks)
     jump_slots = np.flatnonzero(jidx[1:] >= 0) + 1
-    if jump_slots.size != jumps.shape[1]:
+    if jump_slots.size != len(jumps):
         raise ValueError(
-            f"grid has {jump_slots.size} jump slots for {jumps.shape[1]} jumps per path; "
+            f"grid has {jump_slots.size} jump slots for {len(jumps)} jumps; "
             "it is missing jump times of the clock"
         )
-    out = np.empty((P, G, d, d))
-    out[:, 0] = v0s
-
     dts = np.diff(grid.times)
     moving = dts > 0.0
-    uniq, inv = np.unique(dts[moving], return_inverse=True)
-    distinct = {id(s): s for s in steppers}
-    tables = {key: s.factor(uniq[:, None, None]) for key, s in distinct.items()}
-    # one factor table per path, its last row ones for the zero-length steps
-    ones = np.ones((1, d, d))
-    factors = np.stack([np.concatenate([tables[id(s)], ones]) for s in steppers])
+    # the distinct positive step lengths, sorted, as np.unique gives them
+    steps = np.sort(dts[moving])
+    uniq = steps[np.concatenate(([True], steps[1:] != steps[:-1]))]
+    # the factor table, its last row ones for the zero-length steps
+    factors = np.concatenate([stepper.factor(uniq[:, None, None]), np.ones((1, d, d))])
     row = np.full(G - 1, uniq.size)  # table row of each step; the ones if zero-length
-    row[moving] = inv
+    row[moving] = np.searchsorted(uniq, dts[moving])
 
-    if P * d * d * (G + _SEGMENT_SLOTS * jump_slots.size) <= _LOOP_SLOT_ENTRIES * G:
-        for p in range(P):
-            # rows are in range; "clip" writes into out, where "raise" buffers
-            np.take(factors[p], row, axis=0, out=out[p, 1:], mode="clip")
-        for start, stop in zip(np.r_[0, jump_slots], np.r_[jump_slots, G]):
+    free = np.empty((G, d))
+    free[0] = np.diagonal(v0)
+    free[1:] = np.diagonal(factors, axis1=1, axis2=2)[row]
+    np.multiply.accumulate(free, axis=0, out=free)
+
+    out = np.empty((G, d, d))
+    out[0] = v0
+    if d * d * (G + _SEGMENT_SLOTS * jump_slots.size) <= _LOOP_SLOT_ENTRIES * G:
+        # rows are in range; "clip" writes into out, where "raise" buffers
+        np.take(factors, row, axis=0, out=out[1:], mode="clip")
+        bounds = [0, *jump_slots.tolist(), G]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
             if start > 0:
-                head = out[:, start]
-                np.multiply(out[:, start - 1], head, out=head)
-                head += jumps[:, jidx[start]]
-            seg = out[:, start:stop]
-            np.multiply.accumulate(seg, axis=1, out=seg)
-        return out
+                head = out[start]
+                np.multiply(out[start - 1], head, out=head)
+                head += jumps[jidx[start]]
+            seg = out[start:stop]
+            np.multiply.accumulate(seg, axis=0, out=seg)
+        return out, free
 
-    V = out[:, 0].copy()
+    V = out[0].copy()
     for g, (r, j) in enumerate(zip(row.tolist(), jidx[1:].tolist()), start=1):
-        np.multiply(V, factors[:, r], out=V)
+        np.multiply(V, factors[r], out=V)
         if j >= 0:
-            V += jumps[:, j]
-        out[:, g] = V
-    return out
+            V += jumps[j]
+        out[g] = V
+    return out, free
 
 
-def sup_norm_stack(D: np.ndarray, mode: str) -> float:
+def sup_norm_stack(D: np.ndarray, mode: str) -> float | tuple[float, float]:
     """max over the first axis of norm(D[g], mode) for a stack of matrices,
-    mode "hs" or "op".
+    mode "hs" or "op", or the pair of both, (hs, op), from one sweep with
+    mode "both".
 
     Op mode takes a symmetric stack, as every difference of variance paths
     or of their square roots is, and solves only the slots that can hold the
@@ -277,14 +282,19 @@ def sup_norm_stack(D: np.ndarray, mode: str) -> float:
     """
     if mode == "hs":
         return float(np.max(_slot_norms(D, "hs")))
-    if mode != "op":
+    if mode not in ("op", "both"):
         raise ValueError(f"unknown norm mode {mode!r}")
-    top = np.max(np.abs(D), axis=(-2, -1))
-    if not np.isfinite(np.max(top)):
+    # a NaN or inf makes its slot's HS norm NaN or inf; so may a finite
+    # stack's overflowing squares, which the largest entries tell apart
+    with np.errstate(over="ignore"):
+        hs = _slot_norms(D, "hs")
+    peak = float(hs.max())
+    if not math.isfinite(peak) and not np.isfinite(np.abs(D).max()):
         raise np.linalg.LinAlgError("NaN or inf in the stack")
     if not np.array_equal(D, np.swapaxes(D, -2, -1)):
         raise ValueError("op mode needs a symmetric stack")
-    return _op_sup_symmetric(D, top)
+    op = _op_sup_symmetric(D, hs)
+    return op if mode == "op" else (peak, op)
 
 
 def _slot_norms(D: np.ndarray, mode: str) -> np.ndarray:
@@ -293,7 +303,7 @@ def _slot_norms(D: np.ndarray, mode: str) -> np.ndarray:
     sup_norm_stack takes.  An all-zero slot has op norm 0 and needs no
     solve."""
     if mode == "hs":
-        return np.sqrt(np.sum(D * D, axis=(-2, -1)))
+        return np.sqrt(np.square(D).sum(axis=(-2, -1)))
     norms = np.zeros(len(D))
     live = np.flatnonzero(np.any(D != 0.0, axis=(-2, -1)))
     norms[live] = _op_norms(D[live])
@@ -303,51 +313,85 @@ def _slot_norms(D: np.ndarray, mode: str) -> np.ndarray:
 def _op_norms(S: np.ndarray) -> np.ndarray:
     """max |eigvalsh(S[g])| for every matrix of a finite symmetric stack:
     the one place an op norm is solved."""
-    return np.max(np.abs(np.linalg.eigvalsh(S)), axis=-1)
+    return np.abs(np.linalg.eigvalsh(S)).max(axis=-1)
 
 
 # a slot whose certified upper bound falls below this fraction of an exact op
-# norm cannot hold the sup: eigvalsh and the bound each carry a relative
+# norm cannot hold the sup: eigvalsh and the bounds each carry a relative
 # rounding error of order d * eps, orders of magnitude below 1e-10
 _PRUNE_MARGIN = 1.0 - 1e-10
 
+# the HS norms bound the op norms only while their squares do not underflow:
+# in a stack whose largest HS norm is below this, a slot's squares may round
+# to zero as subnormals, and every nonzero slot goes to the trace bounds
+_HS_FLOOR = 2.0**-400
 
-def _op_sup_symmetric(S: np.ndarray, top: np.ndarray) -> float:
-    """max over slots of max |eigvalsh(S[g])| for a finite symmetric stack,
-    with top[g] = max |S[g]|; equal to the full-stack max bit for bit.
+# more slots than this passing the eighth-power bound get a second exact
+# solve, of the slot with the largest bound, before the squared bounds: on the
+# benchmark scenarios' difference stacks that cost less than squaring their
+# bounds against the first lead alone, whose op norm the HS norms chose
+_LEAD_AGAIN = 16
 
-    An all-zero slot has op norm 0 and needs no solve.  Every other slot gets
-    the upper bound ub = top * (tr X^8)^(1/8) >= |S|_op with X = S / top,
-    and the slot with the largest ub is solved exactly.  A slot whose ub
-    falls below that value times _PRUNE_MARGIN cannot hold the max and is
-    dropped.  The survivors' X^4 is squared again for the sharper bound
+
+def _op_sup_symmetric(S: np.ndarray, hs: np.ndarray) -> float:
+    """max over slots of max |eigvalsh(S[g])| for a finite symmetric stack
+    with hs[g] = |S[g]|_HS; equal to the full-stack max bit for bit.
+
+    |S|_op <= |S|_HS, so the slot with the largest HS norm is solved first,
+    and its op norm best is the value every bound is tested against: a slot
+    whose bound falls below best times _PRUNE_MARGIN cannot hold the max and
+    is dropped.  The HS norm is the first bound, in a stack whose largest HS
+    norm reaches _HS_FLOOR (below it a square may have underflowed, and
+    every nonzero slot goes on).  An all-zero slot has op norm 0 and needs
+    no solve; a stack of them takes none.  Each slot that passes gets the
+    upper bound ub = top * (tr X^8)^(1/8) >= |S|_op with X = S / top and
+    top = max |S|; if more than _LEAD_AGAIN pass it, the one with the
+    largest ub is solved as well, and best becomes the larger op norm.  The
+    survivors' X^4 is squared again for the sharper bound
     top * (tr X^16)^(1/16), and once more for (tr X^32)^(1/32), each tested
-    against the same value, until two or fewer survive; only the final
-    survivors are solved, so a stack where the lead alone survives takes one
-    solve.  For symmetric X with eigenvalue sizes
-    l1 >= l2 >= ..., tr X^2p = |X^p|_HS^2 overestimates l1^2p by the factor
-    1 + (l2 / l1)^2p + ..., so each squaring drops more of the slots that
-    are near the max but not tied with it.
+    against best, until two or fewer survive; only the final survivors are
+    solved, so a stack where the lead alone survives takes one solve.  For
+    symmetric X with eigenvalue sizes l1 >= l2 >= ..., tr X^2p = |X^p|_HS^2
+    overestimates l1^2p by the factor 1 + (l2 / l1)^2p + ..., so each
+    squaring drops more of the slots that are near the max but not tied
+    with it.
 
     X has entries at most 1 and op norm in [1, d], so tr X^2p lies in
     [1, d^(2p+1)] whatever the scale of S; a power whose bound could
     overflow is not taken.  k squarings give the bound a relative rounding
-    error of about k d eps, far below the 1e-10 margin.
+    error of about k d eps, and the pairwise sum of squares behind an HS
+    norm one of order log(d) eps, far below the 1e-10 margin.
     """
     d = S.shape[-1]
-    S, top = S.reshape(-1, d, d), top.reshape(-1)
-    rest = np.flatnonzero(top > 0.0)
+    S, hs = S.reshape(-1, d, d), hs.reshape(-1)
+    lead = int(hs.argmax())
+    trusted = hs[lead] >= _HS_FLOOR
+    if not trusted:
+        # the squares may have underflowed: every nonzero slot goes on
+        live = np.any(S != 0.0, axis=(-2, -1))
+        if not np.any(live):
+            return 0.0
+        lead = int(np.argmax(live))
+    best = float(_op_norms(S[lead]))
+    if trusted:
+        live = hs >= best * _PRUNE_MARGIN
+    live[lead] = False
+    rest = np.flatnonzero(live)
     if rest.size == 0:
-        return 0.0
-    scale = top[rest]
-    # with no all-zero slot, S itself is divided: no gathered copy
-    X = (S if rest.size == top.size else S[rest]) / scale[:, None, None]
+        return best
+    X = S[rest]
+    scale = np.abs(X).max(axis=(-2, -1))
+    X = X / scale[:, None, None]
     X = X @ X
     X = X @ X
     ub = scale * np.einsum("gij,gij->g", X, X) ** 0.125
-    lead = rest[np.argmax(ub)]
-    best = float(_op_norms(S[lead]))
-    keep = (ub >= best * _PRUNE_MARGIN) & (rest != lead)
+    keep = ub >= best * _PRUNE_MARGIN
+    if np.count_nonzero(keep) > _LEAD_AGAIN:
+        # the slot with the largest bound may beat the lead: solve it too
+        top = int(ub.argmax())
+        best = max(best, float(_op_norms(S[rest[top]])))
+        keep = ub >= best * _PRUNE_MARGIN
+        keep[top] = False
     for power in (16, 32):
         if np.count_nonzero(keep) <= 2 or d ** (power + 1) > np.finfo(float).max:
             break

@@ -20,9 +20,9 @@ from opvol.experiments import (
     default_scenario,
     run_experiment,
 )
-from opvol.operators import psd_sqrt_batch
 from opvol.processes import PURPOSE_CLOCK, PURPOSE_JUMPS, sample_clock, sample_jump_stream, stream
-from reference import all_passed, by_id, default_generator_scenario, engine_path_stats, path_stats
+from reference import (all_passed, by_id, default_generator_scenario, engine_path_stats, independent_stats,
+                       masked_paths, path_roots, path_stats)
 
 
 def small_scenario(**changes):
@@ -166,17 +166,17 @@ class TestWorkerCount:
 class TestSquareRootsPerReplication:
     def count_decompositions(self, scenario, reps):
         """Run the replications reps, in order, on the scenario object; per
-        replication, the (stack shape, block) of every psd_sqrt_batch call
-        and the grid it built (None if it took the jump-free copy)."""
+        replication, the (stack shape, block size) of every psd_sqrt_batch
+        call and the grid it built (None if it took the jump-free copy)."""
         calls, grids = [], []
         build_grid = experiments.build_grid
 
         def counting(owner):
             inner = owner.psd_sqrt_batch
 
-            def psd_sqrt_batch(Ts, block=None):
-                calls[-1].append((Ts.shape[:-2], block))
-                return inner(Ts, block=block)
+            def psd_sqrt_batch(Ts, tail=None):
+                calls[-1].append((Ts.shape[:-2], Ts.shape[-1]))
+                return inner(Ts, tail)
 
             return mock.patch.object(owner, "psd_sqrt_batch", psd_sqrt_batch)
 
@@ -194,9 +194,9 @@ class TestSquareRootsPerReplication:
 
     @staticmethod
     def every_path(scenario, slots):
-        # one call for the exact path (full solve), then one per level with
-        # that level as its block size
-        return [((slots,), None)] + [((slots,), n) for n in scenario.levels]
+        # one call for the exact path (full solve), then one per level on
+        # that level's leading block
+        return [((slots,), scenario.d)] + [((slots,), n) for n in scenario.levels]
 
     def test_jump_replication_reuses_jump_free_roots(self):
         sc = small_scenario(rate=1.0)
@@ -248,14 +248,15 @@ class _Captured(Exception):
 
 
 def path_inputs(scenario, rep):
-    """The grid and the coupled paths replication rep evolves in _rep_stats.
-    A replication without jumps evolves them only if the scenario object
-    holds no jump-free copy yet."""
+    """The grid, exact path V and reference path R replication rep evolves
+    in _rep_stats.  A replication without jumps evolves them only if the
+    scenario object holds no jump-free copy yet."""
     got = []
     evolve = experiments.evolve_coupled
 
-    def capture(v0s, steppers, jump_stacks, grid):
-        got.append((grid, evolve(v0s, steppers, jump_stacks, grid)))
+    def capture(v0, stepper, jumps, grid):
+        V, W = evolve(v0, stepper, jumps, grid)
+        got.append((grid, V, experiments._reference_path(scenario, grid, W, jumps)))
         raise _Captured
 
     with mock.patch.object(experiments, "evolve_coupled", capture), pytest.raises(_Captured):
@@ -263,50 +264,54 @@ def path_inputs(scenario, rep):
     return got[0]
 
 
-def head_roots(scenario, vals, k):
-    """The roots of the first k slots of every path of vals, from one
-    psd_sqrt_batch call per whole path: what the jump-free copy holds."""
-    return np.stack([psd_sqrt_batch(path, block=n)[:k] for path, n in zip(vals, (None, *scenario.levels))])
+def head_roots(scenario, V, R, k):
+    """The roots of the first k slots of every path, from one psd_sqrt_batch
+    call per whole path: what the jump-free copy holds."""
+    return path_roots(scenario, masked_paths(scenario, V, R))[:, :k]
 
 
-def head_maxima(vals, head, k):
-    """The running maxima (_running_sups) of the first k slots of vals and,
-    given their roots head, of those: what the jump-free copy holds."""
+def head_maxima(scenario, V, R, head, k):
+    """The running maxima (_running_sups) of the first k slots of the level
+    differences of V and R and, given their roots head, of those: what the
+    jump-free copy holds."""
+    stacks = [experiments._differences(scenario._run.keeps, V[:k], R[:k])]
+    if head is not None:
+        stacks.append(head[0] - s for s in head[1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.stack([experiments._running_sups(s[:, :k]) for s in (vals, head) if s is not None])
+        return np.stack([experiments._running_sups(diffs) for diffs in stacks])
 
 
-def stats_outcome(fn, scenario, rep, grid, vals, *args):
-    """fn's statistics on a copy of vals, or the type and message of what it
-    raises, under _rep_stats's floating-point error state."""
+def stats_outcome(fn, *args):
+    """fn's statistics on args, or the type and message of what it raises,
+    under _rep_stats's floating-point error state."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return fn(scenario, rep, grid, vals.copy(), *args)
+            return fn(*args)
     except (opvol.NotPositiveSemidefinite, np.linalg.LinAlgError) as exc:
         return type(exc), str(exc)
 
 
 def assert_split_matches_reference(scenario, rep, corrupt=None):
-    """_variance_stats, then _forward_stats, on replication rep's paths,
-    after corrupt(vals) if given, must give reference.path_stats's
-    statistics bit for bit, or its failure: once with every slot decomposed
-    and every sup swept whole and, when the first k slots are left clean,
-    once with their roots (jumps mode) and the running maxima of their
-    norms given (head_roots and head_maxima of the clean paths).  k is the
-    first left-limit slot, where _rep_stats splits, or half a jump-free
-    grid."""
-    grid, vals = path_inputs(scenario, rep)
+    """_variance_stats, then _forward_stats, on replication rep's exact path
+    V and reference path R, after corrupt(V, R) if given, must give
+    reference.path_stats's statistics of the masked paths bit for bit, or
+    its failure: once with every slot decomposed and every sup swept whole
+    and, when the first k slots are left clean, once with their roots (jumps
+    mode) and the running maxima of their norms given (head_roots and
+    head_maxima of the clean paths).  k is the first left-limit slot, where
+    _rep_stats splits, or half a jump-free grid."""
+    grid, V, R = path_inputs(scenario, rep)
     k = int(np.argmax(grid.is_left)) if np.any(grid.is_left) else grid.size // 2
-    clean = vals.copy()
+    clean = V.copy(), R.copy()
     if corrupt is not None:
-        corrupt(vals)
+        corrupt(V, R)
     heads = [(None, None)]
-    if k and vals[:, :k].tobytes() == clean[:, :k].tobytes():
-        head = head_roots(scenario, clean, k) if scenario.truncation == "jumps" else None
-        heads.append((head, head_maxima(clean, head, k)))
-    want = stats_outcome(path_stats, scenario, rep, grid, vals)
+    if k and all(a[:k].tobytes() == b[:k].tobytes() for a, b in zip((V, R), clean)):
+        head = head_roots(scenario, *clean, k) if scenario.truncation == "jumps" else None
+        heads.append((head, head_maxima(scenario, *clean, head, k)))
+    want = stats_outcome(path_stats, scenario, rep, grid, masked_paths(scenario, V, R))
     for head, maxima in heads:
-        got = stats_outcome(engine_path_stats, scenario, rep, grid, vals, head, maxima)
+        got = stats_outcome(engine_path_stats, scenario, rep, grid, V.copy(), R.copy(), head, maxima)
         if isinstance(want, tuple):
             assert got == want
             continue
@@ -338,8 +343,8 @@ class TestVarianceStats:
     difference stacks and every root from psd_sqrt_batch, or, for the first
     k slots, the roots and the running maxima of the norms it is given;
     every statistic, failure message and index must be what
-    reference.path_stats, which decomposes every slot and sweeps every
-    stack whole, gives."""
+    reference.path_stats, which decomposes every slot of every masked path
+    and sweeps every stack whole, gives."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
@@ -385,29 +390,31 @@ class TestVarianceStats:
         # is the exact path, its differences all-zero slots
         sc = split_scenario(8, "jumps", False, 0.0, 3.0, 12, True, 3)
         for rep in range(4):
-            grid, vals = path_inputs(sc, rep)
+            grid, V, R = path_inputs(sc, rep)
+            vals = masked_paths(sc, V, R)
             assert np.array_equal(vals[0], vals[1])
             assert_split_matches_reference(sc, rep)
-            assert engine_path_stats(sc, rep, grid, vals)["sup_op"][0] == 0.0
+            assert engine_path_stats(sc, rep, grid, V, R)["sup_op"][0] == 0.0
 
     def test_first_failing_path_is_named_first(self):
-        # path 0 fails at the first post-jump slot and path 2 at the left
-        # limit before it: the failure names path 0, as one psd_sqrt_batch
-        # call per path, in path order, does, with or without head roots
+        # the exact path fails at the first post-jump slot and the level
+        # paths that take R's tail entry (7, 7) at the left limit before it:
+        # the failure names path 0, as one psd_sqrt_batch call per path, in
+        # path order, does, with or without head roots
         sc = split_scenario(8, "jumps", False, 0.0, 3.0, 12, False, 3)
 
-        def corrupt(vals):
-            g = int(np.flatnonzero(vals[0, :, 0, 1] != 0.0)[0])
-            vals[0, g, 5, 5] = -1.0
-            vals[2, g - 1, 0, 0] = -1.0
+        def corrupt(V, R):
+            g = int(np.flatnonzero(V[:, 0, 1] != 0.0)[0])
+            V[g, 5, 5] = -1.0
+            R[g - 1, 7, 7] = -1.0
 
         assert_split_matches_reference(sc, 0, corrupt)
-        grid, vals = path_inputs(sc, 0)
+        grid, V, R = path_inputs(sc, 0)
         k = int(np.argmax(grid.is_left))
-        head = head_roots(sc, vals, k)
-        corrupt(vals)
+        head = head_roots(sc, V, R, k)
+        corrupt(V, R)
         for given in (None, head):
-            exc_type, message = stats_outcome(engine_path_stats, sc, 0, grid, vals, given)
+            exc_type, message = stats_outcome(engine_path_stats, sc, 0, grid, V, R, given)
             assert exc_type is opvol.NotPositiveSemidefinite and message.startswith("matrix (0, ")
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -420,14 +427,19 @@ class TestVarianceStats:
         where=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6)),
     )
     def test_failures_match_every_slot_dense(self, d, truncation, rate, seed, bad, where):
-        # one entry set at a (path, slot, diagonal or off-diagonal) position,
-        # mirrored to stay symmetric: the same statistics or the same failure
+        # one entry of V or R set at a (slot, diagonal or off-diagonal)
+        # position, mirrored to stay symmetric: the same statistics or the
+        # same failure.  A jumps-mode R is diagonal by construction, and so
+        # is set on its diagonal only
         sc = split_scenario(d, truncation, False, 0.0, rate, 12, False, seed)
 
-        def corrupt(vals):
-            p, g, k = (w % n for w, n in zip(where, (vals.shape[0], vals.shape[1], d * d)))
+        def corrupt(V, R):
+            p, g, k = (w % n for w, n in zip(where, (2, V.shape[0], d * d)))
             i, j = divmod(k, d)
-            vals[p, g, i, j] = vals[p, g, j, i] = bad
+            if p == 1 and truncation == "jumps":
+                j = i
+            path = (V, R)[p]
+            path[g, i, j] = path[g, j, i] = bad
 
         assert_split_matches_reference(sc, 0, corrupt)
 
@@ -509,7 +521,7 @@ class TestPreJumpSups:
         on the object) and cold, and the jump-free one's statistics."""
         firsts = [first_left_limit(scenario, rep) for rep in range(200)]
         free, jumpy = firsts.index(None), next(r for r, k in enumerate(firsts) if k)
-        grid, _ = path_inputs(scenario.with_(), jumpy)
+        grid = path_inputs(scenario.with_(), jumpy)[0]
         free_stats = experiments._rep_stats(scenario, free)
         warm, cold = TestPreJumpSups.handed(scenario, jumpy), TestPreJumpSups.handed(scenario.with_(), jumpy)
         assert_same_bits(warm[0], cold[0])
@@ -521,10 +533,10 @@ class TestPreJumpSups:
         k, size, (_, warm), (_, cold), stats = self.warm_and_cold(sc)
         assert 0 < k < size
         per_stack = len(sc.levels) * stacks
-        assert [(n, mode) for n, mode, _ in cold] == [(size, "hs"), (size, "op")] * per_stack
-        assert [(n, mode) for n, mode, _ in warm] == [(size - k, "hs"), (size - k, "op")] * per_stack
+        assert [(n, mode) for n, mode, _ in cold] == [(size, "both")] * per_stack
+        assert [(n, mode) for n, mode, _ in warm] == [(size - k, "both")] * per_stack
         # the copy's running maxima end in the jump-free replication's sups
-        maxima = sc.__dict__["_jump_free"][3]
+        maxima = sc.__dict__["_jump_free"][4]
         assert maxima.shape == (stacks, 2, len(sc.levels), sc.m_points + 1)
         assert maxima[0, 0, :, -1].tobytes() == stats["sup_hs"].tobytes()
         assert maxima[0, 1, :, -1].tobytes() == stats["sup_op"].tobytes()
@@ -536,7 +548,7 @@ class TestPreJumpSups:
         """Per (stack, mode, level), the running max at the last slot before
         the first jump and the warm sup_norm_stack result after it."""
         k, _, (_, warm), _, _ = self.warm_and_cold(scenario)
-        prefix = scenario.__dict__["_jump_free"][3][..., k - 1]
+        prefix = scenario.__dict__["_jump_free"][4][..., k - 1]
         suffix = np.array([r for _, _, r in warm]).reshape(len(prefix), len(scenario.levels), 2)
         return prefix, np.swapaxes(suffix, 1, 2)
 
@@ -610,7 +622,7 @@ class TestRunConstants:
     """Generator specs, steppers and initial states are built once per
     scenario object, on first use, not once per replication."""
 
-    @pytest.mark.parametrize("truncation, builds", [("jumps", 1), ("generator", 4)])
+    @pytest.mark.parametrize("truncation, builds", [("jumps", 1), ("generator", 1)])
     def test_steppers_built_once_per_run(self, monkeypatch, truncation, builds):
         made = []
         make_stepper = experiments.make_stepper
@@ -725,13 +737,13 @@ class TestRunConstants:
         assert np.array_equal(copy._run.v0s, sc._run.v0s)
         assert np.array_equal(copy.generator_spectrum, sc.generator_spectrum)
         assert_same_bits(experiments._rep_stats(copy, 1), experiments._rep_stats(sc, 1))
-        grid, vals, sqrts, maxima = sc.__dict__["_jump_free"]
-        for a in (grid.times, grid.is_left, grid.jump_index, vals, sqrts, maxima):
+        grid, V, R, sqrts, maxima = sc.__dict__["_jump_free"]
+        for a in (grid.times, grid.is_left, grid.jump_index, V, R, sqrts, maxima):
             assert not a.flags.writeable
         # the running maxima of both difference stacks, (2, L, G) each, stay
         # behind too: the copy builds its own, with the same bits
         assert maxima.shape == (2, 2, len(sc.levels), sc.m_points + 1)
-        rebuilt = copy.__dict__["_jump_free"][3]
+        rebuilt = copy.__dict__["_jump_free"][4]
         assert rebuilt is not maxima and rebuilt.tobytes() == maxima.tobytes()
 
     def test_jump_free_paths_evolved_once_per_run(self, monkeypatch):
@@ -770,35 +782,39 @@ class TestNumericalFailure:
     """A numerical failure inside a replication names the replication, the
     path and the grid slot it came from."""
 
-    def run_with(self, monkeypatch, scenario, corrupt):
+    def run_with(self, monkeypatch, scenario, corrupt, rep=3):
+        """Replication rep's failure after corrupt(V, W) on the exact path
+        and the jump-free diagonal it evolves (W is R's diagonal in jumps
+        mode without truncate_v0), and its grid."""
         grids = []
         evolve = experiments.evolve_coupled
 
-        def corrupted(v0s, steppers, jump_stacks, grid):
-            vals = evolve(v0s, steppers, jump_stacks, grid)
+        def corrupted(v0, stepper, jumps, grid):
+            V, W = evolve(v0, stepper, jumps, grid)
             grids.append(grid)
-            corrupt(vals)
-            return vals
+            corrupt(V, W)
+            return V, W
 
         monkeypatch.setattr(experiments, "evolve_coupled", corrupted)
         with pytest.raises(ValueError) as got:
-            experiments._rep_stats(scenario, 3)
+            experiments._rep_stats(scenario, rep)
         return got.value, grids[0]
 
     def test_negative_diagonal_before_the_first_jump(self, monkeypatch):
         sc = small_scenario(rate=5.0)
 
-        def corrupt(vals):
-            # level 4 is path 2; slot 1 is the left limit of the first jump
-            vals[2, 1] = np.diag(np.r_[-1.0, np.ones(7)])
+        def corrupt(V, W):
+            # entry 7 lies in every level's tail, and level 2 is path 1;
+            # slot 1 is the left limit of the first jump
+            W[1, 7] = -1.0
 
         exc, grid = self.run_with(monkeypatch, sc, corrupt)
         assert isinstance(exc, opvol.NotPositiveSemidefinite)
         assert str(exc) == (
-            f"numerical failure in replication 3, level 4 path, grid slot 1 (t = {grid.times[1]:.6g}, left limit): "
-            "matrix (2, 1) in batch: eigenvalue -1.000000e+00 below -tol_psd = -2.000000e-09"
+            f"numerical failure in replication 3, level 2 path, grid slot 1 (t = {grid.times[1]:.6g}, left limit): "
+            "matrix (1, 1) in batch: eigenvalue -1.000000e+00 below -tol_psd = -2.000000e-09"
         )
-        assert exc.index == (2, 1)
+        assert exc.index == (1, 1)
         assert exc.detail == "eigenvalue -1.000000e+00 below -tol_psd = -2.000000e-09"
         # the index and detail cross a worker process's pickle too
         copy = pickle.loads(pickle.dumps(exc))
@@ -809,17 +825,18 @@ class TestNumericalFailure:
         # the paths every other would reuse, and its failure keeps none
         sc = small_scenario(rate=0.0)
 
-        def corrupt(vals):
-            vals[2, 1] = np.diag(np.r_[-1.0, np.ones(7)])
+        def corrupt(V, W):
+            # entry 5 lies in the tails of levels 4 and 6, paths 2 and 3
+            W[1, 5] = -1.0
 
         exc, grid = self.run_with(monkeypatch, sc, corrupt)
         detail = "eigenvalue -1.000000e+00 below -tol_psd = -2.000000e-09"
         assert isinstance(exc, opvol.NotPositiveSemidefinite)
         assert str(exc) == (
-            f"numerical failure in replication 3, level 4 path, grid slot 1 (t = {grid.times[1]:.6g}): "
-            f"matrix (2, 1) in batch: {detail}"
+            f"numerical failure in replication 3, level 2 path, grid slot 1 (t = {grid.times[1]:.6g}): "
+            f"matrix (1, 1) in batch: {detail}"
         )
-        assert (exc.index, exc.detail) == ((2, 1), detail)
+        assert (exc.index, exc.detail) == ((1, 1), detail)
         assert "_jump_free" not in sc.__dict__
         # the next jump-free replication computes the paths again, and names itself
         with pytest.raises(opvol.NotPositiveSemidefinite, match="^numerical failure in replication 5, "):
@@ -829,15 +846,17 @@ class TestNumericalFailure:
     def test_non_finite_value_names_the_earliest_slot(self, monkeypatch):
         sc = small_scenario(rate=5.0)
 
-        def corrupt(vals):
-            vals[3, 7:, 0, 1] = np.nan
-            vals[1, 9, 2, 2] = np.inf
+        def corrupt(V, W):
+            # R's tail entry (7, 7) shows first in the level 2 path, which
+            # keeps the fewest entries of V
+            W[7:, 7] = np.nan
+            V[9, 2, 2] = np.inf
 
         with np.errstate(all="ignore"):
             exc, grid = self.run_with(monkeypatch, sc, corrupt)
         assert isinstance(exc, np.linalg.LinAlgError)
         assert str(exc).startswith(
-            f"numerical failure in replication 3, level 6 path, grid slot 7 (t = {grid.times[7]:.6g}"
+            f"numerical failure in replication 3, level 2 path, grid slot 7 (t = {grid.times[7]:.6g}"
         )
         assert "first non-finite value: " in str(exc)
 
@@ -845,12 +864,11 @@ class TestNumericalFailure:
         sc = small_scenario(rate=5.0)
         slots = []
 
-        def corrupt(vals):
+        def corrupt(V, W):
             # level 2 is path 1; after the first jump its leading block is not
-            # diagonal, so the slot takes the block route, and (5, 5) is a
-            # tail entry
-            g = int(np.flatnonzero(vals[1, :, 0, 1] != 0.0)[0])
-            vals[1, g, 5, 5] = -0.5
+            # diagonal, and (5, 5) is a tail entry
+            g = int(np.flatnonzero(V[:, 0, 1] != 0.0)[0])
+            W[g, 5] = -0.5
             slots.append(g)
 
         exc, grid = self.run_with(monkeypatch, sc, corrupt)
@@ -868,8 +886,8 @@ class TestNumericalFailure:
     def test_generator_mode_names_the_slot_too(self, monkeypatch):
         sc = default_generator_scenario(replications=10, master_seed=5).with_(m_points=25)
 
-        def corrupt(vals):
-            vals[0, 4:] = np.nan
+        def corrupt(V, W):
+            V[4:] = np.nan
 
         with np.errstate(all="ignore"):
             exc, grid = self.run_with(monkeypatch, sc, corrupt)
@@ -887,6 +905,42 @@ class TestNumericalFailure:
         for i in range(len(sc.levels)):
             assert out["sup_hs"][i] == math.inf
             assert 1e158 < out["sup_op"][i] < math.inf
+
+
+    @pytest.mark.parametrize("truncation", ["jumps", "generator"])
+    def test_non_finite_entry_every_level_keeps(self, monkeypatch, truncation):
+        # every level path is V on (0, 0), so its difference there is masked
+        # to 0 and no sweep sees the inf; the check of V still names the slot
+        sc = small_scenario(truncation=truncation, rate=5.0)
+
+        def corrupt(V, W):
+            V[4, 0, 0] = np.inf
+
+        exc, grid = self.run_with(monkeypatch, sc, corrupt)
+        assert type(exc) is np.linalg.LinAlgError
+        assert str(exc) == (
+            f"numerical failure in replication 3, exact path, grid slot 4 (t = {grid.times[4]:.6g}"
+            f"{', left limit' if grid.is_left[4] else ''}), first non-finite value: NaN or inf in the stack"
+        )
+
+
+class TestIndependentLevelPaths:
+    """Every level path is the one evolved exact path V on the entries its
+    level keeps and the reference path R off them.  Every _rep_stats key of
+    that route must equal, bit for bit, what reference.independent_stats
+    computes from each level path evolved on its own: with a jump, without
+    one before the jump-free copy exists, and without one after it (k = G)."""
+
+    @pytest.mark.parametrize("truncation, truncate_v0", [
+        ("jumps", False), ("jumps", True), ("generator", False)])
+    def test_masked_route_matches_independent_paths(self, truncation, truncate_v0):
+        sc = small_scenario(truncation=truncation, truncate_v0=truncate_v0, rate=1.0)
+        jumps = []
+        for rep in range(12):
+            out = experiments._rep_stats(sc, rep)
+            assert_same_bits(out, independent_stats(sc, rep))
+            jumps.append(out["n_jumps"])
+        assert jumps.count(0.0) >= 2 and max(jumps) > 0.0
 
 
 class TestNonFiniteStatistics:

@@ -105,18 +105,18 @@ class TestJumps:
         expected = np.zeros((3, 3))
         expected[0, 0] = 1.0
         np.testing.assert_array_equal(js.jumps[0], expected)
-        for approx in _level_jumps(js.ys, (1, 2, 3))[1]:
-            np.testing.assert_array_equal(approx[0], expected)
+        for yn in _level_jumps(js.ys, (1, 2, 3)):
+            np.testing.assert_array_equal(np.outer(yn[0], yn[0]), expected)
 
     def test_full_level_exact(self):
         js = sample_jump_stream(1, geometric_sd(8), stream(0, 2, 1))
-        yn, approx = _level_jumps(js.ys, (8,))
-        np.testing.assert_array_equal(yn[0], js.ys)
-        np.testing.assert_array_equal(approx[0], js.jumps)
+        (yn,) = _level_jumps(js.ys, (8,))
+        np.testing.assert_array_equal(yn, js.ys)
+        np.testing.assert_array_equal(np.einsum("ij,ik->ijk", yn, yn), js.jumps)
 
     def test_jumps_are_psd_rank_one(self):
         js = sample_jump_stream(20, geometric_sd(8), stream(3, 2, 0))
-        _, (X2s, X4s) = _level_jumps(js.ys, (2, 4))
+        X2s, X4s = (np.einsum("ij,ik->ijk", yn, yn) for yn in _level_jumps(js.ys, (2, 4)))
         for X, X2, X4 in zip(js.jumps, X2s, X4s):
             for M in (X, X2, X4):
                 w = np.linalg.eigvalsh(M)
@@ -139,7 +139,8 @@ class TestJumps:
 
     def test_stream_coupling(self):
         js = sample_jump_stream(3, geometric_sd(8), stream(1, 2, 0))
-        (X2,) = _level_jumps(js.ys, (2,))[1]
+        (y2,) = _level_jumps(js.ys, (2,))
+        X2 = np.einsum("ij,ik->ijk", y2, y2)
         assert js.ys.shape == (3, 8)
         assert js.jumps.shape == (3, 8, 8)
         assert X2.shape == (3, 8, 8)
@@ -156,18 +157,23 @@ class TestJumps:
     )
     def test_level_jumps_match_copy_and_zero(self, d, count, data):
         # all levels at once, bit for bit as one copy-and-zero per level;
-        # signed zeros among the coordinates check the sign bits too
+        # signed zeros among the coordinates check the sign bits too.  The
+        # engine takes X - X^n as X masked off the leading n x n block, which
+        # equals it up to the sign of a zero
         levels = tuple(sorted(data.draw(st.sets(st.integers(1, d), min_size=1), label="levels")))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         ys = rng.standard_normal((count, d))
         zeros = rng.random((count, d)) < 0.2
         ys[zeros] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(zeros)))
-        yn, approx = _level_jumps(ys, levels)
+        yn = _level_jumps(ys, levels)
         want_yn = np.stack([ys_at_level(ys, n) for n in levels])
-        want_approx = np.stack([approx_jumps(ys, n) for n in levels])
-        for got, want in ((yn, want_yn), (approx, want_approx)):
-            assert got.shape == want.shape and got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+        assert yn.shape == want_yn.shape and yn.dtype == want_yn.dtype
+        assert yn.tobytes() == want_yn.tobytes()
+        X = np.einsum("ij,ik->ijk", ys, ys)
+        for n in levels:
+            block = np.zeros((d, d), dtype=bool)
+            block[:n, :n] = True
+            assert np.array_equal(np.where(block, 0.0, X), X - approx_jumps(ys, n))
 
     def test_truncation_error_moment_bound(self):
         # E||X - X^n||_hs^2 <= 4 sqrt(E|Y|^4 E|Y-Y^n|^4), both sides from the same draws

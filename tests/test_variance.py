@@ -236,8 +236,9 @@ def _build_grid_loop(horizon, m_points, jump_times):
 
 
 def _evolve_loop(v0s, steppers, jump_stacks, grid):
-    """The slot-by-slot evolution with one factor call per step length: the
-    reference evolve_coupled must equal bit for bit."""
+    """The slot-by-slot evolution of several paths with one factor call per
+    step length: the reference evolve_coupled must equal bit for bit, path by
+    path."""
     P = v0s.shape[0]
     V = v0s.astype(float).copy()
     out = np.empty((P, grid.size) + v0s.shape[1:])
@@ -255,6 +256,26 @@ def _evolve_loop(v0s, steppers, jump_stacks, grid):
                 V[p] = V[p] + jump_stacks[p][j]
         out[:, g] = V
     return out
+
+
+def _free_loop(v0, stepper, grid):
+    """The (G, d) diagonal of the jump-free path e^{ct} diag(v0), slot by
+    slot: the second output evolve_coupled must equal bit for bit."""
+    W = np.empty((grid.size, v0.shape[-1]))
+    W[0] = np.diagonal(v0)
+    for g in range(1, grid.size):
+        dt = grid.times[g] - grid.times[g - 1]
+        W[g] = W[g - 1] * np.diagonal(stepper.factor(dt)) if dt > 0.0 else W[g - 1]
+    return W
+
+
+def _assert_paths_match_loop(v0s, steppers, jump_stacks, grid):
+    """evolve_coupled on each path alone against _evolve_loop and _free_loop."""
+    want = _evolve_loop(v0s, steppers, jump_stacks, grid)
+    for p, (stepper, jumps) in enumerate(zip(steppers, jump_stacks)):
+        V, W = evolve_coupled(v0s[p], stepper, jumps, grid)
+        assert _same_bits(V, want[p])
+        assert _same_bits(W, _free_loop(v0s[p], stepper, grid))
 
 
 @st.composite
@@ -389,28 +410,32 @@ class TestEvolution:
         np.testing.assert_allclose(path.values, expected, rtol=1e-9, atol=1e-12)
 
     def test_coupled_mix_matches_single_paths(self):
-        # one evolve_coupled call over paths of both kinds, exact and
-        # compressed, equals each path evolved alone, bit for bit
+        # a truncated path evolved alone equals, bit for bit, the one evolved
+        # exact path V on the entries its truncation keeps and a reference
+        # path off them: a compressed generator leaves the dropped entries at
+        # V0 + the jumps so far, and truncated jumps leave only the jump-free
+        # diagonal e^{ct} diag(V0) off the leading block
         d = 4
         rng = np.random.default_rng(41)
-        lam = -karhunen_loeve_spectrum(d)
-        specs = [
-            GeneratorSpec("sylvester", lam),
-            GeneratorSpec("sylvester", lam, mask=level_mask(3, d)),
-            GeneratorSpec("sandwich", rng.uniform(-1.0, 1.0, d)),
-            GeneratorSpec("sandwich", rng.uniform(-1.0, 1.0, d), mask=level_mask(5, d)),
-        ]
         times = sample_clock(3.0, 1.0, stream(42, 1, 0))
         js = sample_jump_stream(times.size, geometric_sd(d), stream(42, 2, 0))
         assert times.size > 0
         grid = build_grid(1.0, 12, times)
-        v0s = np.stack([np.diag(rng.uniform(0.1, 1.0, d)) for _ in specs])
-        jump_stacks = [js.jumps, approx_jumps(js.ys, 2), js.jumps, approx_jumps(js.ys, 2)]
-        levels = [None, 2, None, 2]
-        vals = evolve_coupled(v0s, [make_stepper(s) for s in specs], jump_stacks, grid)
-        for p, (spec, level) in enumerate(zip(specs, levels)):
-            alone = variance_path(v0s[p], spec, js, grid, level=level)
-            assert np.array_equal(vals[p], alone.values)
+        count = np.maximum.accumulate(grid.jump_index) + 1
+        for spec in (GeneratorSpec("sylvester", -karhunen_loeve_spectrum(d)),
+                     GeneratorSpec("sandwich", rng.uniform(-1.0, 1.0, d))):
+            v0 = np.diag(rng.uniform(0.1, 1.0, d))
+            V, W = evolve_coupled(v0, make_stepper(spec), js.jumps, grid)
+            U = np.cumsum(np.concatenate((v0[None], js.jumps)), axis=0)[count]
+            for n in (3, 5):
+                mask = level_mask(n, d)
+                alone = variance_path(v0, truncate_generator(spec, n), js, grid)
+                assert alone.values.tobytes() == np.where(mask, V, U).tobytes()
+            block = np.zeros((d, d), dtype=bool)
+            block[:2, :2] = True
+            alone = variance_path(v0, spec, js, grid, level=2)
+            R = W[:, :, None] * np.eye(d)
+            assert alone.values.tobytes() == np.where(block, V, R).tobytes()
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
@@ -438,12 +463,11 @@ class TestEvolution:
         v0s = np.stack([np.diag(rng.uniform(0.0, 1.0, d)) for _ in specs])
         v0s[-1, 0, 0] = -0.0
         grid = build_grid(horizon, m_points, times)
-        want = _evolve_loop(v0s, steppers, jump_stacks, grid)
-        assert _same_bits(evolve_coupled(v0s, steppers, jump_stacks, grid), want)
+        _assert_paths_match_loop(v0s, steppers, jump_stacks, grid)
         for limit in (0, 10**12):  # slot by slot, then cumulative product
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(variance, "_LOOP_SLOT_ENTRIES", limit)
-                assert _same_bits(evolve_coupled(v0s, steppers, jump_stacks, grid), want)
+                _assert_paths_match_loop(v0s, steppers, jump_stacks, grid)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(case=jump_grids(), seed=st.integers(0, 2**32 - 1))
@@ -462,8 +486,7 @@ class TestEvolution:
         jump_stacks = [np.einsum("ij,ik->ijk", ys, ys)] * len(specs)
         v0s = np.stack([np.diag(rng.uniform(0.0, 1.0, d)) for _ in specs])
         grid = build_grid(horizon, m_points, times)
-        got = evolve_coupled(v0s, steppers, jump_stacks, grid)
-        assert _same_bits(got, _evolve_loop(v0s, steppers, jump_stacks, grid))
+        _assert_paths_match_loop(v0s, steppers, jump_stacks, grid)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
