@@ -67,6 +67,7 @@ from opvol.variance import (
     Stepper,
     TimeGrid,
     VariancePath,
+    _jump_free_diagonal,
     _slot_norms,
     build_grid,
     eigen_tail_sup_sq,
@@ -334,20 +335,28 @@ class ConvergenceStudy:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
+def _rep_stats(scenario: CoupledScenario, rep: int, op_sups: bool = True) -> dict:
     """Simulate one coupled replication and return its sufficient statistics.
 
-    The keys depend only on the truncation mode, never on the draws.  Each
-    value is a float, an (L,) array over scenario.levels (L of them) or, for
-    x_sum_tensor, the (d, d) sum of the jump operators kept for the
-    jackknife on |E X1|^2:
+    The keys depend only on the truncation mode and on op_sups, never on
+    the draws.  Each value is a float, an (L,) array over scenario.levels
+    (L of them) or, for x_sum_tensor, the (d, d) sum of the jump operators
+    kept for the jackknife on |E X1|^2:
 
       both modes   n_jumps, sum_y2, sum_y4, sum_y8, l2_total, x_sum_tensor;
-                   (L,) sup_hs, sup_sq_hs, sup_op
+                   (L,) sup_hs, sup_sq_hs
       jumps mode   pay_exact; (L,) sum_dy2, sum_dy4, sum_dy8, sum_dx_sq,
                    sum_dx_sq_sq, sum_dx_hs, sum_dx_tr, sum_dx_tr_sq,
-                   cpp_sup_sq, sqrt_sup_sq_op, sqrt_sup_sq_hs, fwd_sup_sq,
-                   pay_trunc, dx_tau
+                   cpp_sup_sq, sqrt_sup_sq_hs, fwd_sup_sq, pay_trunc, dx_tau
+      jumps mode,  (L,) sup_op (after sup_sq_hs) and sqrt_sup_sq_op (before
+      op_sups      sqrt_sup_sq_hs): run_experiment (verify, price) only
+
+    The op-norm sups feed only the sqrt_op row of run_experiment's
+    jumps-mode reduction, which keeps the default op_sups=True.
+    convergence_study (converge, both modes) passes op_sups=False, and
+    generator mode, whose reduction reads no op norm, never takes them:
+    every sweep is then sup_norm_stack's "hs" mode, a sum of squares with
+    no eigensolve.
 
     Per-jump quantities that feed pooled moments ship both their sum and
     their sum of squares.  The trace norms of the jump differences behind
@@ -421,20 +430,23 @@ def _rep_stats(scenario: CoupledScenario, rep: int) -> dict:
         grid, V, R = free[:3]
     else:
         grid = build_grid(T, scenario.m_points, times)
-        V, W = evolve_coupled(run.v0s[0], run.stepper, js.jumps, grid)
-        R = _reference_path(scenario, grid, W, js.jumps)
+        V = evolve_coupled(run.v0s[0], run.stepper, js.jumps, grid)
+        R = _reference_path(scenario, grid, js.jumps)
     # the jump-free slots: those before the first left limit, or all of them
     k = 0 if free is None else int(np.argmax(grid.is_left)) if times.size else grid.size
     head = free[3][:, :k] if k and free[3] is not None else None
     maxima = free[4][..., :k] if k else None
     with _failures_named(rep, levels, run.keeps[0], grid, V, R):
-        stats, sqrts = _variance_stats(scenario, V, R, head, maxima)
+        stats, sqrts = _variance_stats(scenario, V, R, head, maxima, op_sups)
         out.update(stats)
         if free is None and not times.size:
             stacks = [_differences(run.keeps, V, R)]
             if sqrts is not None:
                 stacks.append(sqrts[0] - s for s in sqrts[1:])
-            maxima = np.stack([_running_sups(diffs) for diffs in stacks])
+            # the entry serves every caller of this object: op maxima in
+            # jumps mode, whose verify reads them, HS ones alone otherwise
+            modes = ("hs", "op") if mode == "jumps" else ("hs",)
+            maxima = np.stack([_running_sups(diffs, modes) for diffs in stacks])
             for a in (grid.times, grid.is_left, grid.jump_index, V, R, sqrts, maxima):
                 if a is not None:
                     a.setflags(write=False)
@@ -462,24 +474,25 @@ def _jump_trace_norm_sq(dy2: np.ndarray, y2n: np.ndarray) -> np.ndarray:
     return dy2 * (dy2 + 4.0 * y2n)
 
 
-def _reference_path(scenario: CoupledScenario, grid: TimeGrid, W: np.ndarray,
-                    jumps: np.ndarray) -> np.ndarray:
+def _reference_path(scenario: CoupledScenario, grid: TimeGrid, jumps: np.ndarray) -> np.ndarray:
     """The (G, d, d) path R that every level path equals off the entries its
     level keeps.
 
     In jumps mode a level keeps its n x n block, and off it only V0 is
-    left: R is the jump-free diagonal path diag(W) (evolve_coupled), or zero
-    with truncate_v0.  In generator mode the dropped entries do not move
-    between jumps: R is U = V0 + the jumps so far, added one at a time, in
-    order, as the compressed semigroup's factors of ones leave them.
+    left: R is the jump-free diagonal path diag(e^{ct} V0)
+    (_jump_free_diagonal), or zero with truncate_v0.  In generator mode the
+    dropped entries do not move between jumps: R is U = V0 + the jumps so
+    far, added one at a time, in order, as the compressed semigroup's
+    factors of ones leave them.
     """
-    G, d = grid.size, W.shape[1]
+    run = scenario._run
+    G, d = grid.size, scenario.d
     if scenario.truncation == "jumps":
         R = np.zeros((G, d, d))
         if not scenario.truncate_v0:
-            R.reshape(G, d * d)[:, :: d + 1] = W
+            R.reshape(G, d * d)[:, :: d + 1] = _jump_free_diagonal(run.v0s[0], run.stepper, grid)
         return R
-    U = np.cumsum(np.concatenate((scenario._run.v0s[:1], jumps)), axis=0)
+    U = np.cumsum(np.concatenate((run.v0s[:1], jumps)), axis=0)
     # the jumps at or before each slot
     return U[np.maximum.accumulate(grid.jump_index) + 1]
 
@@ -501,11 +514,13 @@ def _differences(keeps: np.ndarray, V: np.ndarray, R: np.ndarray):
 
 
 def _variance_stats(scenario: CoupledScenario, V: np.ndarray, R: np.ndarray,
-                    head: np.ndarray | None, maxima: np.ndarray | None) -> tuple[dict, np.ndarray | None]:
+                    head: np.ndarray | None, maxima: np.ndarray | None,
+                    op_sups: bool = True) -> tuple[dict, np.ndarray | None]:
     """The (L,) sup errors of the level paths, each the (G, d, d) exact path
     V on the entries its level keeps and the reference path R off them, and,
     in jumps mode, those of their square roots, with the (P, G, d, d) root
-    stack, exact path first (None in generator mode).
+    stack, exact path first (None in generator mode).  The sups are HS ones
+    and, in jumps mode with op_sups, op ones too (_rep_stats's keys).
 
     Every sup is sup_norm_stack's on a level's difference stack (_sups,
     _differences), and every root psd_sqrt_batch's, one call per path: the
@@ -516,22 +531,22 @@ def _variance_stats(scenario: CoupledScenario, V: np.ndarray, R: np.ndarray,
     are then decomposed and swept (none for the whole grid, whose head is
     returned as the roots).  head, None or (P, k, d, d), holds the roots of
     those slots of every path, and a failure still names its (path, slot)
-    in the whole stack.  maxima, None or (S, 2, L, k), holds the
-    _running_sups of those slots for the S difference stacks: of the paths
-    and, in jumps mode, of the roots.  Squares of sups are taken on the
-    Python floats: numpy's square of an array can round differently from
-    the float's ** 2."""
+    in the whole stack.  maxima, None or (S, M, L, k), holds the
+    _running_sups of those slots for the S difference stacks (of the paths
+    and, in jumps mode, of the roots), HS first and op second if M = 2.
+    Squares of sups are taken on the Python floats: numpy's square of an
+    array can round differently from the float's ** 2."""
     keeps = scenario._run.keeps
+    jumps = scenario.truncation == "jumps"
+    sweep = "both" if jumps and op_sups else "hs"
     k = 0 if maxima is None else maxima.shape[-1]
     whole = k == len(V)
     prefix = (None, None) if maxima is None else (*maxima, None)
-    sup_hs, sup_op = _sups(None if whole else _differences(keeps, V[k:], R[k:]), prefix[0])
-    out: dict = {
-        "sup_hs": sup_hs,
-        "sup_sq_hs": np.array([s**2 for s in sup_hs.tolist()]),
-        "sup_op": sup_op,
-    }
-    if scenario.truncation != "jumps":
+    sups = _sups(None if whole else _differences(keeps, V[k:], R[k:]), prefix[0], sweep)
+    out: dict = {"sup_hs": sups[0], "sup_sq_hs": np.array([s**2 for s in sups[0].tolist()])}
+    if sweep == "both":
+        out["sup_op"] = sups[1]
+    if not jumps:
         return out, None
 
     if whole:
@@ -547,36 +562,39 @@ def _variance_stats(scenario: CoupledScenario, V: np.ndarray, R: np.ndarray,
             except NotPositiveSemidefinite as exc:
                 # name the matrix by (path, slot), as in the whole (P, G) stack
                 raise NotPositiveSemidefinite.at((p, k + exc.index[0]), exc.detail) from exc
-    sqrt_hs, sqrt_op = _sups(None if whole else (sqrts[0, k:] - s[k:] for s in sqrts[1:]), prefix[1])
-    out["sqrt_sup_sq_op"] = np.array([s**2 for s in sqrt_op.tolist()])
-    out["sqrt_sup_sq_hs"] = np.array([s**2 for s in sqrt_hs.tolist()])
+    sqrt = _sups(None if whole else (sqrts[0, k:] - s[k:] for s in sqrts[1:]), prefix[1], sweep)
+    if sweep == "both":
+        out["sqrt_sup_sq_op"] = np.array([s**2 for s in sqrt[1].tolist()])
+    out["sqrt_sup_sq_hs"] = np.array([s**2 for s in sqrt[0].tolist()])
     return out, sqrts
 
 
-def _sups(diffs, maxima: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """(L,) HS and op sups over the grid of the level differences diffs, an
-    iterable of one (G - k, d, d) stack per level: one sup_norm_stack call
-    each, both sups from one sweep.
+def _sups(diffs, maxima: np.ndarray | None, mode: str) -> np.ndarray:
+    """(M, L) sups over the grid of the level differences diffs, an iterable
+    of one (G - k, d, d) stack per level, with sup_norm_stack's mode "hs"
+    (M = 1: the HS sups) or "both" (M = 2: the HS sups, then the op sups
+    from the same sweep), one call per level.
 
-    maxima, None or the (2, L, k) _running_sups of the first k slots, means
-    the stacks hold only the slots from k on, and each sup is the larger of
-    sup_norm_stack's and the running max at slot k - 1 (that alone, with
-    diffs None, for k = G).  max is exact, so the sups keep the whole-stack
-    call's bits."""
+    maxima, None or the (M', L, k) _running_sups of the first k slots with
+    M' >= M, means the stacks hold only the slots from k on, and each sup is
+    the larger of sup_norm_stack's and the running max at slot k - 1 (that
+    alone, with diffs None, for k = G).  max is exact, so the sups keep the
+    whole-stack call's bits."""
+    rows = 2 if mode == "both" else 1
     if diffs is None:
-        return maxima[0, :, -1].copy(), maxima[1, :, -1].copy()
-    hs, op = np.array([sup_norm_stack(D, "both") for D in diffs]).T.copy()
+        return maxima[:rows, :, -1].copy()
+    sups = np.array([np.reshape(sup_norm_stack(D, mode), rows) for D in diffs]).T.copy()
     if maxima is not None:
-        np.maximum(hs, maxima[0, :, -1], out=hs)
-        np.maximum(op, maxima[1, :, -1], out=op)
-    return hs, op
+        np.maximum(sups, maxima[:rows, :, -1], out=sups)
+    return sups
 
 
-def _running_sups(diffs) -> np.ndarray:
-    """(2, L, G) running maxima over the grid of the per-slot HS and op
-    norms of the level differences diffs, an iterable of one (G, d, d)
-    stack per level, whose last column is _sups's."""
-    norms = np.array([[_slot_norms(D, mode) for mode in ("hs", "op")] for D in diffs])
+def _running_sups(diffs, modes: tuple[str, ...]) -> np.ndarray:
+    """(M, L, G) running maxima over the grid of the per-slot norms, one row
+    per mode in modes ("hs", then "op" if given), of the level differences
+    diffs, an iterable of one (G, d, d) stack per level, whose last column
+    is _sups's."""
+    norms = np.array([[_slot_norms(D, mode) for mode in modes] for D in diffs])
     return np.maximum.accumulate(np.swapaxes(norms, 0, 1), axis=-1)
 
 
@@ -650,8 +668,9 @@ def _worker_count(threads: int, replications: int, cpus: int) -> int:
     return max(1, min(threads, replications, cpus))
 
 
-def _map_reps(scenario: CoupledScenario, workers: int) -> dict[str, np.ndarray]:
-    """Run every replication and stack its statistics into columns.
+def _map_reps(scenario: CoupledScenario, workers: int, op_sups: bool = True) -> dict[str, np.ndarray]:
+    """Run every replication, with _rep_stats's op_sups, and stack its
+    statistics into columns.
 
     Each _rep_stats key becomes one array whose first axis is the
     replication, in replication order for any worker count: (R,) for a
@@ -663,14 +682,15 @@ def _map_reps(scenario: CoupledScenario, workers: int) -> dict[str, np.ndarray]:
     reps = range(scenario.replications)
     workers = _worker_count(workers, scenario.replications, os.cpu_count() or 1)
     if workers == 1:
-        rows = [_rep_stats(scenario, r) for r in reps]
+        rows = [_rep_stats(scenario, r, op_sups) for r in reps]
     else:
         # imported here, so a serial run never loads the pool's modules
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, scenario.replications // (workers * 4))
-            rows = list(pool.map(partial(_rep_stats, scenario), reps, chunksize=chunk))
+            work = partial(_rep_stats, scenario, op_sups=op_sups)
+            rows = list(pool.map(work, reps, chunksize=chunk))
     return {key: np.array([row[key] for row in rows]) for key in rows[0]}
 
 
@@ -961,7 +981,8 @@ def convergence_study(scenario: CoupledScenario, workers: int = 1) -> Convergenc
     """
     if len(scenario.levels) < 3:
         raise ValueError("a convergence study needs at least three levels")
-    s = _map_reps(scenario, workers)
+    # its series are HS quantities: no op-norm sup is swept
+    s = _map_reps(scenario, workers, op_sups=False)
     _require_finite(scenario, s)
 
     rows: list[ConvergenceRow] = []

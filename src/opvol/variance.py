@@ -206,15 +206,13 @@ def evolve_coupled(
     stepper: Stepper,
     jumps: np.ndarray,
     grid: TimeGrid,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Propagate one variance path over a grid: the (G, d, d) path from v0
-    with the (N, d, d) jump tensors, one per jump slot of the grid, and the
-    (G, d) diagonal of the jump-free path e^{ct} diag(v0) on the same grid.
+    with the (N, d, d) jump tensors, one per jump slot of the grid.
 
     The stepper builds its factors for all distinct positive step lengths
-    in one call, and both paths multiply them in the order of a
-    step-by-step loop: the jump-free diagonal is one cumulative product
-    along the slot axis.  When the cost rule above favours it, the per-step
+    in one call, and the path multiplies them in the order of a
+    step-by-step loop.  When the cost rule above favours it, the per-step
     factors are written into the output and each segment between jumps is
     one cumulative product along the slot axis; a zero-length step takes a
     factor of ones, and x * 1.0 is x.  Otherwise the path advances slot by
@@ -241,11 +239,6 @@ def evolve_coupled(
     row = np.full(G - 1, uniq.size)  # table row of each step; the ones if zero-length
     row[moving] = np.searchsorted(uniq, dts[moving])
 
-    free = np.empty((G, d))
-    free[0] = np.diagonal(v0)
-    free[1:] = np.diagonal(factors, axis1=1, axis2=2)[row]
-    np.multiply.accumulate(free, axis=0, out=free)
-
     out = np.empty((G, d, d))
     out[0] = v0
     if d * d * (G + _SEGMENT_SLOTS * jump_slots.size) <= _LOOP_SLOT_ENTRIES * G:
@@ -259,7 +252,7 @@ def evolve_coupled(
                 head += jumps[jidx[start]]
             seg = out[start:stop]
             np.multiply.accumulate(seg, axis=0, out=seg)
-        return out, free
+        return out
 
     V = out[0].copy()
     for g, (r, j) in enumerate(zip(row.tolist(), jidx[1:].tolist()), start=1):
@@ -267,7 +260,23 @@ def evolve_coupled(
         if j >= 0:
             V += jumps[j]
         out[g] = V
-    return out, free
+    return out
+
+
+def _jump_free_diagonal(v0: np.ndarray, stepper: Stepper, grid: TimeGrid) -> np.ndarray:
+    """The (G, d) diagonal of the jump-free path e^{ct} diag(v0) on a grid:
+    one cumulative product along the slot axis of each step's diagonal
+    factors, the stepper's on its diagonal (exp(Lambda_jj dt), or 1 off a
+    mask).  These are the values on the diagonal of evolve_coupled's factor
+    table (exp(Lambda_jj * 0) = 1 on a zero-length step), multiplied in the
+    order of its step-by-step loop: the bits of that loop's diagonal with
+    the jumps left out."""
+    mask = None if stepper.mask is None else np.diagonal(stepper.mask)
+    free = np.empty((grid.size, v0.shape[-1]))
+    free[0] = np.diagonal(v0)
+    free[1:] = Stepper(np.diagonal(stepper.base), mask).factor(np.diff(grid.times)[:, None])
+    np.multiply.accumulate(free, axis=0, out=free)
+    return free
 
 
 def sup_norm_stack(D: np.ndarray, mode: str) -> float | tuple[float, float]:
@@ -277,12 +286,12 @@ def sup_norm_stack(D: np.ndarray, mode: str) -> float | tuple[float, float]:
 
     Op mode takes a symmetric stack, as every difference of variance paths
     or of their square roots is, and solves only the slots that can hold the
-    max (_op_sup_symmetric).  A NaN or inf anywhere raises LinAlgError
-    before any solve; a stack not equal to its transpose raises ValueError.
+    max (_op_sup_symmetric).  A NaN or inf anywhere raises LinAlgError in
+    every mode, before any solve; in op and both modes a stack not equal to
+    its transpose raises ValueError.  A finite stack whose squares overflow has
+    HS sup inf and raises nothing.
     """
-    if mode == "hs":
-        return float(np.max(_slot_norms(D, "hs")))
-    if mode not in ("op", "both"):
+    if mode not in ("hs", "op", "both"):
         raise ValueError(f"unknown norm mode {mode!r}")
     # a NaN or inf makes its slot's HS norm NaN or inf; so may a finite
     # stack's overflowing squares, which the largest entries tell apart
@@ -291,6 +300,8 @@ def sup_norm_stack(D: np.ndarray, mode: str) -> float | tuple[float, float]:
     peak = float(hs.max())
     if not math.isfinite(peak) and not np.isfinite(np.abs(D).max()):
         raise np.linalg.LinAlgError("NaN or inf in the stack")
+    if mode == "hs":
+        return peak
     if not np.array_equal(D, np.swapaxes(D, -2, -1)):
         raise ValueError("op mode needs a symmetric stack")
     op = _op_sup_symmetric(D, hs)

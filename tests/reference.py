@@ -50,7 +50,7 @@ def variance_path(v0, spec, stream, grid, level=None):
     time, one per row of stream.ys."""
     v0 = np.asarray(v0, dtype=float)
     jumps = stream.jumps if level is None else approx_jumps(stream.ys, level)
-    values, _ = evolve_coupled(v0, make_stepper(spec), jumps, grid)
+    values = evolve_coupled(v0, make_stepper(spec), jumps, grid)
     return VariancePath(grid=grid, values=values)
 
 
@@ -193,42 +193,46 @@ def path_roots(scenario, vals):
     return sqrts
 
 
-def engine_path_stats(scenario, rep, grid, V, R, head=None, maxima=None):
+def engine_path_stats(scenario, rep, grid, V, R, head=None, maxima=None, op_sups=True):
     """The statistics of the exact path V and reference path R in
-    replication rep, in _rep_stats's key order, through the engine's own
-    _variance_stats (with the roots head and the running maxima maxima of
-    the first slots, if given) and, in jumps mode, _forward_stats on its
-    square roots."""
-    out, sqrts = _variance_stats(scenario, V, R, head, maxima)
+    replication rep, in _rep_stats's key order for op_sups, through the
+    engine's own _variance_stats (with the roots head and the running
+    maxima maxima of the first slots, if given) and, in jumps mode,
+    _forward_stats on its square roots."""
+    out, sqrts = _variance_stats(scenario, V, R, head, maxima, op_sups)
     if sqrts is not None:
         out.update(_forward_stats(scenario, rep, grid, V, sqrts))
     return out
 
 
-def path_stats(scenario, rep, grid, vals):
+def path_stats(scenario, rep, grid, vals, op_sups=True):
     """The statistics of engine_path_stats from the coupled paths vals
     (exact first), from the definitions: every sup from sup_norm_stack on a
-    whole difference stack, one norm per call, every root from path_roots."""
+    whole difference stack, one norm per call, every root from path_roots.
+    The op-norm sups are taken in jumps mode with op_sups only."""
     run = scenario._run
+    jumps = scenario.truncation == "jumps"
+    ops = jumps and op_sups
     sup_hs, sup_op = [], []
     for path in vals[1:]:
         D = vals[0] - path
         sup_hs.append(sup_norm_stack(D, "hs"))
-        sup_op.append(sup_norm_stack(D, "op"))
-    out = {
-        "sup_hs": np.array(sup_hs),
-        "sup_sq_hs": np.array([s**2 for s in sup_hs]),
-        "sup_op": np.array(sup_op),
-    }
-    if scenario.truncation != "jumps":
+        if ops:
+            sup_op.append(sup_norm_stack(D, "op"))
+    out = {"sup_hs": np.array(sup_hs), "sup_sq_hs": np.array([s**2 for s in sup_hs])}
+    if ops:
+        out["sup_op"] = np.array(sup_op)
+    if not jumps:
         return out
     sqrts = path_roots(scenario, vals)
     sqrt_hs, sqrt_op = [], []
     for root in sqrts[1:]:
         dS = sqrts[0] - root
         sqrt_hs.append(sup_norm_stack(dS, "hs"))
-        sqrt_op.append(sup_norm_stack(dS, "op"))
-    out["sqrt_sup_sq_op"] = np.array([s**2 for s in sqrt_op])
+        if ops:
+            sqrt_op.append(sup_norm_stack(dS, "op"))
+    if ops:
+        out["sqrt_sup_sq_op"] = np.array([s**2 for s in sqrt_op])
     out["sqrt_sup_sq_hs"] = np.array([s**2 for s in sqrt_hs])
     xs = simulate_forward_coupled(
         VariancePath(grid, vals), run.forward, scenario.q_spectrum,
@@ -243,10 +247,11 @@ def path_stats(scenario, rep, grid, vals):
     return out
 
 
-def independent_stats(scenario, rep):
-    """Every _rep_stats key of replication rep, in its order, with the paths
-    from level_paths, their statistics from path_stats, and the jump
-    statistics from the jump vectors truncated one level at a time."""
+def independent_stats(scenario, rep, op_sups=True):
+    """Every _rep_stats key of replication rep for op_sups, in its order,
+    with the paths from level_paths, their statistics from path_stats, and
+    the jump statistics from the jump vectors truncated one level at a
+    time."""
     run, seed = scenario._run, scenario.master_seed
     times = sample_clock(scenario.rate, scenario.horizon, stream(seed, PURPOSE_CLOCK, rep))
     js = sample_jump_stream(times.size, run.jump_sd, stream(seed, PURPOSE_JUMPS, rep))
@@ -260,7 +265,7 @@ def independent_stats(scenario, rep):
     }
     out["l2_total"] = float(np.sum(out["x_sum_tensor"] ** 2))
     grid, vals = level_paths(scenario, rep)
-    stats = path_stats(scenario, rep, grid, vals)
+    stats = path_stats(scenario, rep, grid, vals, op_sups)
     if scenario.truncation != "jumps":
         out.update(stats)
         return out
@@ -281,7 +286,8 @@ def independent_stats(scenario, rep):
             per_level[key].append(value)
     out.update({key: np.array(values) for key, values in per_level.items()})
     for key in ("sup_hs", "sup_sq_hs", "sup_op", "sqrt_sup_sq_op", "sqrt_sup_sq_hs"):
-        out[key] = stats[key]
+        if key in stats:
+            out[key] = stats[key]
     for key in ("pay_exact", "fwd_sup_sq", "pay_trunc", "dx_tau"):
         out[key] = stats[key]
     return out

@@ -1,5 +1,6 @@
 """Tests for the coupled experiment orchestration."""
 
+import json
 import math
 import pickle
 import warnings
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import opvol
-from opvol import bounds, experiments, forward
+from opvol import bounds, cli, experiments, forward, variance
 from opvol.experiments import (
     PASS_MARGIN,
     BoundReport,
@@ -255,8 +256,8 @@ def path_inputs(scenario, rep):
     evolve = experiments.evolve_coupled
 
     def capture(v0, stepper, jumps, grid):
-        V, W = evolve(v0, stepper, jumps, grid)
-        got.append((grid, V, experiments._reference_path(scenario, grid, W, jumps)))
+        V = evolve(v0, stepper, jumps, grid)
+        got.append((grid, V, experiments._reference_path(scenario, grid, jumps)))
         raise _Captured
 
     with mock.patch.object(experiments, "evolve_coupled", capture), pytest.raises(_Captured):
@@ -277,8 +278,9 @@ def head_maxima(scenario, V, R, head, k):
     stacks = [experiments._differences(scenario._run.keeps, V[:k], R[:k])]
     if head is not None:
         stacks.append(head[0] - s for s in head[1:])
+    modes = ("hs", "op") if scenario.truncation == "jumps" else ("hs",)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.stack([experiments._running_sups(diffs) for diffs in stacks])
+        return np.stack([experiments._running_sups(diffs, modes) for diffs in stacks])
 
 
 def stats_outcome(fn, *args):
@@ -529,17 +531,23 @@ class TestPreJumpSups:
 
     @pytest.mark.parametrize("truncation, stacks", [("jumps", 2), ("generator", 1)])
     def test_warm_replication_sweeps_only_the_slots_from_the_first_jump(self, truncation, stacks):
+        # jumps mode sweeps HS and op sups at once; generator mode, whose
+        # reduction reads no op norm, sweeps and keeps HS ones alone
         sc = small_scenario(truncation=truncation, rate=1.0)
+        sweep, modes = ("both", 2) if truncation == "jumps" else ("hs", 1)
         k, size, (_, warm), (_, cold), stats = self.warm_and_cold(sc)
         assert 0 < k < size
         per_stack = len(sc.levels) * stacks
-        assert [(n, mode) for n, mode, _ in cold] == [(size, "both")] * per_stack
-        assert [(n, mode) for n, mode, _ in warm] == [(size - k, "both")] * per_stack
+        assert [(n, mode) for n, mode, _ in cold] == [(size, sweep)] * per_stack
+        assert [(n, mode) for n, mode, _ in warm] == [(size - k, sweep)] * per_stack
         # the copy's running maxima end in the jump-free replication's sups
         maxima = sc.__dict__["_jump_free"][4]
-        assert maxima.shape == (stacks, 2, len(sc.levels), sc.m_points + 1)
+        assert maxima.shape == (stacks, modes, len(sc.levels), sc.m_points + 1)
         assert maxima[0, 0, :, -1].tobytes() == stats["sup_hs"].tobytes()
-        assert maxima[0, 1, :, -1].tobytes() == stats["sup_op"].tobytes()
+        if modes == 2:
+            assert maxima[0, 1, :, -1].tobytes() == stats["sup_op"].tobytes()
+        else:
+            assert "sup_op" not in stats
         if stacks == 2:
             for m, key in enumerate(("sqrt_sup_sq_hs", "sqrt_sup_sq_op")):
                 assert [s**2 for s in maxima[1, m, :, -1].tolist()] == stats[key].tolist()
@@ -568,6 +576,54 @@ class TestPreJumpSups:
         prefix, suffix = self.prefix_and_suffix(sc)
         assert np.all(prefix == 0.0)
         assert np.all(suffix[..., :-1] > 0.0)
+
+
+class TestOpNormSweeps:
+    """Op norms are solved only where a reduction reads them: for the sqrt_op
+    row of a jumps-mode run_experiment (verify and price).  Generator mode
+    and convergence_study sweep HS sups alone."""
+
+    @pytest.mark.parametrize("truncation, command, rate, solves", [
+        ("generator", "verify", 1.0, False),
+        ("generator", "converge", 1.0, False),
+        # at rate 20 every replication draws a jump: a jump-free one would
+        # build the object's jump-free entry, whose running maxima carry op
+        # norms in jumps mode whatever the command
+        ("jumps", "converge", 20.0, False),
+        ("jumps", "verify", 1.0, True),
+        ("jumps", "price", 1.0, True),
+    ])
+    def test_op_norms_solved_only_for_the_sqrt_op_row(self, tmp_path, truncation, command, rate, solves):
+        # at seed 13 and rate 1, replications 0 and 8 draw no jump
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({"truncation": truncation, "rate": rate, "replications": 9,
+                                      "m_points": 20, "master_seed": 13}))
+        calls = []
+        op_norms = variance._op_norms
+
+        def counting(S):
+            calls.append(len(S) if S.ndim == 3 else 1)
+            return op_norms(S)
+
+        with mock.patch.object(variance, "_op_norms", counting):
+            code = cli.main([command, str(config), "--threads", "1", "--out-dir", str(tmp_path)])
+        assert code in (cli.EXIT_PASS, cli.EXIT_FAIL)
+        assert (sum(calls) > 0) == solves
+
+    @pytest.mark.parametrize("truncate_v0", [False, True])
+    def test_converge_statistics_are_verify_ones_without_the_op_sups(self, truncate_v0):
+        # one object, first as convergence_study runs it, then as
+        # run_experiment does: the jump-free entry the first run builds
+        # serves the second, and every key the first takes keeps its bits
+        sc = small_scenario(truncate_v0=truncate_v0, rate=1.0, replications=12)
+        reps = range(sc.replications)
+        converge = [experiments._rep_stats(sc, rep, op_sups=False) for rep in reps]
+        verify = [experiments._rep_stats(sc, rep) for rep in reps]
+        assert [out["n_jumps"] for out in verify].count(0.0) >= 2
+        for rep in reps:
+            assert_same_bits(verify[rep], experiments._rep_stats(sc.with_(), rep))
+            assert_same_bits(converge[rep], independent_stats(sc, rep, op_sups=False))
+            assert [key for key in verify[rep] if key not in converge[rep]] == ["sup_op", "sqrt_sup_sq_op"]
 
 
 def svd_trace_norms(ys, n):
@@ -670,7 +726,7 @@ class TestRunConstants:
         assert_same_bits(warm[1], cold)
         # at rate 1 about a third of the replications have no jump; the first
         # of them computes the jump-free paths, the later ones reuse them
-        for truncation, n_sups in (("jumps", 5), ("generator", 3)):
+        for truncation, n_sups in (("jumps", 5), ("generator", 2)):
             sc = small_scenario(truncation=truncation, rate=1.0, replications=40)
             reps = range(sc.replications)
             cold = [experiments._rep_stats(sc.with_(), rep) for rep in reps]
@@ -784,18 +840,24 @@ class TestNumericalFailure:
 
     def run_with(self, monkeypatch, scenario, corrupt, rep=3):
         """Replication rep's failure after corrupt(V, W) on the exact path
-        and the jump-free diagonal it evolves (W is R's diagonal in jumps
-        mode without truncate_v0), and its grid."""
-        grids = []
-        evolve = experiments.evolve_coupled
+        and the diagonal of its reference path R (in jumps mode without
+        truncate_v0, the jump-free diagonal), and its grid."""
+        grids, paths = [], []
+        evolve, reference = experiments.evolve_coupled, experiments._reference_path
 
-        def corrupted(v0, stepper, jumps, grid):
-            V, W = evolve(v0, stepper, jumps, grid)
+        def evolved(v0, stepper, jumps, grid):
+            paths.append(evolve(v0, stepper, jumps, grid))
             grids.append(grid)
-            corrupt(V, W)
-            return V, W
+            return paths[-1]
 
-        monkeypatch.setattr(experiments, "evolve_coupled", corrupted)
+        def corrupted(scenario, grid, jumps):
+            R = reference(scenario, grid, jumps)
+            d = R.shape[-1]
+            corrupt(paths[-1], R.reshape(len(R), d * d)[:, :: d + 1])
+            return R
+
+        monkeypatch.setattr(experiments, "evolve_coupled", evolved)
+        monkeypatch.setattr(experiments, "_reference_path", corrupted)
         with pytest.raises(ValueError) as got:
             experiments._rep_stats(scenario, rep)
         return got.value, grids[0]
@@ -897,14 +959,19 @@ class TestNumericalFailure:
 
     def test_finite_path_whose_squares_overflow_raises_nothing(self):
         # V ~ e^{368 t}: entries near 1e159 stay finite, their squares in the
-        # HS sup do not; no decomposition fails, so the only sign is inf
-        sc = small_scenario(truncation="generator", generator_spectrum=np.full(8, 184.0), rate=0.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = experiments._rep_stats(sc, 0)
-        for i in range(len(sc.levels)):
-            assert out["sup_hs"][i] == math.inf
-            assert 1e158 < out["sup_op"][i] < math.inf
+        # HS sup do not; no sweep fails, so the only sign is inf.  Generator
+        # mode sweeps HS sups alone; jumps mode with V0 truncated to each
+        # level's block also takes the op sups, which stay finite
+        generator = small_scenario(truncation="generator", generator_spectrum=np.full(8, 184.0), rate=0.0)
+        jumps = generator.with_(truncation="jumps", v0_diag=np.ones(8), truncate_v0=True)
+        for sc in (generator, jumps):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = experiments._rep_stats(sc, 0)
+            for i in range(len(sc.levels)):
+                assert out["sup_hs"][i] == math.inf
+                if sc is jumps:
+                    assert 1e158 < out["sup_op"][i] < math.inf
 
 
     @pytest.mark.parametrize("truncation", ["jumps", "generator"])

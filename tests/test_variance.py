@@ -13,6 +13,7 @@ from opvol.operators import psd_sqrt_batch
 from opvol.processes import CoupledJumpStream, sample_clock, sample_jump_stream, stream
 from opvol.variance import (
     GeneratorSpec,
+    _jump_free_diagonal,
     build_grid,
     eigen_tail_sup_sq,
     evolve_coupled,
@@ -260,7 +261,7 @@ def _evolve_loop(v0s, steppers, jump_stacks, grid):
 
 def _free_loop(v0, stepper, grid):
     """The (G, d) diagonal of the jump-free path e^{ct} diag(v0), slot by
-    slot: the second output evolve_coupled must equal bit for bit."""
+    slot: what _jump_free_diagonal must equal bit for bit."""
     W = np.empty((grid.size, v0.shape[-1]))
     W[0] = np.diagonal(v0)
     for g in range(1, grid.size):
@@ -270,11 +271,12 @@ def _free_loop(v0, stepper, grid):
 
 
 def _assert_paths_match_loop(v0s, steppers, jump_stacks, grid):
-    """evolve_coupled on each path alone against _evolve_loop and _free_loop."""
+    """evolve_coupled and _jump_free_diagonal on each path alone against
+    _evolve_loop and _free_loop."""
     want = _evolve_loop(v0s, steppers, jump_stacks, grid)
     for p, (stepper, jumps) in enumerate(zip(steppers, jump_stacks)):
-        V, W = evolve_coupled(v0s[p], stepper, jumps, grid)
-        assert _same_bits(V, want[p])
+        assert _same_bits(evolve_coupled(v0s[p], stepper, jumps, grid), want[p])
+        W = _jump_free_diagonal(v0s[p], stepper, grid)
         assert _same_bits(W, _free_loop(v0s[p], stepper, grid))
 
 
@@ -425,7 +427,9 @@ class TestEvolution:
         for spec in (GeneratorSpec("sylvester", -karhunen_loeve_spectrum(d)),
                      GeneratorSpec("sandwich", rng.uniform(-1.0, 1.0, d))):
             v0 = np.diag(rng.uniform(0.1, 1.0, d))
-            V, W = evolve_coupled(v0, make_stepper(spec), js.jumps, grid)
+            stepper = make_stepper(spec)
+            V = evolve_coupled(v0, stepper, js.jumps, grid)
+            W = _jump_free_diagonal(v0, stepper, grid)
             U = np.cumsum(np.concatenate((v0[None], js.jumps)), axis=0)[count]
             for n in (3, 5):
                 mask = level_mask(n, d)
@@ -675,7 +679,7 @@ class TestPrunedOpSup:
     def test_non_finite_stacks_raise_before_any_solve(self, seed, d, kinds, exponent, spread, bad, where,
                                                       mirrored):
         # placed at (i, j) alone or mirrored at (j, i) too: either way no
-        # LAPACK routine sees the stack
+        # LAPACK routine sees the stack, and every mode names it
         D = slot_stack(seed, d, kinds, exponent, spread)
         g, i, j = np.unravel_index(where % D.size, D.shape)
         D[g, i, j] = bad
@@ -688,8 +692,20 @@ class TestPrunedOpSup:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np.linalg, "eigvalsh", no_solve)
             mp.setattr(np.linalg, "svd", no_solve)
-            with pytest.raises(np.linalg.LinAlgError, match="^NaN or inf in the stack$"):
-                sup_norm_stack(D, "op")
+            for mode in ("hs", "op", "both"):
+                with pytest.raises(np.linalg.LinAlgError, match="^NaN or inf in the stack$"):
+                    sup_norm_stack(D, mode)
+
+    def test_finite_stack_whose_squares_overflow_raises_nothing(self):
+        # entries near 1e200 are finite and their squares are not: the HS
+        # sup is inf in every mode, the op sup finite
+        D = np.full((3, 4, 4), 1e200)
+        D[1] *= 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sup_norm_stack(D, "hs") == np.inf
+            assert sup_norm_stack(D, "both") == (np.inf, sup_norm_stack(D, "op"))
+        assert sup_norm_stack(D, "op") == _full_op_sup(D)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 16),
