@@ -88,7 +88,8 @@ MAX_EXPECTED_JUMPS = 1e4
 # bytes a replication's root stack may take: the roots of every path (exact
 # and one per level) at each grid slot, m_points + 1 base points and two per
 # expected jump, as d x d float64 matrices; the evolved path, its reference
-# path and one difference stack take three paths' worth more
+# path and one difference stack take three paths' worth more, two under
+# truncate_v0, whose reference path is a zero view with no stack
 MAX_PATH_STACK_BYTES = 256 * 2**20
 
 # bytes the statistics table may take: _map_reps holds every replication's
@@ -376,7 +377,8 @@ def _rep_stats(scenario: CoupledScenario, rep: int, op_sups: bool = True) -> dic
     multiply order).  Once the first jump-free replication has kept its
     own, the roots and running maxima (_running_sups) of those k slots, and
     at k = G the grid and paths, come from that copy: only the slots from k
-    on are decomposed and swept.
+    on are decomposed and swept.  The copy's op maxima are taken only once
+    a caller with op_sups needs them (_free_maxima).
 
     Overflow and invalid-value warnings are silenced.  A non-finite value
     in a path (_differences checks V whole, every sweep its difference), or
@@ -424,8 +426,13 @@ def _rep_stats(scenario: CoupledScenario, rep: int, op_sups: bool = True) -> dic
         out["cpp_sup_sq"] = np.max(np.sum(prefix**2, axis=(2, 3)), axis=1, initial=0.0)
 
     # the first jump-free replication keeps its grid, paths, roots and
-    # running maxima, read-only, in the scenario's _jump_free entry
+    # running maxima, read-only, in the scenario's _jump_free entry: HS ones,
+    # and op ones from the first caller that sweeps op sups on
+    modes = ("hs", "op") if mode == "jumps" and op_sups else ("hs",)
     free = scenario.__dict__.get("_jump_free")
+    if free is not None and free[4].shape[1] < len(modes):
+        op = _free_maxima(run.keeps, *free[1:4], ("op",))
+        free = _keep_jump_free(scenario, *free[:4], np.concatenate((free[4], op), axis=1))
     if free is not None and not times.size:
         grid, V, R = free[:3]
     else:
@@ -440,20 +447,31 @@ def _rep_stats(scenario: CoupledScenario, rep: int, op_sups: bool = True) -> dic
         stats, sqrts = _variance_stats(scenario, V, R, head, maxima, op_sups)
         out.update(stats)
         if free is None and not times.size:
-            stacks = [_differences(run.keeps, V, R)]
-            if sqrts is not None:
-                stacks.append(sqrts[0] - s for s in sqrts[1:])
-            # the entry serves every caller of this object: op maxima in
-            # jumps mode, whose verify reads them, HS ones alone otherwise
-            modes = ("hs", "op") if mode == "jumps" else ("hs",)
-            maxima = np.stack([_running_sups(diffs, modes) for diffs in stacks])
-            for a in (grid.times, grid.is_left, grid.jump_index, V, R, sqrts, maxima):
-                if a is not None:
-                    a.setflags(write=False)
-            scenario.__dict__["_jump_free"] = grid, V, R, sqrts, maxima
+            _keep_jump_free(scenario, grid, V, R, sqrts, _free_maxima(run.keeps, V, R, sqrts, modes))
         if sqrts is not None:
             out.update(_forward_stats(scenario, rep, grid, V, sqrts))
     return out
+
+
+def _free_maxima(keeps: np.ndarray, V: np.ndarray, R: np.ndarray, sqrts: np.ndarray | None,
+                 modes: tuple[str, ...]) -> np.ndarray:
+    """(S, M, L, G) _running_sups, one row per mode in modes, of the S
+    difference stacks of a replication: of its level paths (_differences of
+    V and R) and, in jumps mode, of its roots sqrts (None otherwise)."""
+    stacks = [_differences(keeps, V, R)]
+    if sqrts is not None:
+        stacks.append(sqrts[0] - s for s in sqrts[1:])
+    return np.stack([_running_sups(diffs, modes) for diffs in stacks])
+
+
+def _keep_jump_free(scenario: CoupledScenario, grid: TimeGrid, *arrays) -> tuple:
+    """Make the grid and the arrays V, R, sqrts and maxima read-only, keep
+    them as the scenario's _jump_free entry and return it."""
+    for a in (grid.times, grid.is_left, grid.jump_index, *arrays):
+        if a is not None:
+            a.setflags(write=False)
+    entry = scenario.__dict__["_jump_free"] = (grid, *arrays)
+    return entry
 
 
 def _level_jumps(ys: np.ndarray, levels: tuple[int, ...]) -> np.ndarray:
@@ -480,17 +498,19 @@ def _reference_path(scenario: CoupledScenario, grid: TimeGrid, jumps: np.ndarray
 
     In jumps mode a level keeps its n x n block, and off it only V0 is
     left: R is the jump-free diagonal path diag(e^{ct} V0)
-    (_jump_free_diagonal), or zero with truncate_v0.  In generator mode the
-    dropped entries do not move between jumps: R is U = V0 + the jumps so
-    far, added one at a time, in order, as the compressed semigroup's
-    factors of ones leave them.
+    (_jump_free_diagonal), or zero with truncate_v0, a read-only view of one
+    zero that takes no stack's memory.  In generator mode the dropped
+    entries do not move between jumps: R is U = V0 + the jumps so far, added
+    one at a time, in order, as the compressed semigroup's factors of ones
+    leave them.
     """
     run = scenario._run
     G, d = grid.size, scenario.d
     if scenario.truncation == "jumps":
+        if scenario.truncate_v0:
+            return np.broadcast_to(0.0, (G, d, d))
         R = np.zeros((G, d, d))
-        if not scenario.truncate_v0:
-            R.reshape(G, d * d)[:, :: d + 1] = _jump_free_diagonal(run.v0s[0], run.stepper, grid)
+        R.reshape(G, d * d)[:, :: d + 1] = _jump_free_diagonal(run.v0s[0], run.stepper, grid)
         return R
     U = np.cumsum(np.concatenate((run.v0s[:1], jumps)), axis=0)
     # the jumps at or before each slot
@@ -519,8 +539,9 @@ def _variance_stats(scenario: CoupledScenario, V: np.ndarray, R: np.ndarray,
     """The (L,) sup errors of the level paths, each the (G, d, d) exact path
     V on the entries its level keeps and the reference path R off them, and,
     in jumps mode, those of their square roots, with the (P, G, d, d) root
-    stack, exact path first (None in generator mode).  The sups are HS ones
-    and, in jumps mode with op_sups, op ones too (_rep_stats's keys).
+    stack, exact path first (None in generator mode), allocated once and
+    written by psd_sqrt_batch in place.  The sups are HS ones and, in jumps
+    mode with op_sups, op ones too (_rep_stats's keys).
 
     Every sup is sup_norm_stack's on a level's difference stack (_sups,
     _differences), and every root psd_sqrt_batch's, one call per path: the
@@ -558,7 +579,7 @@ def _variance_stats(scenario: CoupledScenario, V: np.ndarray, R: np.ndarray,
         tail = np.diagonal(R[k:], axis1=1, axis2=2)
         for p, n in enumerate((V.shape[-1], *scenario.levels)):
             try:
-                sqrts[p, k:] = psd_sqrt_batch(V[k:, :n, :n], tail[:, n:])
+                psd_sqrt_batch(V[k:, :n, :n], tail[:, n:], out=sqrts[p, k:])
             except NotPositiveSemidefinite as exc:
                 # name the matrix by (path, slot), as in the whole (P, G) stack
                 raise NotPositiveSemidefinite.at((p, k + exc.index[0]), exc.detail) from exc

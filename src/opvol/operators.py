@@ -63,7 +63,8 @@ def _require_psd(spectra: np.ndarray) -> None:
         raise NotPositiveSemidefinite.at(i, f"eigenvalue {wmin[i]:.6e} below -tol_psd = {-tol[i]:.6e}")
 
 
-def psd_sqrt_batch(Ts: np.ndarray, tail: np.ndarray | None = None) -> np.ndarray:
+def psd_sqrt_batch(Ts: np.ndarray, tail: np.ndarray | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Unique PSD square root of each matrix along the leading axes of a
     symmetric PSD (..., n, n) stack or, given the (..., m) tail, of each
     blockdiag(T, diag(tail)), (..., n + m, n + m).
@@ -80,17 +81,29 @@ def psd_sqrt_batch(Ts: np.ndarray, tail: np.ndarray | None = None) -> np.ndarray
     diagonal, so eigh runs on the n x n blocks only; the tolerance comes
     from the whole matrix's spectrum, the eigenvalues of T and the tail
     together.
+
+    The roots are written into out, a (..., n + m, n + m) float array,
+    which is returned (a new one if out is None); every entry is written,
+    and those off the n x n blocks and the tail's diagonal are +0.0.  M is
+    formed in place in the eigenvector array eigh returned and M M^T goes
+    straight into out's blocks, so no other stack of the roots' size is
+    allocated.
     """
     Ts = np.asarray(Ts, dtype=float)
     n = Ts.shape[-1]
     tail = np.zeros((*Ts.shape[:-2], 0)) if tail is None else np.asarray(tail, dtype=float)
     d = n + tail.shape[-1]
-    w, U = np.linalg.eigh(Ts)
+    shape = (*Ts.shape[:-2], d, d)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, the roots of these matrices {shape}")
+    w, M = np.linalg.eigh(Ts)
     _require_psd(np.concatenate((w, tail), axis=-1))
-    M = U * _quarter_root(w)[..., None, :]
-    del U  # the output below is allocated after the eigenvectors are freed
-    out = np.zeros((*Ts.shape[:-2], d, d))
+    M *= _quarter_root(w)[..., None, :]
+    out[..., :n, n:] = 0.0
+    out[..., n:, :] = 0.0
     q = _quarter_root(tail)
-    out.reshape(*Ts.shape[:-2], d * d)[..., n * (d + 1) :: d + 1] = q * q
-    out[..., :n, :n] = M @ np.swapaxes(M, -2, -1)
+    out[..., range(n, d), range(n, d)] = q * q
+    np.matmul(M, np.swapaxes(M, -2, -1), out=out[..., :n, :n])
     return out

@@ -175,9 +175,9 @@ class TestSquareRootsPerReplication:
         def counting(owner):
             inner = owner.psd_sqrt_batch
 
-            def psd_sqrt_batch(Ts, tail=None):
+            def psd_sqrt_batch(Ts, tail=None, out=None):
                 calls[-1].append((Ts.shape[:-2], Ts.shape[-1]))
-                return inner(Ts, tail)
+                return inner(Ts, tail, out)
 
             return mock.patch.object(owner, "psd_sqrt_batch", psd_sqrt_batch)
 
@@ -583,21 +583,28 @@ class TestOpNormSweeps:
     row of a jumps-mode run_experiment (verify and price).  Generator mode
     and convergence_study sweep HS sups alone."""
 
-    @pytest.mark.parametrize("truncation, command, rate, solves", [
-        ("generator", "verify", 1.0, False),
-        ("generator", "converge", 1.0, False),
-        # at rate 20 every replication draws a jump: a jump-free one would
-        # build the object's jump-free entry, whose running maxima carry op
-        # norms in jumps mode whatever the command
-        ("jumps", "converge", 20.0, False),
-        ("jumps", "verify", 1.0, True),
-        ("jumps", "price", 1.0, True),
-    ])
-    def test_op_norms_solved_only_for_the_sqrt_op_row(self, tmp_path, truncation, command, rate, solves):
+    CASES = [
+        ("generator", "verify", 1.0, False, False),
+        ("generator", "converge", 1.0, False, False),
+        # at rate 20 every replication draws a jump
+        ("jumps", "converge", 20.0, False, False),
+        # replication 0 draws none and builds the object's jump-free entry;
+        # with truncate_v0 its pre-jump differences are nonzero, and their
+        # op maxima are taken only once a verify or price needs them
+        ("jumps", "converge", 1.0, True, False),
+        ("jumps", "verify", 1.0, False, True),
+        ("jumps", "price", 1.0, False, True),
+    ]
+
+    @pytest.mark.parametrize("truncation, command, rate, truncate_v0, solves", CASES, ids=[
+        f"{t}-{c}-{r}-{s}" + ("-truncate_v0" if v0 else "") for t, c, r, v0, s in CASES])
+    def test_op_norms_solved_only_for_the_sqrt_op_row(self, tmp_path, truncation, command, rate,
+                                                      truncate_v0, solves):
         # at seed 13 and rate 1, replications 0 and 8 draw no jump
         config = tmp_path / "scenario.json"
         config.write_text(json.dumps({"truncation": truncation, "rate": rate, "replications": 9,
-                                      "m_points": 20, "master_seed": 13}))
+                                      "m_points": 20, "master_seed": 13,
+                                      "truncate_v0": truncate_v0}))
         calls = []
         op_norms = variance._op_norms
 

@@ -328,6 +328,41 @@ class TestPsdSqrtBlocks:
         assert np.array_equal(out, _eigh_sqrt_batch(Ts))
 
 
+class TestPsdSqrtInto:
+    """psd_sqrt_batch(..., out=) writes the roots into the caller's
+    destination, as the engine writes each path's roots into its slice
+    stack[p, k:] of the replication's root stack: every entry, with the
+    allocating call's bits."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=block_stacks, full=st.booleans(), where=st.tuples(st.integers(0, 2), st.integers(0, 3)))
+    @example(case=(3, 16, 12, 8, 0.0, 12), full=False, where=(1, 2))
+    def test_writes_every_entry_of_a_stack_slice(self, case, full, where):
+        seed, d, n, slots, exponent, rank = case
+        n = d if full else n
+        Ts = block_psd_stack(seed, d, n, slots, exponent, min(rank, n))
+        want = psd_sqrt_batch(*split(Ts, n))
+        p, k = where
+        stack = np.full((3, k + slots, d, d), np.nan)
+        view = stack[p, k:]
+        assert psd_sqrt_batch(*split(Ts, n), out=view) is view
+        assert view.tobytes() == want.tobytes()
+        # bit-symmetric, off-block entries +0.0, sign bit included
+        assert view.tobytes() == np.swapaxes(view, -2, -1).tobytes()
+        off = ~np.eye(d, dtype=bool)
+        off[:n, :n] = False
+        assert np.all(view[:, off] == 0.0) and not np.any(np.signbit(view[:, off]))
+        # nothing outside the destination is written
+        assert np.all(np.isnan(np.delete(stack, p, axis=0))) and np.all(np.isnan(stack[p, :k]))
+
+    @pytest.mark.parametrize("shape", [(4, 3, 3), (5, 4, 4), (4, 4, 5)])
+    def test_wrong_destination_shape_is_named(self, shape):
+        Ts = np.stack([np.eye(2)] * 4)
+        with pytest.raises(ValueError) as got:
+            psd_sqrt_batch(Ts, np.ones((4, 2)), out=np.zeros(shape))
+        assert str(got.value) == f"out has shape {shape}, the roots of these matrices (4, 4, 4)"
+
+
 class TestProjections:
     def test_level_membership(self):
         pairs = {(int(j) + 1, int(k) + 1) for j, k in zip(*np.nonzero(level_mask(3, 3)))}
