@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox, SeedSequence
 
 from opvol.experiments import _level_jumps, default_scenario
 from opvol.processes import (
+    _KEY_BLOCK,
     CoupledJumpStream,
     cp_second_moment,
     cp_second_moment_bound,
@@ -33,6 +35,52 @@ class TestStreams:
         a = stream(7, 1, 0).standard_normal(5)
         b = stream(7, 1, 1).standard_normal(5)
         assert not np.allclose(a, b)
+
+    # the Philox keys stream derives from its key blocks are SeedSequence's:
+    # a change to either side (numpy's SeedSequence included) fails here
+    # rather than changing every stream
+    @pytest.mark.parametrize("seed", [0, 1, 1729, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 17])
+    @pytest.mark.parametrize("purpose", [1, 2, 3])
+    def test_keys_are_seed_sequence_keys(self, seed, purpose):
+        B = _KEY_BLOCK
+        for rep in (0, 1, B - 1, B, B + 1, 2**40 + 7 * B + 3):
+            key = stream(seed, purpose, rep).bit_generator.state["state"]["key"]
+            want = SeedSequence([seed, purpose, rep]).generate_state(2, np.uint64)
+            assert key.dtype == want.dtype and np.array_equal(key, want), (seed, purpose, rep)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**128 - 1), purpose=st.integers(1, 3),
+           rep=st.integers(0, 10**6 - 1))
+    def test_draws_are_seed_sequence_streams(self, seed, purpose, rep):
+        want = Generator(Philox(SeedSequence([seed, purpose, rep])))
+        rng = stream(seed, purpose, rep)
+        assert np.array_equal(rng.standard_normal(4), want.standard_normal(4))
+        assert np.array_equal(rng.integers(0, 2**63, 3), want.integers(0, 2**63, 3))
+
+    def test_each_call_is_a_fresh_generator(self):
+        a, b = stream(7, 2, 1500), stream(7, 2, 1500)
+        assert a is not b and a.bit_generator is not b.bit_generator
+        first = a.standard_normal(6)
+        assert np.array_equal(b.standard_normal(6), first)  # a's draws left b where it was
+        assert np.array_equal(a.standard_normal(6), b.standard_normal(6))
+
+    @pytest.mark.parametrize("args", [(-1, 1, 0), (7, -1, 0), (7, 1, -1), (7, 1, -_KEY_BLOCK),
+                                      (-(2**64), 1, 0)])
+    def test_negative_arguments_raise_as_seed_sequence_does(self, args):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            SeedSequence(list(args))
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            stream(*args)
+
+    @pytest.mark.parametrize("args", [(7.0, 1, 0), (7, 1.0, 0), (7, 1, 2.5), (7, 1, np.float64(3)),
+                                      (7, 1, "3")])
+    def test_non_integer_arguments_raise_type_error(self, args):
+        with pytest.raises(TypeError):
+            stream(*args)
+
+    def test_numpy_integers_and_ints_give_one_stream(self):
+        a = stream(np.int64(7), np.uint8(1), np.uint32(_KEY_BLOCK + 3)).standard_normal(3)
+        assert np.array_equal(a, stream(7, 1, _KEY_BLOCK + 3).standard_normal(3))
 
 
 def assert_clocks_match_loop(rate, horizon, reps):
