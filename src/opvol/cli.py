@@ -243,8 +243,7 @@ def cmd_converge(scenario: CoupledScenario, out_dir: str, threads: int) -> int:
         f"{bound_id} not weakly decreasing: " + ", ".join(
             f"level {r.level} {_fmt(r.estimate)} +- {_fmt(r.stderr)}" for r in study.series(bound_id)
         )
-        for bound_id in dict.fromkeys(r.bound_id for r in study.rows)
-        if not study.monotone.get(bound_id, False)
+        for bound_id, ok in study.monotone.items() if not ok
     ])
     return EXIT_PASS if study.passed else EXIT_FAIL
 

@@ -22,7 +22,12 @@ Two truncation modes exist:
                 bounds are checked in this mode; no square roots are taken.
 
 Statistics are always reduced in replication order in the parent process, so
-results are bit-identical for any worker count.
+results are bit-identical for any worker count.  Each mode has one reducer
+(_reduce_jumps, _reduce_generator, both starting from _moment_rows's rows).
+A reducer's rows are (bound_id, level, lhs, rhs) tuples whose sides are
+estimates, (mean, stderr) pairs; run_experiment alone checks them for
+finiteness and makes them BoundReports.  convergence_study's rows are
+(bound_id, level, estimate) tuples, made into ConvergenceRows in one place.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from functools import cached_property, partial
 
 import numpy as np
@@ -318,7 +323,8 @@ class ConvergenceStudy:
     """Per-level error estimates plus a weak-monotonicity verdict per series.
 
     A series is weakly decreasing when each estimate is at most the previous
-    one plus three combined standard errors.
+    one plus three combined standard errors.  monotone holds one flag per
+    series, in the order the series first appear in rows.
     """
 
     rows: tuple[ConvergenceRow, ...]
@@ -377,8 +383,10 @@ def _rep_stats(scenario: CoupledScenario, rep: int, op_sups: bool = True) -> dic
     multiply order).  Once the first jump-free replication has kept its
     own, the roots and running maxima (_running_sups) of those k slots, and
     at k = G the grid and paths, come from that copy: only the slots from k
-    on are decomposed and swept.  The copy's op maxima are taken only once
-    a caller with op_sups needs them (_free_maxima).
+    on are decomposed and swept.  The copy's op maxima are taken
+    (_free_maxima) only if the replication that builds it sweeps op sups; a
+    call that sweeps them takes a copy without them as absent, and its first
+    jump-free replication rebuilds the copy.
 
     Overflow and invalid-value warnings are silenced.  A non-finite value
     in a path (_differences checks V whole, every sweep its difference), or
@@ -427,12 +435,13 @@ def _rep_stats(scenario: CoupledScenario, rep: int, op_sups: bool = True) -> dic
 
     # the first jump-free replication keeps its grid, paths, roots and
     # running maxima, read-only, in the scenario's _jump_free entry: HS ones,
-    # and op ones from the first caller that sweeps op sups on
+    # and op ones if it sweeps op sups.  An entry without the maxima this
+    # call sweeps counts as absent: the call's first jump-free replication
+    # rebuilds it
     modes = ("hs", "op") if mode == "jumps" and op_sups else ("hs",)
     free = scenario.__dict__.get("_jump_free")
     if free is not None and free[4].shape[1] < len(modes):
-        op = _free_maxima(run.keeps, *free[1:4], ("op",))
-        free = _keep_jump_free(scenario, *free[:4], np.concatenate((free[4], op), axis=1))
+        free = None
     if free is not None and not times.size:
         grid, V, R = free[:3]
     else:
@@ -464,14 +473,13 @@ def _free_maxima(keeps: np.ndarray, V: np.ndarray, R: np.ndarray, sqrts: np.ndar
     return np.stack([_running_sups(diffs, modes) for diffs in stacks])
 
 
-def _keep_jump_free(scenario: CoupledScenario, grid: TimeGrid, *arrays) -> tuple:
-    """Make the grid and the arrays V, R, sqrts and maxima read-only, keep
-    them as the scenario's _jump_free entry and return it."""
+def _keep_jump_free(scenario: CoupledScenario, grid: TimeGrid, *arrays) -> None:
+    """Make the grid and the arrays V, R, sqrts and maxima read-only and keep
+    them as the scenario's _jump_free entry."""
     for a in (grid.times, grid.is_left, grid.jump_index, *arrays):
         if a is not None:
             a.setflags(write=False)
-    entry = scenario.__dict__["_jump_free"] = (grid, *arrays)
-    return entry
+    scenario.__dict__["_jump_free"] = (grid, *arrays)
 
 
 def _level_jumps(ys: np.ndarray, levels: tuple[int, ...]) -> np.ndarray:
@@ -735,16 +743,6 @@ def _require_finite(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> None
     raise ValueError(f"numerical failure in replication {r}: statistic {key}{level} is {value}")
 
 
-def _require_finite_rows(rows) -> None:
-    """Raise a ValueError naming the first non-finite value of the reduced
-    rows, each (name, level, {field: value}).  A reduction of finite
-    statistics can still overflow (a mean of payoffs near 1e308, say)."""
-    for name, level, values in rows:
-        for key, value in values.items():
-            if not math.isfinite(value):
-                raise ValueError(f"numerical failure: {name} at level {level}: {key} is {value}")
-
-
 def _check_growth(scenario: CoupledScenario) -> None:
     """Raise the bounds' ValueError for a growth factor that overflows, as the
     reducers would, before any replication runs: an overflowing constant is
@@ -794,13 +792,31 @@ def _jackknife_mean_norm_sq(tensors: np.ndarray, counts: np.ndarray) -> tuple[fl
     return est, se
 
 
-def _product_root_se(a: float, a_se: float, b: float, b_se: float, scale: float) -> float:
-    """Delta-method stderr of scale * sqrt(a * b)."""
-    if a <= 0.0 or b <= 0.0:
+def _product_root_se(a: tuple[float, float], b: tuple[float, float], scale: float) -> float:
+    """Delta-method stderr of scale * sqrt(a * b) for the estimates a and b."""
+    if a[0] <= 0.0 or b[0] <= 0.0:
         return 0.0
-    da = 0.5 * math.sqrt(b / a)
-    db = 0.5 * math.sqrt(a / b)
-    return scale * math.hypot(da * a_se, db * b_se)
+    da = 0.5 * math.sqrt(b[0] / a[0])
+    db = 0.5 * math.sqrt(a[0] / b[0])
+    return scale * math.hypot(da * a[1], db * b[1])
+
+
+def _affine(x: tuple[float, float], c: float, offset: float = -0.0) -> tuple[float, float]:
+    """The estimate offset + c X of an estimate X: the constant offset adds
+    no stderr.  -0.0 is the exact additive identity, so without an offset
+    the mean keeps the bits of c times X's."""
+    return offset + c * x[0], c * x[1]
+
+
+def _require_finite_rows(rows, names) -> None:
+    """Raise a ValueError naming the first non-finite value of the reduced
+    rows, each (name, level, *values) with one value per name.  A reduction
+    of finite statistics can still overflow (a mean of payoffs near 1e308,
+    say)."""
+    for name, level, *values in rows:
+        for key, value in zip(names, values):
+            if not math.isfinite(value):
+                raise ValueError(f"numerical failure: {name} at level {level}: {key} is {value}")
 
 
 # --- experiment reduction ----------------------------------------------------
@@ -811,30 +827,30 @@ def _moment_rows(scenario: CoupledScenario, s: dict[str, np.ndarray]):
     against the identity rate*t*m2 + (rate*t)^2*m1sq and from below against
     the coarse bound rate*t*(1 + rate*t)*m2.
 
-    Returns the three rows and the pooled per-jump moments, each a (mean,
-    stderr) pair: m4 of |Y|^4 = |X|_HS^2 and m2 of |Y|^2.
+    Returns the three rows and the pooled per-jump moments, each an
+    estimate: m4 of |Y|^4 = |X|_HS^2 and m2 of |Y|^2.
     """
     lam, T = scenario.rate, scenario.horizon
     counts = s["n_jumps"]
     m4 = _pooled_moment(s["sum_y4"], s["sum_y8"], counts)
     m2 = _pooled_moment(s["sum_y2"], s["sum_y4"], counts)
-    lhs, lhs_se = mean_se(s["l2_total"])
-    m1sq, m1sq_se = _jackknife_mean_norm_sq(s["x_sum_tensor"], counts)
+    lhs = mean_se(s["l2_total"])
+    m1sq = _jackknife_mean_norm_sq(s["x_sum_tensor"], counts)
     # |mean X|^2 <= mean |X|^2 holds for every sample; an excess is rounding
-    ident = cp_second_moment(lam, T, m4[0], min(m1sq, m4[0]))
-    ident_se = math.hypot(lam * T * m4[1], lam * lam * T * T * m1sq_se)
-    coarse = cp_second_moment_bound(lam, T, m4[0])
-    coarse_se = lam * T * (1.0 + lam * T) * m4[1]
+    ident = (cp_second_moment(lam, T, m4[0], min(m1sq[0], m4[0])),
+             math.hypot(lam * T * m4[1], lam * lam * T * T * m1sq[1]))
+    coarse = (cp_second_moment_bound(lam, T, m4[0]), lam * T * (1.0 + lam * T) * m4[1])
     rows = [
-        BoundReport("cpp_moment_upper", 0, lhs, lhs_se, ident, ident_se),
-        BoundReport("cpp_moment_lower", 0, ident, ident_se, lhs, lhs_se),
-        BoundReport("cpp_moment_bound", 0, lhs, lhs_se, coarse, coarse_se),
+        ("cpp_moment_upper", 0, lhs, ident),
+        ("cpp_moment_lower", 0, ident, lhs),
+        ("cpp_moment_bound", 0, lhs, coarse),
     ]
     return rows, m4, m2
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _reduce_jumps(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> ExperimentResult:
+def _reduce_jumps(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> tuple[list, tuple]:
+    """The jumps-mode rows and one PricingReport per level."""
     lam, T, run = scenario.rate, scenario.horizon, scenario._run
     gn = run.generator.op_norm
     base = BoundInputs(horizon=T, rate=lam, gen_norm=gn)
@@ -845,99 +861,66 @@ def _reduce_jumps(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> Experi
     fwd_const = bound_forward(BoundInputs(
         k=run.forward.k, trace_q=float(scenario.q_spectrum.sum()), horizon=T,
     ))
-    payoff, functional = run.payoff, run.functional
     counts = s["n_jumps"]
 
-    reports, m4, m2 = _moment_rows(scenario, s)
-    pricing: list[PricingReport] = []
-
+    rows, m4, m2 = _moment_rows(scenario, s)
     for i, n in enumerate(scenario.levels):
         col = {key: v[:, i] for key, v in s.items() if v.ndim == 2}  # level n of each (R, L)
-        dv0 = run.v0s[0] - run.v0s[i + 1]
-        dv0_hs = float(np.linalg.norm(dv0))
+        dv0_hs = float(np.linalg.norm(run.v0s[0] - run.v0s[i + 1]))
         dv0_sq = dv0_hs**2
-
-        sup_sq, sup_sq_se = mean_se(col["sup_sq_hs"])
-        sup_hs, sup_hs_se = mean_se(col["sup_hs"])
+        sup_sq = mean_se(col["sup_sq_hs"])
         dx_sq = _pooled_moment(col["sum_dx_sq"], col["sum_dx_sq_sq"], counts)
         dx_tr = _pooled_moment(col["sum_dx_tr"], col["sum_dx_tr_sq"], counts)
         dy2 = _pooled_moment(col["sum_dy2"], col["sum_dy4"], counts)
         dy4 = _pooled_moment(col["sum_dy4"], col["sum_dy8"], counts)
-
-        reports.append(BoundReport(
-            "variance_jumps", n, sup_sq, sup_sq_se,
-            c0 * dv0_sq + c1 * dx_sq[0], c1 * dx_sq[1],
-        ))
-        reports.append(BoundReport(
-            "variance_jumps_sharp", n, sup_sq, sup_sq_se,
-            c0 * dv0_sq + c1_sharp * dx_sq[0], c1_sharp * dx_sq[1],
-        ))
-        cpp_sup, cpp_sup_se = mean_se(col["cpp_sup_sq"])
-        reports.append(BoundReport(
-            "cpp_diff", n, cpp_sup, cpp_sup_se,
-            cpp_const * dx_sq[0], cpp_const * dx_sq[1],
-        ))
-
         slack = col["sup_hs"] - np.array([
             bound_pathwise(gn, T, dv0_hs, x) for x in col["sum_dx_hs"].tolist()
         ])
-        reports.append(BoundReport(
-            "variance_pathwise", n, float(np.max(slack)), 0.0, 0.0, 0.0,
-        ))
-
-        tensor_rhs = bound_tensor_jump(m4[0], dy4[0])
-        reports.append(BoundReport(
-            "jump_tensor_sq", n, dx_sq[0], dx_sq[1],
-            tensor_rhs, _product_root_se(m4[0], m4[1], dy4[0], dy4[1], 4.0),
-        ))
-        trace_rhs = bound_tensor_jump_trace(m2[0], dy2[0])
-        reports.append(BoundReport(
-            "jump_tensor_trace", n, dx_tr[0], dx_tr[1],
-            trace_rhs, _product_root_se(m2[0], m2[1], dy2[0], dy2[1], 2.0),
-        ))
-
-        sqrt_op, sqrt_op_se = mean_se(col["sqrt_sup_sq_op"])
-        sup_op, sup_op_se = mean_se(col["sup_op"])
-        # the op-norm comparison is constant-free: its right side is the
-        # variance error E[sup||V - V^n||_op] itself
-        reports.append(BoundReport("sqrt_op", n, sqrt_op, sqrt_op_se, sup_op, sup_op_se))
+        rows += [
+            ("variance_jumps", n, sup_sq, _affine(dx_sq, c1, c0 * dv0_sq)),
+            ("variance_jumps_sharp", n, sup_sq, _affine(dx_sq, c1_sharp, c0 * dv0_sq)),
+            ("cpp_diff", n, mean_se(col["cpp_sup_sq"]), _affine(dx_sq, cpp_const)),
+            ("variance_pathwise", n, (float(np.max(slack)), 0.0), (0.0, 0.0)),
+            ("jump_tensor_sq", n, dx_sq,
+             (bound_tensor_jump(m4[0], dy4[0]), _product_root_se(m4, dy4, 4.0))),
+            ("jump_tensor_trace", n, dx_tr,
+             (bound_tensor_jump_trace(m2[0], dy2[0]), _product_root_se(m2, dy2, 2.0))),
+            # the op-norm comparison is constant-free: its right side is the
+            # variance error E[sup||V - V^n||_op] itself
+            ("sqrt_op", n, mean_se(col["sqrt_sup_sq_op"]), mean_se(col["sup_op"])),
+        ]
         if dv0_sq == 0.0:
             # the trace-route square root certificate assumes the approximant
             # starts from the exact initial state
-            sqrt_hs, sqrt_hs_se = mean_se(col["sqrt_sup_sq_hs"])
-            reports.append(BoundReport(
-                "sqrt_jumps_k1", n, sqrt_hs, sqrt_hs_se,
-                sqrt_hs_factor * dx_tr[0], sqrt_hs_factor * dx_tr[1],
-            ))
+            rows.append(("sqrt_jumps_k1", n, mean_se(col["sqrt_sup_sq_hs"]),
+                         _affine(dx_tr, sqrt_hs_factor)))
+        sup_hs = mean_se(col["sup_hs"])
+        rows.append(("forward_noise", n, mean_se(col["fwd_sup_sq"]), _affine(sup_hs, fwd_const)))
 
-        fwd_sup, fwd_sup_se = mean_se(col["fwd_sup_sq"])
-        reports.append(BoundReport(
-            "forward_noise", n, fwd_sup, fwd_sup_se,
-            fwd_const * sup_hs, fwd_const * sup_hs_se,
-        ))
-
+    # the model cap on the price gap: Lipschitz constant times the root of
+    # forward_noise's right side, its stderr by the delta method
+    scale = run.payoff.lipschitz * run.functional.op_norm
+    pricing = []
+    for i, n in enumerate(scenario.levels):
+        sup_hs, sup_hs_se = mean_se(s["sup_hs"][:, i])
         cap_sq = fwd_const * sup_hs
-        cap = payoff.lipschitz * functional.op_norm * math.sqrt(max(cap_sq, 0.0))
-        if cap > 0.0:
-            cap_se = payoff.lipschitz * functional.op_norm * fwd_const * sup_hs_se / (2.0 * math.sqrt(cap_sq))
-        else:
-            cap_se = 0.0
+        cap = scale * math.sqrt(max(cap_sq, 0.0))
+        cap_se = scale * fwd_const * sup_hs_se / (2.0 * math.sqrt(cap_sq)) if cap > 0.0 else 0.0
         pricing.append(pricing_report(
-            n, s["pay_exact"], col["pay_trunc"], col["dx_tau"],
-            payoff, functional, cap, cap_se,
+            n, s["pay_exact"], s["pay_trunc"][:, i], s["dx_tau"][:, i], run.payoff, run.functional,
+            cap, cap_se,
         ))
-
-    return ExperimentResult(reports=tuple(reports), pricing=tuple(pricing))
+    return rows, tuple(pricing)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _reduce_generator(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> ExperimentResult:
+def _reduce_generator(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> tuple[list, tuple]:
+    """The generator-mode rows; this mode prices nothing."""
     lam, T, run = scenario.rate, scenario.horizon, scenario._run
     gn = run.generator.op_norm
     v0_sq = float(np.linalg.norm(run.v0s[0])) ** 2
 
-    reports, m4, m2 = _moment_rows(scenario, s)
-
+    rows, m4, m2 = _moment_rows(scenario, s)
     for i, n in enumerate(scenario.levels):
         trunc = scenario.truncated_generator_spec(n)
         gap = generator_gap_op_norm(trunc)
@@ -946,6 +929,7 @@ def _reduce_generator(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> Ex
             horizon=T, rate=lam, gen_norm=gn, gen_norm_trunc=trunc.op_norm,
             v0_sq=v0_sq, jump_sq=m4[0], jump_mean_sq=m2[0] ** 2,
         )
+        sup_sq = mean_se(s["sup_sq_hs"][:, i])
         # the bounds are linear in each moment field, so bumping a field by
         # its stderr gives that field's exact contribution
         for bound_id, fn, factor in (
@@ -956,15 +940,9 @@ def _reduce_generator(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> Ex
             d_m4 = (fn(inputs.with_(jump_sq=m4[0] + m4[1])) - fn(inputs)) * factor
             m2sq_se = 2.0 * m2[0] * m2[1]
             d_m2 = (fn(inputs.with_(jump_mean_sq=m2[0] ** 2 + m2sq_se)) - fn(inputs)) * factor
-            sup_sq, sup_sq_se = mean_se(s["sup_sq_hs"][:, i])
-            reports.append(BoundReport(
-                bound_id, n, sup_sq, sup_sq_se, rhs, math.hypot(d_m4, d_m2),
-            ))
-        reports.append(BoundReport(
-            "generator_gap_tail", n, gap, 0.0, math.sqrt(2.0 * tail_sq), 0.0,
-        ))
-
-    return ExperimentResult(reports=tuple(reports), pricing=())
+            rows.append((bound_id, n, sup_sq, (rhs, math.hypot(d_m4, d_m2))))
+        rows.append(("generator_gap_tail", n, (gap, 0.0), (math.sqrt(2.0 * tail_sq), 0.0)))
+    return rows, ()
 
 
 def run_experiment(scenario: CoupledScenario, workers: int = 1) -> ExperimentResult:
@@ -977,18 +955,32 @@ def run_experiment(scenario: CoupledScenario, workers: int = 1) -> ExperimentRes
     s = _map_reps(scenario, workers)
     _require_finite(scenario, s)
     reduce = _reduce_jumps if scenario.truncation == "jumps" else _reduce_generator
-    result = reduce(scenario, s)
+    rows, pricing = reduce(scenario, s)
+    flat = [(bound_id, n, *lhs, *rhs) for bound_id, n, lhs, rhs in rows]
     # margins may be +-inf; the values they come from may not
-    _require_finite_rows(
-        [(r.bound_id, r.level, {"lhs": r.lhs, "lhs_stderr": r.lhs_se, "rhs": r.rhs,
-                                "rhs_stderr": r.rhs_se}) for r in result.reports]
-        + [("pricing", p.level, {k: v for k, v in asdict(p).items() if k != "level"})
-           for p in result.pricing]
-    )
-    return result
+    _require_finite_rows(flat, ("lhs", "lhs_stderr", "rhs", "rhs_stderr"))
+    _require_finite_rows([("pricing", *astuple(p)) for p in pricing],
+                         [f.name for f in fields(PricingReport)][1:])
+    return ExperimentResult(reports=tuple(BoundReport(*row) for row in flat), pricing=pricing)
 
 
 # --- convergence -------------------------------------------------------------
+
+
+def _converge_rows(scenario: CoupledScenario, s: dict[str, np.ndarray]):
+    """The (bound_id, level, estimate) rows of every series, level by level."""
+    for i, n in enumerate(scenario.levels):
+        yield "variance_sup_sq", n, mean_se(s["sup_sq_hs"][:, i])
+        if scenario.truncation == "jumps":
+            yield "forward_sup_sq", n, mean_se(s["fwd_sup_sq"][:, i])
+            yield "sqrt_sup_sq_hs", n, mean_se(s["sqrt_sup_sq_hs"][:, i])
+            dy2 = _pooled_moment(s["sum_dy2"][:, i], s["sum_dy4"][:, i], s["n_jumps"])
+            yield "jump_y_diff_sq", n, dy2
+            yield "y_tail_expected", n, (float(np.sum(scenario.jump_gammas[n:])), 0.0)
+            yield "diag_tail_sq", n, (float(np.sum(scenario.v0_diag[n // 2:] ** 2)), 0.0)
+        else:
+            gap = generator_gap_op_norm(scenario.truncated_generator_spec(n))
+            yield "generator_gap_sq", n, (gap**2, 0.0)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -1005,41 +997,19 @@ def convergence_study(scenario: CoupledScenario, workers: int = 1) -> Convergenc
     # its series are HS quantities: no op-norm sup is swept
     s = _map_reps(scenario, workers, op_sups=False)
     _require_finite(scenario, s)
-
-    rows: list[ConvergenceRow] = []
-    for i, n in enumerate(scenario.levels):
-        est, se = mean_se(s["sup_sq_hs"][:, i])
-        rows.append(ConvergenceRow(n, "variance_sup_sq", est, se))
-        if scenario.truncation == "jumps":
-            est, se = mean_se(s["fwd_sup_sq"][:, i])
-            rows.append(ConvergenceRow(n, "forward_sup_sq", est, se))
-            est, se = mean_se(s["sqrt_sup_sq_hs"][:, i])
-            rows.append(ConvergenceRow(n, "sqrt_sup_sq_hs", est, se))
-            est, se = _pooled_moment(s["sum_dy2"][:, i], s["sum_dy4"][:, i], s["n_jumps"])
-            rows.append(ConvergenceRow(n, "jump_y_diff_sq", est, se))
-            rows.append(ConvergenceRow(
-                n, "y_tail_expected", float(np.sum(scenario.jump_gammas[n:])), 0.0
-            ))
-            rows.append(ConvergenceRow(
-                n, "diag_tail_sq",
-                float(np.sum(scenario.v0_diag[n // 2:] ** 2)), 0.0,
-            ))
-        else:
-            gap = generator_gap_op_norm(scenario.truncated_generator_spec(n))
-            rows.append(ConvergenceRow(n, "generator_gap_sq", gap**2, 0.0))
-    _require_finite_rows([(r.bound_id, r.level, {"estimate": r.estimate, "stderr": r.stderr})
-                          for r in rows])
+    flat = [(bound_id, n, *est) for bound_id, n, est in _converge_rows(scenario, s)]
+    _require_finite_rows(flat, ("estimate", "stderr"))
+    rows = tuple(ConvergenceRow(n, bound_id, est, se) for bound_id, n, est, se in flat)
 
     monotone: dict[str, bool] = {}
-    for bound_id in {r.bound_id for r in rows}:
+    for bound_id in dict.fromkeys(r.bound_id for r in rows):  # in row order
         series = [r for r in rows if r.bound_id == bound_id]
         # b passes when (a - b) / se >= PASS_MARGIN, written without the division
-        ok = all(
+        monotone[bound_id] = all(
             b.estimate <= a.estimate - PASS_MARGIN * math.hypot(a.stderr, b.stderr)
             for a, b in zip(series, series[1:])
         )
-        monotone[bound_id] = ok
-    return ConvergenceStudy(rows=tuple(rows), monotone=monotone)
+    return ConvergenceStudy(rows=rows, monotone=monotone)
 
 
 # --- presets -----------------------------------------------------------------

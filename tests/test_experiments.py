@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,6 +28,8 @@ from opvol.experiments import (
 from opvol.processes import PURPOSE_CLOCK, PURPOSE_JUMPS, sample_clock, sample_jump_stream, stream
 from reference import (all_passed, by_id, default_generator_scenario, engine_path_stats, independent_stats,
                        masked_paths, path_roots, path_stats)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def small_scenario(**changes):
@@ -621,7 +627,8 @@ class TestOpNormSweeps:
     def test_converge_statistics_are_verify_ones_without_the_op_sups(self, truncate_v0):
         # one object, first as convergence_study runs it, then as
         # run_experiment does: the jump-free entry the first run builds
-        # serves the second, and every key the first takes keeps its bits
+        # lacks the op maxima, so the second run's first jump-free
+        # replication rebuilds it, and every key the first takes keeps its bits
         sc = small_scenario(truncate_v0=truncate_v0, rate=1.0, replications=12)
         reps = range(sc.replications)
         converge = [experiments._rep_stats(sc, rep, op_sups=False) for rep in reps]
@@ -1241,3 +1248,20 @@ class TestConvergenceStudy:
     def test_monotone_flags_cover_every_series(self):
         cs = convergence_study(small_scenario(replications=30))
         assert set(cs.monotone) == {r.bound_id for r in cs.rows}
+
+    @pytest.mark.parametrize("hash_seed", ["1", "2"])
+    def test_monotone_flags_in_row_order_for_any_hash_seed(self, hash_seed):
+        # str hashes change with PYTHONHASHSEED, so flags keyed in the order
+        # of a set of bound ids would change order from process to process
+        script = (
+            "import json\n"
+            "from opvol.experiments import convergence_study, default_scenario\n"
+            "cs = convergence_study(default_scenario().with_(replications=4, m_points=10))\n"
+            "print(json.dumps([list(cs.monotone), [r.bound_id for r in cs.rows]]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        flags, ids = json.loads(proc.stdout)
+        assert flags == list(dict.fromkeys(ids))
