@@ -32,8 +32,6 @@ import sys
 from collections.abc import Mapping
 from contextlib import contextmanager
 
-import numpy as np
-
 from opvol.experiments import (
     ConvergenceStudy,
     CoupledScenario,
@@ -56,53 +54,15 @@ class ConfigError(ValueError):
 # --- config loading ----------------------------------------------------------
 
 
-def _as_int(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"field '{name}' must be an integer")
-    return value
-
-
-def _as_float(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field '{name}' must be a number")
-    return float(value)
-
-
-def _as_array(name: str, value) -> np.ndarray:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"field '{name}' must be a nonempty list of numbers")
-    return np.array([_as_float(f"{name}[{i}]", v) for i, v in enumerate(value)])
-
-
-def _as_int_tuple(name: str, value) -> tuple[int, ...]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"field '{name}' must be a nonempty list of integers")
-    return tuple(_as_int(f"{name}[{i}]", v) for i, v in enumerate(value))
-
-
-def _as_str(name: str, value) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"field '{name}' must be a string")
-    return value
-
-
-def _as_bool(name: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"field '{name}' must be a boolean")
-    return value
-
-
-# each CoupledScenario field's coercion, by its annotation
-_COERCE = {"int": _as_int, "float": _as_float, "np.ndarray": _as_array, "str": _as_str,
-           "bool": _as_bool, "tuple[int, ...]": _as_int_tuple}
-_FIELDS = {f.name: _COERCE[f.type] for f in dataclasses.fields(CoupledScenario)}
+_FIELDS = {f.name for f in dataclasses.fields(CoupledScenario)}
 
 
 def load_config(path: str) -> dict:
-    """Read and schema-check a JSON scenario document.
+    """Read a JSON scenario document: an object whose keys are all
+    CoupledScenario fields.
 
-    Returns the coerced field dict; semantic validation (positivity, shapes,
-    level caps) happens later in the CoupledScenario constructor.
+    Returns the fields as JSON gave them; the CoupledScenario constructor
+    checks their kinds and values.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -114,13 +74,13 @@ def load_config(path: str) -> dict:
     if not isinstance(raw, Mapping):
         raise ConfigError(f"{path}: top level must be a JSON object")
 
-    unknown = sorted(set(raw) - set(_FIELDS))
+    unknown = sorted(set(raw) - _FIELDS)
     if unknown:
         raise ConfigError(
             f"{path}: unknown field(s) {', '.join(repr(k) for k in unknown)}; "
             f"valid fields are {', '.join(sorted(_FIELDS))}"
         )
-    return {name: _FIELDS[name](name, value) for name, value in raw.items()}
+    return raw
 
 
 def resolve_scenario(config_path: str | None, seed: int | None,

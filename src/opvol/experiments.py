@@ -33,6 +33,7 @@ finiteness and makes them BoundReports.  convergence_study's rows are
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields, replace
@@ -106,9 +107,50 @@ MAX_STATS_TABLE_BYTES = 256 * 2**20
 # --- scenario ----------------------------------------------------------------
 
 
+# each scalar annotation of CoupledScenario: the types it takes, those it
+# refuses, its noun in a message and the type it is stored as
+_SCALAR_KINDS = {
+    "int": (numbers.Integral, bool, "an integer", int),
+    "float": (numbers.Real, bool, "a number", float),
+    "str": (str, (), "a string", str),
+    "bool": ((bool, np.bool_), (), "a boolean", bool),
+}
+
+
+def _as_kind(name: str, kind: str, value):
+    """value as a CoupledScenario field annotated kind stores it, or a
+    ValueError naming the field.  levels takes a nonempty list, tuple or
+    1-D array of integers, stored as a tuple; a spectrum a nonempty list or
+    tuple of numbers or an integer or float array, stored as a float64 array.
+    An annotation it does not know raises KeyError."""
+    if kind in _SCALAR_KINDS:
+        types, refused, noun, stored = _SCALAR_KINDS[kind]
+        if not isinstance(value, types) or isinstance(value, refused):
+            raise ValueError(f"field '{name}' must be {noun}")
+        try:
+            return stored(value)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(f"field '{name}' must be a finite number") from None
+    item, stored = {"tuple[int, ...]": ("int", tuple), "np.ndarray": ("float", np.array)}[kind]
+    if isinstance(value, np.ndarray):
+        if item == "float" and value.dtype.kind in "iuf":
+            return np.asarray(value, dtype=float)
+        value = value.tolist() if value.ndim == 1 else None
+    if not isinstance(value, (list, tuple)) or not value:
+        noun = "integers" if item == "int" else "numbers"
+        raise ValueError(f"field '{name}' must be a nonempty list of {noun}")
+    return stored([_as_kind(f"{name}[{i}]", item, v) for i, v in enumerate(value)])
+
+
 @dataclass(frozen=True, eq=False)
 class CoupledScenario:
-    """Full parameterization of one coupled truncation experiment."""
+    """Full parameterization of one coupled truncation experiment.
+
+    The constructor alone decides what a scenario is, for the Python entry
+    points and the CLI alike: first every field's kind, in field order
+    (_as_kind), then the values.  Each failure is a one-line ValueError that
+    names the field.
+    """
 
     d: int
     levels: tuple[int, ...]
@@ -132,6 +174,8 @@ class CoupledScenario:
     truncate_v0: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _as_kind(f.name, f.type, getattr(self, f.name)))
         for name in ("horizon", "rate", "payoff_strike", "exercise_time"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -144,8 +188,7 @@ class CoupledScenario:
             )
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
-        object.__setattr__(self, "levels", tuple(int(n) for n in self.levels))
-        if not self.levels or any(b <= a for a, b in zip(self.levels, self.levels[1:])):
+        if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("levels must be a nonempty strictly increasing tuple")
         if self.truncation not in TRUNCATION_MODES:
             raise ValueError(f"unknown truncation mode {self.truncation!r}")
@@ -180,14 +223,13 @@ class CoupledScenario:
                 "lower replications or d"
             )
         for name in ("jump_gammas", "q_spectrum", "generator_spectrum", "forward_spectrum", "v0_diag"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = getattr(self, name)
             if arr.shape != (self.d,):
                 raise ValueError(f"{name} must have shape ({self.d},)")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
             if name not in ("generator_spectrum", "forward_spectrum") and np.any(arr < 0):
                 raise ValueError(f"{name} must be nonnegative")
-            object.__setattr__(self, name, arr)
         if self.replications < 2:
             raise ValueError("need at least two replications for standard errors")
         dt = self.horizon / self.m_points

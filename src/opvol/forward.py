@@ -148,11 +148,7 @@ def _transport(noise: np.ndarray, times: np.ndarray, lam: np.ndarray) -> np.ndar
     n_paths, n_steps, d = noise.shape
     states = np.zeros((n_paths, n_steps + 1, d), dtype=noise.dtype)
     states[:, 1:] = noise
-    span = float(np.max(np.abs(lam), initial=0.0))
-    if span == 0.0:
-        # every factor is 1.0: the cumsum from the zero row adds as the loop does
-        return np.cumsum(states, axis=1)
-    for s, e in _segments(times[:-1], span):
+    for s, e in _segments(times[:-1], float(np.max(np.abs(lam), initial=0.0))):
         rel = (times[s : e + 1] - times[s])[:, None]
         seg = states[:, s : e + 1]
         seg[:, 1:] *= np.exp(-lam * rel[:-1])

@@ -368,10 +368,10 @@ def _op_sup_symmetric(S: np.ndarray, hs: np.ndarray) -> float:
     with it.
 
     X has entries at most 1 and op norm in [1, d], so tr X^2p lies in
-    [1, d^(2p+1)] whatever the scale of S; a power whose bound could
-    overflow is not taken.  k squarings give the bound a relative rounding
-    error of about k d eps, and the pairwise sum of squares behind an HS
-    norm one of order log(d) eps, far below the 1e-10 margin.
+    [1, d^(2p+1)] whatever the scale of S.  k squarings give the bound a
+    relative rounding error of about k d eps, and the pairwise sum of
+    squares behind an HS norm one of order log(d) eps, far below the 1e-10
+    margin.
     """
     d = S.shape[-1]
     S, hs = S.reshape(-1, d, d), hs.reshape(-1)
@@ -404,7 +404,7 @@ def _op_sup_symmetric(S: np.ndarray, hs: np.ndarray) -> float:
         keep = ub >= best * _PRUNE_MARGIN
         keep[top] = False
     for power in (16, 32):
-        if np.count_nonzero(keep) <= 2 or d ** (power + 1) > np.finfo(float).max:
+        if np.count_nonzero(keep) <= 2:
             break
         rest, scale, X = rest[keep], scale[keep], X[keep]
         X = X @ X

@@ -94,7 +94,14 @@ class TestConfigLoading:
             path = tmp_path / "c.json"
             path.write_text(json.dumps(doc))
             with pytest.raises(ConfigError, match=pattern):
-                load_config(str(path))
+                resolve_scenario(str(path), None)
+
+    def test_integer_beyond_float_range(self, tmp_path, capsys):
+        # a JSON integer too large for a float is one error line, not a traceback
+        path = tmp_path / "c.json"
+        path.write_text('{"rate": 1' + "0" * 400 + "}")
+        assert main(["verify", str(path), "--out-dir", str(tmp_path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: field 'rate' must be a finite number\n"
 
     def test_semantic_errors_become_config_errors(self, tmp_path):
         path = write_config(tmp_path, rate=-1.0)

@@ -1,5 +1,6 @@
 """Tests for the coupled experiment orchestration."""
 
+import dataclasses
 import json
 import math
 import os
@@ -30,6 +31,7 @@ from reference import (all_passed, by_id, default_generator_scenario, engine_pat
                        masked_paths, path_roots, path_stats)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+CONFIGS = SRC.parent / "configs"
 
 
 def small_scenario(**changes):
@@ -48,7 +50,7 @@ class TestScenarioValidation:
     def test_levels_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             small_scenario(levels=(2, 2, 4))
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(ValueError, match="^field 'levels' must be a nonempty list of integers$"):
             small_scenario(levels=())
 
     def test_levels_capped_by_mode(self):
@@ -152,6 +154,79 @@ class TestScenarioValidation:
                 arr[3] = value
                 with pytest.raises(ValueError, match=f"^{name} must be finite"):
                     small_scenario(**{name: arr})
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"levels": (2.5, 4, 6)}, "field 'levels[0]' must be an integer"),
+        ({"levels": (True, 4, 6)}, "field 'levels[0]' must be an integer"),
+        ({"levels": (np.float64(2.9), 4)}, "field 'levels[0]' must be an integer"),
+        ({"levels": np.array([[2, 4]])}, "field 'levels' must be a nonempty list of integers"),
+        ({"truncate_v0": "no"}, "field 'truncate_v0' must be a boolean"),
+        ({"horizon": True}, "field 'horizon' must be a number"),
+        ({"rate": "1"}, "field 'rate' must be a number"),
+        ({"rate": 10**400}, "field 'rate' must be a finite number"),
+        ({"replications": 2.5}, "field 'replications' must be an integer"),
+        ({"master_seed": 1.5}, "field 'master_seed' must be an integer"),
+        ({"d": 8.0}, "field 'd' must be an integer"),
+        ({"functional_coordinate": 0.0}, "field 'functional_coordinate' must be an integer"),
+        ({"jump_gammas": [0.5, True, *[0.1] * 6]}, "field 'jump_gammas[1]' must be a number"),
+        ({"jump_gammas": np.ones(8, dtype=bool)}, "field 'jump_gammas[0]' must be a number"),
+        # the first bad field in field order is named
+        ({"truncate_v0": 1, "d": 8.0}, "field 'd' must be an integer"),
+    ])
+    def test_kinds_name_the_field(self, changes, message):
+        # the constructor checks kinds, so with_, run_experiment and
+        # convergence_study never see a wrong one
+        sc = default_scenario()
+        fields = {f.name: getattr(sc, f.name) for f in dataclasses.fields(sc)}
+        for build in (sc.with_, lambda **c: CoupledScenario(**{**fields, **c})):
+            with pytest.raises(ValueError) as err:
+                build(**changes)
+            assert str(err.value) == message
+
+    def test_kinds_round_trip(self):
+        # every field of the reference scenario and of both shipped configs
+        # comes back from _as_kind unchanged, so a field annotated with a
+        # kind it does not know fails here
+        docs = [json.loads((CONFIGS / name).read_text()) for name in ("default.json", "generator.json")]
+        for sc in (default_scenario(), *(CoupledScenario(**doc) for doc in docs)):
+            for f in dataclasses.fields(CoupledScenario):
+                value = getattr(sc, f.name)
+                got = experiments._as_kind(f.name, f.type, value)
+                assert type(got) is type(value), f.name
+                got, value = np.asarray(got), np.asarray(value)
+                assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), f.name
+        with pytest.raises(KeyError):
+            experiments._as_kind("x", "list[int]", [1])
+
+    def test_numpy_kinds_accepted(self):
+        ref = default_scenario()
+        sc = ref.with_(d=np.int64(8), levels=np.array([2, 4, 6]), horizon=np.float64(1.0),
+                       truncate_v0=np.bool_(True), q_spectrum=list(ref.q_spectrum),
+                       forward_spectrum=np.zeros(8, dtype=np.int32))
+        assert type(sc.d) is int and sc.levels == (2, 4, 6) and type(sc.levels[0]) is int
+        assert type(sc.horizon) is float and sc.truncate_v0 is True
+        for name in ("q_spectrum", "forward_spectrum"):
+            assert getattr(sc, name).dtype == np.float64
+        assert sc.q_spectrum.tobytes() == ref.q_spectrum.tobytes()
+
+    @pytest.mark.parametrize("d, levels", [(8, (2, 4, 6)), (5, (1, 3))])
+    def test_statistics_row_matches_table_cap(self, d, levels):
+        # MAX_STATS_TABLE_BYTES counts d * d + 17 L + 6 float64 values a
+        # replication: the row of jumps mode with op sups, the largest
+        geo = 0.5 ** np.arange(1, d + 1)
+        sc = small_scenario(d=d, levels=levels, jump_gammas=geo, q_spectrum=geo, v0_diag=geo,
+                            generator_spectrum=-geo, forward_spectrum=np.zeros(d),
+                            m_points=10, replications=2)
+        want = (d * d + 17 * len(levels) + 6) * 8 * sc.replications
+
+        def table_bytes(sc, op_sups):
+            return sum(col.nbytes for col in experiments._map_reps(sc, 1, op_sups).values())
+
+        assert table_bytes(sc, True) == want
+        assert table_bytes(sc, False) <= want
+        gen = sc.with_(truncation="generator")
+        assert table_bytes(gen, True) <= want
+        assert table_bytes(gen, False) <= want
 
 
 class TestPassMargin:

@@ -180,7 +180,7 @@ class TestJumps:
 
     def test_law_needs_exactly_one_source(self):
         # the spectrum is the law's only source, and it must be a sequence
-        with pytest.raises(ValueError, match="jump_gammas must have shape"):
+        with pytest.raises(ValueError, match="^field 'jump_gammas' must be a nonempty list of numbers$"):
             default_scenario().with_(jump_gammas=None)
         with pytest.raises(ValueError, match="jump_gammas must have shape"):
             default_scenario().with_(jump_gammas=np.ones((8, 8)))
