@@ -43,17 +43,18 @@ import numpy as np
 
 from opvol.bounds import (
     PASS_MARGIN,
-    BoundInputs,
+    bound_cpp_diff,
     bound_forward,
     bound_pathwise,
     bound_sqrt,
     bound_tensor_jump,
     bound_tensor_jump_trace,
-    bound_cpp_diff,
     bound_variance_generator,
     bound_variance_generator_tail,
     bound_variance_jumps,
     combined_margin,
+    cp_second_moment,
+    cp_second_moment_bound,
 )
 from opvol.forward import ForwardSemigroupSpec, forward_sup_error, simulate_forward_coupled
 from opvol.operators import NotPositiveSemidefinite, psd_sqrt_batch
@@ -62,8 +63,6 @@ from opvol.processes import (
     PURPOSE_CLOCK,
     PURPOSE_JUMPS,
     PURPOSE_WIENER,
-    cp_second_moment,
-    cp_second_moment_bound,
     sample_clock,
     sample_jump_stream,
     stream,
@@ -121,8 +120,9 @@ def _as_kind(name: str, kind: str, value):
     """value as a CoupledScenario field annotated kind stores it, or a
     ValueError naming the field.  levels takes a nonempty list, tuple or
     1-D array of integers, stored as a tuple; a spectrum a nonempty list or
-    tuple of numbers or an integer or float array, stored as a float64 array.
-    An annotation it does not know raises KeyError."""
+    tuple of numbers or an integer or float array, stored as a read-only
+    float64 copy, so that no array of the caller's can change a checked
+    scenario.  An annotation it does not know raises KeyError."""
     if kind in _SCALAR_KINDS:
         types, refused, noun, stored = _SCALAR_KINDS[kind]
         if not isinstance(value, types) or isinstance(value, refused):
@@ -131,15 +131,22 @@ def _as_kind(name: str, kind: str, value):
             return stored(value)
         except OverflowError:  # an integer beyond the float range
             raise ValueError(f"field '{name}' must be a finite number") from None
-    item, stored = {"tuple[int, ...]": ("int", tuple), "np.ndarray": ("float", np.array)}[kind]
+    item, stored = {"tuple[int, ...]": ("int", tuple), "np.ndarray": ("float", _frozen_array)}[kind]
     if isinstance(value, np.ndarray):
         if item == "float" and value.dtype.kind in "iuf":
-            return np.asarray(value, dtype=float)
+            return _frozen_array(value)
         value = value.tolist() if value.ndim == 1 else None
     if not isinstance(value, (list, tuple)) or not value:
         noun = "integers" if item == "int" else "numbers"
         raise ValueError(f"field '{name}' must be a nonempty list of {noun}")
     return stored([_as_kind(f"{name}[{i}]", item, v) for i, v in enumerate(value)])
+
+
+def _frozen_array(values) -> np.ndarray:
+    """A read-only float64 copy of values."""
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,16 +198,17 @@ class CoupledScenario:
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("levels must be a nonempty strictly increasing tuple")
         if self.truncation not in TRUNCATION_MODES:
-            raise ValueError(f"unknown truncation mode {self.truncation!r}")
+            raise ValueError(f"truncation must be one of {', '.join(TRUNCATION_MODES)}, "
+                             f"got {self.truncation!r}")
         cap = self.d if self.truncation == "jumps" else 2 * self.d
         if self.levels[0] < 1 or self.levels[-1] > cap:
             raise ValueError(f"levels must lie in 1..{cap} for {self.truncation} truncation")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
         if self.m_points < 1:
-            raise ValueError("need at least one time step")
+            raise ValueError(f"m_points must be at least 1, got {self.m_points}")
         if self.rate < 0:
-            raise ValueError("jump rate must be nonnegative")
+            raise ValueError(f"rate must be nonnegative, got {self.rate}")
         if self.rate * self.horizon > MAX_EXPECTED_JUMPS:
             raise ValueError(
                 f"rate * horizon = {self.rate * self.horizon:.6g} expected jumps per "
@@ -231,7 +239,8 @@ class CoupledScenario:
             if name not in ("generator_spectrum", "forward_spectrum") and np.any(arr < 0):
                 raise ValueError(f"{name} must be nonnegative")
         if self.replications < 2:
-            raise ValueError("need at least two replications for standard errors")
+            raise ValueError(f"replications must be at least 2 for standard errors, "
+                             f"got {self.replications}")
         dt = self.horizon / self.m_points
         steps = self.exercise_time / dt
         # the payoff is read at the uniform grid point round(steps), not at 0
@@ -792,9 +801,9 @@ def _check_growth(scenario: CoupledScenario) -> None:
     e^{2 T |c|} (generator) and e^{2 k T} (forward transport, jumps mode) are
     the largest factors the reducers take."""
     T, run = scenario.horizon, scenario._run
-    bound_variance_jumps(BoundInputs(horizon=T, rate=scenario.rate, gen_norm=run.generator.op_norm))
+    bound_variance_jumps(T, scenario.rate, run.generator.op_norm)
     if scenario.truncation == "jumps":
-        bound_forward(BoundInputs(k=run.forward.k, horizon=T))
+        bound_forward(run.forward.k, float(scenario.q_spectrum.sum()), T)
 
 
 # --- reduction helpers -------------------------------------------------------
@@ -895,14 +904,10 @@ def _reduce_jumps(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> tuple[
     """The jumps-mode rows and one PricingReport per level."""
     lam, T, run = scenario.rate, scenario.horizon, scenario._run
     gn = run.generator.op_norm
-    base = BoundInputs(horizon=T, rate=lam, gen_norm=gn)
-    c0, c1 = bound_variance_jumps(base)
-    _, c1_sharp = bound_variance_jumps(base, sharp=True)
-    cpp_const = bound_cpp_diff(base)
-    sqrt_hs_factor = bound_sqrt(base)
-    fwd_const = bound_forward(BoundInputs(
-        k=run.forward.k, trace_q=float(scenario.q_spectrum.sum()), horizon=T,
-    ))
+    c0, c1, c1_sharp = bound_variance_jumps(T, lam, gn)
+    cpp_const = bound_cpp_diff(T, lam)
+    sqrt_hs_factor = bound_sqrt(T, lam, gn)
+    fwd_const = bound_forward(run.forward.k, float(scenario.q_spectrum.sum()), T)
     counts = s["n_jumps"]
 
     rows, m4, m2 = _moment_rows(scenario, s)
@@ -967,22 +972,21 @@ def _reduce_generator(scenario: CoupledScenario, s: dict[str, np.ndarray]) -> tu
         trunc = scenario.truncated_generator_spec(n)
         gap = generator_gap_op_norm(trunc)
         tail_sq = eigen_tail_sup_sq(trunc)
-        inputs = BoundInputs(
-            horizon=T, rate=lam, gen_norm=gn, gen_norm_trunc=trunc.op_norm,
-            v0_sq=v0_sq, jump_sq=m4[0], jump_mean_sq=m2[0] ** 2,
-        )
         sup_sq = mean_se(s["sup_sq_hs"][:, i])
-        # the bounds are linear in each moment field, so bumping a field by
-        # its stderr gives that field's exact contribution
+        # each bound as a function of the two jump moments, jump_sq and
+        # jump_mean_sq; the bounds are linear in each, so bumping one by its
+        # stderr gives that moment's exact contribution
+        m2sq, m2sq_se = m2[0] ** 2, 2.0 * m2[0] * m2[1]
         for bound_id, fn, factor in (
-            ("variance_generator", bound_variance_generator, gap**2),
-            ("variance_generator_tail", bound_variance_generator_tail, tail_sq),
+            ("variance_generator",
+             partial(bound_variance_generator, T, lam, gn, trunc.op_norm, v0_sq), gap**2),
+            ("variance_generator_tail",
+             partial(bound_variance_generator_tail, T, lam, gn, v0_sq), tail_sq),
         ):
-            rhs = fn(inputs) * factor
-            d_m4 = (fn(inputs.with_(jump_sq=m4[0] + m4[1])) - fn(inputs)) * factor
-            m2sq_se = 2.0 * m2[0] * m2[1]
-            d_m2 = (fn(inputs.with_(jump_mean_sq=m2[0] ** 2 + m2sq_se)) - fn(inputs)) * factor
-            rows.append((bound_id, n, sup_sq, (rhs, math.hypot(d_m4, d_m2))))
+            at = fn(m4[0], m2sq)
+            d_m4 = (fn(m4[0] + m4[1], m2sq) - at) * factor
+            d_m2 = (fn(m4[0], m2sq + m2sq_se) - at) * factor
+            rows.append((bound_id, n, sup_sq, (at * factor, math.hypot(d_m4, d_m2))))
         rows.append(("generator_gap_tail", n, (gap, 0.0), (math.sqrt(2.0 * tail_sq), 0.0)))
     return rows, ()
 

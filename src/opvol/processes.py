@@ -187,21 +187,6 @@ def sample_jump_stream(count: int, sd: np.ndarray, rng: np.random.Generator) -> 
     return CoupledJumpStream(ys=sd * rng.standard_normal((count, sd.size)))
 
 
-def cp_second_moment(rate: float, t: float, m2: float, m1sq: float) -> float:
-    """Exact second moment of a compound Poisson sum:
-    E|L(t)|^2 = rate*t*E|J|^2 + rate^2*t^2*|E J|^2."""
-    if min(rate, t, m2, m1sq) < 0:
-        raise ValueError("all moment inputs must be nonnegative")
-    return rate * t * m2 + rate**2 * t**2 * m1sq
-
-
-def cp_second_moment_bound(rate: float, t: float, m2: float) -> float:
-    """Upper bound rate*t*(1 + rate*t)*E|J|^2 (drops the mean to a second moment)."""
-    if min(rate, t, m2) < 0:
-        raise ValueError("all moment inputs must be nonnegative")
-    return rate * t * (1.0 + rate * t) * m2
-
-
 def sample_wiener_increments(
     q: np.ndarray, grid: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:

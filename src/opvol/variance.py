@@ -44,7 +44,7 @@ class GeneratorSpec:
 
     def __post_init__(self):
         if self.kind not in ("sandwich", "sylvester"):
-            raise ValueError(f"unknown generator kind {self.kind!r}")
+            raise ValueError(f"generator_kind must be one of sandwich, sylvester, got {self.kind!r}")
         object.__setattr__(self, "spectrum", as_hilbert_vector(self.spectrum))
         if self.mask is not None:
             mask = np.asarray(self.mask, dtype=bool)

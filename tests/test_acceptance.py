@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from opvol.bounds import cp_second_moment
 from opvol.cli import main
 from opvol.experiments import default_scenario, run_experiment
 from opvol.forward import ForwardSemigroupSpec, simulate_forward_coupled
@@ -25,7 +26,6 @@ from opvol.processes import (
     PURPOSE_JUMPS,
     PURPOSE_WIENER,
     CoupledJumpStream,
-    cp_second_moment,
     sample_clock,
     sample_jump_stream,
     stream,

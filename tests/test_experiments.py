@@ -66,7 +66,7 @@ class TestScenarioValidation:
             small_scenario(truncation="generator", levels=(4, 17))
 
     def test_unknown_truncation_mode(self):
-        with pytest.raises(ValueError, match="truncation mode"):
+        with pytest.raises(ValueError, match="^truncation must be one of jumps, generator"):
             small_scenario(truncation="spectral")
 
     def test_spectrum_shapes_and_signs(self):
@@ -79,7 +79,7 @@ class TestScenarioValidation:
         assert sc._run.generator.op_norm > 0
 
     def test_replication_floor(self):
-        with pytest.raises(ValueError, match="two replications"):
+        with pytest.raises(ValueError, match="^replications must be at least 2"):
             small_scenario(replications=1)
 
     def test_exercise_time_on_grid(self):
@@ -94,11 +94,11 @@ class TestScenarioValidation:
         assert sc.exercise_time == 0.6
 
     def test_bad_kinds_fail_fast(self):
-        with pytest.raises(ValueError, match="payoff kind"):
+        with pytest.raises(ValueError, match="^payoff_kind must be one of"):
             small_scenario(payoff_kind="digital")
-        with pytest.raises(ValueError, match="forward semigroup kind"):
+        with pytest.raises(ValueError, match="^forward_kind must be one of"):
             small_scenario(forward_kind="general")
-        with pytest.raises(ValueError, match="generator kind"):
+        with pytest.raises(ValueError, match="^generator_kind must be one of"):
             small_scenario(generator_kind="nonlinear")
 
     def test_misc_scalars(self):
@@ -106,7 +106,7 @@ class TestScenarioValidation:
             small_scenario(horizon=0.0)
         with pytest.raises(ValueError, match="rate"):
             small_scenario(rate=-1.0)
-        with pytest.raises(ValueError, match="time step"):
+        with pytest.raises(ValueError, match="^m_points"):
             small_scenario(m_points=0)
 
     def test_grid_steps_capped(self):
@@ -182,6 +182,36 @@ class TestScenarioValidation:
             with pytest.raises(ValueError) as err:
                 build(**changes)
             assert str(err.value) == message
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"m_points": 0}, "m_points must be at least 1, got 0"),
+        ({"rate": -1.0}, "rate must be nonnegative, got -1.0"),
+        ({"replications": 1}, "replications must be at least 2 for standard errors, got 1"),
+        ({"truncation": "spectral"}, "truncation must be one of jumps, generator, got 'spectral'"),
+        ({"generator_kind": "nonlinear"},
+         "generator_kind must be one of sandwich, sylvester, got 'nonlinear'"),
+        ({"forward_kind": "general"}, "forward_kind must be one of diagonal, skew, got 'general'"),
+        ({"payoff_kind": "digital"},
+         "payoff_kind must be one of call, put, identity, constant, got 'digital'"),
+    ])
+    def test_values_name_the_field(self, changes, message):
+        with pytest.raises(ValueError) as err:
+            default_scenario().with_(**changes)
+        assert str(err.value) == message
+
+    def test_spectra_are_read_only_copies(self):
+        # neither a caller's array nor one array passed for two fields can
+        # change a checked scenario
+        g = np.full(8, 0.5)
+        sc = default_scenario().with_(jump_gammas=g, q_spectrum=g)
+        g[0] = -1.0
+        assert sc.jump_gammas[0] == 0.5 and sc.q_spectrum[0] == 0.5
+        ref = default_scenario()
+        assert not np.shares_memory(ref.jump_gammas, ref.q_spectrum)
+        for name in ("jump_gammas", "q_spectrum", "generator_spectrum", "forward_spectrum", "v0_diag"):
+            for sc in (ref, ref.with_(**{name: list(getattr(ref, name))})):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(sc, name)[1] = math.nan
 
     def test_kinds_round_trip(self):
         # every field of the reference scenario and of both shipped configs

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox, SeedSequence
 
+from opvol.bounds import cp_second_moment, cp_second_moment_bound
 from opvol.experiments import _level_jumps, default_scenario
 from opvol.processes import (
     _KEY_BLOCK,
     CoupledJumpStream,
-    cp_second_moment,
-    cp_second_moment_bound,
     sample_clock,
     sample_jump_stream,
     sample_wiener_increments,
