@@ -56,9 +56,9 @@ from opvol.bounds import (
     cp_second_moment,
     cp_second_moment_bound,
 )
-from opvol.forward import ForwardSemigroupSpec, forward_sup_error, simulate_forward_coupled
+from opvol.forward import SEMIGROUP_KINDS, ForwardSemigroupSpec, forward_sup_error, simulate_forward_coupled
 from opvol.operators import NotPositiveSemidefinite, psd_sqrt_batch
-from opvol.pricing import FunctionalSpec, PayoffSpec, PricingReport, mean_se, pricing_report
+from opvol.pricing import PAYOFF_LIPSCHITZ, FunctionalSpec, PayoffSpec, PricingReport, mean_se, pricing_report
 from opvol.processes import (
     PURPOSE_CLOCK,
     PURPOSE_JUMPS,
@@ -68,6 +68,7 @@ from opvol.processes import (
     stream,
 )
 from opvol.variance import (
+    _GENERATOR_KINDS,
     GeneratorSpec,
     Stepper,
     TimeGrid,
@@ -197,9 +198,10 @@ class CoupledScenario:
             raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("levels must be a nonempty strictly increasing tuple")
-        if self.truncation not in TRUNCATION_MODES:
-            raise ValueError(f"truncation must be one of {', '.join(TRUNCATION_MODES)}, "
-                             f"got {self.truncation!r}")
+        for name, kinds in (("truncation", TRUNCATION_MODES), ("generator_kind", _GENERATOR_KINDS),
+                            ("forward_kind", SEMIGROUP_KINDS), ("payoff_kind", PAYOFF_LIPSCHITZ)):
+            if getattr(self, name) not in kinds:
+                raise ValueError(f"{name} must be one of {', '.join(kinds)}, got {getattr(self, name)!r}")
         cap = self.d if self.truncation == "jumps" else 2 * self.d
         if self.levels[0] < 1 or self.levels[-1] > cap:
             raise ValueError(f"levels must lie in 1..{cap} for {self.truncation} truncation")
@@ -247,10 +249,6 @@ class CoupledScenario:
         if not (0 < self.exercise_time <= self.horizon and 1 <= round(steps)
                 and abs(steps - round(steps)) <= 1e-9):
             raise ValueError("exercise_time must sit on the uniform grid in (0, horizon]")
-        # fail fast on a bad kind; _run builds these models for the run
-        GeneratorSpec(self.generator_kind, self.generator_spectrum)
-        ForwardSemigroupSpec(self.forward_kind, self.forward_spectrum)
-        PayoffSpec(self.payoff_kind, self.payoff_strike)
 
     def truncated_generator_spec(self, n: int) -> GeneratorSpec:
         return truncate_generator(self._run.generator, n)
@@ -265,6 +263,14 @@ class CoupledScenario:
         state.pop("_run", None)
         state.pop("_jump_free", None)
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        # unpickling rebuilds each spectrum as a writeable array; a copy's
+        # spectra are read-only too
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        self.__dict__.update(state)
 
     @cached_property
     def _run(self) -> "_RunConstants":

@@ -61,7 +61,7 @@ class ForwardSemigroupSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "spectrum", np.asarray(self.spectrum, dtype=float))
         if self.kind not in SEMIGROUP_KINDS:
-            raise ValueError(f"forward_kind must be one of {', '.join(SEMIGROUP_KINDS)}, got {self.kind!r}")
+            raise ValueError(f"kind must be one of {', '.join(SEMIGROUP_KINDS)}, got {self.kind!r}")
 
     @property
     def k(self) -> float:

@@ -33,7 +33,7 @@ class PayoffSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in PAYOFF_LIPSCHITZ:
-            raise ValueError(f"payoff_kind must be one of {', '.join(PAYOFF_LIPSCHITZ)}, got {self.kind!r}")
+            raise ValueError(f"kind must be one of {', '.join(PAYOFF_LIPSCHITZ)}, got {self.kind!r}")
 
     @property
     def lipschitz(self) -> float:

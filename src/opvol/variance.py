@@ -28,6 +28,8 @@ import numpy as np
 
 from opvol.operators import as_hilbert_vector
 
+_GENERATOR_KINDS = ("sandwich", "sylvester")
+
 
 @dataclass(frozen=True, eq=False)
 class GeneratorSpec:
@@ -43,8 +45,8 @@ class GeneratorSpec:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("sandwich", "sylvester"):
-            raise ValueError(f"generator_kind must be one of sandwich, sylvester, got {self.kind!r}")
+        if self.kind not in _GENERATOR_KINDS:
+            raise ValueError(f"kind must be one of {', '.join(_GENERATOR_KINDS)}, got {self.kind!r}")
         object.__setattr__(self, "spectrum", as_hilbert_vector(self.spectrum))
         if self.mask is not None:
             mask = np.asarray(self.mask, dtype=bool)

@@ -201,7 +201,7 @@ class TestScenarioValidation:
 
     def test_spectra_are_read_only_copies(self):
         # neither a caller's array nor one array passed for two fields can
-        # change a checked scenario
+        # change a checked scenario, nor can a pickled copy's
         g = np.full(8, 0.5)
         sc = default_scenario().with_(jump_gammas=g, q_spectrum=g)
         g[0] = -1.0
@@ -209,7 +209,8 @@ class TestScenarioValidation:
         ref = default_scenario()
         assert not np.shares_memory(ref.jump_gammas, ref.q_spectrum)
         for name in ("jump_gammas", "q_spectrum", "generator_spectrum", "forward_spectrum", "v0_diag"):
-            for sc in (ref, ref.with_(**{name: list(getattr(ref, name))})):
+            copies = (ref.with_(**{name: list(getattr(ref, name))}), pickle.loads(pickle.dumps(ref)))
+            for sc in (ref, *copies):
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(sc, name)[1] = math.nan
 

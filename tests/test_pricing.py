@@ -83,7 +83,7 @@ class TestPayoffs:
 
     def test_validation(self):
         for kind in ("barrier", "custom", "Call"):
-            with pytest.raises(ValueError, match="^payoff_kind must be one of call, put, identity, constant"):
+            with pytest.raises(ValueError, match="^kind must be one of call, put, identity, constant"):
                 PayoffSpec(kind)
 
     def test_lipschitz_follows_the_kind(self):

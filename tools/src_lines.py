@@ -6,15 +6,15 @@ tokenize).  A module's public names are its __all__ when it has one, else
 the top-level functions, classes and assigned names without a leading
 underscore.
 
-    python tools/src_lines.py [package dir, default src/opvol]
+    python tools/src_lines.py
 """
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "opvol"
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
              tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -53,10 +53,10 @@ def _public_names(tree: ast.Module) -> list[str]:
     return [name for name in names if not name.startswith("_")]
 
 
-def main(package: Path) -> None:
+def main() -> None:
     total_raw = total_code = total_names = 0
     print(f"{'module':<16}{'raw':>7}{'code':>7}{'names':>7}  public names")
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         tree = ast.parse(source)
         raw, code, names = len(source.splitlines()), _code_lines(source, tree), _public_names(tree)
@@ -66,4 +66,4 @@ def main(package: Path) -> None:
 
 
 if __name__ == "__main__":
-    main(Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "opvol")
+    main()
